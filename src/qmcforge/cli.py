@@ -26,7 +26,8 @@ from .errors import ResourceLimitError, UsageError
 from .gfpoly import GFPoly, smallest_irreducible
 from .korobov import LatticeRule, p_merit_closed, p_merit_series, zaremba_rho
 from .stability import (combined_bound_eq1, jensen_certificate, prop1_certificate,
-                        prop2_certificate, theorem1_bound, theorem2_bound_poly)
+                        prop2_certificate, prop_bound_lattice, prop_bound_poly, theorem1_bound,
+                        theorem2_bound_poly)
 from .walsh import PolyLatticeRule, cbc_construct_poly, p_merit_wal_closed, rho_wal
 from .weights import S_MAX_DEFAULT, SpaceParams, WeightSet, parse_weight_formula
 
@@ -54,6 +55,11 @@ def _parse_seq(text: str) -> list[float]:
 
 def parse_weights(spec, s_needed: int = 0) -> WeightSet:
     """Weight declaration from CLI text ('kind:data') or config JSON dict."""
+    if isinstance(spec, str) and spec.lstrip().startswith("{"):
+        try:
+            spec = json.loads(spec)  # a weight set object from --config
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"weight spec is not valid JSON: {exc}")
     if isinstance(spec, dict):
         return WeightSet.from_jsonable(spec)
     if not isinstance(spec, str) or ":" not in spec:
@@ -117,22 +123,35 @@ def _emit(obj, out_path: str | None) -> None:
         print(text)
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config}: {exc}")
-        for key, value in cfg.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) in (None, False):
-                setattr(args, attr, value)
-    return args
+def _splice_config(argv: list[str]) -> list[str]:
+    """Insert the flags of the --config file right after the subcommand: the
+    command line, parsed later, overrides them, and they override the defaults.
+    Config values get the same checks as flags; unknown keys exit 2."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
+        return argv
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} must hold a JSON object")
+    tokens = []
+    for key, value in cfg.items():
+        flag = "--" + str(key).replace("_", "-")
+        if isinstance(value, (list, dict)):
+            value = json.dumps(value) if isinstance(value, dict) else ",".join(map(str, value))
+        if value is True:
+            tokens.append(flag)
+        elif value is not False and value is not None:
+            tokens.append(f"{flag}={value}")
+    return argv[:1] + tokens + argv[1:]
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    args = _merge_config(args)
     if args.kind == "lattice":
         if args.N is None:
             raise UsageError("lattice construction needs --N")
@@ -180,7 +199,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    args = _merge_config(args)
     rule, _ = load_rule(args.rule)
     W = parse_weights(args.weights, rule.s)
     params = SpaceParams(alpha=float(args.alpha), weights=W)
@@ -207,7 +225,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    args = _merge_config(args)
     rule, _ = load_rule(args.rule)
     alpha = float(args.alpha)
     W = parse_weights(args.weights, rule.s)
@@ -246,13 +263,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def _sweep_cell(kind: str, size: int, s: int, alpha: float, W: WeightSet,
                 certify: str | None) -> dict:
     params = SpaceParams(alpha=alpha, weights=W)
+    thm_rhs, passed = math.nan, None
     if kind == "lattice":
         rule, _ = cbc_construct(size, s, params)
         p = p_merit_closed(rule, params).p_value
-        from .stability import prop_bound_lattice
         bound = prop_bound_lattice(size, s, alpha, W, 1.0)
-        thm_rhs = math.nan
-        passed = None
         if s <= 4 and size <= 1024:
             cert = theorem1_bound(rule, alpha, W, alpha, W)
             thm_rhs = cert.rhs
@@ -260,10 +275,7 @@ def _sweep_cell(kind: str, size: int, s: int, alpha: float, W: WeightSet,
     else:
         rule, _ = cbc_construct_poly(2, size, s, params)
         p = p_merit_wal_closed(rule, params).p_value
-        from .stability import prop_bound_poly
         bound = prop_bound_poly(2, size, s, alpha, W, 1.0)
-        thm_rhs = math.nan
-        passed = None
         if s <= 3:
             cert = theorem2_bound_poly(rule, alpha, W, alpha, W)
             thm_rhs = cert.rhs
@@ -276,14 +288,10 @@ def _sweep_cell(kind: str, size: int, s: int, alpha: float, W: WeightSet,
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    args = _merge_config(args)
     grid_text = args.N_grid if args.kind == "lattice" else args.m_grid
     if not grid_text:
         raise UsageError("sweep needs --N-grid (lattice) or --m-grid (poly-lattice)")
-    if isinstance(grid_text, str):
-        grid = [int(t) for t in grid_text.split(",") if t.strip()]
-    else:
-        grid = [int(t) for t in grid_text]
+    grid = [int(t) for t in grid_text.split(",") if t.strip()]
     if not grid:
         raise UsageError("sweep grid is empty")
     s, alpha = int(args.s), float(args.alpha)
@@ -385,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_splice_config(list(sys.argv[1:] if argv is None else argv)))
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

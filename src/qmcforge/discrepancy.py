@@ -155,7 +155,7 @@ def r_u_poly(rule: PolyLatticeRule, u: Iterable[int]) -> float:
         raise ResourceLimitError("R enumeration too large for this rule")
     d = len(idx)
     axes = [_residue_axis(rule, j - 1, size) for j in idx]
-    total_res = _combine_residues(rule, axes, [size] * d)
+    total_res = _combine_residues(rule, axes)
     rt = np.asarray([r_tilde(k, rule.b) for k in range(size)])
     weight = np.ones((1,) * d)
     nonzero = np.zeros((1,) * d, dtype=bool)

@@ -148,18 +148,20 @@ def p_merit_closed(rule: LatticeRule, params: SpaceParams,
     Equals (1/N) sum over points of sum over nonempty u of
     gamma_u * prod_{j in u} omega(x_j).
     """
-    alpha = _require_closed_alpha(params.alpha)
-    table = omega_table(alpha, rule.N)
-    factors = table[lattice_points(rule)]
-    per_point = subset_product_sum(params.weights, factors)
-    p = float(per_point.mean())
+    table = omega_table(_require_closed_alpha(params.alpha), rule.N)
+    return _kernel_merit(table[lattice_points(rule)], params.weights, want_subsets)
+
+
+def _kernel_merit(factors: np.ndarray, weights: WeightSet, want_subsets: bool) -> MeritReport:
+    """Closed-form merit of either rule family from its kernel values at the
+    points, factors[n, j]: the mean over n of sum_u gamma_u prod_{j in u}."""
+    p = float(subset_product_sum(weights, factors).mean())
     per_subset = None
     if want_subsets:
         per_subset = {}
-        for u in subsets_of(rule.s):
-            g = params.weights.weight(u)
+        for u in subsets_of(factors.shape[1]):
             cols = [j - 1 for j in sorted(u)]
-            inner = g * float(np.prod(factors[:, cols], axis=1).mean())
+            inner = weights.weight(u) * float(np.prod(factors[:, cols], axis=1).mean())
             per_subset[u] = (inner, None, None)
     return MeritReport(p_value=p, method="closed-form", per_subset=per_subset)
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .errors import ResourceLimitError, UsageError
 from .gfpoly import GFPoly
 from .korobov import LatticeRule, p_merit_closed, p_merit_series
-from .walsh import PolyLatticeRule, mu_of, p_merit_wal_closed, poly_lattice_point_expansions
+from .walsh import PolyLatticeRule, mu_of, p_merit_wal_closed
 from .weights import SpaceParams
 
 _ENUM_LIMIT = 10 ** 8
@@ -133,6 +133,22 @@ def reference_laurent_digits(numer: GFPoly, p: GFPoly, count: int) -> tuple[int,
     return tuple(digits)
 
 
+def reference_poly_points(rule: PolyLatticeRule) -> list[tuple[tuple[int, ...], ...]]:
+    """Digits t_1..t_m of every coordinate of every point, n in code order:
+    n q_j is reduced mod p on digit lists, then divided out digit by digit."""
+    b, m = rule.b, rule.m
+    if b ** m * rule.s > _ENUM_LIMIT:
+        raise ResourceLimitError("reference point set too large")
+    p_digits = list(rule.p.coeffs)
+    rows = []
+    for n in range(b ** m):
+        residues = (_poly_digits_mod(_poly_digits_mul(_base_digits(n, b, m), list(qj.coeffs), b),
+                                     p_digits, b) for qj in rule.q)
+        rows.append(tuple(reference_laurent_digits(GFPoly(b, tuple(r)), rule.p, m)
+                          for r in residues))
+    return rows
+
+
 def char_sum_lattice(rule: LatticeRule, k: Sequence[int]) -> complex:
     """(1/N) sum over points of exp(2 pi i k . x), from the points themselves."""
     if len(k) != rule.s:
@@ -183,7 +199,7 @@ def wce_by_function_probe(rule: LatticeRule | PolyLatticeRule, params: SpacePara
     best = 0.0
     if isinstance(rule, PolyLatticeRule):
         b = rule.b
-        rows = poly_lattice_point_expansions(rule)
+        rows = reference_poly_points(rule)
         freqs = list(islice((k for k in product(range(rule.npoints + 1), repeat=rule.s)
                              if any(k)), probe_count))
         for k in freqs:
@@ -197,7 +213,7 @@ def wce_by_function_probe(rule: LatticeRule | PolyLatticeRule, params: SpacePara
             for row in rows:
                 term = 1.0 + 0.0j
                 for j, kj in enumerate(k):
-                    term *= _wal_value(kj, row[j].digits, b)
+                    term *= _wal_value(kj, row[j], b)
                 qsum += term
             qsum /= rule.npoints
             best = max(best, math.sqrt(r) * abs(qsum))

@@ -1,7 +1,8 @@
 """Polynomial lattice rules over Z_b and their weighted Walsh-space merit.
 
 Points arise from the first m digits of the Laurent expansions
-n(x) q_j(x) / p(x); the dual lattice consists of the integer frequency
+n(x) q_j(x) / p(x), which are linear over Z_b in the digits of n (a Hankel
+generating matrix per q_j); the dual lattice consists of the integer frequency
 vectors k with tr_m(k) . q = 0 mod p.  The squared worst-case error is the
 dual sum of gamma_u * b^(-2 alpha mu(k_u)) and collapses to one pass over
 the b^m points through the kernel phi_alpha, valid for every alpha > 1/2.
@@ -9,7 +10,6 @@ the b^m points through the kernel phi_alpha, valid for every alpha > 1/2.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -18,10 +18,9 @@ import numpy as np
 
 from .cbc import CbcTrace, _MeritState, _select
 from .errors import QmcforgeError, ResourceLimitError, UsageError
-from .gfpoly import (DigitExpansion, GFPoly, gf_is_irreducible, gf_mulmod, nu_m,
-                     smallest_irreducible)
-from .korobov import MeritReport
-from .weights import SpaceParams, subset_product_sum, subsets_of, weighted_power_sum
+from .gfpoly import DigitExpansion, GFPoly, gf_is_irreducible, smallest_irreducible
+from .korobov import MeritReport, _kernel_merit
+from .weights import SpaceParams, subsets_of, weighted_power_sum
 
 # b^(2m) guard for candidate/point tables and residue addition tables.
 _TABLE_CELL_LIMIT = 4 * 10 ** 6
@@ -121,9 +120,54 @@ def walsh_phi_alpha(numer: int, m: int, alpha: float, b: int) -> float:
     return base_term - (b2a - 1.0) / (float(b) ** ((2.0 * alpha - 1.0) * a) * (b2a - b))
 
 
-def _phi_axis(rule: PolyLatticeRule, alpha: float) -> np.ndarray:
-    return np.asarray([walsh_phi_alpha(a, rule.m, alpha, rule.b)
-                       for a in range(rule.npoints)])
+def _phi_axis(b: int, m: int, alpha: float) -> np.ndarray:
+    return np.asarray([walsh_phi_alpha(a, m, alpha, b) for a in range(b ** m)])
+
+
+def _digit_matrix(b: int, m: int) -> np.ndarray:
+    """Row c holds the m base-b digits of c, lowest first (coefficients of G_m)."""
+    codes = np.arange(b ** m, dtype=np.int64)
+    return (codes[:, None] // b ** np.arange(m, dtype=np.int64)) % b
+
+
+def _laurent_matrix(b: int, m: int, p_coeffs: tuple[int, ...]) -> np.ndarray:
+    """L[c, k-1] = digit t_k of the Laurent expansion of x^c / p, k = 1..2m-1.
+
+    Long division for every c < m at once: matching the coefficient of
+    x^(m-k) in p * sum_k t_k x^(-k) = x^c gives
+    p_m t_k = [c = m-k] - sum_{k-m <= i < k} p_{m-k+i} t_i (mod b).
+    The digits of q / p are then digits(q) @ L mod b.
+    """
+    inv_lead = pow(p_coeffs[m], -1, b)
+    c = np.arange(m)
+    L = np.zeros((m, 2 * m - 1), dtype=np.int64)
+    for k in range(1, 2 * m):
+        acc = (c == m - k).astype(np.int64)
+        for i in range(max(1, k - m), k):
+            acc -= p_coeffs[m - k + i] * L[:, i - 1]
+        L[:, k - 1] = (acc * inv_lead) % b
+    return L
+
+
+def _points_of(b: int, m: int, p_coeffs: tuple[int, ...], qcodes) -> np.ndarray:
+    """out[r, n] = numerator over b^m of nu_m(n q_r / p), q_r = qcodes[r].
+
+    With u_k the Laurent digits of q_r / p, digit i of n q_r / p is
+    sum_c n_c u_(i+c): the Hankel matrix of u_1..u_(2m-1) applied to the
+    digits of n.  Products stay below m (b-1)^2 and numerators below b^m, so
+    float64 arithmetic is exact, floor(digit / b) included.
+    """
+    nd = _digit_matrix(b, m)
+    U = (nd[qcodes] @ _laurent_matrix(b, m, p_coeffs)) % b
+    nd = nd.T.astype(np.float64)
+    out = np.zeros((U.shape[0], b ** m))
+    for i in range(m):  # out <- b out + digit - b floor(digit / b), all in place
+        digit = U[:, i:i + m].astype(np.float64) @ nd
+        out *= b
+        out += digit
+        digit /= b  # np.floor is ~6x faster than np.remainder here
+        out -= np.multiply(np.floor(digit, out=digit), b, out=digit)
+    return out.astype(np.int64)
 
 
 @lru_cache(maxsize=256)
@@ -131,15 +175,7 @@ def _g_m_codes_points(b: int, m: int, p_coeffs: tuple[int, ...]) -> np.ndarray:
     """numerators[qcode, ncode] = numerator of nu_m(n q mod p) over b^m."""
     if b ** (2 * m) > _TABLE_CELL_LIMIT:
         raise ResourceLimitError(f"point table b^(2m) too large for b={b}, m={m}")
-    p = GFPoly(b, p_coeffs)
-    size = b ** m
-    out = np.zeros((size, size), dtype=np.int64)
-    for qc in range(1, size):
-        qpoly = GFPoly.from_code(b, qc)
-        for nc in range(size):
-            prod = gf_mulmod(GFPoly.from_code(b, nc), qpoly, p)
-            out[qc, nc] = nu_m(prod, p, m).numerator
-    return out
+    return _points_of(b, m, p_coeffs, slice(None))
 
 
 def poly_lattice_points(rule: PolyLatticeRule) -> np.ndarray:
@@ -147,24 +183,19 @@ def poly_lattice_points(rule: PolyLatticeRule) -> np.ndarray:
 
     Row for n in G_m holds the numerator of nu_m(n q_j / p) in column j.
     """
-    size = rule.npoints
-    out = np.zeros((size, rule.s), dtype=np.int64)
-    for nc in range(size):
-        npoly = GFPoly.from_code(rule.b, nc)
-        for j, qj in enumerate(rule.q):
-            out[nc, j] = nu_m(gf_mulmod(npoly, qj, rule.p), rule.p, rule.m).numerator
-    return out
+    return _points_of(rule.b, rule.m, rule.p.coeffs, [qj.code() for qj in rule.q]).T
+
+
+def _point_digits(rule: PolyLatticeRule) -> np.ndarray:
+    """digits[n, j, i-1] = digit xi_i of coordinate j of point n."""
+    powers = rule.b ** np.arange(rule.m - 1, -1, -1)
+    return (poly_lattice_points(rule)[:, :, None] // powers) % rule.b
 
 
 def poly_lattice_point_expansions(rule: PolyLatticeRule) -> list[tuple[DigitExpansion, ...]]:
     """The same node set as exact digit expansions (m digits per coordinate)."""
-    size = rule.npoints
-    rows = []
-    for nc in range(size):
-        npoly = GFPoly.from_code(rule.b, nc)
-        rows.append(tuple(nu_m(gf_mulmod(npoly, qj, rule.p), rule.p, rule.m)
-                          for qj in rule.q))
-    return rows
+    return [tuple(DigitExpansion(rule.b, tuple(d)) for d in row)
+            for row in _point_digits(rule).tolist()]
 
 
 def p_merit_wal_closed(rule: PolyLatticeRule, params: SpaceParams,
@@ -174,72 +205,46 @@ def p_merit_wal_closed(rule: PolyLatticeRule, params: SpaceParams,
     Equals (1/b^m) sum over points of sum over nonempty u of
     gamma_u * prod_{j in u} phi_alpha(x_j).
     """
-    table = _phi_axis(rule, params.alpha)
-    factors = table[poly_lattice_points(rule)]
-    per_point = subset_product_sum(params.weights, factors)
-    p = float(per_point.mean())
-    per_subset = None
-    if want_subsets:
-        per_subset = {}
-        for u in subsets_of(rule.s):
-            g = params.weights.weight(u)
-            cols = [j - 1 for j in sorted(u)]
-            inner = g * float(np.prod(factors[:, cols], axis=1).mean())
-            per_subset[u] = (inner, None, None)
-    return MeritReport(p_value=p, method="closed-form", per_subset=per_subset)
+    factors = _phi_axis(rule.b, rule.m, params.alpha)[poly_lattice_points(rule)]
+    return _kernel_merit(factors, params.weights, want_subsets)
 
 
 def _residue_axis(rule: PolyLatticeRule, j: int, kmax: int) -> np.ndarray:
-    """codes of tr_m(k) q_j mod p for k = 0..kmax-1."""
-    size = rule.npoints
-    base_codes = np.empty(size, dtype=np.int64)
-    for g in range(size):
-        base_codes[g] = gf_mulmod(GFPoly.from_code(rule.b, g), rule.q[j], rule.p).code()
-    k = np.arange(kmax, dtype=np.int64)
-    return base_codes[k % size]
+    """codes of tr_m(k) q_j mod p for k = 0..kmax-1.
+
+    Row c of M holds the digits of x^c q_j mod p, so digits(g) @ M mod b are
+    the digits of g q_j mod p: multiplication by q_j as a matrix over Z_b.
+    """
+    b, m = rule.b, rule.m
+    digits = _digit_matrix(b, m)
+    M = digits[[(GFPoly.from_code(b, b ** c) * rule.q[j] % rule.p).code() for c in range(m)]]
+    base_codes = ((digits @ M) % b) @ b ** np.arange(m, dtype=np.int64)
+    return base_codes[np.arange(kmax) % rule.npoints]
 
 
 @lru_cache(maxsize=64)
 def _addition_table(b: int, m: int) -> np.ndarray:
     """Coefficientwise addition mod b on integer-encoded polynomials of G_m."""
-    size = b ** m
-    if size * size > _TABLE_CELL_LIMIT:
+    if b ** (2 * m) > _TABLE_CELL_LIMIT:
         raise ResourceLimitError(f"addition table b^(2m) too large for b={b}, m={m}")
-    idx = np.arange(size, dtype=np.int64)
-    left = np.repeat(idx, size).reshape(size, size)
-    right = idx.reshape(1, size)
-    out = np.zeros((size, size), dtype=np.int64)
-    scale = 1
-    for _ in range(m):
-        out += ((left // scale + right // scale) % b) * scale
-        scale *= b
-    return out
+    digits = _digit_matrix(b, m)
+    return ((digits[:, None, :] + digits[None, :, :]) % b) @ b ** np.arange(m, dtype=np.int64)
 
 
-def _combine_residues(rule: PolyLatticeRule, residue_axes: list[np.ndarray],
-                      shape_axes: list[int]) -> np.ndarray:
+def _combine_residues(rule: PolyLatticeRule, residue_axes: list[np.ndarray]) -> np.ndarray:
     """Residue codes of the componentwise sum over a meshgrid of frequencies."""
-    if rule.b == 2:
-        total = np.zeros((1,) * len(residue_axes), dtype=np.int64)
-        for j, res in enumerate(residue_axes):
-            sh = [1] * len(residue_axes)
-            sh[j] = shape_axes[j]
-            total = np.bitwise_xor(total, res.reshape(sh))
-        return total
-    add = _addition_table(rule.b, rule.m)
+    table = None if rule.b == 2 else _addition_table(rule.b, rule.m)  # b = 2: XOR
     total = np.zeros((1,) * len(residue_axes), dtype=np.int64)
     for j, res in enumerate(residue_axes):
         sh = [1] * len(residue_axes)
-        sh[j] = shape_axes[j]
-        total = add[total, res.reshape(sh)]
+        sh[j] = -1
+        res = res.reshape(sh)
+        total = np.bitwise_xor(total, res) if table is None else table[total, res]
     return total
 
 
 def _mu_axis(kmax: int, b: int) -> np.ndarray:
-    mu = np.zeros(kmax, dtype=np.int64)
-    for k in range(1, kmax):
-        mu[k] = mu_of(k, b)
-    return mu
+    return np.asarray([0] + [mu_of(k, b) for k in range(1, kmax)], dtype=np.int64)
 
 
 def _walsh_weight_per_axis(alpha: float, b: int) -> float:
@@ -265,7 +270,7 @@ def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
     radial_axis = np.where(np.arange(kmax) == 0, 1.0,
                            float(rule.b) ** (-2.0 * alpha * mu))
     residue_axes = [_residue_axis(rule, j, kmax) for j in range(s)]
-    total = _combine_residues(rule, residue_axes, [kmax] * s)
+    total = _combine_residues(rule, residue_axes)
 
     gamma_lut = np.zeros(1 << s)
     for u in subsets_of(s):
@@ -309,7 +314,7 @@ def dual_mu_minima(rule: PolyLatticeRule) -> dict[frozenset[int], int]:
     for u in subsets_of(s):
         idx = sorted(u)
         axes = [residue_full[j - 1][1:] for j in idx]  # positive frequencies only
-        total = _combine_residues(rule, axes, [kmax - 1] * len(idx))
+        total = _combine_residues(rule, axes)
         musum = np.zeros((1,) * len(idx), dtype=np.int64)
         for pos, j in enumerate(idx):
             sh = [1] * len(idx)
@@ -337,18 +342,11 @@ def rho_wal(rule: PolyLatticeRule, params: SpaceParams) -> MeritReport:
 
     The report carries the closed-form P and per-subset (term, phi_u, None).
     """
-    minima = dual_mu_minima(rule)
-    alpha = params.alpha
-    per_subset = {}
-    rho = 0.0
-    for u, phi_u in minima.items():
-        g = params.weights.weight(u)
-        term = g * float(rule.b) ** (-2.0 * alpha * phi_u)
-        per_subset[u] = (term, phi_u, None)
-        rho = max(rho, term)
+    per_subset = {u: (params.weights.weight(u) * float(rule.b) ** (-2.0 * params.alpha * phi_u),
+                      phi_u, None) for u, phi_u in dual_mu_minima(rule).items()}
     base = p_merit_wal_closed(rule, params)
-    return MeritReport(p_value=base.p_value, rho_value=rho, method=base.method,
-                       per_subset=per_subset)
+    return MeritReport(p_value=base.p_value, rho_value=max(t for t, _, _ in per_subset.values()),
+                       method=base.method, per_subset=per_subset)
 
 
 def walsh_char_sum(rule: PolyLatticeRule, k: Sequence[int]) -> complex:
@@ -360,20 +358,10 @@ def walsh_char_sum(rule: PolyLatticeRule, k: Sequence[int]) -> complex:
     k = tuple(int(v) for v in k)
     if len(k) != rule.s or any(v < 0 for v in k):
         raise UsageError("frequency vector must have s nonnegative components")
-    b = rule.b
-    omega = cmath.exp(2j * cmath.pi / b)
-    total = 0.0 + 0.0j
-    for row in poly_lattice_point_expansions(rule):
-        exponent = 0
-        for kj, expansion in zip(k, row):
-            kk = kj
-            for xi in expansion.digits:  # digit i pairs kappa_{i-1} with xi_i
-                if not kk:
-                    break
-                exponent += (kk % b) * xi
-                kk //= b
-        total += omega ** (exponent % b)
-    return total / rule.npoints
+    b, m = rule.b, rule.m
+    kappa = np.asarray([[(kj // b ** i) % b for i in range(m)] for kj in k], dtype=np.int64)
+    exponent = np.einsum("nji,ji->n", _point_digits(rule), kappa) % b  # xi_i pairs kappa_{i-1}
+    return complex(np.exp(2j * np.pi * exponent / b).mean())
 
 
 def cbc_construct_poly(b: int, m: int, s: int, params: SpaceParams,
@@ -395,38 +383,24 @@ def cbc_construct_poly(b: int, m: int, s: int, params: SpaceParams,
     if s > params.weights.s_max:
         raise UsageError(f"weights defined up to s_max={params.weights.s_max}, need {s}")
     size = b ** m
-    point_table = _g_m_codes_points(b, m, p.coeffs)
-    probe = PolyLatticeRule(b=b, m=m, p=p, q=(GFPoly.one(b),))
-    phi = _phi_axis(probe, params.alpha)
+    factor_rows = _phi_axis(b, m, params.alpha)[_g_m_codes_points(b, m, p.coeffs)[1:]]
+    # row c-1 holds the kernel at the points of candidate code c
+    candidates = np.arange(1, size, dtype=np.int64)
     state = _MeritState(params.weights, size)
 
-    chosen: list[int] = []
-    trace: list[tuple[int, float]] = []
-    evaluations = 0
-    for ell in range(s):
-        if ell == 0:
-            col = phi[point_table[1]]  # q = 1 has code 1
-            state.update(col, state.scale() * col)
-            trace.append((1, state.merit()))
-            evaluations += 1
-            chosen.append(1)
-            continue
-        h = state.gradient()
+    col = factor_rows[0]  # q_1 = 1
+    state.update(col, state.scale() * col)
+    trace = [(1, state.merit())]
+    for _ in range(1, s):
         scale = state.scale()
-        base = float(state.S.sum())
-        factor_rows = phi[point_table[1:]]
-        merits = (base + scale * (factor_rows @ h)) / size
-        candidates = np.arange(1, size, dtype=np.int64)
-        evaluations += size - 1
-        code, merit = _select(np.asarray(merits), candidates)
-        col = phi[point_table[code]]
+        merits = (float(state.S.sum()) + scale * (factor_rows @ state.gradient())) / size
+        code, merit = _select(merits, candidates)
+        col = factor_rows[code - 1]
         state.update(col, scale * col)
         trace.append((code, merit))
-        chosen.append(code)
 
-    rule = PolyLatticeRule(b=b, m=m, p=p,
-                           q=tuple(GFPoly.from_code(b, c) for c in chosen))
-    return rule, CbcTrace(choices=tuple(trace), evaluations=evaluations)
+    rule = PolyLatticeRule(b=b, m=m, p=p, q=tuple(GFPoly.from_code(b, c) for c, _ in trace))
+    return rule, CbcTrace(choices=tuple(trace), evaluations=1 + (s - 1) * (size - 1))
 
 
 def certification_available(rule: PolyLatticeRule) -> bool:

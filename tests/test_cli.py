@@ -211,3 +211,71 @@ class TestSweep:
         cfg.write_text(json.dumps({"N-grid": "8,16", "s": 2, "alpha": 1,
                                    "weights": "product:j^-2"}))
         assert run(["sweep", "--kind", "lattice", "--config", str(cfg)]) == 0
+
+
+def exit_code(args):
+    """main's return code, or the code argparse exits with on a bad flag."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestConfigPrecedence:
+    def construct(self, tmp_path, cfg, *flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "rule.json"
+        code = exit_code(["construct", "--config", str(cfg_path), *flags, "--out", str(out)])
+        return code, (json.loads(out.read_text()) if code == 0 else None)
+
+    def test_config_overrides_defaults(self, tmp_path):
+        code, obj = self.construct(tmp_path, {"N": 31, "s": 4, "alpha": 2,
+                                              "weights": "product:j^-3"})
+        assert code == 0
+        assert obj["N"] == 31 and len(obj["z"]) == 4 and obj["alpha"] == 2.0
+        assert obj["weights"] == parse_weights("product:j^-3", 4).to_jsonable()
+
+    def test_weight_object_in_config(self, tmp_path):
+        weights = {"kind": "product", "gamma": [1.0, 0.25]}
+        code, obj = self.construct(tmp_path, {"N": 31, "s": 2, "weights": weights})
+        assert code == 0
+        assert obj["weights"] == weights
+
+    def test_command_line_overrides_config(self, tmp_path):
+        code, obj = self.construct(tmp_path, {"N": 31, "s": 4, "alpha": 2}, "--s", "2")
+        assert code == 0
+        assert len(obj["z"]) == 2 and obj["alpha"] == 2.0
+
+    def test_defaults_fill_missing_keys(self, tmp_path):
+        code, obj = self.construct(tmp_path, {"N": 31})
+        assert code == 0
+        assert len(obj["z"]) == 1 and obj["alpha"] == 1.0
+        assert obj["weights"] == parse_weights("product:j^-2", 1).to_jsonable()
+
+    def test_explicit_zero_beats_config(self, tmp_path):
+        flags = ["--N", "101", "--s", "3", "--random"]
+        _, direct = self.construct(tmp_path, {}, *flags, "--seed", "0")
+        _, seeded = self.construct(tmp_path, {"seed": 5}, *flags)
+        code, obj = self.construct(tmp_path, {"seed": 5}, *flags, "--seed", "0")
+        assert code == 0
+        assert obj["z"] == direct["z"] != seeded["z"]
+
+    def test_unknown_key_usage_error(self, tmp_path):
+        code, _ = self.construct(tmp_path, {"N": 31, "dimension": 4})
+        assert code == 2
+
+    def test_bad_choice_usage_error(self, tmp_path):
+        code, _ = self.construct(tmp_path, {"N": 31, "kind": "korobov"})
+        assert code == 2
+
+    def test_required_flags_from_config(self, tmp_path):
+        rule_path = tmp_path / "rule.json"
+        run(["construct", "--N", "16", "--s", "2", "--out", str(rule_path)])
+        cfg = tmp_path / "eval.json"
+        cfg.write_text(json.dumps({"alpha": 1, "weights": "product:j^-2"}))
+        out = tmp_path / "rep.json"
+        assert run(["evaluate", str(rule_path), "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["P"] > 0
+        cfg.write_text(json.dumps({"alpha": 1}))
+        assert exit_code(["evaluate", str(rule_path), "--config", str(cfg)]) == 2

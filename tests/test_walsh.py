@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from qmcforge.errors import UsageError
-from qmcforge.gfpoly import GFPoly, smallest_irreducible
-from qmcforge.oracle import dual_enumerate_poly
-from qmcforge.walsh import (PolyLatticeRule, cbc_construct_poly, dual_mu_minima, mu_of,
-                            p_merit_wal_closed, p_merit_wal_series, poly_lattice_points,
-                            rho_wal, walsh_char_sum, walsh_phi_alpha)
+from qmcforge.gfpoly import GFPoly, gf_is_irreducible, gf_mulmod, smallest_irreducible
+from qmcforge.oracle import dual_enumerate_poly, reference_poly_points
+from qmcforge.walsh import (PolyLatticeRule, _residue_axis, cbc_construct_poly, dual_mu_minima,
+                            mu_of, p_merit_wal_closed, p_merit_wal_series,
+                            poly_lattice_point_expansions, poly_lattice_points, rho_wal,
+                            walsh_char_sum, walsh_phi_alpha)
 from qmcforge.weights import SpaceParams, WeightSet
 
 P3 = GFPoly(2, (1, 1, 0, 1))  # x^3 + x + 1
@@ -130,6 +131,49 @@ class TestPoints:
             pa = p_merit_wal_closed(base, unit_params(2)).p_value
             pb = p_merit_wal_closed(scaled, unit_params(2)).p_value
             assert pa == pytest.approx(pb, rel=1e-12)
+
+
+def random_rule(b, m, p, s, seed):
+    rng = np.random.default_rng(seed)
+    return PolyLatticeRule(b=b, m=m, p=p, q=tuple(GFPoly.from_code(b, int(c))
+                                                  for c in rng.integers(1, b ** m, size=s)))
+
+
+# (b, p): two reducible moduli, one of them not monic
+REDUCIBLE = [(2, GFPoly(2, (1, 0, 1, 0, 1))),  # (x^2 + x + 1)^2
+             (3, GFPoly(3, (0, 1, 0, 2)))]     # x (2x^2 + 1)
+
+
+class TestPointsAgainstOracle:
+    @pytest.mark.parametrize("b,m", [(2, 1), (2, 4), (2, 7), (3, 2), (3, 4), (5, 2),
+                                     (5, 3), (7, 1), (7, 3)])
+    def test_points_equal_reference(self, b, m):
+        rule = random_rule(b, m, smallest_irreducible(b, m), 3, seed=b * 100 + m)
+        ref = reference_poly_points(rule)
+        expected = [[sum(t * b ** (m - i) for i, t in enumerate(digits, 1)) for digits in row]
+                    for row in ref]
+        assert poly_lattice_points(rule).tolist() == expected
+        got = [tuple(e.digits for e in row) for row in poly_lattice_point_expansions(rule)]
+        assert got == ref
+
+    @pytest.mark.parametrize("b,p", REDUCIBLE)
+    def test_reducible_modulus_points(self, b, p):
+        assert not gf_is_irreducible(p)
+        rule = random_rule(b, int(p.degree), p, 2, seed=7)
+        ref = reference_poly_points(rule)
+        got = [tuple(e.digits for e in row) for row in poly_lattice_point_expansions(rule)]
+        assert got == ref
+
+    @pytest.mark.parametrize("b,p", [(2, P3), (3, smallest_irreducible(3, 3)),
+                                     (7, smallest_irreducible(7, 2))] + REDUCIBLE)
+    def test_residue_axis_matches_mulmod(self, b, p):
+        m = int(p.degree)
+        rule = random_rule(b, m, p, 2, seed=11)
+        kmax = b ** (m + 1)
+        for j, qj in enumerate(rule.q):
+            expected = [gf_mulmod(GFPoly.from_code(b, k % b ** m), qj, p).code()
+                        for k in range(kmax)]
+            assert _residue_axis(rule, j, kmax).tolist() == expected
 
 
 class TestMeritClosed:
@@ -280,6 +324,32 @@ class TestCbcPoly:
     def test_default_modulus_is_smallest_irreducible(self):
         rule, _ = cbc_construct_poly(2, 5, 1, unit_params(1))
         assert rule.p.coeffs == (1, 0, 1, 0, 0, 1)
+
+    # codes and trace merits recorded from the per-point GF(b) arithmetic
+    # (b^(2m) gf_mulmod + nu_m calls) this construction replaced
+    PINNED = {
+        (2, 8): ([1, 196, 157, 224, 234, 93, 102, 210],
+                 [7.62939453125e-06, 2.193450927734375e-05, 3.775954246520996e-05,
+                  4.978023935109375e-05, 6.050100259017207e-05, 6.929391470296362e-05,
+                  7.629040775686082e-05, 8.218786667220577e-05]),
+        (3, 5): ([1, 91, 138, 159, 158, 108, 101, 146],
+                 [5.645029269445516e-06, 1.379896043646774e-05, 2.0244153891417792e-05,
+                  2.541766466584719e-05, 3.012249138670487e-05, 3.388894609925932e-05,
+                  3.6739398762096275e-05, 3.9201500449333835e-05]),
+        (7, 3): ([1, 59, 50, 64, 74, 90, 93, 91],
+                 [1.2142656789059375e-06, 2.4533122900308826e-06, 3.217868670579023e-06,
+                  3.710987318162325e-06, 4.0509371482957815e-06, 4.304025289952354e-06,
+                  4.501159793377691e-06, 4.681003369827755e-06]),
+    }
+
+    @pytest.mark.parametrize("b,m", sorted(PINNED))
+    def test_pinned_codes_and_merits(self, b, m):
+        params = SpaceParams(alpha=1.0,
+                             weights=WeightSet.product([j ** -2.0 for j in range(1, 9)]))
+        _, trace = cbc_construct_poly(b, m, 8, params)
+        codes, merits = self.PINNED[(b, m)]
+        assert [c for c, _ in trace.choices] == codes
+        assert [v for _, v in trace.choices] == pytest.approx(merits, rel=1e-12, abs=0)
 
     def test_reducible_modulus_accepted(self):
         from qmcforge.walsh import certification_available
