@@ -5,9 +5,12 @@ with earlier components frozen, and keeps the argmin (smallest candidate among
 near-ties).  The per-point subset sums are maintained incrementally: extending
 the rule by one coordinate changes each point's sum by t * h(n), where t is
 the new coordinate's (gamma-scaled) kernel factor and h is a state vector, so
-one scan costs one matrix-vector product.  For product weights and prime N
-the scan over all candidates is a circular correlation in the index ordering
-induced by a primitive root, evaluated with the FFT.
+one scan costs one product F @ h with F[c, n] = omega(c n / N), built once
+for c <= N/2 (omega is mirrored, so row N - c equals row c).  For prime N the
+scan is instead a circular correlation in the index ordering induced by a
+primitive root, evaluated with the FFT; that order is sorted once so that
+selection is one vectorised test.  POD and order-dependent state keeps one
+contiguous row per subset size.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from .korobov import LatticeRule, omega_table
 from .weights import SpaceParams, WeightSet
 
 TIE_REL_TOL = 1e-12
+
+# int64 cells of c * n index temporary per row block of the candidate matrix
+_INDEX_BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -107,8 +113,8 @@ class _MeritState:
         if kind == "product":
             self.prodstate = np.ones(npoints)
         elif kind in ("pod", "order"):
-            self.e = np.zeros((npoints, weights.s_max + 1))
-            self.e[:, 0] = 1.0
+            self.e = np.zeros((weights.s_max + 1, npoints))  # e[k] = e_k(t_1..t_dim)
+            self.e[0] = 1.0
         else:
             self.cols: list[np.ndarray] = []
         self.S = np.zeros(npoints)
@@ -129,7 +135,7 @@ class _MeritState:
             return self.prodstate
         if kind in ("pod", "order"):
             G = np.asarray(self.weights.Gamma[: self.dim + 1])
-            return self.e[:, : self.dim + 1] @ G
+            return G @ self.e[: self.dim + 1]
         h = np.zeros(self.npoints)
         new = self.dim + 1
         for fs, w in self.weights.table:
@@ -149,7 +155,7 @@ class _MeritState:
             self.prodstate = self.prodstate * (1.0 + t_col)
         elif kind in ("pod", "order"):
             for k in range(self.dim + 1, 0, -1):
-                self.e[:, k] += t_col * self.e[:, k - 1]
+                self.e[k] += t_col * self.e[k - 1]
         else:
             self.cols.append(np.array(factor_col))
         self.dim += 1
@@ -158,15 +164,19 @@ class _MeritState:
         return float(self.S.mean())
 
 
-def _select(merits: np.ndarray, candidates: np.ndarray) -> tuple[int, float]:
-    """Smallest candidate whose merit is within TIE_REL_TOL of the minimum."""
+def _select(merits: np.ndarray, candidates: np.ndarray,
+            order: np.ndarray) -> tuple[int, float]:
+    """Smallest candidate whose merit is within TIE_REL_TOL of the minimum.
+
+    ``order`` lists the indices of ``candidates`` in ascending candidate order.
+    """
     m_star = float(merits.min())
     thresh = m_star + TIE_REL_TOL * abs(m_star)
-    order = np.argsort(candidates, kind="stable")
-    for idx in order:
-        if merits[idx] <= thresh:
-            return int(candidates[idx]), float(merits[idx])
-    raise RuntimeError("selection failed; unreachable")
+    hits = np.flatnonzero(merits[order] <= thresh)
+    if hits.size == 0:
+        raise RuntimeError("selection failed; unreachable")
+    idx = order[hits[0]]
+    return int(candidates[idx]), float(merits[idx])
 
 
 def cbc_construct(N: int, s: int, params: SpaceParams) -> tuple[LatticeRule, CbcTrace]:
@@ -183,8 +193,13 @@ def cbc_construct_fast(N: int, s: int, alpha: int,
                        product_gammas: Sequence[float]) -> tuple[LatticeRule, CbcTrace]:
     """FFT-accelerated CBC for prime N and product weights.
 
-    Chooses the identical vector as cbc_construct (same tie policy); the scan
-    is a length-(N-1) circular correlation in the primitive-root ordering.
+    The scan is a length-(N-1) circular correlation in the primitive-root
+    ordering, followed by the same tie policy as cbc_construct.  The FFT's
+    rounding scales with the kernel's norm rather than with the merit, so
+    candidates that tie exactly (z, N - z, z^-1, N - z^-1 at s = 2) can come
+    out more than TIE_REL_TOL apart: the choice can then differ from
+    cbc_construct's within the tie class, and later components follow a
+    different prefix (N = 2027, s = 6, gamma_j = j^-2 is one case).
     """
     if not is_prime(N):
         raise UsageError(f"fast CBC needs prime N, got {N}")
@@ -218,6 +233,17 @@ def _cbc_lattice(N: int, s: int, params: SpaceParams, fast: bool) -> tuple[Latti
             acc = (acc * g) % N
         w_perm = table[exps]
         fft_w = np.fft.fft(w_perm)
+        candidates, order = exps, np.argsort(exps)
+    elif s > 1:
+        # rows c and N - c of omega((c n) mod N) are identical and the tie
+        # policy keeps the smaller c, so candidates c <= N/2 suffice
+        candidates = np.arange(1, N // 2 + 1, dtype=np.int64)
+        order = np.arange(candidates.size)
+        factor_rows = np.empty((candidates.size, N))
+        block = max(1, _INDEX_BLOCK_CELLS // N)
+        for lo in range(0, candidates.size, block):
+            rows = candidates[lo:lo + block, None]
+            factor_rows[lo:lo + block] = table[(rows * n[None, :]) % N]
 
     chosen: list[int] = []
     trace: list[tuple[int, float]] = []
@@ -240,14 +266,10 @@ def _cbc_lattice(N: int, s: int, params: SpaceParams, fast: bool) -> tuple[Latti
             h_perm = h[exps]
             corr = np.real(np.fft.ifft(np.conj(np.fft.fft(h_perm)) * fft_w))
             merits = (base + scale * (h[0] * table[0] + corr)) / N
-            candidates = exps
         else:
-            cand = np.arange(1, N, dtype=np.int64)
-            factor_rows = table[(cand[:, None] * n[None, :]) % N]
             merits = (base + scale * (factor_rows @ h)) / N
-            candidates = cand
         evaluations += N - 1
-        z_new, merit = _select(np.asarray(merits), np.asarray(candidates))
+        z_new, merit = _select(merits, candidates, order)
         col = table[(z_new * n) % N]
         state.update(col, scale * col)
         trace.append((z_new, merit))

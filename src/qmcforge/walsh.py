@@ -22,8 +22,8 @@ from .gfpoly import DigitExpansion, GFPoly, gf_is_irreducible, smallest_irreduci
 from .korobov import MeritReport, _kernel_merit
 from .weights import SpaceParams, subsets_of, weighted_power_sum
 
-# b^(2m) guard for candidate/point tables and residue addition tables.
-_TABLE_CELL_LIMIT = 4 * 10 ** 6
+# Cell guard for the b^(2m) point table and the b^(2m) * m addition digits.
+_TABLE_CELL_LIMIT = 1 << 24
 RHO_DIM_LIMIT = 3
 SERIES_DIM_LIMIT = 3
 
@@ -225,8 +225,8 @@ def _residue_axis(rule: PolyLatticeRule, j: int, kmax: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _addition_table(b: int, m: int) -> np.ndarray:
     """Coefficientwise addition mod b on integer-encoded polynomials of G_m."""
-    if b ** (2 * m) > _TABLE_CELL_LIMIT:
-        raise ResourceLimitError(f"addition table b^(2m) too large for b={b}, m={m}")
+    if b ** (2 * m) * m > _TABLE_CELL_LIMIT:
+        raise ResourceLimitError(f"addition table b^(2m) * m too large for b={b}, m={m}")
     digits = _digit_matrix(b, m)
     return ((digits[:, None, :] + digits[None, :, :]) % b) @ b ** np.arange(m, dtype=np.int64)
 
@@ -386,6 +386,7 @@ def cbc_construct_poly(b: int, m: int, s: int, params: SpaceParams,
     factor_rows = _phi_axis(b, m, params.alpha)[_g_m_codes_points(b, m, p.coeffs)[1:]]
     # row c-1 holds the kernel at the points of candidate code c
     candidates = np.arange(1, size, dtype=np.int64)
+    order = np.arange(size - 1)
     state = _MeritState(params.weights, size)
 
     col = factor_rows[0]  # q_1 = 1
@@ -394,7 +395,7 @@ def cbc_construct_poly(b: int, m: int, s: int, params: SpaceParams,
     for _ in range(1, s):
         scale = state.scale()
         merits = (float(state.S.sum()) + scale * (factor_rows @ state.gradient())) / size
-        code, merit = _select(merits, candidates)
+        code, merit = _select(merits, candidates, order)
         col = factor_rows[code - 1]
         state.update(col, scale * col)
         trace.append((code, merit))

@@ -343,14 +343,14 @@ def subset_product_sum(W: WeightSet, factors: np.ndarray) -> np.ndarray:
         g = np.asarray(W.gamma[:s])
         return np.prod(1.0 + g[None, :] * factors, axis=1) - 1.0
     if W.kind in ("pod", "order"):
-        t = factors if W.kind == "order" else np.asarray(W.gamma[:s])[None, :] * factors
-        e = np.zeros((npoints, s + 1))
-        e[:, 0] = 1.0
+        g = np.ones(s) if W.kind == "order" else np.asarray(W.gamma[:s])
+        e = np.zeros((s + 1, npoints))  # e[k] = e_k of the scaled factors, row-contiguous
+        e[0] = 1.0
         for j in range(s):
+            t = g[j] * factors[:, j]
             for k in range(j + 1, 0, -1):
-                e[:, k] += t[:, j] * e[:, k - 1]
-        G = np.asarray(W.Gamma[:s])
-        return e[:, 1:s + 1] @ G
+                e[k] += t * e[k - 1]
+        return np.asarray(W.Gamma[:s]) @ e[1:]
     out = np.zeros(npoints)
     for fs, w in W.table:
         if w == 0.0 or max(fs) > s:

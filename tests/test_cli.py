@@ -60,6 +60,17 @@ class TestConstruct:
         obj = json.loads(rule_path.read_text())
         assert obj["p"] == [1, 0, 1, 0, 0, 1]  # x^5 + x^2 + 1
 
+    def test_poly_m11_within_table_cap(self, tmp_path):
+        # the b^(2m) point table of b=2, m=11 has 2^22 cells
+        assert run(["construct", "--kind", "poly-lattice", "--b", "2", "--m", "11",
+                    "--s", "2", "--alpha", "1", "--weights", "product:j^-2",
+                    "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_poly_m13_exceeds_table_cap(self, tmp_path):
+        assert run(["construct", "--kind", "poly-lattice", "--b", "2", "--m", "13",
+                    "--s", "2", "--alpha", "1", "--weights", "product:j^-2",
+                    "--out", str(tmp_path / "r.json")]) == 3
+
     def test_fast_composite_rejected(self, tmp_path):
         code = run(["construct", "--kind", "lattice", "--N", "12", "--s", "2",
                     "--alpha", "1", "--weights", "product:j^-2", "--fast",

@@ -3,11 +3,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qmcforge.errors import UsageError
+from qmcforge.errors import ResourceLimitError, UsageError
 from qmcforge.gfpoly import GFPoly, gf_is_irreducible, gf_mulmod, smallest_irreducible
 from qmcforge.oracle import dual_enumerate_poly, reference_poly_points
-from qmcforge.walsh import (PolyLatticeRule, _residue_axis, cbc_construct_poly, dual_mu_minima,
-                            mu_of, p_merit_wal_closed, p_merit_wal_series,
+from qmcforge.walsh import (PolyLatticeRule, _addition_table, _residue_axis, cbc_construct_poly,
+                            dual_mu_minima, mu_of, p_merit_wal_closed, p_merit_wal_series,
                             poly_lattice_point_expansions, poly_lattice_points, rho_wal,
                             walsh_char_sum, walsh_phi_alpha)
 from qmcforge.weights import SpaceParams, WeightSet
@@ -174,6 +174,18 @@ class TestPointsAgainstOracle:
             expected = [gf_mulmod(GFPoly.from_code(b, k % b ** m), qj, p).code()
                         for k in range(kmax)]
             assert _residue_axis(rule, j, kmax).tolist() == expected
+
+
+class TestTableGuards:
+    @pytest.mark.parametrize("b,m_max", [(2, 10), (3, 6), (5, 4), (7, 3)])
+    def test_addition_table_cap(self, b, m_max):
+        # b^(2m) * m digit cells: the largest admitted m per base
+        with pytest.raises(ResourceLimitError):
+            _addition_table(b, m_max + 1)
+        if b > 2:  # base 2 adds by XOR; its 2^20 x 10 digit build is skipped here
+            table = _addition_table(b, m_max)
+            assert table.shape == (b ** m_max, b ** m_max)
+            assert table[1, b - 1] == 0  # (b - 1) + 1 = 0 mod b
 
 
 class TestMeritClosed:
