@@ -2,7 +2,7 @@
 lattice rules and polynomial lattice rules with weighted worst-case-error and
 star-discrepancy bounds."""
 
-from .cbc import CbcTrace, cbc_construct, cbc_construct_fast, euler_totient
+from .cbc import CbcTrace, cbc_construct, euler_totient
 from .discrepancy import (DiscrepancyReport, exact_star_discrepancy, r_u_lattice,
                           r_u_poly, star_disc_bound_lattice, star_disc_bound_poly,
                           star_disc_bound_rho_lattice, star_disc_bound_rho_poly)
@@ -18,7 +18,7 @@ from .stability import (CorollaryProbe, StabilityCertificate, c_alpha_prime,
 from .walsh import (PolyLatticeRule, WalshIndexProfile, cbc_construct_poly, mu_of,
                     p_merit_wal_closed, p_merit_wal_series, poly_lattice_points,
                     rho_wal, walsh_char_sum, walsh_phi_alpha)
-from .weights import SpaceParams, WeightSet, check_monotone, weight, weighted_zeta_sum, zeta
+from .weights import SpaceParams, WeightSet, check_monotone, weighted_zeta_sum, zeta
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "LatticeRule", "MeritReport", "PolyLatticeRule", "QmcforgeError",
     "ResourceLimitError", "SpaceParams", "StabilityCertificate", "UsageError", "WalshIndexProfile",
     "WeightSet", "bernoulli_even", "c_alpha_prime", "cbc_construct",
-    "cbc_construct_fast", "cbc_construct_poly", "check_monotone",
+    "cbc_construct_poly", "check_monotone",
     "combined_bound_eq1", "corollary_probe", "euler_totient",
     "exact_star_discrepancy", "gf_is_irreducible", "gf_mulmod",
     "jensen_certificate", "lattice_points", "mu_of", "nu_m", "p_merit_closed",
@@ -36,6 +36,6 @@ __all__ = [
     "rho_wal", "rosser_schoenfeld_holds", "smallest_irreducible",
     "star_disc_bound_lattice", "star_disc_bound_poly",
     "star_disc_bound_rho_lattice", "star_disc_bound_rho_poly", "theorem1_bound",
-    "theorem2_bound_poly", "tr_m", "walsh_char_sum", "walsh_phi_alpha", "weight",
+    "theorem2_bound_poly", "tr_m", "walsh_char_sum", "walsh_phi_alpha",
     "weighted_zeta_sum", "zaremba_rho", "zeta",
 ]

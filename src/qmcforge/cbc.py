@@ -10,13 +10,14 @@ for c <= N/2 (omega is mirrored, so row N - c equals row c).  For prime N the
 scan is instead a circular correlation in the index ordering induced by a
 primitive root, evaluated with the FFT; that order is sorted once so that
 selection is one vectorised test.  POD and order-dependent state keeps one
-contiguous row per subset size.
+contiguous row per subset size.  The loop itself (_greedy) also builds
+polynomial lattice rules, which supply their own kernel columns and scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -101,8 +102,8 @@ class _MeritState:
 
     After ell accepted coordinates with factor columns f_1..f_ell, the state
     yields S(n) = sum over nonempty u of gamma_u prod_{j in u} f_j(n) and the
-    gradient h(n) with S_new(n) = S(n) + t_new(n) * h(n) for the candidate
-    column t_new (already gamma-scaled where the kind requires it).
+    gradient h(n) with S_new(n) = S(n) + t_new(n) * h(n), where the candidate
+    column t_new is scale() times the raw factor column.
     """
 
     def __init__(self, weights: WeightSet, npoints: int):
@@ -119,14 +120,10 @@ class _MeritState:
             self.cols: list[np.ndarray] = []
         self.S = np.zeros(npoints)
 
-    def _next_gamma(self) -> float:
-        return self.weights.gamma[self.dim]
-
     def scale(self) -> float:
         """Multiplier turning a raw factor column into t_new."""
-        kind = self.weights.kind
-        if kind in ("product", "pod"):
-            return self._next_gamma()
+        if self.weights.kind in ("product", "pod"):
+            return self.weights.gamma[self.dim]
         return 1.0
 
     def gradient(self) -> np.ndarray:
@@ -148,8 +145,9 @@ class _MeritState:
             h += term
         return h
 
-    def update(self, factor_col: np.ndarray, t_col: np.ndarray) -> None:
+    def update(self, factor_col: np.ndarray) -> None:
         kind = self.weights.kind
+        t_col = self.scale() * factor_col
         self.S = self.S + t_col * self.gradient()
         if kind == "product":
             self.prodstate = self.prodstate * (1.0 + t_col)
@@ -159,9 +157,6 @@ class _MeritState:
         else:
             self.cols.append(np.array(factor_col))
         self.dim += 1
-
-    def merit(self) -> float:
-        return float(self.S.mean())
 
 
 def _select(merits: np.ndarray, candidates: np.ndarray,
@@ -179,50 +174,58 @@ def _select(merits: np.ndarray, candidates: np.ndarray,
     return int(candidates[idx]), float(merits[idx])
 
 
-def cbc_construct(N: int, s: int, params: SpaceParams) -> tuple[LatticeRule, CbcTrace]:
+def _check_dimension(s: int, weights: WeightSet) -> None:
+    if s < 1:
+        raise UsageError("dimension must be >= 1")
+    if s > weights.s_max:
+        raise UsageError(f"weights defined up to s_max={weights.s_max}, need {s}")
+
+
+def _greedy(s: int, weights: WeightSet, npoints: int, column: Callable[[int], np.ndarray],
+            scan: Callable[[np.ndarray], np.ndarray], candidates: np.ndarray,
+            order: np.ndarray) -> CbcTrace:
+    """The CBC loop shared by both rule families.
+
+    Component 1 is candidate 1; each later step keeps the candidate minimizing
+    (sum S + scale * F @ h) / npoints, where ``column(c)`` is the kernel at the
+    points for candidate c, ``scan(h)`` returns F @ h over ``candidates`` and
+    ``order`` lists the indices of ``candidates`` in ascending order.
+    """
+    state = _MeritState(weights, npoints)
+    state.update(column(1))
+    trace = [(1, float(state.S.mean()))]
+    for _ in range(1, s):
+        merits = (float(state.S.sum()) + state.scale() * scan(state.gradient())) / npoints
+        chosen, merit = _select(merits, candidates, order)
+        state.update(column(chosen))
+        trace.append((chosen, merit))
+    return CbcTrace(choices=tuple(trace), evaluations=1 + (s - 1) * (npoints - 1))
+
+
+def cbc_construct(N: int, s: int, params: SpaceParams,
+                  fast: bool = False) -> tuple[LatticeRule, CbcTrace]:
     """Greedy CBC search: z_1 = 1, then each z_{l+1} minimizes the merit over
     {1, ..., N-1} with ties resolved toward the smallest candidate.
 
     Works for every weight kind; integer alpha in 1..4 (Bernoulli closed
-    form evaluated incrementally).
+    form evaluated incrementally).  ``fast`` (prime N only) scans by a
+    length-(N-1) circular correlation in the primitive-root ordering, with
+    the FFT.  The FFT's rounding scales with the kernel's norm rather than
+    with the merit, so candidates that tie exactly (z, N - z, z^-1, N - z^-1
+    at s = 2) can come out more than TIE_REL_TOL apart: the choice can then
+    differ from the direct scan's within the tie class, and later components
+    follow a different prefix (N = 2027, s = 6, gamma_j = j^-2 is one case).
     """
-    return _cbc_lattice(N, s, params, fast=False)
-
-
-def cbc_construct_fast(N: int, s: int, alpha: int,
-                       product_gammas: Sequence[float]) -> tuple[LatticeRule, CbcTrace]:
-    """FFT-accelerated CBC for prime N and product weights.
-
-    The scan is a length-(N-1) circular correlation in the primitive-root
-    ordering, followed by the same tie policy as cbc_construct.  The FFT's
-    rounding scales with the kernel's norm rather than with the merit, so
-    candidates that tie exactly (z, N - z, z^-1, N - z^-1 at s = 2) can come
-    out more than TIE_REL_TOL apart: the choice can then differ from
-    cbc_construct's within the tie class, and later components follow a
-    different prefix (N = 2027, s = 6, gamma_j = j^-2 is one case).
-    """
-    if not is_prime(N):
-        raise UsageError(f"fast CBC needs prime N, got {N}")
-    gammas = list(product_gammas)
-    if len(gammas) < s:
-        raise UsageError(f"need {s} product weights, got {len(gammas)}")
-    params = SpaceParams(alpha=float(alpha), weights=WeightSet.product(gammas))
-    return _cbc_lattice(N, s, params, fast=True)
-
-
-def _cbc_lattice(N: int, s: int, params: SpaceParams, fast: bool) -> tuple[LatticeRule, CbcTrace]:
     if N < 2:
         raise UsageError(f"modulus N must be >= 2, got {N}")
-    if s < 1:
-        raise UsageError("dimension must be >= 1")
-    if s > params.weights.s_max:
-        raise UsageError(f"weights defined up to s_max={params.weights.s_max}, need {s}")
+    if fast and not is_prime(N):
+        raise UsageError(f"fast CBC needs prime N, got {N}")
+    _check_dimension(s, params.weights)
     alpha = int(params.alpha)
     if alpha != params.alpha:
         raise UsageError("CBC construction needs integer alpha (closed-form merit)")
     table = omega_table(alpha, N)
     n = np.arange(N, dtype=np.int64)
-    state = _MeritState(params.weights, N)
 
     if fast and N > 2:
         g = primitive_root(N)
@@ -231,13 +234,18 @@ def _cbc_lattice(N: int, s: int, params: SpaceParams, fast: bool) -> tuple[Latti
         for a in range(N - 1):
             exps[a] = acc
             acc = (acc * g) % N
-        w_perm = table[exps]
-        fft_w = np.fft.fft(w_perm)
+        fft_w = np.fft.fft(table[exps])
         candidates, order = exps, np.argsort(exps)
-    elif s > 1:
+
+        def scan(h: np.ndarray) -> np.ndarray:
+            # T(g^a) = h(0) w(0) + sum_b h(g^b) w(g^(a+b) mod (N-1))
+            corr = np.real(np.fft.ifft(np.conj(np.fft.fft(h[exps])) * fft_w))
+            return h[0] * table[0] + corr
+    else:
         # rows c and N - c of omega((c n) mod N) are identical and the tie
-        # policy keeps the smaller c, so candidates c <= N/2 suffice
-        candidates = np.arange(1, N // 2 + 1, dtype=np.int64)
+        # policy keeps the smaller c, so candidates c <= N/2 suffice; with
+        # s = 1 nothing is scanned and no row is built
+        candidates = np.arange(1, (N // 2 if s > 1 else 0) + 1, dtype=np.int64)
         order = np.arange(candidates.size)
         factor_rows = np.empty((candidates.size, N))
         block = max(1, _INDEX_BLOCK_CELLS // N)
@@ -245,35 +253,9 @@ def _cbc_lattice(N: int, s: int, params: SpaceParams, fast: bool) -> tuple[Latti
             rows = candidates[lo:lo + block, None]
             factor_rows[lo:lo + block] = table[(rows * n[None, :]) % N]
 
-    chosen: list[int] = []
-    trace: list[tuple[int, float]] = []
-    evaluations = 0
+        def scan(h: np.ndarray) -> np.ndarray:
+            return factor_rows @ h
 
-    for ell in range(s):
-        if ell == 0:
-            z_new = 1
-            col = table[n % N]
-            state.update(col, state.scale() * col)
-            trace.append((1, state.merit()))
-            evaluations += 1
-            chosen.append(1)
-            continue
-        h = state.gradient()
-        scale = state.scale()
-        base = float(state.S.sum())
-        if fast and N > 2:
-            # T(g^a) = h(0) w(0) + sum_b h(g^b) w(g^(a+b) mod (N-1))
-            h_perm = h[exps]
-            corr = np.real(np.fft.ifft(np.conj(np.fft.fft(h_perm)) * fft_w))
-            merits = (base + scale * (h[0] * table[0] + corr)) / N
-        else:
-            merits = (base + scale * (factor_rows @ h)) / N
-        evaluations += N - 1
-        z_new, merit = _select(merits, candidates, order)
-        col = table[(z_new * n) % N]
-        state.update(col, scale * col)
-        trace.append((z_new, merit))
-        chosen.append(z_new)
-
-    rule = LatticeRule(N=N, z=tuple(chosen))
-    return rule, CbcTrace(choices=tuple(trace), evaluations=evaluations)
+    trace = _greedy(s, params.weights, N, lambda c: table[(c * n) % N], scan,
+                    candidates, order)
+    return LatticeRule(N=N, z=tuple(c for c, _ in trace.choices)), trace

@@ -73,6 +73,23 @@ def _lattice_lhs(rule: LatticeRule, alpha_prime: float, Wprime: WeightSet,
                           series_K or max(rule.N, 32))
 
 
+def _thm1_size_factors(alpha_prime: float, N: int, s: int) -> list[float]:
+    """Theorem-1 factor F^k (log2 N)^(k-1) per subset size k = 1..s (entry 0
+    is 0), with F = 2^(2a'+1) / (2^(2a'-1) - 1)."""
+    F = 2.0 ** (2.0 * alpha_prime + 1.0) / (2.0 ** (2.0 * alpha_prime - 1.0) - 1.0)
+    L = math.log2(N)
+    return [0.0] + [F ** k * L ** (k - 1) for k in range(1, s + 1)]
+
+
+def _thm2_size_factors(alpha_prime: float, b: int, m: int, s: int) -> list[float]:
+    """Theorem-2 factor F^k (m+1)^(k-1) per subset size k = 1..s (entry 0 is
+    0), with F = b^(2a'-1) (b-1) / (b^(2a'-1) - 1)."""
+    bf = float(b)
+    F = bf ** (2.0 * alpha_prime - 1.0) * (bf - 1.0) / (bf ** (2.0 * alpha_prime - 1.0) - 1.0)
+    M = m + 1.0
+    return [0.0] + [F ** k * M ** (k - 1) for k in range(1, s + 1)]
+
+
 def theorem1_bound(rule: LatticeRule, alpha: float, W: WeightSet,
                    alpha_prime: float, Wprime: WeightSet,
                    series_K: int | None = None) -> StabilityCertificate:
@@ -87,9 +104,7 @@ def theorem1_bound(rule: LatticeRule, alpha: float, W: WeightSet,
     rho = zaremba_rho_value(rule, SpaceParams(alpha=alpha, weights=W))
     c = c_alpha_prime(alpha_prime)
     ratio = alpha_prime / alpha
-    F = 2.0 ** (2.0 * alpha_prime + 1.0) / (2.0 ** (2.0 * alpha_prime - 1.0) - 1.0)
-    L = math.log2(rule.N)
-    size_factors = [0.0] + [F ** k * L ** (k - 1) for k in range(1, rule.s + 1)]
+    size_factors = _thm1_size_factors(alpha_prime, rule.N, rule.s)
     subset_sum, vacuous = ratio_size_sum(W, Wprime, ratio, size_factors, rule.s)
     rhs = c * rho ** ratio * subset_sum if not vacuous else math.inf
     lhs = _lattice_lhs(rule, alpha_prime, Wprime, series_K).p_value
@@ -107,10 +122,7 @@ def theorem2_bound_poly(rule: PolyLatticeRule, alpha: float, W: WeightSet,
     """
     rho = rho_wal_value(rule, SpaceParams(alpha=alpha, weights=W))
     ratio = alpha_prime / alpha
-    b = float(rule.b)
-    F = b ** (2.0 * alpha_prime - 1.0) * (b - 1.0) / (b ** (2.0 * alpha_prime - 1.0) - 1.0)
-    M = rule.m + 1.0
-    size_factors = [0.0] + [F ** k * M ** (k - 1) for k in range(1, rule.s + 1)]
+    size_factors = _thm2_size_factors(alpha_prime, rule.b, rule.m, rule.s)
     subset_sum, vacuous = ratio_size_sum(W, Wprime, ratio, size_factors, rule.s)
     rhs = rho ** ratio * subset_sum if not vacuous else math.inf
     lhs = p_merit_wal_closed(rule, SpaceParams(alpha=alpha_prime, weights=Wprime)).p_value
@@ -181,9 +193,7 @@ def combined_bound_eq1(rule: LatticeRule, alpha: float, W: WeightSet,
     c = c_alpha_prime(alpha_prime)
     ratio = alpha_prime / alpha
     raw = weighted_zeta_sum(W, rule.s, lam, alpha) / euler_totient(rule.N)
-    F = 2.0 ** (2.0 * alpha_prime + 1.0) / (2.0 ** (2.0 * alpha_prime - 1.0) - 1.0)
-    L = math.log2(rule.N)
-    size_factors = [0.0] + [F ** k * L ** (k - 1) for k in range(1, rule.s + 1)]
+    size_factors = _thm1_size_factors(alpha_prime, rule.N, rule.s)
     subset_sum, vacuous = ratio_size_sum(W, Wprime, ratio, size_factors, rule.s)
     rhs = c * raw ** (alpha_prime / (alpha * lam)) * subset_sum if not vacuous else math.inf
     lhs = _lattice_lhs(rule, alpha_prime, Wprime, series_K).p_value
@@ -316,14 +326,10 @@ def corollary_probe(kind: str, probe: CorollaryProbe, grid: Sequence[tuple[int, 
             L = math.log2(N)
             row["sup1"] = weighted_zeta_sum(W, s, lam, alpha) / s ** probe.q
             if kind == "cor1":
-                F = 2.0 ** (2.0 * alpha_prime + 1.0) / (2.0 ** (2.0 * alpha_prime - 1.0) - 1.0)
-                sf = [0.0] + [F ** k * L ** (k - 1) for k in range(1, s + 1)]
+                sf = _thm1_size_factors(alpha_prime, N, s)
                 val, _vac = ratio_size_sum(W, Wprime, alpha_prime / alpha, sf, s)
                 row["sup2"] = val / (s ** probe.q_prime * phiN ** delta)
-                row["observed"] = p_merit_closed(
-                    rule, SpaceParams(alpha=alpha_prime, weights=Wprime)).p_value \
-                    if alpha_prime in _CLOSED_ALPHAS else p_merit_series(
-                        rule, SpaceParams(alpha=alpha_prime, weights=Wprime), max(N, 32)).p_value
+                row["observed"] = _lattice_lhs(rule, alpha_prime, Wprime, None).p_value
                 envelope = (s ** (probe.q * alpha_prime / (alpha * lam) + probe.q_prime)
                             * phiN ** (-alpha_prime / (alpha * lam) + delta))
             else:
@@ -342,9 +348,7 @@ def corollary_probe(kind: str, probe: CorollaryProbe, grid: Sequence[tuple[int, 
             factor = (b - 1.0) / (float(b) ** (2.0 * alpha * lam) - b)
             row["sup1"] = weighted_power_sum(W, s, lam, factor) / s ** probe.q
             if kind == "cor3":
-                F = (float(b) ** (2.0 * alpha_prime - 1.0) * (b - 1.0)
-                     / (float(b) ** (2.0 * alpha_prime - 1.0) - 1.0))
-                sf = [0.0] + [F ** k * (m + 1.0) ** (k - 1) for k in range(1, s + 1)]
+                sf = _thm2_size_factors(alpha_prime, b, m, s)
                 val, _vac = ratio_size_sum(W, Wprime, alpha_prime / alpha, sf, s)
                 row["sup2"] = val / (s ** probe.q_prime * float(b) ** (delta * m))
                 row["observed"] = p_merit_wal_closed(

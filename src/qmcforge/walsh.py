@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cbc import CbcTrace, _MeritState, _select
+from .cbc import CbcTrace, _check_dimension, _greedy
 from .errors import QmcforgeError, ResourceLimitError, UsageError
 from .gfpoly import DigitExpansion, GFPoly, gf_is_irreducible, smallest_irreducible
 from .korobov import MeritReport, _kernel_merit
@@ -378,30 +378,16 @@ def cbc_construct_poly(b: int, m: int, s: int, params: SpaceParams,
         p = smallest_irreducible(b, m)
     if p.base != b or p.degree != m:
         raise UsageError("modulus must have the rule's base and degree m")
-    if s < 1:
-        raise UsageError("dimension must be >= 1")
-    if s > params.weights.s_max:
-        raise UsageError(f"weights defined up to s_max={params.weights.s_max}, need {s}")
+    _check_dimension(s, params.weights)
     size = b ** m
     factor_rows = _phi_axis(b, m, params.alpha)[_g_m_codes_points(b, m, p.coeffs)[1:]]
     # row c-1 holds the kernel at the points of candidate code c
-    candidates = np.arange(1, size, dtype=np.int64)
-    order = np.arange(size - 1)
-    state = _MeritState(params.weights, size)
-
-    col = factor_rows[0]  # q_1 = 1
-    state.update(col, state.scale() * col)
-    trace = [(1, state.merit())]
-    for _ in range(1, s):
-        scale = state.scale()
-        merits = (float(state.S.sum()) + scale * (factor_rows @ state.gradient())) / size
-        code, merit = _select(merits, candidates, order)
-        col = factor_rows[code - 1]
-        state.update(col, scale * col)
-        trace.append((code, merit))
-
-    rule = PolyLatticeRule(b=b, m=m, p=p, q=tuple(GFPoly.from_code(b, c) for c, _ in trace))
-    return rule, CbcTrace(choices=tuple(trace), evaluations=1 + (s - 1) * (size - 1))
+    trace = _greedy(s, params.weights, size, lambda c: factor_rows[c - 1],
+                    lambda h: factor_rows @ h, np.arange(1, size, dtype=np.int64),
+                    np.arange(size - 1))
+    rule = PolyLatticeRule(b=b, m=m, p=p,
+                           q=tuple(GFPoly.from_code(b, c) for c, _ in trace.choices))
+    return rule, trace
 
 
 def certification_available(rule: PolyLatticeRule) -> bool:

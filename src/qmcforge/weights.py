@@ -245,11 +245,6 @@ def _guard_enum(s: int) -> None:
         raise ResourceLimitError(f"subset enumeration capped at s <= {ENUM_DIM_LIMIT}, got {s}")
 
 
-def weight(W: WeightSet, u: Iterable[int]) -> float:
-    """gamma_u; module-level alias for WeightSet.weight."""
-    return W.weight(u)
-
-
 def check_monotone(W: WeightSet, s: int) -> bool:
     """True iff gamma_v >= gamma_u whenever v is a nonempty proper subset of u.
 

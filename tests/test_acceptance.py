@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from conftest import random_lattice_rules, random_poly_rules
-from qmcforge.cbc import cbc_construct, cbc_construct_fast
+from qmcforge.cbc import cbc_construct
 from qmcforge.discrepancy import (star_disc_bound_lattice, star_disc_bound_poly,
                                   star_disc_bound_rho_lattice, star_disc_bound_rho_poly,
                                   weighted_exact_star_discrepancy)
@@ -325,7 +325,8 @@ def test_criterion_07_fast_cbc_equivalence():
     for N in (13, 31, 127, 251):
         for expo in (-2.0, -1.0):
             gammas = [float(j) ** expo for j in range(1, 9)]
-            fast_rule, fast_trace = cbc_construct_fast(N, 8, 1, gammas)
+            fast_rule, fast_trace = cbc_construct(
+                N, 8, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)), fast=True)
             naive_rule, naive_trace = cbc_construct(
                 N, 8, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)))
             if fast_rule.z != naive_rule.z:
@@ -345,7 +346,8 @@ def test_criterion_08_convergence_rate():
     gammas = [1.0, 0.25]
     xs, ys = [], []
     for N in (17, 31, 61, 127, 251):
-        rule, _ = cbc_construct_fast(N, 2, 1, gammas)
+        rule, _ = cbc_construct(
+            N, 2, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)), fast=True)
         p = p_merit_closed(rule, SpaceParams(alpha=1.0,
                                              weights=WeightSet.product(gammas))).p_value
         xs.append(math.log(N))

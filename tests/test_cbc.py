@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmcforge.cbc import (TIE_REL_TOL, _select, cbc_construct, cbc_construct_fast,
-                          euler_totient, primitive_root)
+from qmcforge.cbc import TIE_REL_TOL, _select, cbc_construct, euler_totient, primitive_root
 from qmcforge.errors import UsageError
 from qmcforge.korobov import LatticeRule, omega_table, p_merit_closed
 from qmcforge.stability import prop_bound_lattice
@@ -236,16 +235,19 @@ class TestSelect:
 class TestFastCbc:
     def test_composite_rejected(self):
         with pytest.raises(UsageError):
-            cbc_construct_fast(12, 2, 1, [1.0, 1.0])
+            cbc_construct(
+                12, 2, SpaceParams(alpha=1.0, weights=WeightSet.product([1.0, 1.0])), fast=True)
 
     def test_dimension_one(self):
-        rule, _ = cbc_construct_fast(13, 1, 1, [1.0])
+        rule, _ = cbc_construct(
+            13, 1, SpaceParams(alpha=1.0, weights=WeightSet.product([1.0])), fast=True)
         assert rule.z == (1,)
 
     @pytest.mark.parametrize("N,s", [(13, 4), (31, 5), (127, 6), (251, 8)])
     def test_matches_naive(self, N, s):
         gammas = [j ** -2.0 for j in range(1, s + 1)]
-        fast_rule, fast_trace = cbc_construct_fast(N, s, 1, gammas)
+        fast_rule, fast_trace = cbc_construct(
+            N, s, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)), fast=True)
         naive_rule, naive_trace = cbc_construct(
             N, s, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)))
         assert fast_rule.z == naive_rule.z
@@ -256,17 +258,35 @@ class TestFastCbc:
                        "differently from the direct scan until near-ties are re-scored")
     def test_matches_naive_2027(self):
         gammas = [j ** -2.0 for j in range(1, 7)]
-        fast_rule, _ = cbc_construct_fast(2027, 6, 1, gammas)
+        fast_rule, _ = cbc_construct(
+            2027, 6, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)), fast=True)
         naive_rule, _ = cbc_construct(
             2027, 6, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)))
         assert fast_rule.z == naive_rule.z
 
     def test_matches_naive_alpha2(self):
         gammas = [1.0, 0.5, 0.25]
-        fast_rule, _ = cbc_construct_fast(31, 3, 2, gammas)
+        fast_rule, _ = cbc_construct(
+            31, 3, SpaceParams(alpha=2.0, weights=WeightSet.product(gammas)), fast=True)
         naive_rule, _ = cbc_construct(
             31, 3, SpaceParams(alpha=2.0, weights=WeightSet.product(gammas)))
         assert fast_rule.z == naive_rule.z
+
+    @pytest.mark.parametrize("kind", ["pod", "order", "explicit"])
+    @pytest.mark.parametrize("N", [13, 31, 127, 251, 1021])
+    def test_matches_naive_other_weight_kinds(self, N, kind):
+        # alpha = 1: at alpha = 2 even product weights split the mirror pair
+        # (N = 251 gives z_2 = 70 from the direct scan, 181 = N - 70 from the FFT)
+        s = 6
+        weights = dict(four_kinds(s), explicit=WeightSet.explicit(
+            {**{(j,): j ** -2.0 for j in range(1, s + 1)},
+             **{(i, j): 0.5 / (i * j) ** 2 for i in range(1, s + 1) for j in range(i + 1, s + 1)}},
+            s_max=s))
+        params = SpaceParams(alpha=1.0, weights=weights[kind])
+        fast_rule, fast_trace = cbc_construct(N, s, params, fast=True)
+        naive_rule, naive_trace = cbc_construct(N, s, params)
+        assert fast_rule.z == naive_rule.z
+        assert fast_trace.evaluations == naive_trace.evaluations
 
 
 class TestConvergenceRate:
@@ -274,7 +294,8 @@ class TestConvergenceRate:
         gammas = [1.0, 0.25]
         logs = []
         for N in (17, 31, 61, 127, 251):
-            rule, _ = cbc_construct_fast(N, 2, 1, gammas)
+            rule, _ = cbc_construct(
+                N, 2, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)), fast=True)
             p = p_merit_closed(rule, SpaceParams(alpha=1.0,
                                                  weights=WeightSet.product(gammas))).p_value
             logs.append((math.log(N), 0.5 * math.log(p)))

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import pytest
 
@@ -76,6 +78,20 @@ class TestConstruct:
                     "--alpha", "1", "--weights", "product:j^-2", "--fast",
                     "--out", str(tmp_path / "r.json")])
         assert code == 2
+
+    def test_fast_pod_weights(self, tmp_path):
+        paths = [tmp_path / "direct.json", tmp_path / "fast.json"]
+        for path, flags in zip(paths, ([], ["--fast"])):
+            assert run(["construct", "--N", "251", "--s", "6",
+                        "--weights", "pod:1,2,6,24,120,720|j^-2",
+                        "--out", str(path)] + flags) == 0
+        for path in paths:
+            assert json.loads(path.read_text())["z"] == [1, 70, 48, 104, 99, 41]
+
+    def test_fast_non_integer_alpha_rejected(self, tmp_path):
+        # the FFT scan needs the closed-form kernel, as the direct scan does
+        assert run(["construct", "--N", "31", "--s", "2", "--alpha", "1.5", "--fast",
+                    "--out", str(tmp_path / "r.json")]) == 2
 
     def test_random_rule_seeded(self, tmp_path):
         p1 = tmp_path / "a.json"
@@ -208,6 +224,17 @@ class TestSweep:
         outtext = capsys.readouterr().out
         assert "passed" in outtext.splitlines()[0]
         assert all("True" in line for line in outtext.splitlines()[1:3])
+
+    def test_thm1_column_follows_certificate_caps(self, tmp_path):
+        # (N+2)^3 fits the dual enumeration cap at N = 251 but not at N = 509
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--kind", "lattice", "--N-grid", "31,61,127,251,509,1021",
+                    "--s", "3", "--alpha", "1", "--weights", "product:j^-2",
+                    "--out", str(out)]) == 0
+        rows = {int(row["N_or_m"]): float(row["thm1_rhs"])
+                for row in csv.DictReader(out.read_text().splitlines()[:-1])}
+        assert math.isfinite(rows[251])
+        assert math.isnan(rows[509]) and math.isnan(rows[1021])
 
     def test_threads_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QMCFORGE_THREADS", "2")

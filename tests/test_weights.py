@@ -7,7 +7,7 @@ import pytest
 from conftest import brute_force_monotone
 from qmcforge.errors import UsageError
 from qmcforge.weights import (SpaceParams, WeightSet, check_monotone, parse_weight_formula,
-                              subset_product_sum, subsets_of, weight, weighted_power_sum,
+                              subset_product_sum, subsets_of, weighted_power_sum,
                               weighted_zeta_sum, zeta)
 
 
@@ -37,21 +37,21 @@ class TestZeta:
 class TestWeightEvaluation:
     def test_product(self):
         W = WeightSet.product([j ** -2.0 for j in range(1, 5)])
-        assert weight(W, {1, 2}) == pytest.approx(0.25)
+        assert W.weight({1, 2}) == pytest.approx(0.25)
 
     def test_pod_factorial(self):
         W = WeightSet.pod([math.factorial(k) for k in range(1, 5)], [1.0] * 4)
-        assert weight(W, {1, 2, 3}) == 6.0
+        assert W.weight({1, 2, 3}) == 6.0
 
     def test_explicit_defaults_to_zero(self):
         W = WeightSet.explicit({(1,): 0.5})
-        assert weight(W, {2}) == 0.0
-        assert weight(W, {1}) == 0.5
+        assert W.weight({2}) == 0.0
+        assert W.weight({1}) == 0.5
 
     def test_empty_subset_rejected(self):
         W = WeightSet.product([1.0])
         with pytest.raises(UsageError):
-            weight(W, set())
+            W.weight(set())
 
     def test_product_extension_property(self):
         W = WeightSet.product([0.9, 0.4, 0.2, 0.7])
