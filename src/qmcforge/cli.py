@@ -29,7 +29,8 @@ from .stability import (combined_bound_eq1, jensen_certificate, prop1_certificat
                         prop2_certificate, prop_bound_lattice, prop_bound_poly, theorem1_bound,
                         theorem2_bound_poly)
 from .walsh import PolyLatticeRule, cbc_construct_poly, p_merit_wal_closed, rho_wal
-from .weights import S_MAX_DEFAULT, SpaceParams, WeightSet, parse_weight_formula
+from .weights import (S_MAX_DEFAULT, SpaceParams, WeightSet, check_monotone,
+                      parse_weight_formula)
 
 EXIT_OK = 0
 EXIT_CERT_FAILED = 1
@@ -262,16 +263,20 @@ def _sweep_cell(kind: str, size: int, s: int, alpha: float, W: WeightSet,
         p = p_merit_closed(rule, params).p_value
         bound = prop_bound_lattice(size, s, alpha, W, 1.0)
         certificate = theorem1_bound
+        applies = check_monotone(W, s)  # Theorem 1 needs monotone weights
     else:
         rule, _ = cbc_construct_poly(2, size, s, params)
         p = p_merit_wal_closed(rule, params).p_value
         bound = prop_bound_poly(2, size, s, alpha, W, 1.0)
         certificate = theorem2_bound_poly
-    try:
-        cert = certificate(rule, alpha, W, alpha, W)
-        thm_rhs, passed = cert.rhs, cert.passed
-    except ResourceLimitError:  # the certificate's own caps decide, not the sweep
-        thm_rhs, passed = math.nan, None
+        applies = True  # Theorem 2 needs no monotonicity
+    thm_rhs, passed = math.nan, None
+    if certify or applies:
+        try:
+            cert = certificate(rule, alpha, W, alpha, W)
+            thm_rhs, passed = cert.rhs, cert.passed
+        except ResourceLimitError:  # the certificate's own caps decide, not the sweep
+            pass
     row = {"N_or_m": size, "P": p, "sqrtP": math.sqrt(p), "prop_bound": bound,
            "thm1_rhs": thm_rhs}
     if certify:

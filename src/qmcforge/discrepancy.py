@@ -1,10 +1,12 @@
 """Weighted star discrepancy bounds and exact star discrepancy (s <= 2).
 
 The subset-sum bounds combine the volume term 1 - (1 - 1/N)^|u| with either
-the truncated dual sums R_u or the figure of merit rho.  The exact star
-discrepancy evaluates the local discrepancy on the critical grid of point
-coordinates with both open and closed counting, which brackets the one-sided
-limits where the supremum is attained.
+the truncated dual sums R_u or the figure of merit rho.  R_u is the point sum
+mean_n prod_{j in u} (1 + g(x_nj)) - 1 over a Fourier kernel table g (Joe,
+MCQMC 2004; Dick, Leobacher, Pillichshammer, SINUM 2005), O(N |u|) for any N
+and s.  The exact star discrepancy evaluates the local discrepancy on the
+critical grid of point coordinates with both open and closed counting, which
+brackets the one-sided limits where the supremum is attained.
 """
 
 from __future__ import annotations
@@ -17,12 +19,9 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError
 from .korobov import LatticeRule, lattice_points, zaremba_rho_value
-from .walsh import (PolyLatticeRule, _combine_residues, _residue_axis, mu_of,
-                    poly_lattice_points, rho_wal_value)
-from .weights import SpaceParams, WeightSet, check_monotone, subsets_of
+from .walsh import PolyLatticeRule, mu_of, poly_lattice_points, rho_wal_value
+from .weights import SpaceParams, WeightSet, _guard_enum, check_monotone, subsets_of
 
-R_SUBSET_LIMIT = 3
-R_LATTICE_N_LIMIT = 256
 EXACT_DSTAR_N_LIMIT = 4096
 
 
@@ -49,56 +48,97 @@ class DiscrepancyReport:
                 "exact_dstar": self.exact_dstar, "per_subset": rv, "vacuous": self.vacuous}
 
 
-def _check_u(u: Iterable[int], s: int) -> tuple[int, ...]:
-    idx = tuple(sorted(set(int(j) for j in u)))
+def _columns(u: Iterable[int], s: int) -> list[int]:
+    idx = sorted(set(int(j) for j in u))
     if not idx:
         raise UsageError("coordinate subset u must be nonempty")
     if idx[0] < 1 or idx[-1] > s:
-        raise UsageError(f"subset {idx} outside 1..{s}")
-    if len(idx) > R_SUBSET_LIMIT:
-        raise ResourceLimitError(f"R sums support |u| <= {R_SUBSET_LIMIT}")
-    return idx
+        raise UsageError(f"subset {tuple(idx)} outside 1..{s}")
+    return [j - 1 for j in idx]
+
+
+def _fft_error(c: np.ndarray, n: int, axes: int) -> float:
+    """e >= ||fl(g) - g||_2 / sqrt(c.size) for the length-n DFT g of c along
+    `axes` axes, run in long double and rounded to float64.  Rounding adds
+    2^-53 ||g||_2 = 2^-53 sqrt(c.size) ||c||_2.  The transform is modelled as
+    8 u per pass (Higham 2002, Thm 24.2: 6.7 u per radix-2 pass) plus 20 u
+    from c, u the long-double unit roundoff, times sqrt 2 for a mirrored half,
+    over 2 ceil(log2 2n) + 3 passes per axis: Bluestein's two padded
+    transforms and three chirp products, as pocketfft runs for large primes.
+    Its generic small-prime passes are covered only empirically (tests check
+    the table against a direct sum up to N = 4093).  With 80-bit long double
+    this term is below 2^-53 / 3."""
+    passes = axes * (2 * math.ceil(math.log2(2 * n)) + 3)
+    u = np.finfo(np.longdouble).eps / 2
+    return float(np.linalg.norm(c)) * (2.0 ** -53 + 2 ** 0.5 * (8 * passes + 20) * u)
+
+
+def _lattice_kernel(N: int) -> tuple[np.ndarray, float]:
+    """g(a/N) = sum over -N/2 < k <= N/2, k != 0, of e(k a/N) / |k|, a < N,
+    from one FFT of c_k = 1/|k| at index k mod N, mirrored across N/2 as in
+    korobov.omega_table so that z and N - z give bitwise-equal R."""
+    k = np.arange(1, N)
+    c = np.concatenate([[0.0], 1.0 / np.minimum(k, N - k)])
+    g = np.fft.fft(c.astype(np.longdouble)).real.astype(np.float64)
+    g[N // 2 + 1:] = g[1:(N + 1) // 2][::-1]
+    return g, _fft_error(c, N, 1)
+
+
+def _poly_kernel(b: int, m: int) -> tuple[np.ndarray, float]:
+    """g(a/b^m) = sum over 0 < k < b^m of r_tilde(k) wal_k(a/b^m), a < b^m: the
+    size-b DFT along each digit axis of r_tilde reshaped to [b] * m, axes
+    reversed since digit kappa_i of k pairs with digit xi_(i+1) of x.  It is
+    real (r_tilde is even under digitwise negation) and exact for b = 2."""
+    c = np.asarray([0.0] + [r_tilde(k, b) for k in range(1, b ** m)])
+    g = np.fft.fftn(c.astype(np.longdouble).reshape([b] * m)).real.T.ravel()
+    return g.astype(np.float64), (0.0 if b == 2 else _fft_error(c, b, m))
+
+
+def _point_sum(table: np.ndarray, table_err: float, x: np.ndarray) -> tuple[float, float]:
+    """R = mean_n prod_j f_nj - 1, f_nj = 1 + g(x_nj), over numerators x (N, d),
+    and a first-order bound on the rounding error of R (u = 2^-53), the sum of:
+
+    * table: the error delta of g, ||delta||_2 <= sqrt(N) table_err, enters
+      as (1/N) sum_nj delta(x_nj) w_nj, w_nj = prod_{i != j} f_ni; with c_j
+      the most hits of one entry in column j, Cauchy-Schwarz bounds it by
+      table_err sum_j sqrt(c_j mean_n w_nj^2);
+    * products: d sums 1 + g and d - 1 products, (2d - 1) u mean_n |prod_j f_nj|;
+    * mean: math.fsum and the division by N round once each, 2 u |mean|;
+    * the cancelling -1: exact for a mean in [1/2, 2] (Sterbenz), else u |R|.
+    """
+    f = 1.0 + table[x]
+    prods = np.prod(f, axis=1)
+    mean = math.fsum(prods.tolist()) / x.shape[0]
+    a, ones = np.abs(f), np.ones((x.shape[0], 1))
+    w = (np.cumprod(np.hstack([ones, a[:, :-1]]), axis=1)  # |w_nj|: prefix times suffix
+         * np.cumprod(np.hstack([ones, a[:, :0:-1]]), axis=1)[:, ::-1])
+    hits = [np.bincount(col).max() for col in x.T]
+    spread = np.sqrt(hits * np.mean(w ** 2, axis=0)).sum()
+    rounding = (2 * x.shape[1] - 1) * np.abs(prods).mean() + 2 * abs(mean) + abs(mean - 1)
+    return mean - 1.0, float(table_err * spread + 2.0 ** -53 * rounding)
+
+
+def _subset_bound(x: np.ndarray, kernel: tuple, W: WeightSet, scale: float) -> tuple[float, dict]:
+    """sum_u gamma_u [1 - (1 - 1/N)^|u| + scale (R_u + allowance_u)], and each R_u."""
+    npts, s = x.shape
+    _guard_enum(s)
+    total, r_values = 0.0, {}
+    for u in subsets_of(s):
+        r_values[u], slack = _point_sum(*kernel, x[:, _columns(u, s)])
+        total += W.weight(u) * (1 - (1 - 1 / npts) ** len(u) + scale * (r_values[u] + slack))
+    return total, r_values
 
 
 def r_u_lattice(rule: LatticeRule, u: Iterable[int]) -> float:
-    """R_{u,N}(z): dual vectors in the box -N/2 < k_j <= N/2 (vector nonzero,
-    zero components allowed), weighted by prod 1/max(1, |k_j|)."""
-    idx = _check_u(u, rule.s)
-    N = rule.N
-    if N > R_LATTICE_N_LIMIT:
-        raise ResourceLimitError(f"R enumeration capped at N <= {R_LATTICE_N_LIMIT}")
-    axis = np.arange(-((N - 1) // 2), N // 2 + 1, dtype=np.int64)
-    d = len(idx)
-    dot = np.zeros((1,) * d, dtype=np.int64)
-    weight = np.ones((1,) * d)
-    nonzero = np.zeros((1,) * d, dtype=bool)
-    for pos, j in enumerate(idx):
-        sh = [1] * d
-        sh[pos] = axis.size
-        a = axis.reshape(sh)
-        dot = dot + a * rule.z[j - 1]
-        weight = weight / np.maximum(1, np.abs(a))
-        nonzero = nonzero | (a != 0)
-    dual = ((dot % N) == 0) & nonzero
-    return float(weight[dual].sum())
+    """R_{u,N}(z): dual vectors in the box -N/2 < k_j <= N/2 (vector nonzero),
+    weighted by prod 1/max(1, |k_j|), as a point sum over the kernel table."""
+    return _point_sum(*_lattice_kernel(rule.N), lattice_points(rule)[:, _columns(u, rule.s)])[0]
 
 
 def star_disc_bound_lattice(rule: LatticeRule, W: WeightSet) -> tuple[float, dict]:
-    """Subset-sum bound sum_u gamma_u [1 - (1 - 1/N)^|u| + R_{u,N}(z) / 2].
-
-    Returns the bound and the per-subset R values.
-    """
-    if rule.s > R_SUBSET_LIMIT:
-        raise ResourceLimitError(f"bound needs R for |u| = s; capped at s <= {R_SUBSET_LIMIT}")
-    N = rule.N
-    total = 0.0
-    r_values = {}
-    for u in subsets_of(rule.s):
-        r = r_u_lattice(rule, u)
-        r_values[u] = r
-        g = W.weight(u)
-        total += g * (1.0 - (1.0 - 1.0 / N) ** len(u) + r / 2.0)
-    return total, r_values
+    """Subset-sum bound sum_u gamma_u [1 - (1 - 1/N)^|u| + R_{u,N}(z) / 2], each
+    R_u raised by its rounding allowance; returns it and the per-subset R."""
+    return _subset_bound(lattice_points(rule), _lattice_kernel(rule.N), W, 0.5)
 
 
 def star_disc_bound_rho_lattice(rule: LatticeRule, alpha: float, W: WeightSet,
@@ -148,39 +188,15 @@ def r_tilde(k: int, b: int) -> float:
 
 def r_u_poly(rule: PolyLatticeRule, u: Iterable[int]) -> float:
     """R_{u,b^m}(q): dual vectors with all components < b^m (vector nonzero),
-    weighted by prod r_tilde(k_j)."""
-    idx = _check_u(u, rule.s)
-    size = rule.npoints
-    if size ** len(idx) > 2 * 10 ** 7:
-        raise ResourceLimitError("R enumeration too large for this rule")
-    d = len(idx)
-    axes = [_residue_axis(rule, j - 1, size) for j in idx]
-    total_res = _combine_residues(rule, axes)
-    rt = np.asarray([r_tilde(k, rule.b) for k in range(size)])
-    weight = np.ones((1,) * d)
-    nonzero = np.zeros((1,) * d, dtype=bool)
-    k = np.arange(size, dtype=np.int64)
-    for pos in range(d):
-        sh = [1] * d
-        sh[pos] = size
-        weight = weight * rt.reshape(sh)
-        nonzero = nonzero | (k.reshape(sh) != 0)
-    dual = (total_res == 0) & nonzero
-    return float(weight[dual].sum())
+    weighted by prod r_tilde(k_j), as a point sum over the kernel table."""
+    x = poly_lattice_points(rule)[:, _columns(u, rule.s)]
+    return _point_sum(*_poly_kernel(rule.b, rule.m), x)[0]
 
 
 def star_disc_bound_poly(rule: PolyLatticeRule, W: WeightSet) -> tuple[float, dict]:
-    """Subset-sum bound sum_u gamma_u [1 - (1 - 1/b^m)^|u| + R_{u,b^m}(q)]."""
-    if rule.s > R_SUBSET_LIMIT:
-        raise ResourceLimitError(f"bound needs R for |u| = s; capped at s <= {R_SUBSET_LIMIT}")
-    N = rule.npoints
-    total = 0.0
-    r_values = {}
-    for u in subsets_of(rule.s):
-        r = r_u_poly(rule, u)
-        r_values[u] = r
-        total += W.weight(u) * (1.0 - (1.0 - 1.0 / N) ** len(u) + r)
-    return total, r_values
+    """Subset-sum bound sum_u gamma_u [1 - (1 - 1/b^m)^|u| + R_{u,b^m}(q)],
+    each R_u raised by its rounding allowance."""
+    return _subset_bound(poly_lattice_points(rule), _poly_kernel(rule.b, rule.m), W, 1.0)
 
 
 def sine_factor(b: int) -> float:
@@ -281,8 +297,8 @@ def lattice_report(rule: LatticeRule, alpha: float, W: WeightSet,
                    with_exact: bool = False) -> DiscrepancyReport:
     """Assemble the discrepancy bounds (and exact D* for s <= 2) for one rule."""
     Wp = Wprime if Wprime is not None else W
+    bound_rho, vacuous = star_disc_bound_rho_lattice(rule, alpha, W, Wp)  # capped: first
     bound_joe, r_values = star_disc_bound_lattice(rule, Wp)
-    bound_rho, vacuous = star_disc_bound_rho_lattice(rule, alpha, W, Wp)
     exact = None
     if with_exact and rule.s <= 2:
         exact = weighted_exact_star_discrepancy(lattice_points(rule), rule.N, Wp)
@@ -295,8 +311,8 @@ def poly_report(rule: PolyLatticeRule, alpha: float, W: WeightSet,
                 with_exact: bool = False) -> DiscrepancyReport:
     """Polynomial-lattice counterpart of lattice_report."""
     Wp = Wprime if Wprime is not None else W
+    bound_rho, vacuous = star_disc_bound_rho_poly(rule, alpha, W, Wp)  # capped: first
     bound_joe, r_values = star_disc_bound_poly(rule, Wp)
-    bound_rho, vacuous = star_disc_bound_rho_poly(rule, alpha, W, Wp)
     exact = None
     if with_exact and rule.s <= 2:
         exact = weighted_exact_star_discrepancy(poly_lattice_points(rule),

@@ -134,6 +134,17 @@ class TestEvaluate:
                     "--weights", "product:j^-2", "--rho"])
         assert code == 3
 
+    def test_discrepancy_beyond_three_dimensions(self, tmp_path):
+        rule_path = tmp_path / "rule.json"
+        run(["construct", "--N", "31", "--s", "4", "--alpha", "1",
+             "--weights", "product:j^-2", "--out", str(rule_path)])
+        report_path = tmp_path / "rep.json"
+        assert run(["evaluate", str(rule_path), "--alpha", "1", "--weights", "product:j^-2",
+                    "--rho", "--discrepancy", "--out", str(report_path)]) == 0
+        disc = json.loads(report_path.read_text())["discrepancy"]
+        assert len(disc["per_subset"]) == 15
+        assert all(e["R"] >= -1e-12 for e in disc["per_subset"])
+
     def test_changed_parameters(self, tmp_path):
         # evaluating under different (alpha, gamma): the stability use case
         rule_path = tmp_path / "rule.json"
@@ -235,6 +246,26 @@ class TestSweep:
                 for row in csv.DictReader(out.read_text().splitlines()[:-1])}
         assert math.isfinite(rows[251])
         assert math.isnan(rows[509]) and math.isnan(rows[1021])
+
+    def test_nonmonotone_weights_without_certify(self, tmp_path):
+        # P and prop_bound need no monotone weights; Theorem 1 does
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--kind", "lattice", "--N-grid", "31", "--s", "2",
+                    "--weights", "product:2,1", "--out", str(out)]) == 0
+        row = next(csv.DictReader(out.read_text().splitlines()[:-1]))
+        assert math.isnan(float(row["thm1_rhs"])) and math.isfinite(float(row["P"]))
+
+    def test_nonmonotone_weights_with_certify(self):
+        assert run(["sweep", "--kind", "lattice", "--N-grid", "31", "--s", "2",
+                    "--weights", "product:2,1", "--certify", "thm1"]) == 2
+
+    def test_nonmonotone_weights_poly_keeps_theorem2(self, tmp_path):
+        # Theorem 2 (Walsh stability) needs no monotone weights
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--kind", "poly-lattice", "--m-grid", "4", "--s", "2",
+                    "--weights", "product:2,1", "--out", str(out)]) == 0
+        row = next(csv.DictReader(out.read_text().splitlines()[:-1]))
+        assert math.isfinite(float(row["thm1_rhs"]))
 
     def test_threads_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QMCFORGE_THREADS", "2")

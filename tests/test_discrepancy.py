@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from qmcforge.cbc import cbc_construct
 from qmcforge.discrepancy import (exact_star_discrepancy, r_tilde, r_u_lattice, r_u_poly,
                                   sine_factor, star_disc_bound_lattice,
                                   star_disc_bound_poly, star_disc_bound_rho_lattice,
-                                  star_disc_bound_rho_poly)
+                                  star_disc_bound_rho_poly, weighted_exact_star_discrepancy)
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
 from qmcforge.korobov import LatticeRule, lattice_points
-from qmcforge.oracle import reference_star_discrepancy
+from qmcforge.oracle import dual_enumerate_poly, reference_star_discrepancy
 from qmcforge.walsh import PolyLatticeRule, poly_lattice_points
-from qmcforge.weights import WeightSet
+from qmcforge.weights import SpaceParams, WeightSet
 
 P3 = GFPoly(2, (1, 1, 0, 1))
 
@@ -182,3 +183,30 @@ class TestUpperBoundProperty:
                 rho_b, _ = star_disc_bound_rho_poly(rule, 1.0, W, W)
                 assert exact <= joe + 1e-9
                 assert exact <= rho_b + 1e-9
+
+
+class TestBeyondEnumerationSizes:
+    """Sizes the dual-box R enumeration refused (N > 256, |u| > 3)."""
+
+    def test_lattice_n4093_dominates_exact(self):
+        W = WeightSet.product([1.0, 0.25])
+        rule, _ = cbc_construct(4093, 2, SpaceParams(alpha=1.0, weights=W), fast=True)
+        joe, r_values = star_disc_bound_lattice(rule, W)
+        assert len(r_values) == 3
+        assert joe >= weighted_exact_star_discrepancy(lattice_points(rule), 4093, W)
+
+    def test_poly_s5_matches_enumeration(self):
+        rule = PolyLatticeRule(b=2, m=3, p=P3,
+                               q=tuple(GFPoly.from_code(2, c) for c in (1, 3, 5, 7, 6)))
+        W = WeightSet.product([j ** -2.0 for j in range(1, 6)])
+        joe, r_values = star_disc_bound_poly(rule, W)
+        duals = [k for k in dual_enumerate_poly(rule, 3) if any(k)]
+        assert len(r_values) == 31
+        expect = 0.0
+        for u, r in r_values.items():
+            # duals of the projection onto u: the duals supported inside u
+            want = math.fsum(math.prod(r_tilde(kj, 2) for kj in k) for k in duals
+                             if all(k[j] == 0 for j in range(5) if j + 1 not in u))
+            assert r == pytest.approx(want, rel=1e-12, abs=1e-15)
+            expect += W.weight(u) * (1 - (7 / 8) ** len(u) + want)
+        assert joe >= expect

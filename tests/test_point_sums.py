@@ -1,0 +1,146 @@
+"""R_u as a point sum over a kernel table, checked against dual-box
+enumeration in oracle.py.
+
+For every subset u of a small rule, the point sum must agree with the
+enumerated R_u within 1e-12 relative plus its rounding allowance, R_u plus the
+allowance must not fall below the enumerated value, and the subset-sum bound
+must not fall below the bound assembled from the enumerated R values.  The
+kernel tables themselves are checked against long-double direct sums, at
+sizes where pocketfft runs radix, generic and Bluestein transforms.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmcforge.discrepancy import (_lattice_kernel, _point_sum, _poly_kernel, r_tilde,
+                                  r_u_lattice, r_u_poly, star_disc_bound_lattice,
+                                  star_disc_bound_poly)
+from qmcforge.gfpoly import GFPoly, smallest_irreducible
+from qmcforge.korobov import LatticeRule, lattice_points
+from qmcforge.oracle import dual_enumerate_lattice, dual_enumerate_poly
+from qmcforge.walsh import PolyLatticeRule, poly_lattice_points
+from qmcforge.weights import WeightSet, subsets_of
+
+BOX_CELLS = 30_000  # oracle enumeration size per example
+LARGE_N = (97, 100, 127, 243, 251, 256, 300, 509)  # Bluestein primes and composites
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def oracle_r_values(s, duals, weight):
+    """R_u for every u from the nonzero dual vectors of the whole rule: those
+    supported inside u are exactly the duals of the projection onto u."""
+    return {u: math.fsum(math.prod(weight(kj) for kj in k) for k in duals
+                         if all(k[j - 1] == 0 for j in range(1, s + 1) if j not in u))
+            for u in subsets_of(s)}
+
+
+def check_against_oracle(rule, W, x, kernel, ref, r_u, bound, scale):
+    npts = x.shape[0]
+    total, r_values = bound(rule, W)
+    for u, want in ref.items():
+        got, slack = _point_sum(*kernel, x[:, [j - 1 for j in sorted(u)]])
+        assert abs(got - want) <= 1e-12 * abs(want) + slack
+        assert got + slack >= want
+        assert r_u(rule, u) == got == r_values[u]
+    oracle_bound = sum(Fraction(W.weight(u)) * (1 - (1 - Fraction(1, npts)) ** len(u)
+                                                 + Fraction(scale) * Fraction(want))
+                       for u, want in ref.items())
+    assert Fraction(total) >= oracle_bound
+
+
+weights = st.lists(st.just(0.0) | st.floats(1e-3, 2.0), min_size=4,
+                   max_size=4).map(WeightSet.product)
+
+
+@st.composite
+def lattice_rules(draw):
+    N = draw(st.integers(2, 64))
+    box = 2 * (N // 2) + 1
+    s = draw(st.integers(1, max(d for d in range(1, 5) if box ** d <= BOX_CELLS)))
+    z = draw(st.lists(st.integers(1, N - 1), min_size=s, max_size=s))
+    return LatticeRule(N=N, z=tuple(z))
+
+
+@st.composite
+def poly_rules(draw):
+    b = draw(st.sampled_from((2, 3, 5, 7)))
+    m = draw(st.integers(1, max(m for m in range(1, 5) if b ** m <= 64)))
+    s = draw(st.integers(1, max(d for d in range(1, 5) if b ** (m * d) <= BOX_CELLS)))
+    codes = draw(st.lists(st.integers(1, b ** m - 1), min_size=s, max_size=s))
+    return PolyLatticeRule(b=b, m=m, p=smallest_irreducible(b, m),
+                           q=tuple(GFPoly.from_code(b, c) for c in codes))
+
+
+def lattice_matches_oracle(rule, W):
+    N = rule.N
+    duals = [k for k in dual_enumerate_lattice(rule, N // 2)
+             if any(k) and all(-N < 2 * kj for kj in k)]  # box -N/2 < k_j <= N/2
+    ref = oracle_r_values(rule.s, duals, lambda kj: 1.0 / max(1, abs(kj)))
+    check_against_oracle(rule, W, lattice_points(rule), _lattice_kernel(N), ref,
+                         r_u_lattice, star_disc_bound_lattice, 0.5)
+
+
+@SETTINGS
+@given(lattice_rules(), weights)
+def test_lattice_point_sum_matches_oracle(rule, W):
+    lattice_matches_oracle(rule, W)
+
+
+@pytest.mark.parametrize("N", LARGE_N)
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(z=st.lists(st.integers(1, 10 ** 6), min_size=2, max_size=2), W=weights)
+def test_lattice_point_sum_matches_oracle_large_n(N, z, W):
+    lattice_matches_oracle(LatticeRule(N=N, z=tuple(1 + v % (N - 1) for v in z)), W)
+
+
+@SETTINGS
+@given(poly_rules(), weights)
+def test_poly_point_sum_matches_oracle(rule, W):
+    duals = [k for k in dual_enumerate_poly(rule, rule.m) if any(k)]
+    ref = oracle_r_values(rule.s, duals, lambda kj: r_tilde(kj, rule.b))
+    check_against_oracle(rule, W, poly_lattice_points(rule), _poly_kernel(rule.b, rule.m),
+                         ref, r_u_poly, star_disc_bound_poly, 1.0)
+
+
+PI = 4 * np.arctan(np.longdouble(1))
+
+
+def direct_lattice_table(N):
+    """g(a/N) = sum_k c_k cos(2 pi k a / N) in long double, term by term."""
+    k = np.arange(1, N)
+    c = np.concatenate([[0.0], 1.0 / np.minimum(k, N - k)]).astype(np.longdouble)
+    cos = np.cos(2 * PI * np.arange(N, dtype=np.longdouble) / N)
+    a = np.arange(N)
+    return sum(c[j] * cos[(j * a) % N] for j in range(1, N))
+
+
+def direct_poly_table(b, m):
+    """g(a/b^m) = sum_k r_tilde(k) Re wal_k(a/b^m) in long double: digit
+    kappa_i of k (least significant first) meets digit xi_(i+1) of a (most
+    significant first)."""
+    n = np.arange(b ** m)
+    kappa = np.stack([(n // b ** i) % b for i in range(m)], axis=1)
+    xi = np.stack([(n // b ** (m - 1 - i)) % b for i in range(m)], axis=1)
+    cos = np.cos(2 * PI * np.arange(b, dtype=np.longdouble) / b)
+    rt = np.asarray([0.0] + [r_tilde(k, b) for k in range(1, b ** m)], dtype=np.longdouble)
+    return cos[(kappa @ xi.T) % b].T @ rt
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 7, 31, 47, 53, 64, 97, 100, 127, 243, 251,
+                               256, 509, 1000, 1021, 2039, 4093])
+def test_lattice_table_within_its_error_bound(N):
+    table, table_err = _lattice_kernel(N)
+    err = np.linalg.norm(table.astype(np.longdouble) - direct_lattice_table(N))
+    assert float(err) <= math.sqrt(N) * table_err
+
+
+@pytest.mark.parametrize("b, m", [(2, 8), (3, 5), (5, 4), (7, 3)])
+def test_poly_table_within_its_error_bound(b, m):
+    table, table_err = _poly_kernel(b, m)
+    err = np.linalg.norm(table.astype(np.longdouble) - direct_poly_table(b, m))
+    assert float(err) <= math.sqrt(b ** m) * table_err
