@@ -210,10 +210,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             report = rho_wal(rule, params)
     payload = report.to_jsonable()
     if args.discrepancy:
-        if isinstance(rule, LatticeRule):
-            disc = lattice_report(rule, params.alpha, W, with_exact=rule.s <= 2)
-        else:
-            disc = poly_report(rule, params.alpha, W, with_exact=rule.s <= 2)
+        report_of = lattice_report if isinstance(rule, LatticeRule) else poly_report
+        disc = report_of(rule, params.alpha, W, with_exact=rule.s <= 2, with_rho=args.rho)
         payload["discrepancy"] = disc.to_jsonable()
     _emit(payload, args.out)
     return EXIT_OK

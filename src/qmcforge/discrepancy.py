@@ -265,14 +265,19 @@ def exact_star_discrepancy(numerators: np.ndarray, denominator: int) -> float:
     gy = np.unique(np.concatenate([pts[:, 1], [0, denominator]]))
     ix = np.searchsorted(gx, pts[:, 0])
     iy = np.searchsorted(gy, pts[:, 1])
-    hist = np.zeros((gx.size, gy.size), dtype=np.int64)
-    np.add.at(hist, (ix, iy), 1)
-    closed = hist.cumsum(axis=0).cumsum(axis=1)
-    strict = np.zeros_like(closed)
-    strict[1:, 1:] = closed[:-1, :-1]
-    vol = (gx[:, None] / denominator) * (gy[None, :] / denominator)
-    dev = np.maximum(np.abs(closed / npts - vol), np.abs(strict / npts - vol))
-    return float(dev.max())
+    # one grid row at a time: column counts over rows <= i, and the strict
+    # count strict[i, k] = closed[i - 1, k - 1] from the previous row
+    columns = np.zeros(gy.size, dtype=np.int64)
+    strict = np.zeros(gy.size, dtype=np.int64)
+    best = 0.0
+    for i in range(gx.size):
+        np.add.at(columns, iy[ix == i], 1)
+        closed = columns.cumsum()
+        vol = (gx[i] / denominator) * (gy / denominator)
+        dev = np.maximum(np.abs(closed / npts - vol), np.abs(strict / npts - vol))
+        best = max(best, float(dev.max()))
+        strict[1:] = closed[:-1]
+    return best
 
 
 def weighted_exact_star_discrepancy(numerators: np.ndarray, denominator: int,
@@ -294,10 +299,13 @@ def weighted_exact_star_discrepancy(numerators: np.ndarray, denominator: int,
 
 def lattice_report(rule: LatticeRule, alpha: float, W: WeightSet,
                    Wprime: WeightSet | None = None,
-                   with_exact: bool = False) -> DiscrepancyReport:
-    """Assemble the discrepancy bounds (and exact D* for s <= 2) for one rule."""
+                   with_exact: bool = False, with_rho: bool = True) -> DiscrepancyReport:
+    """Assemble the discrepancy bounds (and exact D* for s <= 2) for one rule;
+    the rho bound, which needs the dual minima, only when with_rho is set."""
     Wp = Wprime if Wprime is not None else W
-    bound_rho, vacuous = star_disc_bound_rho_lattice(rule, alpha, W, Wp)  # capped: first
+    bound_rho, vacuous = None, False
+    if with_rho:
+        bound_rho, vacuous = star_disc_bound_rho_lattice(rule, alpha, W, Wp)  # capped: first
     bound_joe, r_values = star_disc_bound_lattice(rule, Wp)
     exact = None
     if with_exact and rule.s <= 2:
@@ -308,10 +316,12 @@ def lattice_report(rule: LatticeRule, alpha: float, W: WeightSet,
 
 def poly_report(rule: PolyLatticeRule, alpha: float, W: WeightSet,
                 Wprime: WeightSet | None = None,
-                with_exact: bool = False) -> DiscrepancyReport:
+                with_exact: bool = False, with_rho: bool = True) -> DiscrepancyReport:
     """Polynomial-lattice counterpart of lattice_report."""
     Wp = Wprime if Wprime is not None else W
-    bound_rho, vacuous = star_disc_bound_rho_poly(rule, alpha, W, Wp)  # capped: first
+    bound_rho, vacuous = None, False
+    if with_rho:
+        bound_rho, vacuous = star_disc_bound_rho_poly(rule, alpha, W, Wp)
     bound_joe, r_values = star_disc_bound_poly(rule, Wp)
     exact = None
     if with_exact and rule.s <= 2:

@@ -5,7 +5,10 @@ n(x) q_j(x) / p(x), which are linear over Z_b in the digits of n (a Hankel
 generating matrix per q_j); the dual lattice consists of the integer frequency
 vectors k with tr_m(k) . q = 0 mod p.  The squared worst-case error is the
 dual sum of gamma_u * b^(-2 alpha mu(k_u)) and collapses to one pass over
-the b^m points through the kernel phi_alpha, valid for every alpha > 1/2.
+the b^m points through the kernel phi_alpha, valid for every alpha > 1/2;
+the series truncated to k_j < b^K is the same pass over a truncated kernel.
+The dual minima phi_u behind rho come from a shortest-cost recursion over
+the b^m residues of G_m, one component at a time, with no box of frequencies.
 """
 
 from __future__ import annotations
@@ -20,12 +23,10 @@ from .cbc import CbcTrace, _check_dimension, _greedy
 from .errors import QmcforgeError, ResourceLimitError, UsageError
 from .gfpoly import DigitExpansion, GFPoly, gf_is_irreducible, smallest_irreducible
 from .korobov import MeritReport, _kernel_merit
-from .weights import SpaceParams, subsets_of, weighted_power_sum
+from .weights import SpaceParams, _guard_enum, subsets_of, weighted_power_sum
 
-# Cell guard for the b^(2m) point table and the b^(2m) * m addition digits.
+# Cell guard for the b^(2m) point table.
 _TABLE_CELL_LIMIT = 1 << 24
-RHO_DIM_LIMIT = 3
-SERIES_DIM_LIMIT = 3
 
 
 @dataclass(frozen=True)
@@ -209,125 +210,83 @@ def p_merit_wal_closed(rule: PolyLatticeRule, params: SpaceParams,
     return _kernel_merit(factors, params.weights, want_subsets)
 
 
-def _residue_axis(rule: PolyLatticeRule, j: int, kmax: int) -> np.ndarray:
-    """codes of tr_m(k) q_j mod p for k = 0..kmax-1.
-
-    Row c of M holds the digits of x^c q_j mod p, so digits(g) @ M mod b are
-    the digits of g q_j mod p: multiplication by q_j as a matrix over Z_b.
-    """
-    b, m = rule.b, rule.m
-    digits = _digit_matrix(b, m)
-    M = digits[[(GFPoly.from_code(b, b ** c) * rule.q[j] % rule.p).code() for c in range(m)]]
-    base_codes = ((digits @ M) % b) @ b ** np.arange(m, dtype=np.int64)
-    return base_codes[np.arange(kmax) % rule.npoints]
-
-
-@lru_cache(maxsize=64)
-def _addition_table(b: int, m: int) -> np.ndarray:
-    """Coefficientwise addition mod b on integer-encoded polynomials of G_m."""
-    if b ** (2 * m) * m > _TABLE_CELL_LIMIT:
-        raise ResourceLimitError(f"addition table b^(2m) * m too large for b={b}, m={m}")
-    digits = _digit_matrix(b, m)
-    return ((digits[:, None, :] + digits[None, :, :]) % b) @ b ** np.arange(m, dtype=np.int64)
-
-
-def _combine_residues(rule: PolyLatticeRule, residue_axes: list[np.ndarray]) -> np.ndarray:
-    """Residue codes of the componentwise sum over a meshgrid of frequencies."""
-    table = None if rule.b == 2 else _addition_table(rule.b, rule.m)  # b = 2: XOR
-    total = np.zeros((1,) * len(residue_axes), dtype=np.int64)
-    for j, res in enumerate(residue_axes):
-        sh = [1] * len(residue_axes)
-        sh[j] = -1
-        res = res.reshape(sh)
-        total = np.bitwise_xor(total, res) if table is None else table[total, res]
-    return total
-
-
-def _mu_axis(kmax: int, b: int) -> np.ndarray:
-    return np.asarray([0] + [mu_of(k, b) for k in range(1, kmax)], dtype=np.int64)
-
-
-def _walsh_weight_per_axis(alpha: float, b: int) -> float:
-    """sum_{k >= 1} b^(-2 alpha mu(k)) = (b-1)/(b^(2 alpha) - b)."""
-    return (b - 1) / (float(b) ** (2.0 * alpha) - b)
-
-
 def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
                        digit_cap: int) -> MeritReport:
-    """P(q) by truncated dual enumeration over k_j < b^digit_cap.
+    """P(q) truncated to the dual vectors with k_j < b^digit_cap, as a point sum.
 
-    Membership is tested through tr_m(k) . q mod p with exact field
-    arithmetic; the truncation_bound majorizes all dropped dual terms.
+    The truncated kernel sum_{1 <= k < b^K} b^(-2 alpha mu(k)) wal_k(x), K =
+    digit_cap, equals phi_alpha(x) when one of the first K digits of x is
+    nonzero (every shell past the first nonzero digit sums to 0), and c_K =
+    sum_{a=1..K} (b-1) b^(a-1) b^(-2 alpha a) otherwise, i.e. at the
+    numerators below b^(m-K).  Character orthogonality then turns the point
+    mean into the dual sum; the truncation_bound majorizes the dropped terms.
     """
-    s = rule.s
-    if s > SERIES_DIM_LIMIT:
-        raise UsageError(f"series evaluation supports s <= {SERIES_DIM_LIMIT}")
-    kmax = rule.b ** digit_cap
-    if kmax ** s > 2 * 10 ** 8:
-        raise ResourceLimitError("series box b^(digit_cap * s) too large")
-    alpha = params.alpha
-    mu = _mu_axis(kmax, rule.b)
-    radial_axis = np.where(np.arange(kmax) == 0, 1.0,
-                           float(rule.b) ** (-2.0 * alpha * mu))
-    residue_axes = [_residue_axis(rule, j, kmax) for j in range(s)]
-    total = _combine_residues(rule, residue_axes)
-
-    gamma_lut = np.zeros(1 << s)
-    for u in subsets_of(s):
-        gamma_lut[sum(1 << (j - 1) for j in u)] = params.weights.weight(u)
-
-    radial = np.ones((1,) * s)
-    pattern = np.zeros((1,) * s, dtype=np.int64)
-    k = np.arange(kmax, dtype=np.int64)
-    for j in range(s):
-        sh = [1] * s
-        sh[j] = kmax
-        radial = radial * radial_axis.reshape(sh)
-        pattern = pattern + (k.reshape(sh) != 0).astype(np.int64) * (1 << j)
-    dual = total == 0
-    p = float(np.sum(radial[dual] * gamma_lut[pattern[dual]]))
-
-    full = 1.0 + _walsh_weight_per_axis(alpha, rule.b)
-    capped = 1.0 + sum((rule.b - 1) * rule.b ** (a - 1) * float(rule.b) ** (-2.0 * alpha * a)
-                       for a in range(1, digit_cap + 1))
-    bound = (weighted_power_sum(params.weights, s, 1.0, full)
-             - weighted_power_sum(params.weights, s, 1.0, capped))
+    b, alpha = rule.b, params.alpha
+    c_K = sum((b - 1) * b ** (a - 1) * float(b) ** (-2.0 * alpha * a)
+              for a in range(1, digit_cap + 1))
+    table = _phi_axis(b, rule.m, alpha)
+    full = 1.0 + table[0]
+    table[:b ** max(rule.m - digit_cap, 0)] = c_K
+    p = _kernel_merit(table[poly_lattice_points(rule)], params.weights, False).p_value
+    bound = (weighted_power_sum(params.weights, rule.s, 1.0, full)
+             - weighted_power_sum(params.weights, rule.s, 1.0, 1.0 + c_K))
     return MeritReport(p_value=p, method="truncated-series", truncation_bound=bound)
+
+
+def _cost_extend(rule: PolyLatticeRule, D: np.ndarray, j: int) -> np.ndarray:
+    """out(t) = min over residues r in G_m of D(t - r q_j) + cost(r), the codes
+    t indexing G_m; cost(r) = deg(r) + 1, or m + 1 for r = 0, is the least
+    mu(k) over k >= 1 with tr_m(k) = r (k = r, or k = b^m for r = 0).
+
+    Residues are taken by leading position e: least(t) holds the minimum
+    over deg(r) < e (r = 0 included), and r = c x^e + r' gives the shift
+    t - c v_e, v_e = x^e q_j mod p, applied c = 1..b-1 times.
+    """
+    b, m = rule.b, rule.m
+    least, out = D, D + (m + 1)
+    for e in range(m):
+        v = (GFPoly.from_code(b, b ** e) * rule.q[j] % rule.p).coeffs
+        shift = np.zeros(1, dtype=np.int64)  # code of t - v_e, built digit by digit
+        for i in range(m):
+            vi = v[i] if i < len(v) else 0
+            shift = ((((np.arange(b) - vi) % b) * b ** i)[:, None] + shift).ravel()
+        step = best = least[shift]
+        for _ in range(b - 2):
+            step = step[shift]
+            best = np.minimum(best, step)
+        out = np.minimum(out, best + (e + 1))
+        least = np.minimum(least, best)
+    return out
 
 
 @lru_cache(maxsize=512)
 def dual_mu_minima(rule: PolyLatticeRule) -> dict[frozenset[int], int]:
     """phi_u(q) = min of mu(k_u) over dual vectors with positive components.
 
-    Each component of a minimizer satisfies mu(k_j) <= m + 1, because
-    phi_u <= m + |u| while every coordinate contributes at least 1; so the
-    box k_j < b^(m+1) is exhaustive.  The vector (b^m, ..., b^m) is always
-    dual, so the minimum exists inside the box.
+    Only the residues tr_m(k_j) decide membership, and each residue has a
+    cheapest k_j (see _cost_extend); so phi_u = D_u(0), where D_u(t) is the
+    least total cost of residues (r_j)_{j in u} with sum r_j q_j = t mod p.
+    D_{v + {j}} extends D_v by one component; no inverse of q_j is needed,
+    so a reducible p is handled alike.  The subsets are walked depth-first,
+    holding one array of b^m costs per depth.
     """
-    s = rule.s
-    if s > RHO_DIM_LIMIT:
-        raise ResourceLimitError(f"dual mu enumeration capped at s <= {RHO_DIM_LIMIT}")
-    kmax = rule.b ** (rule.m + 1)
-    mu = _mu_axis(kmax, rule.b)
-    residue_full = [_residue_axis(rule, j, kmax) for j in range(s)]
-    out = {}
-    for u in subsets_of(s):
-        idx = sorted(u)
-        axes = [residue_full[j - 1][1:] for j in idx]  # positive frequencies only
-        total = _combine_residues(rule, axes)
-        musum = np.zeros((1,) * len(idx), dtype=np.int64)
-        for pos, j in enumerate(idx):
-            sh = [1] * len(idx)
-            sh[pos] = kmax - 1
-            musum = musum + mu[1:].reshape(sh)
-        dual = total == 0
-        if not dual.any():
-            raise QmcforgeError("dual enumeration found no vector; box bug")
-        phi_u = int(musum[dual].min())
-        if not len(u) <= phi_u <= rule.m + len(u):
-            raise QmcforgeError(f"phi_u = {phi_u} outside [{len(u)}, {rule.m + len(u)}]")
-        out[u] = phi_u
-    return out
+    _guard_enum(rule.s)
+    phi = {}
+
+    def walk(D: np.ndarray, v: frozenset[int]) -> None:
+        for j in range(max(v, default=0) + 1, rule.s + 1):
+            Dj = _cost_extend(rule, D, j - 1)
+            u = v | {j}
+            phi[u] = int(Dj[0])
+            if not len(u) <= phi[u] <= rule.m + len(u):
+                raise QmcforgeError(f"phi_u = {phi[u]} outside [{len(u)}, {rule.m + len(u)}]")
+            walk(Dj, u)
+
+    # unreachable: above every total cost; costs stay below (m + 1)(s + 2)
+    start = np.full(rule.npoints, (rule.m + 1) * (rule.s + 1), dtype=np.int16)
+    start[0] = 0
+    walk(start, frozenset())
+    return {u: phi[u] for u in subsets_of(rule.s)}
 
 
 def rho_wal_value(rule: PolyLatticeRule, params: SpaceParams) -> float:

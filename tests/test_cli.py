@@ -145,6 +145,19 @@ class TestEvaluate:
         assert len(disc["per_subset"]) == 15
         assert all(e["R"] >= -1e-12 for e in disc["per_subset"])
 
+    def test_discrepancy_without_rho_skips_rho_bound(self, tmp_path):
+        # the rho bound needs the lattice dual minima, capped at N <= 1024
+        rule_path = tmp_path / "rule.json"
+        run(["construct", "--N", "1031", "--s", "6", "--alpha", "1",
+             "--weights", "product:j^-2", "--out", str(rule_path)])
+        report_path = tmp_path / "rep.json"
+        assert run(["evaluate", str(rule_path), "--alpha", "1", "--weights", "product:j^-2",
+                    "--discrepancy", "--out", str(report_path)]) == 0
+        rep = json.loads(report_path.read_text())
+        assert rep["rho"] is None
+        assert rep["discrepancy"]["bound_rho"] is None
+        assert len(rep["discrepancy"]["per_subset"]) == 63
+
     def test_changed_parameters(self, tmp_path):
         # evaluating under different (alpha, gamma): the stability use case
         rule_path = tmp_path / "rule.json"
@@ -207,6 +220,25 @@ class TestCertify:
         assert run(["certify", str(poly_rule_file), "--theorem", "prop2",
                     "--alpha", "1", "--weights", "product:j^-2",
                     "--lambda", "0.75"]) == 0
+
+    def test_thm2_poly_m16_s4(self, tmp_path, capsys):
+        # a frequency box of (2^17)^4 cells: the dual minima must not enumerate it
+        rule_path = tmp_path / "rule.json"
+        assert run(["construct", "--kind", "poly-lattice", "--b", "2", "--m", "16", "--s", "4",
+                    "--random", "--out", str(rule_path)]) == 0
+        capsys.readouterr()
+        assert run(["certify", str(rule_path), "--theorem", "thm2",
+                    "--alpha", "1", "--weights", "product:j^-2"]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["passed"] and cert["components"]["rho"] > 0
+
+    def test_prop2_poly_b3_m5_s3(self, tmp_path):
+        # a frequency box of 3^18 cells, about 3 GB as int64
+        rule_path = tmp_path / "rule.json"
+        assert run(["construct", "--kind", "poly-lattice", "--b", "3", "--m", "5", "--s", "3",
+                    "--out", str(rule_path)]) == 0
+        assert run(["certify", str(rule_path), "--theorem", "prop2",
+                    "--alpha", "1", "--weights", "product:j^-2"]) == 0
 
 
 class TestSweep:

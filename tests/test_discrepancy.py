@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmcforge.cbc import cbc_construct
 from qmcforge.discrepancy import (exact_star_discrepancy, r_tilde, r_u_lattice, r_u_poly,
@@ -146,6 +148,15 @@ class TestExactDstar:
     def test_three_dims_rejected(self):
         with pytest.raises(UsageError):
             exact_star_discrepancy(np.zeros((4, 3), dtype=int), 4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 80).flatmap(lambda denom: st.tuples(st.just(denom), st.lists(
+        st.tuples(st.integers(0, denom - 1), st.integers(0, denom - 1)),
+        min_size=1, max_size=60))))
+    def test_two_dims_equal_reference(self, case):
+        denom, pts = case
+        assert exact_star_discrepancy(np.asarray(pts), denom) == \
+            reference_star_discrepancy(pts, denom)
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(21)

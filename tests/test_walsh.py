@@ -1,16 +1,20 @@
 from itertools import product
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmcforge.errors import ResourceLimitError, UsageError
-from qmcforge.gfpoly import GFPoly, gf_is_irreducible, gf_mulmod, smallest_irreducible
+from qmcforge.errors import UsageError
+from qmcforge.gfpoly import GFPoly, gf_is_irreducible, smallest_irreducible
 from qmcforge.oracle import dual_enumerate_poly, reference_poly_points
-from qmcforge.walsh import (PolyLatticeRule, _addition_table, _residue_axis, cbc_construct_poly,
-                            dual_mu_minima, mu_of, p_merit_wal_closed, p_merit_wal_series,
+from qmcforge.walsh import (PolyLatticeRule, cbc_construct_poly, dual_mu_minima, mu_of,
+                            p_merit_wal_closed, p_merit_wal_series,
                             poly_lattice_point_expansions, poly_lattice_points, rho_wal,
                             walsh_char_sum, walsh_phi_alpha)
-from qmcforge.weights import SpaceParams, WeightSet
+from qmcforge.weights import SpaceParams, WeightSet, subsets_of
 
 P3 = GFPoly(2, (1, 1, 0, 1))  # x^3 + x + 1
 
@@ -163,29 +167,6 @@ class TestPointsAgainstOracle:
         ref = reference_poly_points(rule)
         got = [tuple(e.digits for e in row) for row in poly_lattice_point_expansions(rule)]
         assert got == ref
-
-    @pytest.mark.parametrize("b,p", [(2, P3), (3, smallest_irreducible(3, 3)),
-                                     (7, smallest_irreducible(7, 2))] + REDUCIBLE)
-    def test_residue_axis_matches_mulmod(self, b, p):
-        m = int(p.degree)
-        rule = random_rule(b, m, p, 2, seed=11)
-        kmax = b ** (m + 1)
-        for j, qj in enumerate(rule.q):
-            expected = [gf_mulmod(GFPoly.from_code(b, k % b ** m), qj, p).code()
-                        for k in range(kmax)]
-            assert _residue_axis(rule, j, kmax).tolist() == expected
-
-
-class TestTableGuards:
-    @pytest.mark.parametrize("b,m_max", [(2, 10), (3, 6), (5, 4), (7, 3)])
-    def test_addition_table_cap(self, b, m_max):
-        # b^(2m) * m digit cells: the largest admitted m per base
-        with pytest.raises(ResourceLimitError):
-            _addition_table(b, m_max + 1)
-        if b > 2:  # base 2 adds by XOR; its 2^20 x 10 digit build is skipped here
-            table = _addition_table(b, m_max)
-            assert table.shape == (b ** m_max, b ** m_max)
-            assert table[1, b - 1] == 0  # (b - 1) + 1 = 0 mod b
 
 
 class TestMeritClosed:
@@ -380,3 +361,118 @@ class TestJensenWalsh:
         lhs = p_merit_wal_closed(rule, hi).p_value ** delta
         rhs = p_merit_wal_closed(rule, params).p_value
         assert lhs <= rhs * (1 + 1e-10)
+
+
+# Oracle gates: dual_mu_minima and p_merit_wal_series against plain dual-box
+# enumeration in oracle.py, with digit counts recomputed here.
+
+BOX_CELLS = 7_000  # oracle enumeration size per example
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
+
+
+def digit_count(k, b):
+    return next(a for a in range(1, 64) if k < b ** a)
+
+
+@st.composite
+def rules_in_box(draw, box_digits):
+    """A rule, s <= 4, whose dual box of b^(box_digits(m)) per component has
+    at most BOX_CELLS cells, with p irreducible, x^m, or any p of degree m
+    (reducible or not, monic or not)."""
+    b = draw(st.sampled_from((2, 3, 5, 7)))
+    s = draw(st.integers(1, max(d for d in range(1, 5) if b ** (box_digits(1) * d) <= BOX_CELLS)))
+    m = draw(st.integers(1, max(m for m in range(1, 8) if b ** (box_digits(m) * s) <= BOX_CELLS)))
+    kind = draw(st.sampled_from(("irreducible", "monomial", "any")))
+    if kind == "irreducible":
+        p = smallest_irreducible(b, m)
+    elif kind == "monomial":
+        p = GFPoly(b, (0,) * m + (1,))
+    else:
+        low = draw(st.lists(st.integers(0, b - 1), min_size=m, max_size=m))
+        p = GFPoly(b, tuple(low) + (draw(st.integers(1, b - 1)),))
+    codes = draw(st.lists(st.integers(1, b ** m - 1), min_size=s, max_size=s))
+    return PolyLatticeRule(b=b, m=m, p=p, q=tuple(GFPoly.from_code(b, c) for c in codes))
+
+
+@st.composite
+def weight_sets(draw, s=4):
+    kind = draw(st.sampled_from(("product", "order", "pod", "explicit")))
+    w = st.just(0.0) | st.floats(1e-3, 2.0)
+    values = draw(st.lists(w, min_size=s, max_size=s))
+    if kind == "product":
+        return WeightSet.product(values)
+    if kind == "order":
+        return WeightSet.order_dependent(values)
+    if kind == "pod":
+        return WeightSet.pod(draw(st.lists(w, min_size=s, max_size=s)), values)
+    chosen = draw(st.lists(st.sampled_from(list(subsets_of(s))), max_size=6, unique=True))
+    return WeightSet.explicit({tuple(u): draw(w) for u in chosen}, s_max=s)
+
+
+def oracle_minima(rule):
+    duals = dual_enumerate_poly(rule, rule.m + 1)
+    return {u: min(sum(digit_count(kj, rule.b) for kj in k if kj) for k in duals
+                   if all((kj != 0) == (j + 1 in u) for j, kj in enumerate(k)))
+            for u in subsets_of(rule.s)}
+
+
+@SETTINGS
+@given(rules_in_box(lambda m: m + 1))
+def test_dual_mu_minima_match_oracle(rule):
+    minima = dual_mu_minima(rule)
+    assert list(minima) == list(subsets_of(rule.s))
+    assert minima == oracle_minima(rule)
+
+
+@SETTINGS
+@given(st.data())
+def test_series_matches_oracle_dual_sum(data):
+    rule = data.draw(rules_in_box(lambda m: m + 2))
+    K = data.draw(st.integers(1, rule.m + 2))
+    W = data.draw(weight_sets())
+    alpha = data.draw(st.sampled_from((0.75, 1.0, 1.5, 2.0)))
+
+    def term(k):
+        return (W.weight({j + 1 for j, kj in enumerate(k) if kj})
+                * math.prod(float(rule.b) ** (-2.0 * alpha * digit_count(kj, rule.b))
+                            for kj in k if kj))
+
+    dual_sum = math.fsum(term(k) for k in dual_enumerate_poly(rule, K) if any(k))
+    # the point sum expands into every box term times a character of modulus 1
+    box_sum = math.fsum(term(k) for k in product(range(rule.b ** K), repeat=rule.s) if any(k))
+    got = p_merit_wal_series(rule, SpaceParams(alpha=alpha, weights=W), K)
+    assert got.method == "truncated-series"
+    assert abs(got.p_value - dual_sum) <= 1e-12 * box_sum
+    closed = p_merit_wal_closed(rule, SpaceParams(alpha=alpha, weights=W)).p_value
+    tol = 1e-12 * (box_sum + got.truncation_bound)
+    assert -tol <= closed - got.p_value <= got.truncation_bound + tol
+
+
+@pytest.mark.parametrize("b,p", [(2, P3), (3, smallest_irreducible(3, 3)),
+                                 (7, smallest_irreducible(7, 2))] + REDUCIBLE)
+def test_dual_mu_minima_fixed_moduli(b, p):
+    m = int(p.degree)
+    s = max(d for d in range(1, 4) if b ** ((m + 1) * d) <= BOX_CELLS)
+    rule = random_rule(b, m, p, s, seed=11)
+    assert dual_mu_minima(rule) == oracle_minima(rule)
+
+
+class TestBeyondThreeDimensions:
+    """rho and the truncated series at s = 4, against the oracle and the closed form."""
+
+    RULE = PolyLatticeRule(b=2, m=2, p=smallest_irreducible(2, 2),
+                           q=tuple(GFPoly.from_code(2, c) for c in (1, 3, 2, 3)))
+    PARAMS = SpaceParams(alpha=1.0, weights=WeightSet.product([1.0, 0.5, 0.25, 0.125]))
+
+    def test_rho_at_s4(self):
+        rep = rho_wal(self.RULE, self.PARAMS)
+        minima = oracle_minima(self.RULE)
+        assert {u: phi for u, (_, phi, _) in rep.per_subset.items()} == minima
+        assert rep.rho_value == max(self.PARAMS.weights.weight(u) * 2.0 ** (-2 * phi)
+                                    for u, phi in minima.items())
+        assert rep.rho_value <= rep.p_value
+
+    def test_series_at_s4(self):
+        rep = p_merit_wal_series(self.RULE, self.PARAMS, 3)
+        closed = p_merit_wal_closed(self.RULE, self.PARAMS).p_value
+        assert rep.p_value <= closed <= rep.p_value + rep.truncation_bound
