@@ -22,13 +22,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import UsageError
-from .korobov import LatticeRule, omega_table
+from .korobov import _INDEX_BLOCK_CELLS, LatticeRule, omega_table
 from .weights import SpaceParams, WeightSet
 
 TIE_REL_TOL = 1e-12
-
-# int64 cells of c * n index temporary per row block of the candidate matrix
-_INDEX_BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)

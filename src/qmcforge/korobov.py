@@ -21,7 +21,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import QmcforgeError, ResourceLimitError, UsageError
-from .weights import SpaceParams, WeightSet, subset_product_sum, subsets_of, weighted_power_sum, zeta
+from .weights import (SpaceParams, WeightSet, _guard_enum, subset_product_sum, subsets_of,
+                      weighted_power_sum, zeta)
 
 # Monomial coefficients of B_2, B_4, B_6, B_8, highest degree first.
 _BERNOULLI_EVEN = {
@@ -32,9 +33,12 @@ _BERNOULLI_EVEN = {
 }
 
 ZAREMBA_N_LIMIT = 1024
-ZAREMBA_DIM_LIMIT = 4
 SERIES_DIM_LIMIT = 4
 SERIES_CELL_LIMIT = 2 * 10 ** 8
+
+# int64 cells per index temporary: CBC candidate row blocks, series box slabs,
+# and the cap on a dual-minima head table
+_INDEX_BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -189,93 +193,93 @@ def p_merit_series(rule: LatticeRule, params: SpaceParams, K: int) -> MeritRepor
         raise ResourceLimitError(f"series box (2K+1)^s too large at K={K}, s={s}")
     alpha = params.alpha
     rng = np.arange(-K, K + 1, dtype=np.int64)
-    absr = np.abs(rng).astype(np.float64)
-    absr[K] = 1.0  # k = 0 placeholder; excluded via the zero weight pattern
-    radial_axis = absr ** (-2.0 * alpha)
+    # |k| = 1 stands in at k = 0, which the zero weight pattern excludes
+    radial_axis = np.maximum(np.abs(rng), 1).astype(np.float64) ** (-2.0 * alpha)
 
     gamma_lut = np.zeros(1 << s)
     for u in subsets_of(s):
         gamma_lut[sum(1 << (j - 1) for j in u)] = params.weights.weight(u)
 
-    shape = [1] * s
-    dot = np.zeros((1,) * s, dtype=np.int64)
-    radial = np.ones((1,) * s)
-    pattern = np.zeros((1,) * s, dtype=np.int64)
-    for j in range(s):
-        sh = shape.copy()
-        sh[j] = 2 * K + 1
-        axis = rng.reshape(sh)
-        dot = dot + axis * rule.z[j]
-        radial = radial * radial_axis.reshape(sh)
-        pattern = pattern + (axis != 0).astype(np.int64) * (1 << j)
-    dual = (dot % rule.N) == 0
-    p = float(np.sum(radial[dual] * gamma_lut[pattern[dual]]))
+    # the box over coordinates 2..s, flattened; coordinate 1 is streamed in slabs
+    dot, radial, pattern = np.zeros(1, dtype=np.int64), np.ones(1), np.zeros(1, dtype=np.int64)
+    for j in range(1, s):
+        dot = (dot[:, None] + rng * rule.z[j]).ravel()
+        radial = (radial[:, None] * radial_axis).ravel()
+        pattern = (pattern[:, None] + (rng != 0) * (1 << j)).ravel()
+    slab = max(1, _INDEX_BLOCK_CELLS // dot.size)
+    p = 0.0
+    for lo in range(0, 2 * K + 1, slab):
+        k1 = rng[lo:lo + slab]
+        rows, cols = np.nonzero((k1[:, None] * rule.z[0] + dot) % rule.N == 0)
+        p += float(np.sum(radial_axis[lo + rows] * radial[cols]
+                          * gamma_lut[pattern[cols] + (k1[rows] != 0)]))
     bound = _series_tail_bound(params.weights, s, alpha, K)
     return MeritReport(p_value=p, method="truncated-series", truncation_bound=bound)
 
 
+def _phi_search(zs: list[int], N: int) -> int:
+    """phi_u for |u| >= 2, u the coordinates of zs.  The j* of least g =
+    gcd(z_j*, N) is solved for: k_j* z_j* = -t (mod N), t = sum_{j != j*}
+    k_j z_j over the head, needs g | t and fixes k_j* modulo N / g (least
+    nonzero modulus taken).  Heads, first component positive, run over
+    prod |k_j| <= P for P = 1, 2, 4, ... until the best product is <= P,
+    which is exact: a vector of product <= P has a head of product <= P."""
+    g, star = min((math.gcd(v, N), i) for i, v in enumerate(zs))
+    M = N // g
+    inv = pow(zs[star] // g, -1, M)
+    P = 1
+    while True:
+        prod, t = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        for i, zj in enumerate(zs[:star] + zs[star + 1:]):  # the head
+            reach = P // prod  # largest |k_j| that keeps the product <= P
+            if int(reach.sum()) * (2 if i else 1) > _INDEX_BLOCK_CELLS:
+                raise ResourceLimitError(f"dual minima head table too large at N={N}, P={P}")
+            parent = np.repeat(np.arange(prod.size), reach)
+            k = np.arange(1, parent.size + 1) - np.repeat(np.cumsum(reach) - reach, reach)
+            if i:
+                parent, k = np.concatenate([parent, parent]), np.concatenate([k, -k])
+            prod, t = prod[parent] * np.abs(k), (t[parent] + k * zj) % N
+        solvable = t % g == 0
+        r = (-(t[solvable] // g) * inv) % M
+        best = (prod[solvable] * np.where(r == 0, M, np.minimum(r, M - r))).min(initial=2 * P)
+        if best <= P:
+            return int(best)
+        P *= 2
+
+
 @lru_cache(maxsize=512)
 def dual_product_minima(rule: LatticeRule) -> dict[frozenset[int], tuple[int, int]]:
-    """(phi_u, phi_{u,0}) for every nonempty u of the rule, by full enumeration.
+    """(phi_u, phi_{u,0}) for every nonempty u of the rule, by exact search.
 
     phi_u is the minimum of prod |k_j| over dual vectors supported exactly on
-    u with all components nonzero; phi_{u,0} allows zero components (product
-    of max(1, |k_j|)).  Any dual vector reduces componentwise into
-    (-N/2, N/2] without leaving the dual lattice, a component collapsing to 0
-    only when it was a multiple of N; so scanning that box plus the value +N
-    per component is exhaustive.
+    u with all components nonzero: N / gcd(z_j, N) for u = {j}, _phi_search
+    otherwise.  phi_{u,0} allows zero components (product of max(1, |k_j|)),
+    so it is the least phi_v over nonempty v contained in u.
     """
     N, s = rule.N, rule.s
-    if N > ZAREMBA_N_LIMIT or s > ZAREMBA_DIM_LIMIT:
-        raise ResourceLimitError(f"dual minima enumeration capped at N <= {ZAREMBA_N_LIMIT}, "
-                                 f"s <= {ZAREMBA_DIM_LIMIT}")
-    if (N + 2) ** s > 5 * 10 ** 7:
-        raise ResourceLimitError(f"dual minima enumeration too large for N={N}, s={s}")
-    axis = np.concatenate([np.arange(-((N - 1) // 2), N // 2 + 1, dtype=np.int64),
-                           np.asarray([N], dtype=np.int64)])
-    shape = [1] * s
-    dot = np.zeros((1,) * s, dtype=np.int64)
-    prodmax = np.ones((1,) * s, dtype=np.int64)
-    pattern = np.zeros((1,) * s, dtype=np.int64)
-    for j in range(s):
-        sh = shape.copy()
-        sh[j] = axis.size
-        a = axis.reshape(sh)
-        dot = dot + a * rule.z[j]
-        prodmax = prodmax * np.maximum(1, np.abs(a))
-        pattern = pattern + (a != 0).astype(np.int64) * (1 << j)
-    dual = ((dot % N) == 0).ravel()
-    prodmax = prodmax.ravel()[dual]
-    pattern = pattern.ravel()[dual]
-
-    exact_min = {}
-    for mask in range(1, 1 << s):
-        sel = pattern == mask
-        exact_min[mask] = int(prodmax[sel].min()) if sel.any() else None
-    out = {}
-    for u in subsets_of(s):
-        umask = sum(1 << (j - 1) for j in u)
-        phi_u = exact_min[umask]
-        if phi_u is None:
-            raise ResourceLimitError("dual enumeration missed a full-support vector")
-        # direct phi_{u,0}: support contained in u, vector nonzero
-        contained = (pattern & ~umask) == 0
-        phi_u0 = int(prodmax[contained & (pattern != 0)].min())
-        by_subsets = min(exact_min[v] for v in range(1, 1 << s)
-                         if v & umask == v and exact_min[v] is not None)
-        if phi_u0 != by_subsets:
-            raise QmcforgeError("phi_{u,0} disagrees with min over subsets; enumeration bug")
+    if N > ZAREMBA_N_LIMIT:
+        raise ResourceLimitError(f"dual minima capped at N <= {ZAREMBA_N_LIMIT}")
+    _guard_enum(s)
+    out, low = {}, np.full(1 << s, np.iinfo(np.int64).max)  # low: phi_v at the bit mask of v
+    for u in subsets_of(s):  # by size, so every u - {j} is done before u
+        zs = [rule.z[j - 1] for j in sorted(u)]
+        phi_u = N // math.gcd(zs[0], N) if len(u) == 1 else _phi_search(zs, N)
+        low[sum(1 << (j - 1) for j in u)] = phi_u
+        phi_u0 = min([phi_u] + [out[u - {j}][1] for j in u if u - {j}])
         if len(u) >= 2 and phi_u0 > N / 2:
-            raise QmcforgeError("phi_{u,0} exceeded N/2 on a mixed subset; enumeration bug")
+            raise QmcforgeError("phi_{u,0} exceeded N/2 on a mixed subset; search bug")
         out[u] = (phi_u, phi_u0)
+    for j in range(s):  # then the min over all submasks, one bit at a time
+        low = np.minimum.accumulate(low.reshape(-1, 2, 1 << j), axis=1).ravel()
+    if any(low[sum(1 << (j - 1) for j in u)] != phi_u0 for u, (_, phi_u0) in out.items()):
+        raise QmcforgeError("phi_{u,0} disagrees with min over subsets; search bug")
     return out
 
 
 def zaremba_rho_value(rule: LatticeRule, params: SpaceParams) -> float:
     """rho alone, from the cached dual minima (no merit evaluation)."""
-    minima = dual_product_minima(rule)
     return max(params.weights.weight(u) / float(phi_u) ** (2.0 * params.alpha)
-               for u, (phi_u, _phi_u0) in minima.items())
+               for u, (phi_u, _phi_u0) in dual_product_minima(rule).items())
 
 
 def zaremba_rho(rule: LatticeRule, params: SpaceParams,
@@ -285,15 +289,10 @@ def zaremba_rho(rule: LatticeRule, params: SpaceParams,
     The report carries P as well (closed form for integer alpha, truncated
     series otherwise) plus the per-subset (term, phi_u, phi_{u,0}) breakdown.
     """
-    minima = dual_product_minima(rule)
     alpha = params.alpha
-    per_subset = {}
-    rho = 0.0
-    for u, (phi_u, phi_u0) in minima.items():
-        g = params.weights.weight(u)
-        term = g / float(phi_u) ** (2.0 * alpha)
-        per_subset[u] = (term, phi_u, phi_u0)
-        rho = max(rho, term)
+    per_subset = {u: (params.weights.weight(u) / float(phi_u) ** (2.0 * alpha), phi_u, phi_u0)
+                  for u, (phi_u, phi_u0) in dual_product_minima(rule).items()}
+    rho = max(term for term, _, _ in per_subset.values())
     if alpha == int(alpha) and int(alpha) in _BERNOULLI_EVEN:
         base = p_merit_closed(rule, params)
     else:

@@ -122,7 +122,11 @@ def walsh_phi_alpha(numer: int, m: int, alpha: float, b: int) -> float:
 
 
 def _phi_axis(b: int, m: int, alpha: float) -> np.ndarray:
-    return np.asarray([walsh_phi_alpha(a, m, alpha, b) for a in range(b ** m)])
+    """phi_alpha(a / b^m), a = 0..b^m-1: one value per digit count mu(a),
+    taken at a = b^(mu-1) (and a = 0), repeated over the a that share it."""
+    starts = [0] + [b ** mu for mu in range(m + 1)]
+    return np.repeat([walsh_phi_alpha(a, m, alpha, b) for a in starts[:-1]],
+                     np.diff(starts))
 
 
 def _digit_matrix(b: int, m: int) -> np.ndarray:

@@ -126,9 +126,9 @@ class TestEvaluate:
         assert disc["exact_dstar"] <= disc["bound_rho"] + 1e-9
 
     def test_resource_cap_exit_three(self, tmp_path):
-        # figure-of-merit enumeration is capped at s <= 4
+        # the lattice dual minima behind rho are capped at N <= 1024
         rule_path = tmp_path / "rule.json"
-        run(["construct", "--N", "13", "--s", "5", "--alpha", "1",
+        run(["construct", "--N", "1031", "--s", "2", "--alpha", "1",
              "--weights", "product:j^-2", "--out", str(rule_path)])
         code = run(["evaluate", str(rule_path), "--alpha", "1",
                     "--weights", "product:j^-2", "--rho"])
@@ -191,6 +191,16 @@ class TestCertify:
         assert code == 0
         cert = json.loads(capsys.readouterr().out)
         assert cert["passed"]
+
+    def test_thm1_at_n1021_s4(self, tmp_path, capsys):
+        # (N+2)^4 = 1.1e12 cells: out of reach of a dual-box enumeration
+        rule_path = tmp_path / "rule.json"
+        run(["construct", "--N", "1021", "--s", "4", "--weights", "product:j^-2",
+             "--out", str(rule_path)])
+        capsys.readouterr()
+        assert run(["certify", str(rule_path), "--theorem", "thm1", "--alpha", "1",
+                    "--weights", "product:j^-2"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
 
     def test_thm2_passes(self, poly_rule_file, capsys):
         code = run(["certify", str(poly_rule_file), "--theorem", "thm2",
@@ -269,15 +279,16 @@ class TestSweep:
         assert all("True" in line for line in outtext.splitlines()[1:3])
 
     def test_thm1_column_follows_certificate_caps(self, tmp_path):
-        # (N+2)^3 fits the dual enumeration cap at N = 251 but not at N = 509
+        # the lattice dual minima are capped at N <= 1024
         out = tmp_path / "sweep.csv"
-        assert run(["sweep", "--kind", "lattice", "--N-grid", "31,61,127,251,509,1021",
+        assert run(["sweep", "--kind", "lattice", "--N-grid", "31,61,127,251,509,1021,2039",
                     "--s", "3", "--alpha", "1", "--weights", "product:j^-2",
                     "--out", str(out)]) == 0
         rows = {int(row["N_or_m"]): float(row["thm1_rhs"])
                 for row in csv.DictReader(out.read_text().splitlines()[:-1])}
         assert math.isfinite(rows[251])
-        assert math.isnan(rows[509]) and math.isnan(rows[1021])
+        assert math.isfinite(rows[509]) and math.isfinite(rows[1021])
+        assert math.isnan(rows[2039])
 
     def test_nonmonotone_weights_without_certify(self, tmp_path):
         # P and prop_bound need no monotone weights; Theorem 1 does

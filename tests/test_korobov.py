@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmcforge.errors import UsageError
+from qmcforge import korobov
+from qmcforge.errors import ResourceLimitError, UsageError
 from qmcforge.korobov import (LatticeRule, bernoulli_even, dual_product_minima,
                               lattice_points, omega_table, p_merit_closed,
                               p_merit_series, zaremba_rho)
@@ -13,6 +16,37 @@ from qmcforge.weights import SpaceParams, WeightSet, subsets_of
 
 def unit_params(s, alpha=1.0):
     return SpaceParams(alpha=alpha, weights=WeightSet.order_dependent([1.0] * s))
+
+
+PRIMES = [n for n in range(2, 201) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+@st.composite
+def lattice_rules(draw, s, n_max, prime):
+    """A rule with prime or composite N <= n_max; each z_j is a multiple of a
+    drawn divisor of N, so composite N often shares a factor with z_j."""
+    N = draw(st.sampled_from([n for n in range(2, n_max + 1) if (n in PRIMES) == prime]))
+    z = []
+    for _ in range(s):
+        f = draw(st.sampled_from([d for d in range(1, N) if N % d == 0]))
+        z.append(f * draw(st.integers(1, (N - 1) // f)))
+    return LatticeRule(N=N, z=tuple(z))
+
+
+def oracle_minima(rule):
+    """(phi_u, phi_{u,0}) from the oracle's dual box |k_j| <= N, which holds
+    a minimizer of each: components reduce into (-N/2, N/2] and only
+    multiples of N collapse to 0, so |k_j| <= N suffices."""
+    duals = np.asarray([k for k in dual_enumerate_lattice(rule, rule.N) if any(k)])
+    nonzero = duals != 0
+    size = np.prod(np.maximum(np.abs(duals), 1), axis=1)
+    out = {}
+    for u in subsets_of(rule.s):
+        inside = np.asarray([j + 1 in u for j in range(rule.s)])
+        exact = (nonzero == inside).all(axis=1)
+        contained = ~(nonzero & ~inside).any(axis=1)
+        out[u] = (int(size[exact].min()), int(size[contained].min()))
+    return out
 
 
 class TestLatticePoints:
@@ -150,6 +184,31 @@ class TestMeritSeries:
         with pytest.raises(UsageError):
             p_merit_series(LatticeRule(N=12, z=(5,)), unit_params(1), 11)
 
+    def test_streamed_slabs_match_closed_form(self):
+        # s = 3, K = 150: 301 rows of coordinate 1 in slabs of 46 rows
+        rule = LatticeRule(N=149, z=(1, 41, 63))
+        params = SpaceParams(alpha=1, weights=WeightSet.product([1.0, 0.5, 0.25]))
+        r = p_merit_series(rule, params, 150)
+        closed = p_merit_closed(rule, params).p_value
+        assert 0 <= closed - r.p_value <= r.truncation_bound + 1e-12 * closed
+
+    def test_streamed_slabs_match_single_box(self, monkeypatch):
+        # 121^2 cells per row of coordinate 1: slabs of 4 rows, 31 slabs
+        monkeypatch.setattr(korobov, "_INDEX_BLOCK_CELLS", 1 << 16)
+        rule = LatticeRule(N=59, z=(1, 17, 40))
+        params = SpaceParams(alpha=1.5, weights=WeightSet.product([1.0, 0.6, 0.3]))
+        K = 60
+        k = np.meshgrid(*[np.arange(-K, K + 1)] * 3, indexing="ij", sparse=True)
+        dual = sum(kj * zj for kj, zj in zip(k, rule.z)) % rule.N == 0
+        radial = math.prod(np.maximum(np.abs(kj), 1.0) ** -3.0 for kj in k)  # pattern drops 0s
+        pattern = sum((kj != 0) * (1 << j) for j, kj in enumerate(k))
+        gamma = np.zeros(8)
+        for u in subsets_of(3):
+            gamma[sum(1 << (j - 1) for j in u)] = params.weights.weight(u)
+        expected = float(np.sum((radial * gamma[pattern])[dual]))
+        got = p_merit_series(rule, params, K).p_value
+        assert got == pytest.approx(expected, rel=1e-12)
+
     def test_matches_independent_dual_enumeration(self):
         rule = LatticeRule(N=7, z=(1, 3))
         params = SpaceParams(alpha=1.25, weights=WeightSet.product([1.0, 0.5]))
@@ -212,6 +271,33 @@ class TestZaremba:
                                                 for j, kj in enumerate(k))),
                 default=None)
             assert phi_u0 == direct0
+
+
+class TestDualMinimaSearch:
+    """The hyperbolic-cross search against the oracle's dual box."""
+
+    @pytest.mark.parametrize("prime", [True, False])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_pairs_match_oracle(self, prime, data):
+        rule = data.draw(lattice_rules(2, 200, prime))
+        assert dual_product_minima(rule) == oracle_minima(rule)
+
+    @pytest.mark.parametrize("prime", [True, False])
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_triples_match_oracle(self, prime, data):
+        rule = data.draw(lattice_rules(3, 36, prime))
+        assert dual_product_minima(rule) == oracle_minima(rule)
+
+    def test_no_coordinate_coprime_to_n(self):
+        # gcd(z_j, 30) = 6, 10, 15: the search solves for the coordinate of least gcd
+        rule = LatticeRule(N=30, z=(6, 10, 15))
+        assert dual_product_minima(rule) == oracle_minima(rule)
+
+    def test_n_cap(self):
+        with pytest.raises(ResourceLimitError):
+            dual_product_minima(LatticeRule(N=korobov.ZAREMBA_N_LIMIT + 1, z=(1, 2)))
 
 
 class TestCharacterSum:

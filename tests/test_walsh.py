@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly, gf_is_irreducible, smallest_irreducible
 from qmcforge.oracle import dual_enumerate_poly, reference_poly_points
-from qmcforge.walsh import (PolyLatticeRule, cbc_construct_poly, dual_mu_minima, mu_of,
+from qmcforge.walsh import (PolyLatticeRule, _phi_axis, cbc_construct_poly, dual_mu_minima, mu_of,
                             p_merit_wal_closed, p_merit_wal_series,
                             poly_lattice_point_expansions, poly_lattice_points, rho_wal,
                             walsh_char_sum, walsh_phi_alpha)
@@ -101,6 +101,14 @@ class TestPhiAlpha:
             got = walsh_phi_alpha(numer, m, alpha, b)
             tail = float(b) ** ((1 - 2 * alpha) * 12) / (1 - float(b) ** (1 - 2 * alpha))
             assert abs(got - total) <= tail + 1e-10
+
+    @pytest.mark.parametrize("b,m", [(2, 10), (3, 6), (7, 3)])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_axis_equals_per_numerator_kernel(self, b, m, alpha):
+        table = _phi_axis(b, m, alpha)
+        assert table.shape == (b ** m,)
+        for a in range(b ** m):
+            assert table[a] == walsh_phi_alpha(a, m, alpha, b)  # bitwise
 
 
 class TestPoints:
