@@ -5,8 +5,8 @@ with earlier components frozen, and keeps the argmin (smallest candidate among
 near-ties).  The per-point subset sums are maintained incrementally: extending
 the rule by one coordinate changes each point's sum by t * h(n), where t is
 the new coordinate's (gamma-scaled) kernel factor and h is a state vector, so
-one scan costs one product F @ h with F[c, n] = omega(c n / N), built once
-for c <= N/2 (omega is mirrored, so row N - c equals row c).  For prime N the
+one scan costs one product F @ h with F[c, n] = omega(c n / N), made in row
+blocks for c <= N/2 (omega is mirrored, so row N - c equals row c).  For prime N the
 scan is instead a circular correlation in the index ordering induced by a
 primitive root, evaluated with the FFT; that order is sorted once so that
 selection is one vectorised test.  POD and order-dependent state keeps one
@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UsageError
-from .korobov import _INDEX_BLOCK_CELLS, LatticeRule, omega_table
+from .korobov import _BLOCK_CELLS, LatticeRule, omega_table
 from .weights import SpaceParams, WeightSet
 
 TIE_REL_TOL = 1e-12
@@ -41,33 +41,29 @@ class CbcTrace:
                 for i, (c, m) in enumerate(self.choices)]
 
 
-def euler_totient(N: int) -> int:
-    """phi(N) = #{1 <= n <= N : gcd(n, N) = 1}, via trial-division factoring."""
-    if N < 1:
-        raise UsageError("totient needs N >= 1")
-    result = N
-    n = N
-    f = 2
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending, by trial division."""
+    out, f = [], 2
     while f * f <= n:
         if n % f == 0:
-            result -= result // f
+            out.append(f)
             while n % f == 0:
                 n //= f
         f += 1
-    if n > 1:
-        result -= result // n
-    return result
+    return out + [n] if n > 1 else out
+
+
+def euler_totient(N: int) -> int:
+    """phi(N) = #{1 <= n <= N : gcd(n, N) = 1} = N prod_{p | N} (1 - 1/p)."""
+    if N < 1:
+        raise UsageError("totient needs N >= 1")
+    for f in _prime_factors(N):
+        N -= N // f
+    return N
 
 
 def is_prime(N: int) -> bool:
-    if N < 2:
-        return False
-    f = 2
-    while f * f <= N:
-        if N % f == 0:
-            return False
-        f += 1
-    return True
+    return N >= 2 and _prime_factors(N) == [N]
 
 
 def primitive_root(N: int) -> int:
@@ -76,18 +72,7 @@ def primitive_root(N: int) -> int:
         raise UsageError(f"primitive root search needs prime N, got {N}")
     if N == 2:
         return 1
-    # distinct prime factors of N - 1
-    factors = []
-    n = N - 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            factors.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        factors.append(n)
+    factors = _prime_factors(N - 1)
     for g in range(2, N):
         if all(pow(g, (N - 1) // q, N) != 1 for q in factors):
             return g
@@ -178,6 +163,30 @@ def _check_dimension(s: int, weights: WeightSet) -> None:
         raise UsageError(f"weights defined up to s_max={weights.s_max}, need {s}")
 
 
+def _powers(g: int, N: int) -> np.ndarray:
+    """out[a] = g^a mod N, a < N - 1, by doubling: out[k:2k] = out[:k] g^k mod N."""
+    out, k = np.ones(N - 1, dtype=np.int64), 1
+    while k < N - 1:  # products stay below N^2 < 2^63
+        out[k:2 * k] = (out[:k] * pow(g, k, N) % N)[:N - 1 - k]
+        k *= 2
+    return out
+
+
+def _row_scan(rows: Callable[[int, int], np.ndarray], count: int, npoints: int,
+              hold: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """scan(h) = F @ h with F[lo:hi] = rows(lo, hi), made in blocks of _BLOCK_CELLS
+    cells: F is held when ``hold`` (later steps rescan it), else each scan
+    remakes the blocks and drops each after its product."""
+    block = max(1, _BLOCK_CELLS // npoints)
+    spans = [(lo, min(lo + block, count)) for lo in range(0, count, block)]
+    if hold:
+        F = np.empty((count, npoints))
+        for lo, hi in spans:
+            F[lo:hi] = rows(lo, hi)
+        return lambda h: F @ h
+    return lambda h: np.concatenate([rows(lo, hi) @ h for lo, hi in spans])
+
+
 def _greedy(s: int, weights: WeightSet, npoints: int, column: Callable[[int], np.ndarray],
             scan: Callable[[np.ndarray], np.ndarray], candidates: np.ndarray,
             order: np.ndarray) -> CbcTrace:
@@ -225,12 +234,7 @@ def cbc_construct(N: int, s: int, params: SpaceParams,
     n = np.arange(N, dtype=np.int64)
 
     if fast and N > 2:
-        g = primitive_root(N)
-        exps = np.empty(N - 1, dtype=np.int64)  # exps[a] = g^a mod N
-        acc = 1
-        for a in range(N - 1):
-            exps[a] = acc
-            acc = (acc * g) % N
+        exps = _powers(primitive_root(N), N)
         fft_w = np.fft.fft(table[exps])
         candidates, order = exps, np.argsort(exps)
 
@@ -244,14 +248,8 @@ def cbc_construct(N: int, s: int, params: SpaceParams,
         # s = 1 nothing is scanned and no row is built
         candidates = np.arange(1, (N // 2 if s > 1 else 0) + 1, dtype=np.int64)
         order = np.arange(candidates.size)
-        factor_rows = np.empty((candidates.size, N))
-        block = max(1, _INDEX_BLOCK_CELLS // N)
-        for lo in range(0, candidates.size, block):
-            rows = candidates[lo:lo + block, None]
-            factor_rows[lo:lo + block] = table[(rows * n[None, :]) % N]
-
-        def scan(h: np.ndarray) -> np.ndarray:
-            return factor_rows @ h
+        scan = _row_scan(lambda lo, hi: table[(candidates[lo:hi, None] * n) % N],
+                         candidates.size, N, s > 2)
 
     trace = _greedy(s, params.weights, N, lambda c: table[(c * n) % N], scan,
                     candidates, order)

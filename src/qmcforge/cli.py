@@ -198,12 +198,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     W = parse_weights(args.weights, rule.s)
     params = SpaceParams(alpha=float(args.alpha), weights=W)
     if isinstance(rule, LatticeRule):
-        if args.series_K:
-            report = p_merit_series(rule, params, int(args.series_K))
+        if args.rho:
+            report = zaremba_rho(rule, params, args.series_K or None)
+        elif args.series_K:
+            report = p_merit_series(rule, params, args.series_K)
         else:
             report = p_merit_closed(rule, params)
-        if args.rho:
-            report = zaremba_rho(rule, params)
     else:
         report = p_merit_wal_closed(rule, params)
         if args.rho:

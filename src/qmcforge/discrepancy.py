@@ -156,22 +156,22 @@ def star_disc_bound_rho_lattice(rule: LatticeRule, alpha: float, W: WeightSet,
         raise UsageError("rho-based discrepancy bound needs monotone weights")
     rho = zaremba_rho_value(rule, SpaceParams(alpha=alpha, weights=W))
     rho_pow = rho ** (1.0 / (2.0 * alpha))
-    N = rule.N
-    L = math.log2(N)
-    total = 0.0
-    vacuous = False
-    for u in subsets_of(rule.s):
-        gp = Wprime.weight(u)
-        if gp == 0.0:
-            continue
-        g = W.weight(u)
-        if g == 0.0:
+    L = math.log2(rule.N)
+    return _rho_bound(W, Wprime, rule.s, rule.N, lambda k, g: (
+        rho_pow / (2.0 * g ** (1.0 / (2.0 * alpha)))
+        * (math.log(2.0) * L ** k + 3.0 * (2.0 * L) ** (k - 1))))
+
+
+def _rho_bound(W: WeightSet, Wprime: WeightSet, s: int, N: int, term) -> tuple[float, bool]:
+    """(sum_u gamma'_u [1 - (1 - 1/N)^|u| + term(|u|, gamma_u)], vacuous), over
+    the u with gamma'_u > 0; gamma_u = 0 there makes it vacuous, the sum +inf."""
+    total, vacuous = 0.0, False
+    for u in subsets_of(s):
+        gp, g = Wprime.weight(u), W.weight(u)
+        if gp != 0.0 and g == 0.0:
             vacuous = True
-            continue
-        k = len(u)
-        spread = math.log(2.0) * L ** k + 3.0 * (2.0 * L) ** (k - 1)
-        total += gp * (1.0 - (1.0 - 1.0 / N) ** k
-                       + rho_pow / (2.0 * g ** (1.0 / (2.0 * alpha))) * spread)
+        elif gp != 0.0:
+            total += gp * (1.0 - (1.0 - 1.0 / N) ** len(u) + term(len(u), g))
     return (math.inf if vacuous else total), vacuous
 
 
@@ -215,23 +215,9 @@ def star_disc_bound_rho_poly(rule: PolyLatticeRule, alpha: float, W: WeightSet,
         raise UsageError("rho-based discrepancy bound needs monotone weights")
     rho = rho_wal_value(rule, SpaceParams(alpha=alpha, weights=W))
     rho_pow = rho ** (1.0 / (2.0 * alpha))
-    N = rule.npoints
     kb = sine_factor(rule.b)
-    total = 0.0
-    vacuous = False
-    for u in subsets_of(rule.s):
-        gp = Wprime.weight(u)
-        if gp == 0.0:
-            continue
-        g = W.weight(u)
-        if g == 0.0:
-            vacuous = True
-            continue
-        k = len(u)
-        total += gp * (1.0 - (1.0 - 1.0 / N) ** k
-                       + (rule.b - 1) * rho_pow / g ** (1.0 / (2.0 * alpha))
-                       * (kb * (rule.m + 1)) ** k)
-    return (math.inf if vacuous else total), vacuous
+    return _rho_bound(W, Wprime, rule.s, rule.npoints, lambda k, g: (
+        (rule.b - 1) * rho_pow / g ** (1.0 / (2.0 * alpha)) * (kb * (rule.m + 1)) ** k))
 
 
 def exact_star_discrepancy(numerators: np.ndarray, denominator: int) -> float:

@@ -36,8 +36,9 @@ ZAREMBA_N_LIMIT = 1024
 SERIES_DIM_LIMIT = 4
 SERIES_CELL_LIMIT = 2 * 10 ** 8
 
-# int64 cells per index temporary: CBC candidate row blocks, series box slabs,
-# and the cap on a dual-minima head table
+# cells per block of a streamed product space (CBC candidate rows, merit
+# points), and int64 cells of a dual-minima head table
+_BLOCK_CELLS = 1 << 18
 _INDEX_BLOCK_CELLS = 1 << 22
 
 
@@ -153,21 +154,26 @@ def p_merit_closed(rule: LatticeRule, params: SpaceParams,
     gamma_u * prod_{j in u} omega(x_j).
     """
     table = omega_table(_require_closed_alpha(params.alpha), rule.N)
-    return _kernel_merit(table[lattice_points(rule)], params.weights, want_subsets)
+    return _kernel_merit(table, lambda lo, hi: np.arange(lo, hi)[:, None] * rule.z % rule.N,
+                         rule.N, rule.s, params.weights, want_subsets)
 
 
-def _kernel_merit(factors: np.ndarray, weights: WeightSet, want_subsets: bool) -> MeritReport:
-    """Closed-form merit of either rule family from its kernel values at the
-    points, factors[n, j]: the mean over n of sum_u gamma_u prod_{j in u}."""
-    p = float(subset_product_sum(weights, factors).mean())
-    per_subset = None
-    if want_subsets:
-        per_subset = {}
-        for u in subsets_of(factors.shape[1]):
-            cols = [j - 1 for j in sorted(u)]
-            inner = weights.weight(u) * float(np.prod(factors[:, cols], axis=1).mean())
-            per_subset[u] = (inner, None, None)
-    return MeritReport(p_value=p, method="closed-form", per_subset=per_subset)
+def _kernel_merit(table: np.ndarray, points, npoints: int, s: int, weights: WeightSet,
+                  want_subsets: bool) -> MeritReport:
+    """Closed-form merit of either rule family: the mean over n of S(n) =
+    sum_u gamma_u prod_{j in u} table[x_j(n)], S filled in blocks of points
+    x = points(lo, hi) (shape (hi - lo, s)), never holding all n at once."""
+    S = np.empty(npoints)
+    sums = dict.fromkeys(subsets_of(s) if want_subsets else (), 0.0)
+    block = max(1, _BLOCK_CELLS // s)
+    for lo in range(0, npoints, block):
+        factors = table[points(lo, min(lo + block, npoints))]
+        S[lo:lo + block] = subset_product_sum(weights, factors)
+        for u in sums:
+            sums[u] += float(np.prod(factors[:, [j - 1 for j in sorted(u)]], axis=1).sum())
+    per_subset = {u: (weights.weight(u) * total / npoints, None, None)
+                  for u, total in sums.items()} if want_subsets else None
+    return MeritReport(p_value=float(S.mean()), method="closed-form", per_subset=per_subset)
 
 
 def _series_tail_bound(W: WeightSet, s: int, alpha: float, K: int) -> float:
@@ -200,19 +206,19 @@ def p_merit_series(rule: LatticeRule, params: SpaceParams, K: int) -> MeritRepor
     for u in subsets_of(s):
         gamma_lut[sum(1 << (j - 1) for j in u)] = params.weights.weight(u)
 
-    # the box over coordinates 2..s, flattened; coordinate 1 is streamed in slabs
-    dot, radial, pattern = np.zeros(1, dtype=np.int64), np.ones(1), np.zeros(1, dtype=np.int64)
+    # the box over coordinates 2..s, flattened: sum k_j z_j mod N, radial product
+    # and nonzero pattern (bits 1..s-1) of each cell
+    res, radial, pattern = np.zeros(1, dtype=np.int64), np.ones(1), np.zeros(1, dtype=np.int64)
     for j in range(1, s):
-        dot = (dot[:, None] + rng * rule.z[j]).ravel()
+        res = ((res[:, None] + rng * rule.z[j]) % rule.N).ravel()
         radial = (radial[:, None] * radial_axis).ravel()
         pattern = (pattern[:, None] + (rng != 0) * (1 << j)).ravel()
-    slab = max(1, _INDEX_BLOCK_CELLS // dot.size)
-    p = 0.0
-    for lo in range(0, 2 * K + 1, slab):
-        k1 = rng[lo:lo + slab]
-        rows, cols = np.nonzero((k1[:, None] * rule.z[0] + dot) % rule.N == 0)
-        p += float(np.sum(radial_axis[lo + rows] * radial[cols]
-                          * gamma_lut[pattern[cols] + (k1[rows] != 0)]))
+    # mass[bit][r] sums the cells of residue r, k_1 != 0 as pattern bit 0 = bit;
+    # (k_1, cell) is dual iff r = -k_1 z_1 mod N
+    mass = [np.bincount(res, weights=radial * gamma_lut[pattern + bit], minlength=rule.N)
+            for bit in (0, 1)]
+    r1 = (-rng * rule.z[0]) % rule.N
+    p = float(np.sum(radial_axis * np.where(rng != 0, mass[1][r1], mass[0][r1])))
     bound = _series_tail_bound(params.weights, s, alpha, K)
     return MeritReport(p_value=p, method="truncated-series", truncation_bound=bound)
 
@@ -286,14 +292,15 @@ def zaremba_rho(rule: LatticeRule, params: SpaceParams,
                 series_K: int | None = None) -> MeritReport:
     """Figure of merit rho = max over u of gamma_u / phi_u(z)^(2 alpha).
 
-    The report carries P as well (closed form for integer alpha, truncated
-    series otherwise) plus the per-subset (term, phi_u, phi_{u,0}) breakdown.
+    The report carries P as well (the truncated series when series_K is given
+    or alpha is not an integer in 1..4, K = max(N, 64) by default; else the
+    closed form) plus the per-subset (term, phi_u, phi_{u,0}) breakdown.
     """
     alpha = params.alpha
     per_subset = {u: (params.weights.weight(u) / float(phi_u) ** (2.0 * alpha), phi_u, phi_u0)
                   for u, (phi_u, phi_u0) in dual_product_minima(rule).items()}
     rho = max(term for term, _, _ in per_subset.values())
-    if alpha == int(alpha) and int(alpha) in _BERNOULLI_EVEN:
+    if series_K is None and alpha == int(alpha) and int(alpha) in _BERNOULLI_EVEN:
         base = p_merit_closed(rule, params)
     else:
         base = p_merit_series(rule, params, series_K or max(rule.N, 64))

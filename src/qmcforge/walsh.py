@@ -19,13 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .cbc import CbcTrace, _check_dimension, _greedy
+from .cbc import CbcTrace, _check_dimension, _greedy, _row_scan
 from .errors import QmcforgeError, ResourceLimitError, UsageError
 from .gfpoly import DigitExpansion, GFPoly, gf_is_irreducible, smallest_irreducible
 from .korobov import MeritReport, _kernel_merit
 from .weights import SpaceParams, _guard_enum, subsets_of, weighted_power_sum
 
-# Cell guard for the b^(2m) point table.
+# Cell guard for CBC's b^m x b^m candidate space.
 _TABLE_CELL_LIMIT = 1 << 24
 
 
@@ -129,10 +129,9 @@ def _phi_axis(b: int, m: int, alpha: float) -> np.ndarray:
                      np.diff(starts))
 
 
-def _digit_matrix(b: int, m: int) -> np.ndarray:
-    """Row c holds the m base-b digits of c, lowest first (coefficients of G_m)."""
-    codes = np.arange(b ** m, dtype=np.int64)
-    return (codes[:, None] // b ** np.arange(m, dtype=np.int64)) % b
+def _digits(codes, b: int, m: int) -> np.ndarray:
+    """Row r: the m base-b digits of codes[r], lowest first (coefficients of G_m)."""
+    return (np.asarray(codes, dtype=np.int64)[:, None] // b ** np.arange(m, dtype=np.int64)) % b
 
 
 def _laurent_matrix(b: int, m: int, p_coeffs: tuple[int, ...]) -> np.ndarray:
@@ -154,18 +153,18 @@ def _laurent_matrix(b: int, m: int, p_coeffs: tuple[int, ...]) -> np.ndarray:
     return L
 
 
-def _points_of(b: int, m: int, p_coeffs: tuple[int, ...], qcodes) -> np.ndarray:
-    """out[r, n] = numerator over b^m of nu_m(n q_r / p), q_r = qcodes[r].
+def _points_of(b: int, m: int, p_coeffs: tuple[int, ...], qcodes, ncodes) -> np.ndarray:
+    """out[r, i] = numerator over b^m of nu_m(n q_r / p), q_r = qcodes[r] and
+    n = ncodes[i].
 
     With u_k the Laurent digits of q_r / p, digit i of n q_r / p is
     sum_c n_c u_(i+c): the Hankel matrix of u_1..u_(2m-1) applied to the
     digits of n.  Products stay below m (b-1)^2 and numerators below b^m, so
     float64 arithmetic is exact, floor(digit / b) included.
     """
-    nd = _digit_matrix(b, m)
-    U = (nd[qcodes] @ _laurent_matrix(b, m, p_coeffs)) % b
-    nd = nd.T.astype(np.float64)
-    out = np.zeros((U.shape[0], b ** m))
+    U = (_digits(qcodes, b, m) @ _laurent_matrix(b, m, p_coeffs)) % b
+    nd = _digits(ncodes, b, m).T.astype(np.float64)
+    out = np.zeros((U.shape[0], nd.shape[1]))
     for i in range(m):  # out <- b out + digit - b floor(digit / b), all in place
         digit = U[:, i:i + m].astype(np.float64) @ nd
         out *= b
@@ -175,12 +174,11 @@ def _points_of(b: int, m: int, p_coeffs: tuple[int, ...], qcodes) -> np.ndarray:
     return out.astype(np.int64)
 
 
-@lru_cache(maxsize=256)
-def _g_m_codes_points(b: int, m: int, p_coeffs: tuple[int, ...]) -> np.ndarray:
-    """numerators[qcode, ncode] = numerator of nu_m(n q mod p) over b^m."""
-    if b ** (2 * m) > _TABLE_CELL_LIMIT:
-        raise ResourceLimitError(f"point table b^(2m) too large for b={b}, m={m}")
-    return _points_of(b, m, p_coeffs, slice(None))
+def _point_block(rule: PolyLatticeRule):
+    """points(lo, hi): rows lo..hi-1 of poly_lattice_points(rule)."""
+    qcodes = [qj.code() for qj in rule.q]
+    return lambda lo, hi: _points_of(rule.b, rule.m, rule.p.coeffs, qcodes,
+                                     np.arange(lo, hi)).T
 
 
 def poly_lattice_points(rule: PolyLatticeRule) -> np.ndarray:
@@ -188,7 +186,7 @@ def poly_lattice_points(rule: PolyLatticeRule) -> np.ndarray:
 
     Row for n in G_m holds the numerator of nu_m(n q_j / p) in column j.
     """
-    return _points_of(rule.b, rule.m, rule.p.coeffs, [qj.code() for qj in rule.q]).T
+    return _point_block(rule)(0, rule.npoints)
 
 
 def _point_digits(rule: PolyLatticeRule) -> np.ndarray:
@@ -210,8 +208,8 @@ def p_merit_wal_closed(rule: PolyLatticeRule, params: SpaceParams,
     Equals (1/b^m) sum over points of sum over nonempty u of
     gamma_u * prod_{j in u} phi_alpha(x_j).
     """
-    factors = _phi_axis(rule.b, rule.m, params.alpha)[poly_lattice_points(rule)]
-    return _kernel_merit(factors, params.weights, want_subsets)
+    return _kernel_merit(_phi_axis(rule.b, rule.m, params.alpha), _point_block(rule),
+                         rule.npoints, rule.s, params.weights, want_subsets)
 
 
 def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
@@ -231,7 +229,8 @@ def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
     table = _phi_axis(b, rule.m, alpha)
     full = 1.0 + table[0]
     table[:b ** max(rule.m - digit_cap, 0)] = c_K
-    p = _kernel_merit(table[poly_lattice_points(rule)], params.weights, False).p_value
+    p = _kernel_merit(table, _point_block(rule), rule.npoints, rule.s, params.weights,
+                      False).p_value
     bound = (weighted_power_sum(params.weights, rule.s, 1.0, full)
              - weighted_power_sum(params.weights, rule.s, 1.0, 1.0 + c_K))
     return MeritReport(p_value=p, method="truncated-series", truncation_bound=bound)
@@ -343,11 +342,15 @@ def cbc_construct_poly(b: int, m: int, s: int, params: SpaceParams,
         raise UsageError("modulus must have the rule's base and degree m")
     _check_dimension(s, params.weights)
     size = b ** m
-    factor_rows = _phi_axis(b, m, params.alpha)[_g_m_codes_points(b, m, p.coeffs)[1:]]
-    # row c-1 holds the kernel at the points of candidate code c
-    trace = _greedy(s, params.weights, size, lambda c: factor_rows[c - 1],
-                    lambda h: factor_rows @ h, np.arange(1, size, dtype=np.int64),
-                    np.arange(size - 1))
+    if size * size > _TABLE_CELL_LIMIT:
+        raise ResourceLimitError(f"CBC candidate space b^(2m) too large for b={b}, m={m}")
+    table, n, candidates = _phi_axis(b, m, params.alpha), np.arange(size), np.arange(1, size)
+
+    def rows(lo: int, hi: int) -> np.ndarray:  # the kernel at the points of candidates lo..hi-1
+        return table[_points_of(b, m, p.coeffs, candidates[lo:hi], n)]
+
+    trace = _greedy(s, params.weights, size, lambda c: rows(c - 1, c)[0],
+                    _row_scan(rows, size - 1, size, s > 2), candidates, np.arange(size - 1))
     rule = PolyLatticeRule(b=b, m=m, p=p,
                            q=tuple(GFPoly.from_code(b, c) for c, _ in trace.choices))
     return rule, trace

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qmcforge.cbc import TIE_REL_TOL, _select, cbc_construct, euler_totient, primitive_root
+from qmcforge import cbc
+from qmcforge.cbc import (TIE_REL_TOL, _powers, _select, cbc_construct, euler_totient,
+                          primitive_root)
 from qmcforge.errors import UsageError
 from qmcforge.korobov import LatticeRule, omega_table, p_merit_closed
 from qmcforge.stability import prop_bound_lattice
@@ -44,6 +46,15 @@ class TestPrimitiveRoot:
     def test_composite_rejected(self):
         with pytest.raises(UsageError):
             primitive_root(12)
+
+    @pytest.mark.parametrize("N", [3, 5, 7, 13, 31, 127, 4093, 65521, 262139])
+    def test_power_table_matches_loop(self, N):
+        g = primitive_root(N)
+        loop, acc = [], 1
+        for _ in range(N - 1):
+            loop.append(acc)
+            acc = acc * g % N
+        assert _powers(g, N).tolist() == loop
 
 
 class TestNaiveCbc:
@@ -164,6 +175,17 @@ class TestHalfCandidateScan:
         assert trace.evaluations == 1 + (s - 1) * (N - 1)
         for (_, got), want in zip(trace.choices, merits):
             assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["product", "pod", "order", "explicit"])
+    @pytest.mark.parametrize("s", [2, 5])
+    def test_row_blocks_match_one_block(self, monkeypatch, s, kind):
+        # 63 candidate rows of 127 cells: one block by default, 4 rows per block
+        # (the last one 3) when patched; s = 2 scans the blocks as they are
+        # made, s = 5 fills and holds the whole matrix
+        params = SpaceParams(alpha=1.0, weights=four_kinds(s)[kind])
+        whole = cbc_construct(127, s, params)
+        monkeypatch.setattr(cbc, "_BLOCK_CELLS", 4 * 127 + 5)
+        assert cbc_construct(127, s, params) == whole
 
     @pytest.mark.parametrize("N", [31, 127, 251, 2027])
     def test_second_component_is_smallest_of_its_tie_class(self, N):

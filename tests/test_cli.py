@@ -63,7 +63,7 @@ class TestConstruct:
         assert obj["p"] == [1, 0, 1, 0, 0, 1]  # x^5 + x^2 + 1
 
     def test_poly_m11_within_table_cap(self, tmp_path):
-        # the b^(2m) point table of b=2, m=11 has 2^22 cells
+        # the b^m x b^m candidate space of b=2, m=11 has 2^22 cells
         assert run(["construct", "--kind", "poly-lattice", "--b", "2", "--m", "11",
                     "--s", "2", "--alpha", "1", "--weights", "product:j^-2",
                     "--out", str(tmp_path / "r.json")]) == 0
@@ -157,6 +157,23 @@ class TestEvaluate:
         assert rep["rho"] is None
         assert rep["discrepancy"]["bound_rho"] is None
         assert len(rep["discrepancy"]["per_subset"]) == 63
+
+    def test_series_radius_kept_with_rho(self, tmp_path):
+        # --rho must report P from the same truncated series as evaluation without it
+        rule_path = tmp_path / "rule.json"
+        run(["construct", "--N", "31", "--s", "2", "--alpha", "1",
+             "--weights", "product:j^-2", "--out", str(rule_path)])
+        reports = []
+        for extra in ([], ["--rho"]):
+            out = tmp_path / "rep.json"
+            assert run(["evaluate", str(rule_path), "--alpha", "1.5", "--weights",
+                        "product:j^-2", "--series-K", "200", "--out", str(out)] + extra) == 0
+            reports.append(json.loads(out.read_text()))
+        plain, with_rho = reports
+        assert with_rho["rho"] is not None and plain["rho"] is None
+        for key in ("P", "method", "truncation_bound"):
+            assert with_rho[key] == plain[key]
+        assert plain["method"] == "truncated-series"
 
     def test_changed_parameters(self, tmp_path):
         # evaluating under different (alpha, gamma): the stability use case

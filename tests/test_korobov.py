@@ -149,6 +149,18 @@ class TestMeritClosed:
         assert scaled.p_value == pytest.approx(3.5 * base.p_value, rel=1e-12)
         assert scaled.rho_value == pytest.approx(3.5 * base.rho_value, rel=1e-12)
 
+    def test_point_blocks_match_one_block(self, monkeypatch):
+        # 1021 points in 4 coordinates: one block by default, blocks of 10
+        # points (the last one 1) when patched
+        rule = LatticeRule(N=1021, z=(1, 306, 388, 138))
+        params = SpaceParams(alpha=2, weights=WeightSet.order_dependent([1.0, 0.4, 0.2, 0.1]))
+        whole = p_merit_closed(rule, params, want_subsets=True)
+        monkeypatch.setattr(korobov, "_BLOCK_CELLS", 10 * 4 + 3)
+        blocked = p_merit_closed(rule, params, want_subsets=True)
+        assert blocked.p_value == whole.p_value
+        for u, (inner, _, _) in whole.per_subset.items():
+            assert blocked.per_subset[u][0] == pytest.approx(inner, rel=1e-13)
+
     def test_per_subset_sums_to_total(self):
         rule = LatticeRule(N=13, z=(1, 5))
         r = p_merit_closed(rule, unit_params(2), want_subsets=True)
@@ -185,16 +197,17 @@ class TestMeritSeries:
             p_merit_series(LatticeRule(N=12, z=(5,)), unit_params(1), 11)
 
     def test_streamed_slabs_match_closed_form(self):
-        # s = 3, K = 150: 301 rows of coordinate 1 in slabs of 46 rows
+        # s = 3, K = 150: the 301^2 cells over coordinates 2..3 fall into 149
+        # residue classes, summed against the 301 values of k_1
         rule = LatticeRule(N=149, z=(1, 41, 63))
         params = SpaceParams(alpha=1, weights=WeightSet.product([1.0, 0.5, 0.25]))
         r = p_merit_series(rule, params, 150)
         closed = p_merit_closed(rule, params).p_value
         assert 0 <= closed - r.p_value <= r.truncation_bound + 1e-12 * closed
 
-    def test_streamed_slabs_match_single_box(self, monkeypatch):
-        # 121^2 cells per row of coordinate 1: slabs of 4 rows, 31 slabs
-        monkeypatch.setattr(korobov, "_INDEX_BLOCK_CELLS", 1 << 16)
+    def test_streamed_slabs_match_single_box(self):
+        # the residue-class sum (121^2 cells over coordinates 2..3 binned by
+        # residue mod 59, then 121 values of k_1) against the whole 121^3 box
         rule = LatticeRule(N=59, z=(1, 17, 40))
         params = SpaceParams(alpha=1.5, weights=WeightSet.product([1.0, 0.6, 0.3]))
         K = 60

@@ -1,0 +1,99 @@
+"""Property tests across modules: the chain rho <= P <= CBC guarantee on CBC
+rules of both families, and JSON round-trips of rules and weight sets."""
+
+import json
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmcforge.cbc import cbc_construct
+from qmcforge.cli import load_rule
+from qmcforge.gfpoly import GFPoly, smallest_irreducible
+from qmcforge.korobov import LatticeRule, p_merit_closed, zaremba_rho_value
+from qmcforge.stability import prop_bound_lattice, prop_bound_poly
+from qmcforge.walsh import PolyLatticeRule, cbc_construct_poly, p_merit_wal_closed, rho_wal_value
+from qmcforge.weights import SpaceParams, WeightSet, subsets_of
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+SLACK = 1e-9  # relative, as the certificates allow
+
+positive = st.floats(0.05, 1.0, allow_nan=False)
+
+
+@st.composite
+def weight_sets(draw, s):
+    """One weight set of each kind, defined up to dimension s."""
+    kind = draw(st.sampled_from(["product", "pod", "order", "explicit"]))
+    gammas = draw(st.lists(positive, min_size=s, max_size=s))
+    if kind == "product":
+        return WeightSet.product(gammas)
+    if kind == "pod":
+        return WeightSet.pod([math.factorial(k) * draw(positive) for k in range(1, s + 1)],
+                             gammas)
+    if kind == "order":
+        return WeightSet.order_dependent(gammas)
+    subsets = draw(st.lists(st.sampled_from(list(subsets_of(s))), min_size=1, unique=True))
+    return WeightSet.explicit({tuple(sorted(u)): draw(positive) for u in subsets}, s_max=s)
+
+
+@st.composite
+def poly_rules(draw):
+    b, m = draw(st.sampled_from([(2, 3), (2, 7), (3, 4), (5, 2), (7, 3)]))
+    p = smallest_irreducible(b, m)
+    q = draw(st.lists(st.integers(1, b ** m - 1), min_size=1, max_size=4))
+    return PolyLatticeRule(b=b, m=m, p=p, q=tuple(GFPoly.from_code(b, c) for c in q))
+
+
+class TestMeritChain:
+    """rho is one term of the dual sum P, and a CBC rule meets the CBC
+    guarantee at lambda = 1."""
+
+    @SETTINGS
+    @given(N=st.integers(3, 400), alpha=st.sampled_from([1, 2]), data=st.data())
+    def test_lattice(self, N, alpha, data):
+        s = data.draw(st.integers(1, 4))
+        params = SpaceParams(alpha=alpha, weights=data.draw(weight_sets(s)))
+        rule, _ = cbc_construct(N, s, params)
+        rho = zaremba_rho_value(rule, params)
+        p = p_merit_closed(rule, params).p_value
+        assert rho <= p * (1 + SLACK)
+        assert p <= prop_bound_lattice(N, s, alpha, params.weights, 1.0) * (1 + SLACK)
+
+    @SETTINGS
+    @given(bm=st.sampled_from([(2, 4), (2, 7), (3, 3), (3, 5), (5, 3), (7, 2)]),
+           alpha=st.sampled_from([0.75, 1, 1.5, 2]), data=st.data())
+    def test_poly(self, bm, alpha, data):
+        (b, m), s = bm, data.draw(st.integers(1, 4))
+        params = SpaceParams(alpha=alpha, weights=data.draw(weight_sets(s)))
+        rule, _ = cbc_construct_poly(b, m, s, params)
+        rho = rho_wal_value(rule, params)
+        p = p_merit_wal_closed(rule, params).p_value
+        assert rho <= p * (1 + SLACK)
+        assert p <= prop_bound_poly(b, m, s, alpha, params.weights, 1.0) * (1 + SLACK)
+
+
+class TestJsonRoundTrip:
+    @SETTINGS
+    @given(N=st.integers(2, 10 ** 6), data=st.data())
+    def test_lattice_rule(self, tmp_path_factory, N, data):
+        z = data.draw(st.lists(st.integers(1, N - 1), min_size=1, max_size=8))
+        rule = LatticeRule(N=N, z=tuple(z))
+        path = tmp_path_factory.mktemp("rule") / "rule.json"
+        path.write_text(json.dumps(rule.to_jsonable()))
+        assert load_rule(str(path))[0] == rule
+
+    @SETTINGS
+    @given(rule=poly_rules())
+    def test_poly_rule(self, tmp_path_factory, rule):
+        path = tmp_path_factory.mktemp("rule") / "rule.json"
+        path.write_text(json.dumps(rule.to_jsonable()))
+        assert load_rule(str(path))[0] == rule
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_weight_sets(self, data):
+        W = data.draw(weight_sets(data.draw(st.integers(1, 6))))
+        back = WeightSet.from_jsonable(json.loads(json.dumps(W.to_jsonable())))
+        assert back == W
+        assert all(back.weight(u) == W.weight(u) for u in subsets_of(W.s_max))

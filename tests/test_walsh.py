@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmcforge import cbc, korobov
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly, gf_is_irreducible, smallest_irreducible
 from qmcforge.oracle import dual_enumerate_poly, reference_poly_points
@@ -203,6 +204,21 @@ class TestMeritClosed:
         assert series.p_value == pytest.approx(direct, rel=1e-12)
         assert abs(closed - series.p_value) <= series.truncation_bound + 1e-9
 
+    def test_point_blocks_match_one_block(self, monkeypatch):
+        # 243 points in 3 coordinates: one block by default, blocks of 7
+        # points (the last one 5) when patched
+        rule = PolyLatticeRule(b=3, m=5, p=smallest_irreducible(3, 5),
+                               q=tuple(GFPoly.from_code(3, c) for c in (1, 100, 57)))
+        params = SpaceParams(alpha=1.5, weights=WeightSet.pod([1.0, 2.0, 6.0], [1.0, 0.5, 0.3]))
+        whole = p_merit_wal_closed(rule, params, want_subsets=True)
+        series = p_merit_wal_series(rule, params, 3)
+        monkeypatch.setattr(korobov, "_BLOCK_CELLS", 7 * 3 + 2)
+        blocked = p_merit_wal_closed(rule, params, want_subsets=True)
+        assert blocked.p_value == whole.p_value
+        for u, (inner, _, _) in whole.per_subset.items():
+            assert blocked.per_subset[u][0] == pytest.approx(inner, rel=1e-13)
+        assert p_merit_wal_series(rule, params, 3) == series
+
     def test_noninteger_alpha_supported(self):
         rule = rule_m3(1, 5)
         r = p_merit_wal_closed(rule, unit_params(2, alpha=1.5))
@@ -351,6 +367,15 @@ class TestCbcPoly:
         codes, merits = self.PINNED[(b, m)]
         assert [c for c, _ in trace.choices] == codes
         assert [v for _, v in trace.choices] == pytest.approx(merits, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("s", [2, 4])
+    def test_row_blocks_match_one_block(self, monkeypatch, s):
+        # 255 candidate rows of 256 points: one block by default, 3 rows per
+        # block when patched; s = 2 streams the blocks, s = 4 holds them
+        params = SpaceParams(alpha=1.0, weights=WeightSet.product([1.0, 0.5, 0.3, 0.2]))
+        whole = cbc_construct_poly(2, 8, s, params)
+        monkeypatch.setattr(cbc, "_BLOCK_CELLS", 3 * 256 + 7)
+        assert cbc_construct_poly(2, 8, s, params) == whole
 
     def test_reducible_modulus_accepted(self):
         from qmcforge.walsh import certification_available
