@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -28,7 +29,8 @@ from .korobov import LatticeRule, p_merit_closed, p_merit_series, zaremba_rho
 from .stability import (combined_bound_eq1, jensen_certificate, prop1_certificate,
                         prop2_certificate, prop_bound_lattice, prop_bound_poly, theorem1_bound,
                         theorem2_bound_poly)
-from .walsh import PolyLatticeRule, cbc_construct_poly, p_merit_wal_closed, rho_wal
+from .walsh import (PolyLatticeRule, cbc_construct_poly, p_merit_wal_closed, p_merit_wal_series,
+                    rho_wal)
 from .weights import (S_MAX_DEFAULT, SpaceParams, WeightSet, check_monotone,
                       parse_weight_formula)
 
@@ -205,9 +207,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         else:
             report = p_merit_closed(rule, params)
     else:
-        report = p_merit_wal_closed(rule, params)
+        report = (p_merit_wal_series(rule, params, args.series_K) if args.series_K
+                  else p_merit_wal_closed(rule, params))
         if args.rho:
-            report = rho_wal(rule, params)
+            rho = rho_wal(rule, params)
+            report = dataclasses.replace(report, rho_value=rho.rho_value,
+                                         per_subset=rho.per_subset)
     payload = report.to_jsonable()
     if args.discrepancy:
         report_of = lattice_report if isinstance(rule, LatticeRule) else poly_report
@@ -352,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--rho", action="store_true", help="include the figure of merit")
     ev.add_argument("--discrepancy", action="store_true", help="include discrepancy bounds")
     ev.add_argument("--series-K", type=int, dest="series_K",
-                    help="evaluate by truncated series with this radius")
+                    help="evaluate by truncated series with this radius (lattice) "
+                         "or digit cap (polynomial lattice)")
     ev.add_argument("--config", help="JSON file supplying any of the flags")
     ev.add_argument("--out", help="report JSON path (default: stdout)")
     ev.set_defaults(func=cmd_evaluate)

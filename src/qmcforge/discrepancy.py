@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ResourceLimitError, UsageError
 from .korobov import LatticeRule, lattice_points, zaremba_rho_value
 from .walsh import PolyLatticeRule, mu_of, poly_lattice_points, rho_wal_value
-from .weights import SpaceParams, WeightSet, _guard_enum, check_monotone, subsets_of
+from .weights import (SpaceParams, WeightSet, _guard_enum, check_monotone, ratio_size_sum,
+                      subsets_of)
 
 EXACT_DSTAR_N_LIMIT = 4096
 
@@ -152,27 +153,25 @@ def star_disc_bound_rho_lattice(rule: LatticeRule, alpha: float, W: WeightSet,
     Returns (bound, vacuous); vacuous marks gamma_u = 0 < gamma'_u, where the
     bound is +inf.
     """
+    L = math.log2(rule.N)
+    return _rho_bound(rule, rule.N, alpha, W, Wprime, zaremba_rho_value, [0.0] + [
+        (math.log(2.0) * L ** k + 3.0 * (2.0 * L) ** (k - 1)) / 2.0
+        for k in range(1, rule.s + 1)])
+
+
+def _rho_bound(rule: LatticeRule | PolyLatticeRule, npoints: int, alpha: float,
+               W: WeightSet, Wprime: WeightSet, rho_of, factors: list[float]) -> tuple[float, bool]:
+    """(sum_u gamma'_u [1 - (1 - 1/npoints)^|u| + factors[|u|] (rho / gamma_u)^(1/(2 alpha))],
+    vacuous) for monotone W, rho = rho_of(rule, (alpha, W)), as two subset-size
+    sums; gamma_u = 0 < gamma'_u makes it vacuous, the sum +inf."""
     if not check_monotone(W, rule.s):
         raise UsageError("rho-based discrepancy bound needs monotone weights")
-    rho = zaremba_rho_value(rule, SpaceParams(alpha=alpha, weights=W))
-    rho_pow = rho ** (1.0 / (2.0 * alpha))
-    L = math.log2(rule.N)
-    return _rho_bound(W, Wprime, rule.s, rule.N, lambda k, g: (
-        rho_pow / (2.0 * g ** (1.0 / (2.0 * alpha)))
-        * (math.log(2.0) * L ** k + 3.0 * (2.0 * L) ** (k - 1))))
-
-
-def _rho_bound(W: WeightSet, Wprime: WeightSet, s: int, N: int, term) -> tuple[float, bool]:
-    """(sum_u gamma'_u [1 - (1 - 1/N)^|u| + term(|u|, gamma_u)], vacuous), over
-    the u with gamma'_u > 0; gamma_u = 0 there makes it vacuous, the sum +inf."""
-    total, vacuous = 0.0, False
-    for u in subsets_of(s):
-        gp, g = Wprime.weight(u), W.weight(u)
-        if gp != 0.0 and g == 0.0:
-            vacuous = True
-        elif gp != 0.0:
-            total += gp * (1.0 - (1.0 - 1.0 / N) ** len(u) + term(len(u), g))
-    return (math.inf if vacuous else total), vacuous
+    rho_pow = rho_of(rule, SpaceParams(alpha=alpha, weights=W)) ** (1.0 / (2.0 * alpha))
+    volume, vacuous = ratio_size_sum(
+        W, Wprime, 0.0, [1.0 - (1.0 - 1.0 / npoints) ** k for k in range(rule.s + 1)], rule.s)
+    rho_term, _ = ratio_size_sum(W, Wprime, 1.0 / (2.0 * alpha),
+                                 [rho_pow * f for f in factors], rule.s)
+    return (math.inf if vacuous else volume + rho_term), vacuous
 
 
 def r_tilde(k: int, b: int) -> float:
@@ -211,13 +210,9 @@ def star_disc_bound_rho_poly(rule: PolyLatticeRule, alpha: float, W: WeightSet,
         D* <= sum_u gamma'_u [ 1 - (1 - 1/b^m)^|u|
               + (b - 1) (rho / gamma_u)^(1/(2 alpha)) (k_b (m + 1))^|u| ].
     """
-    if not check_monotone(W, rule.s):
-        raise UsageError("rho-based discrepancy bound needs monotone weights")
-    rho = rho_wal_value(rule, SpaceParams(alpha=alpha, weights=W))
-    rho_pow = rho ** (1.0 / (2.0 * alpha))
     kb = sine_factor(rule.b)
-    return _rho_bound(W, Wprime, rule.s, rule.npoints, lambda k, g: (
-        (rule.b - 1) * rho_pow / g ** (1.0 / (2.0 * alpha)) * (kb * (rule.m + 1)) ** k))
+    return _rho_bound(rule, rule.npoints, alpha, W, Wprime, rho_wal_value, [
+        (rule.b - 1) * (kb * (rule.m + 1)) ** k for k in range(rule.s + 1)])
 
 
 def exact_star_discrepancy(numerators: np.ndarray, denominator: int) -> float:

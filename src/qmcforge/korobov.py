@@ -21,8 +21,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import QmcforgeError, ResourceLimitError, UsageError
-from .weights import (SpaceParams, WeightSet, _guard_enum, subset_product_sum, subsets_of,
-                      weighted_power_sum, zeta)
+from .weights import (SpaceParams, WeightSet, _guard_enum, ratio_size_sum, subset_product_sum,
+                      subsets_of)
 
 # Monomial coefficients of B_2, B_4, B_6, B_8, highest degree first.
 _BERNOULLI_EVEN = {
@@ -176,20 +176,15 @@ def _kernel_merit(table: np.ndarray, points, npoints: int, s: int, weights: Weig
     return MeritReport(p_value=float(S.mean()), method="closed-form", per_subset=per_subset)
 
 
-def _series_tail_bound(W: WeightSet, s: int, alpha: float, K: int) -> float:
-    """Majorant for the dual terms dropped by the box |k_j| <= K."""
-    full = 1.0 + 2.0 * zeta(2.0 * alpha)
-    capped = 1.0 + 2.0 * float(np.sum(np.arange(1, K + 1, dtype=np.float64) ** (-2.0 * alpha)))
-    return weighted_power_sum(W, s, 1.0, full) - weighted_power_sum(W, s, 1.0, capped)
-
-
-def p_merit_series(rule: LatticeRule, params: SpaceParams, K: int) -> MeritReport:
+def p_merit_series(rule: LatticeRule, params: SpaceParams, K: int | None = None) -> MeritReport:
     """P(z) by truncated dual enumeration over the box |k_j| <= K.
 
     Works for any alpha > 1/2.  K >= N is required so that the minimal
-    single-coordinate dual vectors (multiples of N) are reachable.  The
-    report's truncation_bound majorizes the dropped tail.
+    single-coordinate dual vectors (multiples of N) are reachable; the
+    default is K = max(N, 64).  The report's truncation_bound majorizes the
+    dropped tail.
     """
+    K = max(rule.N, 64) if K is None else K
     if K < rule.N:
         raise UsageError(f"need K >= N (K={K}, N={rule.N})")
     s = rule.s
@@ -219,7 +214,12 @@ def p_merit_series(rule: LatticeRule, params: SpaceParams, K: int) -> MeritRepor
             for bit in (0, 1)]
     r1 = (-rng * rule.z[0]) % rule.N
     p = float(np.sum(radial_axis * np.where(rng != 0, mass[1][r1], mass[0][r1])))
-    bound = _series_tail_bound(params.weights, s, alpha, K)
+    # dropped: sum_u gamma_u ((c + d)^|u| - c^|u|) <= sum_u gamma_u |u| d (c + d)^(|u|-1), no
+    # cancellation; c sums the 1-d terms |k| <= K, d >= 2 int_K^inf x^(-2 alpha) dx their tail
+    c = 1.0 + 2.0 * float(np.sum(radial_axis[K + 1:]))
+    d = 2.0 * K ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0)
+    bound, _ = ratio_size_sum(params.weights, params.weights, 0.0,
+                              [k * d * (c + d) ** (k - 1) for k in range(s + 1)], s)
     return MeritReport(p_value=p, method="truncated-series", truncation_bound=bound)
 
 
@@ -293,8 +293,8 @@ def zaremba_rho(rule: LatticeRule, params: SpaceParams,
     """Figure of merit rho = max over u of gamma_u / phi_u(z)^(2 alpha).
 
     The report carries P as well (the truncated series when series_K is given
-    or alpha is not an integer in 1..4, K = max(N, 64) by default; else the
-    closed form) plus the per-subset (term, phi_u, phi_{u,0}) breakdown.
+    or alpha is not an integer in 1..4, with p_merit_series' default radius;
+    else the closed form) plus the per-subset (term, phi_u, phi_{u,0}) breakdown.
     """
     alpha = params.alpha
     per_subset = {u: (params.weights.weight(u) / float(phi_u) ** (2.0 * alpha), phi_u, phi_u0)
@@ -303,6 +303,6 @@ def zaremba_rho(rule: LatticeRule, params: SpaceParams,
     if series_K is None and alpha == int(alpha) and int(alpha) in _BERNOULLI_EVEN:
         base = p_merit_closed(rule, params)
     else:
-        base = p_merit_series(rule, params, series_K or max(rule.N, 64))
+        base = p_merit_series(rule, params, series_K)
     return MeritReport(p_value=base.p_value, rho_value=rho, method=base.method,
                        truncation_bound=base.truncation_bound, per_subset=per_subset)

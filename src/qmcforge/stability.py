@@ -10,19 +10,18 @@ in a denominator is a vacuous pass, flagged but never a failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .cbc import cbc_construct, euler_totient
 from .errors import UsageError
-from .korobov import (LatticeRule, MeritReport, p_merit_closed, p_merit_series,
-                      zaremba_rho_value)
+from .korobov import LatticeRule, p_merit_closed, p_merit_series, zaremba_rho_value
 from .walsh import (PolyLatticeRule, cbc_construct_poly, p_merit_wal_closed, rho_wal,
                     rho_wal_value)
 from .weights import (SpaceParams, WeightSet, check_monotone, ratio_size_sum,
-                      weighted_order_sum, weighted_power_sum, weighted_zeta_sum, zeta)
+                      weighted_power_sum, weighted_zeta_sum, zeta)
 
 CERT_REL_SLACK = 1e-9
 JENSEN_REL_SLACK = 1e-10
@@ -49,11 +48,16 @@ class StabilityCertificate:
                 "passed": self.passed, "vacuous": self.vacuous}
 
 
-def _certificate(lhs: float, rhs: float, components: dict,
-                 vacuous: bool = False) -> StabilityCertificate:
-    passed = vacuous or lhs <= rhs * (1.0 + CERT_REL_SLACK) or (rhs == 0.0 and lhs == 0.0)
-    return StabilityCertificate(lhs=lhs, rhs=rhs, margin=rhs - lhs,
-                                components=components, passed=passed, vacuous=vacuous)
+def _certificate(lhs: float, rhs: float, components: dict, vacuous: bool = False,
+                 lhs_truncation: float = 0.0,
+                 rel_slack: float = CERT_REL_SLACK) -> StabilityCertificate:
+    """lhs <= rhs, decided on lhs + lhs_truncation, the most a truncated-series
+    lhs can leave out, so that a pass stays sound."""
+    upper = lhs + lhs_truncation
+    passed = vacuous or upper <= rhs * (1.0 + rel_slack)
+    return StabilityCertificate(lhs=lhs, rhs=rhs, margin=rhs - upper,
+                                components={**components, "lhs_truncation": lhs_truncation},
+                                passed=passed, vacuous=vacuous)
 
 
 def c_alpha_prime(alpha_prime: float) -> float:
@@ -65,12 +69,26 @@ def c_alpha_prime(alpha_prime: float) -> float:
     return (1.0 + z) + (t + z) * (t / 2.0 - 1.0) / t ** 2
 
 
-def _lattice_lhs(rule: LatticeRule, alpha_prime: float, Wprime: WeightSet,
-                 series_K: int | None) -> MeritReport:
+def _merit_and_tail(rule: LatticeRule | PolyLatticeRule, alpha_prime: float, Wprime: WeightSet,
+                    series_K: int | None) -> tuple[float, float]:
+    """P under (alpha', gamma') and the most it can fall short of the full
+    dual sum: 0 for a closed form; for the truncated Korobov series the
+    smaller of its tail bound and, for a < alpha' < a + 1 with closed forms
+    at a and a + 1, Hoelder's P_a^(a+1-alpha') P_(a+1)^(alpha'-a) less the
+    series."""
+    params = SpaceParams(alpha=alpha_prime, weights=Wprime)
+    if isinstance(rule, PolyLatticeRule):
+        return p_merit_wal_closed(rule, params).p_value, 0.0
     if alpha_prime in _CLOSED_ALPHAS:
-        return p_merit_closed(rule, SpaceParams(alpha=alpha_prime, weights=Wprime))
-    return p_merit_series(rule, SpaceParams(alpha=alpha_prime, weights=Wprime),
-                          series_K or max(rule.N, 32))
+        return p_merit_closed(rule, params).p_value, 0.0
+    report = p_merit_series(rule, params, series_K)
+    a, t = math.floor(alpha_prime), alpha_prime % 1.0
+    if a in _CLOSED_ALPHAS and a + 1 in _CLOSED_ALPHAS:
+        lo, hi = (p_merit_closed(rule, SpaceParams(alpha=x, weights=Wprime)).p_value
+                  for x in (a, a + 1))
+        return report.p_value, min(report.truncation_bound,
+                                   max(lo ** (1.0 - t) * hi ** t - report.p_value, 0.0))
+    return report.p_value, report.truncation_bound
 
 
 def _thm1_size_factors(alpha_prime: float, N: int, s: int) -> list[float]:
@@ -107,9 +125,9 @@ def theorem1_bound(rule: LatticeRule, alpha: float, W: WeightSet,
     size_factors = _thm1_size_factors(alpha_prime, rule.N, rule.s)
     subset_sum, vacuous = ratio_size_sum(W, Wprime, ratio, size_factors, rule.s)
     rhs = c * rho ** ratio * subset_sum if not vacuous else math.inf
-    lhs = _lattice_lhs(rule, alpha_prime, Wprime, series_K).p_value
+    lhs, tail = _merit_and_tail(rule, alpha_prime, Wprime, series_K)
     return _certificate(lhs, rhs, {"rho": rho, "c_alpha_prime": c,
-                                   "subset_sum": subset_sum}, vacuous)
+                                   "subset_sum": subset_sum}, vacuous, tail)
 
 
 def theorem2_bound_poly(rule: PolyLatticeRule, alpha: float, W: WeightSet,
@@ -160,8 +178,9 @@ def prop1_certificate(rule: LatticeRule, alpha: float, W: WeightSet,
                       lam: float = 1.0) -> StabilityCertificate:
     """P(z) against the CBC guarantee (valid for CBC-constructed rules)."""
     rhs = prop_bound_lattice(rule.N, rule.s, alpha, W, lam)
-    lhs = _lattice_lhs(rule, alpha, W, None).p_value
-    return _certificate(lhs, rhs, {"lambda": lam, "totient": euler_totient(rule.N)})
+    lhs, tail = _merit_and_tail(rule, alpha, W, None)
+    return _certificate(lhs, rhs, {"lambda": lam, "totient": euler_totient(rule.N)},
+                        lhs_truncation=tail)
 
 
 def prop2_certificate(rule: PolyLatticeRule, alpha: float, W: WeightSet,
@@ -172,8 +191,7 @@ def prop2_certificate(rule: PolyLatticeRule, alpha: float, W: WeightSet,
     report = rho_wal(rule, SpaceParams(alpha=alpha, weights=W))
     cert = _certificate(report.p_value, rhs, {"lambda": lam, "rho": report.rho_value})
     if report.rho_value > report.p_value * (1.0 + CERT_REL_SLACK):
-        return StabilityCertificate(lhs=cert.lhs, rhs=cert.rhs, margin=cert.margin,
-                                    components=cert.components, passed=False)
+        return replace(cert, passed=False)
     return cert
 
 
@@ -196,9 +214,9 @@ def combined_bound_eq1(rule: LatticeRule, alpha: float, W: WeightSet,
     size_factors = _thm1_size_factors(alpha_prime, rule.N, rule.s)
     subset_sum, vacuous = ratio_size_sum(W, Wprime, ratio, size_factors, rule.s)
     rhs = c * raw ** (alpha_prime / (alpha * lam)) * subset_sum if not vacuous else math.inf
-    lhs = _lattice_lhs(rule, alpha_prime, Wprime, series_K).p_value
+    lhs, tail = _merit_and_tail(rule, alpha_prime, Wprime, series_K)
     return _certificate(lhs, rhs, {"c_alpha_prime": c, "cbc_guarantee_base": raw,
-                                   "subset_sum": subset_sum}, vacuous)
+                                   "subset_sum": subset_sum}, vacuous, tail)
 
 
 def jensen_certificate(rule: LatticeRule | PolyLatticeRule, alpha: float,
@@ -207,28 +225,20 @@ def jensen_certificate(rule: LatticeRule | PolyLatticeRule, alpha: float,
     """Power-mean stability: (P_{a/d, g^(1/d)})^d <= P_{a, g} for 0 < d <= 1.
 
     For lattice rules a noninteger exponent falls back to the truncated
-    series; its tail bound is added to the rhs so the check stays sound.
+    series.  A truncated rhs is a lower estimate, so it is used as it is; a
+    truncated lhs is raised by its tail, (P + tail)^d - P^d, so the check
+    stays sound.
     """
     if not 0.0 < delta <= 1.0:
         raise UsageError(f"delta must lie in (0, 1], got {delta}")
     alpha_hi = alpha / delta
     W_hi = W.powered(1.0 / delta)
-    slack_from_truncation = 0.0
-    if isinstance(rule, PolyLatticeRule):
-        lhs_p = p_merit_wal_closed(rule, SpaceParams(alpha=alpha_hi, weights=W_hi)).p_value
-        rhs = p_merit_wal_closed(rule, SpaceParams(alpha=alpha, weights=W)).p_value
-    else:
-        lhs_p = _lattice_lhs(rule, alpha_hi, W_hi, series_K).p_value
-        base = _lattice_lhs(rule, alpha, W, series_K)
-        rhs = base.p_value
-        if base.truncation_bound is not None:
-            slack_from_truncation = base.truncation_bound
+    lhs_p, tail = _merit_and_tail(rule, alpha_hi, W_hi, series_K)
+    rhs = _merit_and_tail(rule, alpha, W, series_K)[0]
     lhs = lhs_p ** delta
-    passed = lhs <= (rhs + slack_from_truncation) * (1.0 + JENSEN_REL_SLACK)
-    return StabilityCertificate(lhs=lhs, rhs=rhs, margin=rhs - lhs,
-                                components={"delta": delta, "alpha_high": alpha_hi,
-                                            "rhs_truncation": slack_from_truncation},
-                                passed=passed)
+    return _certificate(lhs, rhs, {"delta": delta, "alpha_high": alpha_hi},
+                        lhs_truncation=(lhs_p + tail) ** delta - lhs,
+                        rel_slack=JENSEN_REL_SLACK)
 
 
 def certificate_table_csv(rows: Sequence[tuple[int, int, StabilityCertificate]]) -> str:
@@ -312,60 +322,44 @@ def corollary_probe(kind: str, probe: CorollaryProbe, grid: Sequence[tuple[int, 
     empirical constant C is the largest observed ratio; no asymptotic claim
     is asserted.  Reporting tool only.
     """
+    from .discrepancy import sine_factor, star_disc_bound_rho_lattice, star_disc_bound_rho_poly
     if kind not in ("cor1", "cor2", "cor3", "cor4"):
         raise UsageError(f"unknown corollary kind {kind!r}")
     probe.validate(kind, alpha, alpha_prime)
-    lam, delta = probe.lam, probe.delta
+    lam, delta, params = probe.lam, probe.delta, SpaceParams(alpha=alpha, weights=W)
     rows = []
     for s, size in grid:
-        row: dict = {"s": s, "N_or_m": size}
-        if kind in ("cor1", "cor2"):
-            N = size
-            rule, _ = cbc_construct(N, s, SpaceParams(alpha=alpha, weights=W))
-            phiN = euler_totient(N)
-            L = math.log2(N)
-            row["sup1"] = weighted_zeta_sum(W, s, lam, alpha) / s ** probe.q
-            if kind == "cor1":
-                sf = _thm1_size_factors(alpha_prime, N, s)
-                val, _vac = ratio_size_sum(W, Wprime, alpha_prime / alpha, sf, s)
-                row["sup2"] = val / (s ** probe.q_prime * phiN ** delta)
-                row["observed"] = _lattice_lhs(rule, alpha_prime, Wprime, None).p_value
-                envelope = (s ** (probe.q * alpha_prime / (alpha * lam) + probe.q_prime)
-                            * phiN ** (-alpha_prime / (alpha * lam) + delta))
-            else:
-                row["sup2"] = weighted_order_sum(Wprime, s) / s ** probe.q_prime
-                sf = [0.0] + [(2.0 * L) ** k for k in range(1, s + 1)]
-                val, _vac = ratio_size_sum(W, Wprime, 1.0 / (2.0 * alpha), sf, s)
-                row["sup3"] = val / (s ** probe.q_dprime * phiN ** delta)
-                from .discrepancy import star_disc_bound_rho_lattice
-                row["observed"] = star_disc_bound_rho_lattice(rule, alpha, W, Wprime)[0]
-                envelope = (s ** max(probe.q_prime,
-                                     probe.q / (2.0 * alpha * lam) + probe.q_dprime)
-                            * phiN ** (-1.0 / (2.0 * alpha * lam) + delta))
+        if kind in ("cor1", "cor2"):  # lattice rules with N = size; n = phi(N)
+            rule, _ = cbc_construct(size, s, params)
+            n = euler_totient(size)
+            sup1 = weighted_zeta_sum(W, s, lam, alpha)
+            merit_factors = _thm1_size_factors(alpha_prime, size, s)
+            disc_factors = [(2.0 * math.log2(size)) ** k for k in range(s + 1)]
+            disc_bound = star_disc_bound_rho_lattice
+        else:  # polynomial lattice rules with b = 2, m = size; n = b^m
+            b = 2
+            rule, _ = cbc_construct_poly(b, size, s, params)
+            n = float(b) ** size
+            sup1 = weighted_power_sum(W, s, lam, (b - 1.0) / (float(b) ** (2.0 * alpha * lam) - b))
+            merit_factors = _thm2_size_factors(alpha_prime, b, size, s)
+            disc_factors = [(sine_factor(b) * (size + 1.0)) ** k for k in range(s + 1)]
+            disc_bound = star_disc_bound_rho_poly
+        row: dict = {"s": s, "N_or_m": size, "sup1": sup1 / s ** probe.q}
+        if kind in ("cor1", "cor3"):
+            expo = alpha_prime / (alpha * lam)
+            val, _ = ratio_size_sum(W, Wprime, alpha_prime / alpha, merit_factors, s)
+            row["sup2"] = val / (s ** probe.q_prime * n ** delta)
+            row["observed"] = _merit_and_tail(rule, alpha_prime, Wprime, None)[0]
+            envelope = s ** (probe.q * expo + probe.q_prime) * n ** (delta - expo)
         else:
-            b, m = 2, size
-            rule, _ = cbc_construct_poly(b, m, s, SpaceParams(alpha=alpha, weights=W))
-            factor = (b - 1.0) / (float(b) ** (2.0 * alpha * lam) - b)
-            row["sup1"] = weighted_power_sum(W, s, lam, factor) / s ** probe.q
-            if kind == "cor3":
-                sf = _thm2_size_factors(alpha_prime, b, m, s)
-                val, _vac = ratio_size_sum(W, Wprime, alpha_prime / alpha, sf, s)
-                row["sup2"] = val / (s ** probe.q_prime * float(b) ** (delta * m))
-                row["observed"] = p_merit_wal_closed(
-                    rule, SpaceParams(alpha=alpha_prime, weights=Wprime)).p_value
-                envelope = (s ** (probe.q * alpha_prime / (alpha * lam) + probe.q_prime)
-                            * float(b) ** (-(alpha_prime / (alpha * lam) - delta) * m))
-            else:
-                from .discrepancy import sine_factor, star_disc_bound_rho_poly
-                kb = sine_factor(b)
-                row["sup2"] = weighted_order_sum(Wprime, s) / s ** probe.q_prime
-                sf = [0.0] + [(kb * (m + 1.0)) ** k for k in range(1, s + 1)]
-                val, _vac = ratio_size_sum(W, Wprime, 1.0 / (2.0 * alpha), sf, s)
-                row["sup3"] = val / (s ** probe.q_dprime * float(b) ** (delta * m))
-                row["observed"] = star_disc_bound_rho_poly(rule, alpha, W, Wprime)[0]
-                envelope = (s ** max(probe.q_prime,
-                                     probe.q / (2.0 * alpha * lam) + probe.q_dprime)
-                            * float(b) ** (-m * (1.0 / (2.0 * alpha * lam) - delta)))
+            expo = 1.0 / (2.0 * alpha * lam)
+            order_sum, _ = ratio_size_sum(Wprime, Wprime, 0.0, range(s + 1), s)  # gamma'_u |u|
+            row["sup2"] = order_sum / s ** probe.q_prime
+            val, _ = ratio_size_sum(W, Wprime, 1.0 / (2.0 * alpha), disc_factors, s)
+            row["sup3"] = val / (s ** probe.q_dprime * n ** delta)
+            row["observed"] = disc_bound(rule, alpha, W, Wprime)[0]
+            envelope = (s ** max(probe.q_prime, probe.q * expo + probe.q_dprime)
+                        * n ** (delta - expo))
         row["envelope"] = envelope
         row["ratio"] = row["observed"] / envelope if envelope > 0 else math.inf
         rows.append(row)

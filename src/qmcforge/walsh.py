@@ -23,7 +23,7 @@ from .cbc import CbcTrace, _check_dimension, _greedy, _row_scan
 from .errors import QmcforgeError, ResourceLimitError, UsageError
 from .gfpoly import DigitExpansion, GFPoly, gf_is_irreducible, smallest_irreducible
 from .korobov import MeritReport, _kernel_merit
-from .weights import SpaceParams, _guard_enum, subsets_of, weighted_power_sum
+from .weights import SpaceParams, _guard_enum, ratio_size_sum, subsets_of
 
 # Cell guard for CBC's b^m x b^m candidate space.
 _TABLE_CELL_LIMIT = 1 << 24
@@ -221,18 +221,23 @@ def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
     nonzero (every shell past the first nonzero digit sums to 0), and c_K =
     sum_{a=1..K} (b-1) b^(a-1) b^(-2 alpha a) otherwise, i.e. at the
     numerators below b^(m-K).  Character orthogonality then turns the point
-    mean into the dual sum; the truncation_bound majorizes the dropped terms.
+    mean into the dual sum.  The truncation_bound majorizes the dropped terms,
+    sum_u gamma_u ((c + d)^|u| - c^|u|) with c = 1 + c_K and d = sum_{a > K}
+    (b-1) b^(a-1) b^(-2 alpha a), by |u| d (c + d)^(|u|-1), which does not cancel.
     """
+    if digit_cap < 0:
+        raise UsageError(f"digit cap must be >= 0, got {digit_cap}")
     b, alpha = rule.b, params.alpha
+    r = float(b) ** (1.0 - 2.0 * alpha)
     c_K = sum((b - 1) * b ** (a - 1) * float(b) ** (-2.0 * alpha * a)
               for a in range(1, digit_cap + 1))
     table = _phi_axis(b, rule.m, alpha)
-    full = 1.0 + table[0]
     table[:b ** max(rule.m - digit_cap, 0)] = c_K
     p = _kernel_merit(table, _point_block(rule), rule.npoints, rule.s, params.weights,
                       False).p_value
-    bound = (weighted_power_sum(params.weights, rule.s, 1.0, full)
-             - weighted_power_sum(params.weights, rule.s, 1.0, 1.0 + c_K))
+    c, d = 1.0 + c_K, (b - 1) / b * r ** (digit_cap + 1) / (1.0 - r)
+    bound, _ = ratio_size_sum(params.weights, params.weights, 0.0,
+                              [k * d * (c + d) ** (k - 1) for k in range(rule.s + 1)], rule.s)
     return MeritReport(p_value=p, method="truncated-series", truncation_bound=bound)
 
 

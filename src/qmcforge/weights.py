@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -135,28 +135,21 @@ class WeightSet:
     def weight(self, u: Iterable[int]) -> float:
         """gamma_u for a nonempty subset u of {1, ..., s_max}."""
         fs = self._check_subset(u)
-        if self.kind == "product":
-            return math.prod(self.gamma[j - 1] for j in fs)
-        if self.kind == "pod":
-            return self.Gamma[len(fs) - 1] * math.prod(self.gamma[j - 1] for j in fs)
-        if self.kind == "order":
-            return self.Gamma[len(fs) - 1]
-        for subset, w in self.table:
-            if subset == fs:
-                return w
-        return 0.0
+        if self.kind == "explicit":
+            for subset, w in self.table:
+                if subset == fs:
+                    return w
+            return 0.0
+        G, g = _size_and_coordinate_parts(self, self.s_max)
+        return G[len(fs) - 1] * math.prod(g[j - 1] for j in fs)
 
     def powered(self, t: float) -> "WeightSet":
         """Weight set with every gamma_u raised to the power t (t > 0)."""
         if t <= 0:
             raise UsageError("weight power must be positive")
-        if self.kind == "product":
-            return WeightSet.product([g ** t for g in self.gamma])
-        if self.kind == "pod":
-            return WeightSet.pod([G ** t for G in self.Gamma], [g ** t for g in self.gamma])
-        if self.kind == "order":
-            return WeightSet.order_dependent([G ** t for G in self.Gamma])
-        return WeightSet.explicit({fs: w ** t for fs, w in self.table}, s_max=self.s_max)
+        return replace(self, gamma=tuple(g ** t for g in self.gamma),
+                       Gamma=tuple(G ** t for G in self.Gamma),
+                       table=tuple((fs, w ** t) for fs, w in self.table))
 
     def scaled(self, c: float) -> "WeightSet":
         """Weight set with every gamma_u multiplied by c >= 0."""
@@ -288,24 +281,8 @@ def check_monotone(W: WeightSet, s: int) -> bool:
 
 
 def weighted_power_sum(W: WeightSet, s: int, lam: float, factor: float) -> float:
-    """Sum over nonempty u of gamma_u^lam * factor^|u|.
-
-    Product weights use the closed form prod_j(1 + gamma_j^lam * factor) - 1;
-    pod and order kinds group by subset size; explicit tables enumerate their
-    entries.
-    """
-    if not 1 <= s <= W.s_max:
-        raise UsageError(f"dimension s={s} outside 1..{W.s_max}")
-    if W.kind == "product":
-        return math.prod(1.0 + W.gamma[j] ** lam * factor for j in range(s)) - 1.0
-    if W.kind == "order":
-        return sum(W.Gamma[k - 1] ** lam * factor ** k * math.comb(s, k)
-                   for k in range(1, s + 1))
-    if W.kind == "pod":
-        elem = _elementary_symmetric([g ** lam for g in W.gamma[:s]])
-        return sum(W.Gamma[k - 1] ** lam * factor ** k * elem[k] for k in range(1, s + 1))
-    return sum(w ** lam * factor ** len(fs) for fs, w in W.table
-               if w > 0.0 and max(fs) <= s)
+    """Sum over nonempty u of gamma_u^lam * factor^|u|."""
+    return ratio_size_sum(W, W, 1.0 - lam, [factor ** k for k in range(s + 1)], s)[0]
 
 
 def weighted_zeta_sum(W: WeightSet, s: int, lam: float, alpha: float) -> float:
@@ -315,13 +292,22 @@ def weighted_zeta_sum(W: WeightSet, s: int, lam: float, alpha: float) -> float:
     return weighted_power_sum(W, s, lam, 2.0 * zeta(2.0 * alpha * lam))
 
 
-def _elementary_symmetric(values: Sequence[float]) -> list[float]:
-    """e_0..e_n of the given values via the standard DP recurrence."""
-    e = [1.0] + [0.0] * len(values)
-    for i, v in enumerate(values, start=1):
-        for k in range(i, 0, -1):
-            e[k] += v * e[k - 1]
+def _elementary_symmetric(terms: Iterable, n: int, shape: tuple = ()) -> np.ndarray:
+    """e_0..e_n of the n terms (scalars, or arrays of the given shape), by
+    the recurrence e_k += t e_(k-1) over the terms t in turn."""
+    e = np.zeros((n + 1,) + shape)
+    e[0] = 1.0
+    for j, t in enumerate(terms):
+        for k in range(j + 1, 0, -1):
+            e[k] += t * e[k - 1]
     return e
+
+
+def _size_and_coordinate_parts(W: WeightSet, s: int) -> tuple[Sequence[float], Sequence[float]]:
+    """(Gamma_1..Gamma_s, gamma_1..gamma_s) with gamma_u = Gamma_|u| prod_{j in u} gamma_j."""
+    ones = (1.0,) * s
+    return (ones if W.kind == "product" else W.Gamma[:s],
+            ones if W.kind == "order" else W.gamma[:s])
 
 
 def subset_product_sum(W: WeightSet, factors: np.ndarray) -> np.ndarray:
@@ -338,14 +324,9 @@ def subset_product_sum(W: WeightSet, factors: np.ndarray) -> np.ndarray:
         g = np.asarray(W.gamma[:s])
         return np.prod(1.0 + g[None, :] * factors, axis=1) - 1.0
     if W.kind in ("pod", "order"):
-        g = np.ones(s) if W.kind == "order" else np.asarray(W.gamma[:s])
-        e = np.zeros((s + 1, npoints))  # e[k] = e_k of the scaled factors, row-contiguous
-        e[0] = 1.0
-        for j in range(s):
-            t = g[j] * factors[:, j]
-            for k in range(j + 1, 0, -1):
-                e[k] += t * e[k - 1]
-        return np.asarray(W.Gamma[:s]) @ e[1:]
+        G, g = _size_and_coordinate_parts(W, s)
+        e = _elementary_symmetric((g[j] * factors[:, j] for j in range(s)), s, (npoints,))
+        return np.asarray(G) @ e[1:]
     out = np.zeros(npoints)
     for fs, w in W.table:
         if w == 0.0 or max(fs) > s:
@@ -361,23 +342,41 @@ def ratio_size_sum(W: WeightSet, Wprime: WeightSet, ratio_exp: float,
 
     Returns (value, vacuous); vacuous is True when some gamma_u = 0 while
     gamma'_u > 0, in which case the value is +inf.  The 0/0 case counts as 0.
+
+    With gamma_u = Gamma_|u| prod_{j in u} g_j for both sets, it is O(s^2):
+    sum_k c_k Gamma'_k / Gamma_k^r e_k(x), x_j = g'_j / g_j^r over P' = {j :
+    g'_j > 0}, r = ratio_exp, c = size_factors.  An explicit gamma' is summed
+    over its table, an explicit gamma with structured gamma' over all subsets.
     """
-    _guard_enum(s)
+    if not 1 <= s <= min(W.s_max, Wprime.s_max):
+        raise UsageError(f"dimension s={s} outside 1..{min(W.s_max, Wprime.s_max)}")
+    if Wprime.kind != "explicit" and W.kind != "explicit":
+        Gp, gp = _size_and_coordinate_parts(Wprime, s)
+        G, g = _size_and_coordinate_parts(W, s)
+        support = [j for j in range(s) if gp[j] > 0.0]
+        sizes = [k for k in range(1, len(support) + 1) if Gp[k - 1] > 0.0]
+        if not sizes:
+            return 0.0, False
+        if any(G[k - 1] == 0.0 for k in sizes) or any(g[j] == 0.0 for j in support):
+            return math.inf, True
+        e = _elementary_symmetric((gp[j] / g[j] ** ratio_exp for j in support), len(support))
+        return sum(size_factors[k] * Gp[k - 1] / G[k - 1] ** ratio_exp * float(e[k])
+                   for k in sizes), False
+    if Wprime.kind == "explicit":
+        pairs = ((fs, wp) for fs, wp in Wprime.table if max(fs) <= s)
+    else:
+        _guard_enum(s)
+        pairs = ((u, Wprime.weight(u)) for u in subsets_of(s))
+    # an explicit gamma by hash lookup, not one scan of its table per u
+    weight = W.weight if W.kind != "explicit" else (lambda u, t=dict(W.table): t.get(u, 0.0))
     total = 0.0
     vacuous = False
-    for u in subsets_of(s):
-        wp = Wprime.weight(u)
+    for u, wp in pairs:
         if wp == 0.0:
             continue
-        w = W.weight(u)
+        w = weight(u)
         if w == 0.0:
             vacuous = True
             continue
         total += wp / w ** ratio_exp * size_factors[len(u)]
     return (math.inf if vacuous else total), vacuous
-
-
-def weighted_order_sum(Wprime: WeightSet, s: int) -> float:
-    """Sum over nonempty u of gamma'_u * |u| (tractability probe quantity)."""
-    _guard_enum(s)
-    return sum(Wprime.weight(u) * len(u) for u in subsets_of(s))

@@ -175,6 +175,39 @@ class TestEvaluate:
             assert with_rho[key] == plain[key]
         assert plain["method"] == "truncated-series"
 
+    def test_poly_series_digit_cap(self, tmp_path):
+        # --series-K is the digit cap of the polynomial-lattice series, with or without --rho
+        rule_path = tmp_path / "rule.json"
+        assert run(["construct", "--kind", "poly-lattice", "--b", "2", "--m", "6", "--s", "2",
+                    "--alpha", "1", "--weights", "product:j^-2", "--out", str(rule_path)]) == 0
+        reports = []
+        for extra in ([], ["--series-K", "2"], ["--series-K", "2", "--rho"]):
+            out = tmp_path / "rep.json"
+            assert run(["evaluate", str(rule_path), "--alpha", "1", "--weights",
+                        "product:j^-2", "--out", str(out)] + extra) == 0
+            reports.append(json.loads(out.read_text()))
+        closed, series, with_rho = reports
+        assert closed["method"] == "closed-form"
+        assert series["method"] == "truncated-series" and series["P"] != closed["P"]
+        assert series["P"] <= closed["P"] <= series["P"] + series["truncation_bound"]
+        for key in ("P", "method", "truncation_bound"):
+            assert with_rho[key] == series[key]
+        assert with_rho["rho"] is not None
+
+    def test_default_series_radius_shared_with_certify(self, tmp_path):
+        # at N = 31 < 64 both verbs take the series at the same default radius
+        rule_path, cert_path, rep_path = (tmp_path / n for n in ("r.json", "c.json", "e.json"))
+        run(["construct", "--N", "31", "--s", "2", "--alpha", "1",
+             "--weights", "product:j^-2", "--out", str(rule_path)])
+        assert run(["certify", str(rule_path), "--theorem", "thm1", "--alpha", "1",
+                    "--weights", "product:j^-2", "--alpha-prime", "1.5",
+                    "--weights-prime", "product:j^-3", "--out", str(cert_path)]) == 0
+        assert run(["evaluate", str(rule_path), "--alpha", "1.5", "--weights", "product:j^-3",
+                    "--rho", "--out", str(rep_path)]) == 0
+        report = json.loads(rep_path.read_text())
+        assert report["method"] == "truncated-series"
+        assert json.loads(cert_path.read_text())["lhs"] == report["P"]
+
     def test_changed_parameters(self, tmp_path):
         # evaluating under different (alpha, gamma): the stability use case
         rule_path = tmp_path / "rule.json"
@@ -266,6 +299,30 @@ class TestCertify:
                     "--out", str(rule_path)]) == 0
         assert run(["certify", str(rule_path), "--theorem", "prop2",
                     "--alpha", "1", "--weights", "product:j^-2"]) == 0
+
+
+class TestCertifyHighDimension:
+    """eq1 needs neither rho nor the dual minima, so it reaches s = 32."""
+
+    @pytest.fixture(scope="class")
+    def rule_s32(self, tmp_path_factory):
+        rule_path = tmp_path_factory.mktemp("s32") / "rule.json"
+        assert run(["construct", "--N", "4093", "--s", "32", "--fast",
+                    "--out", str(rule_path)]) == 0
+        return rule_path
+
+    def test_eq1_passes(self, rule_s32, capsys):
+        capsys.readouterr()
+        assert run(["certify", str(rule_s32), "--theorem", "eq1", "--alpha", "1",
+                    "--weights", "product:j^-2"]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["passed"] and not cert["vacuous"] and math.isfinite(cert["rhs"])
+
+    def test_target_weights_short_of_s_usage_error(self, rule_s32):
+        # gamma' defined up to s_max = 25 < s = 32
+        assert run(["certify", str(rule_s32), "--theorem", "eq1", "--alpha", "1",
+                    "--weights", "product:j^-2",
+                    "--weights-prime", "product:" + ",".join(["0.5"] * 25)]) == 2
 
 
 class TestSweep:

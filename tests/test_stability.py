@@ -6,7 +6,7 @@ from conftest import random_lattice_rules
 from qmcforge.cbc import cbc_construct, euler_totient
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly
-from qmcforge.korobov import LatticeRule
+from qmcforge.korobov import LatticeRule, p_merit_closed, p_merit_series
 from qmcforge.stability import (CorollaryProbe, c_alpha_prime, combined_bound_eq1,
                                 corollary_probe, jensen_certificate, prop1_certificate,
                                 prop2_certificate, prop_bound, rosser_schoenfeld_holds,
@@ -74,6 +74,26 @@ class TestTheorem1:
         for rule in random_lattice_rules(16, 2, 5, seed=101):
             cert = theorem1_bound(rule, 2.0, W, 1.5, W)
             assert cert.passed
+
+
+    def test_series_lhs_decided_with_its_tail(self):
+        # alpha' = 1.5 is summed as a truncated series: the pass is decided on
+        # lhs + lhs_truncation, at most the series tail and above 0
+        W = WeightSet.product([j ** -2.0 for j in range(1, 4)])
+        Wp = WeightSet.product([j ** -3.0 for j in range(1, 4)])
+        rule, _ = cbc_construct(127, 3, SpaceParams(alpha=1.0, weights=W))
+        cert = theorem1_bound(rule, 1.0, W, 1.5, Wp)
+        series = p_merit_series(rule, SpaceParams(alpha=1.5, weights=Wp))
+        tail = cert.components["lhs_truncation"]
+        assert cert.lhs == series.p_value
+        assert 0.0 < tail <= series.truncation_bound
+        assert cert.margin == cert.rhs - (cert.lhs + tail)
+        closed = p_merit_closed(rule, SpaceParams(alpha=1.0, weights=Wp)).p_value
+        assert cert.lhs <= closed  # the exact P at 1.5 lies below P at 1
+
+    def test_closed_form_lhs_has_no_tail(self):
+        cert = theorem1_bound(LatticeRule(N=5, z=(1,)), 1.0, UNIT1, 2.0, UNIT1)
+        assert cert.components["lhs_truncation"] == 0.0
 
 
 class TestTheorem2:
@@ -167,6 +187,18 @@ class TestJensen:
         cert = jensen_certificate(rule, 1.6, W, 0.8, series_K=512)
         assert cert.components["alpha_high"] == pytest.approx(2.0)
         assert cert.passed
+
+    def test_lhs_tail_beyond_margin_fails(self):
+        # alpha / delta = 0.947 has no closed forms around it, so the lhs
+        # series can only be raised by its tail majorant, which exceeds rhs - lhs
+        W = WeightSet.product([1.0, 0.5])
+        rule, _ = cbc_construct(31, 2, SpaceParams(alpha=1.0, weights=W))
+        cert = jensen_certificate(rule, 0.9, W, 0.95)
+        assert cert.lhs < cert.rhs
+        assert cert.components["lhs_truncation"] > cert.rhs - cert.lhs
+        assert not cert.passed
+        assert cert.margin == pytest.approx(
+            cert.rhs - cert.lhs - cert.components["lhs_truncation"], rel=1e-12)
 
     def test_poly_both_deltas(self):
         W = WeightSet.product([1.0, 0.5])

@@ -1,14 +1,17 @@
 import math
+import time
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_monotone
 from qmcforge.errors import UsageError
 from qmcforge.weights import (SpaceParams, WeightSet, check_monotone, parse_weight_formula,
-                              subset_product_sum, subsets_of, weighted_power_sum,
-                              weighted_zeta_sum, zeta)
+                              ratio_size_sum, subset_product_sum, subsets_of,
+                              weighted_power_sum, weighted_zeta_sum, zeta)
 
 
 class TestZeta:
@@ -175,6 +178,92 @@ class TestSubsetProductSum:
             direct = sum(W.weight(u) * math.prod(factors[n, j - 1] for j in u)
                          for u in subsets_of(s))
             assert got[n] == pytest.approx(direct, rel=1e-11, abs=1e-13)
+
+
+# entries of structured weights: about one in five is zero
+entries = st.one_of(st.just(0.0), st.floats(0.05, 2.0), st.floats(0.05, 2.0),
+                    st.floats(0.05, 2.0), st.floats(0.05, 2.0))
+STRUCTURED = ("product", "pod", "order")
+
+
+def structured(draw, kind: str, s: int) -> WeightSet:
+    coords = draw(st.lists(entries, min_size=s, max_size=s))
+    sizes = draw(st.lists(entries, min_size=s, max_size=s))
+    if kind == "product":
+        return WeightSet.product(coords)
+    if kind == "pod":
+        return WeightSet.pod(sizes, coords)
+    return WeightSet.order_dependent(sizes)
+
+
+def as_table(W: WeightSet, s: int) -> WeightSet:
+    """The same weights as an explicit table, which the sums walk entry by entry."""
+    return WeightSet.explicit({tuple(sorted(u)): W.weight(u) for u in subsets_of(s)}, s_max=s)
+
+
+class TestRatioSizeSum:
+    """The O(s^2) form against the subset loop (explicit gamma) and the table
+    walk (explicit gamma'), on every structured kind pair."""
+
+    @pytest.mark.parametrize("kind", STRUCTURED)
+    @pytest.mark.parametrize("kind_prime", STRUCTURED)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(s=st.integers(1, 8), r=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), data=st.data())
+    def test_closed_form_matches_enumeration(self, kind, kind_prime, s, r, data):
+        W, Wp = structured(data.draw, kind, s), structured(data.draw, kind_prime, s)
+        c = [0.0] + data.draw(st.lists(st.floats(-3.0, 3.0), min_size=s, max_size=s))
+        value, vacuous = ratio_size_sum(W, Wp, r, c, s)
+        # signed c_k may cancel: compare against the sum of absolute terms
+        scale = ratio_size_sum(W, Wp, r, [abs(ck) for ck in c], s)[0]
+        for pair in ((as_table(W, s), Wp), (W, as_table(Wp, s)),
+                     (as_table(W, s), as_table(Wp, s))):
+            ref, ref_vacuous = ratio_size_sum(*pair, r, c, s)
+            assert ref_vacuous == vacuous
+            if vacuous:
+                assert math.isinf(value) and math.isinf(ref)
+            else:
+                assert abs(value - ref) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", STRUCTURED)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(s=st.integers(1, 8), lam=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+           factor=st.floats(0.01, 5.0), data=st.data())
+    def test_power_sum_matches_enumeration(self, kind, s, lam, factor, data):
+        W = structured(data.draw, kind, s)
+        got = weighted_power_sum(W, s, lam, factor)
+        assert got == pytest.approx(weighted_power_sum(as_table(W, s), s, lam, factor),
+                                    rel=1e-12, abs=0.0)
+        direct = sum(W.weight(u) ** lam * factor ** len(u) for u in subsets_of(s))
+        assert got == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+    def test_zero_target_weight_is_not_vacuous(self):
+        # gamma'_u = 0 = gamma_u counts 0; gamma'_u > 0 = gamma_u is vacuous
+        W = WeightSet.pod([1.0, 0.0], [1.0, 1.0])
+        value, vacuous = ratio_size_sum(W, WeightSet.pod([2.0, 0.0], [1.0, 1.0]),
+                                        0.5, [0.0, 1.0, 1.0], 2)
+        assert (value, vacuous) == (4.0, False)
+        value, vacuous = ratio_size_sum(W, WeightSet.product([1.0, 1.0]), 0.5, [0.0, 1.0, 1.0], 2)
+        assert vacuous and math.isinf(value)
+
+    def test_dimension_outside_s_max_rejected(self):
+        W = WeightSet.product([0.5] * 4)
+        with pytest.raises(UsageError):
+            ratio_size_sum(W, WeightSet.product([0.5] * 3), 1.0, [0.0] * 5, 4)
+        with pytest.raises(UsageError):
+            ratio_size_sum(W, W, 1.0, [], 0)
+
+    def test_no_subset_loop_for_structured_weights(self):
+        # 2^20 subsets took seconds in a loop; the elementary symmetric form
+        # needs s^2 / 2 steps and also runs at s = 32 and s = 64
+        for s in (20, 32, 64):
+            W = WeightSet.pod([float(k) for k in range(1, s + 1)],
+                              [j ** -2.0 for j in range(1, s + 1)])
+            Wp = WeightSet.product([j ** -3.0 for j in range(1, s + 1)])
+            sizes = [0.0] + [2.0 ** k for k in range(1, s + 1)]
+            start = time.perf_counter()
+            value, vacuous = ratio_size_sum(W, Wp, 1.5, sizes, s)
+            assert time.perf_counter() - start < 0.5
+            assert math.isfinite(value) and value > 0 and not vacuous
 
 
 class TestFormulaParsing:
