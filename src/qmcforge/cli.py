@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -22,11 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from .cbc import CbcTrace, cbc_construct
-from .discrepancy import lattice_report, poly_report
+from .discrepancy import discrepancy_report
 from .errors import ResourceLimitError, UsageError
 from .gfpoly import GFPoly, smallest_irreducible
 from .korobov import LatticeRule, p_merit_closed, p_merit_series, zaremba_rho
-from .stability import (combined_bound_eq1, jensen_certificate, prop1_certificate,
+from .stability import (combined_bound_eq1, jensen_certificate, merit, prop1_certificate,
                         prop2_certificate, prop_bound_lattice, prop_bound_poly, theorem1_bound,
                         theorem2_bound_poly)
 from .walsh import (PolyLatticeRule, cbc_construct_poly, p_merit_wal_closed, p_merit_wal_series,
@@ -52,10 +53,33 @@ def worker_count() -> int:
     return n if n > 0 else min(8, os.cpu_count() or 1)
 
 
+def _parser(what: str):
+    """Decorate a parser of user input so that the ValueError, KeyError or
+    TypeError of malformed input exits 2 as a one-line UsageError."""
+    def decorate(parse):
+        @functools.wraps(parse)
+        def checked(text, *args, **kwargs):
+            try:
+                return parse(text, *args, **kwargs)
+            except UsageError:
+                raise
+            except (ValueError, KeyError, TypeError) as exc:
+                msg = f"malformed {what} {text!r}: {type(exc).__name__}: {exc}"
+                raise UsageError(msg) from None
+        return checked
+    return decorate
+
+
 def _parse_seq(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+@_parser("size grid")
+def _parse_grid(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+@_parser("weight spec")
 def parse_weights(spec, s_needed: int = 0) -> WeightSet:
     """Weight declaration from CLI text ('kind:data') or config JSON dict."""
     if isinstance(spec, str) and spec.lstrip().startswith("{"):
@@ -94,10 +118,12 @@ def parse_weights(spec, s_needed: int = 0) -> WeightSet:
     raise UsageError(f"unknown weight kind {kind!r}")
 
 
+@_parser("polynomial")
 def _poly_from_arg(text: str, b: int) -> GFPoly:
     return GFPoly(b, tuple(int(t) for t in text.split(",")))
 
 
+@_parser("rule file")
 def load_rule(path: str) -> tuple[LatticeRule | PolyLatticeRule, dict]:
     try:
         with open(path) as fh:
@@ -106,7 +132,7 @@ def load_rule(path: str) -> tuple[LatticeRule | PolyLatticeRule, dict]:
         raise UsageError(f"cannot read rule file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"rule file {path} is not valid JSON: {exc}")
-    kind = obj.get("type")
+    kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == "lattice":
         return LatticeRule(N=int(obj["N"]), z=tuple(obj["z"])), obj
     if kind == "poly-lattice":
@@ -197,27 +223,19 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     rule, _ = load_rule(args.rule)
-    W = parse_weights(args.weights, rule.s)
-    params = SpaceParams(alpha=float(args.alpha), weights=W)
-    if isinstance(rule, LatticeRule):
-        if args.rho:
-            report = zaremba_rho(rule, params, args.series_K or None)
-        elif args.series_K:
-            report = p_merit_series(rule, params, args.series_K)
-        else:
-            report = p_merit_closed(rule, params)
+    params = SpaceParams(alpha=float(args.alpha), weights=parse_weights(args.weights, rule.s))
+    lattice = isinstance(rule, LatticeRule)
+    rho_of = zaremba_rho if lattice else rho_wal  # the capped dual minima go first
+    rho = rho_of(rule, params) if args.rho else None
+    if args.series_K:  # the explicit cross-check of merit's closed form or series
+        report = (p_merit_series if lattice else p_merit_wal_series)(rule, params, args.series_K)
     else:
-        report = (p_merit_wal_series(rule, params, args.series_K) if args.series_K
-                  else p_merit_wal_closed(rule, params))
-        if args.rho:
-            rho = rho_wal(rule, params)
-            report = dataclasses.replace(report, rho_value=rho.rho_value,
-                                         per_subset=rho.per_subset)
+        report = merit(rule, params)
+    if rho is not None:
+        report = dataclasses.replace(report, rho_value=rho[0], per_subset=rho[1])
     payload = report.to_jsonable()
     if args.discrepancy:
-        report_of = lattice_report if isinstance(rule, LatticeRule) else poly_report
-        disc = report_of(rule, params.alpha, W, with_exact=rule.s <= 2, with_rho=args.rho)
-        payload["discrepancy"] = disc.to_jsonable()
+        payload["discrepancy"] = discrepancy_report(rule, params, args.rho).to_jsonable()
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -291,7 +309,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid_text = args.N_grid if args.kind == "lattice" else args.m_grid
     if not grid_text:
         raise UsageError("sweep needs --N-grid (lattice) or --m-grid (poly-lattice)")
-    grid = [int(t) for t in grid_text.split(",") if t.strip()]
+    grid = _parse_grid(grid_text)
     if not grid:
         raise UsageError("sweep grid is empty")
     s, alpha = int(args.s), float(args.alpha)

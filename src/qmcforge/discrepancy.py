@@ -18,8 +18,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .korobov import LatticeRule, lattice_points, zaremba_rho_value
-from .walsh import PolyLatticeRule, mu_of, poly_lattice_points, rho_wal_value
+from .korobov import LatticeRule, lattice_points, zaremba_rho
+from .walsh import PolyLatticeRule, mu_of, poly_lattice_points, rho_wal
 from .weights import (SpaceParams, WeightSet, _guard_enum, check_monotone, ratio_size_sum,
                       subsets_of)
 
@@ -154,7 +154,7 @@ def star_disc_bound_rho_lattice(rule: LatticeRule, alpha: float, W: WeightSet,
     bound is +inf.
     """
     L = math.log2(rule.N)
-    return _rho_bound(rule, rule.N, alpha, W, Wprime, zaremba_rho_value, [0.0] + [
+    return _rho_bound(rule, rule.N, alpha, W, Wprime, zaremba_rho, [0.0] + [
         (math.log(2.0) * L ** k + 3.0 * (2.0 * L) ** (k - 1)) / 2.0
         for k in range(1, rule.s + 1)])
 
@@ -162,11 +162,11 @@ def star_disc_bound_rho_lattice(rule: LatticeRule, alpha: float, W: WeightSet,
 def _rho_bound(rule: LatticeRule | PolyLatticeRule, npoints: int, alpha: float,
                W: WeightSet, Wprime: WeightSet, rho_of, factors: list[float]) -> tuple[float, bool]:
     """(sum_u gamma'_u [1 - (1 - 1/npoints)^|u| + factors[|u|] (rho / gamma_u)^(1/(2 alpha))],
-    vacuous) for monotone W, rho = rho_of(rule, (alpha, W)), as two subset-size
+    vacuous) for monotone W, rho = rho_of(rule, (alpha, W))[0], as two subset-size
     sums; gamma_u = 0 < gamma'_u makes it vacuous, the sum +inf."""
     if not check_monotone(W, rule.s):
         raise UsageError("rho-based discrepancy bound needs monotone weights")
-    rho_pow = rho_of(rule, SpaceParams(alpha=alpha, weights=W)) ** (1.0 / (2.0 * alpha))
+    rho_pow = rho_of(rule, SpaceParams(alpha=alpha, weights=W))[0] ** (1.0 / (2.0 * alpha))
     volume, vacuous = ratio_size_sum(
         W, Wprime, 0.0, [1.0 - (1.0 - 1.0 / npoints) ** k for k in range(rule.s + 1)], rule.s)
     rho_term, _ = ratio_size_sum(W, Wprime, 1.0 / (2.0 * alpha),
@@ -211,7 +211,7 @@ def star_disc_bound_rho_poly(rule: PolyLatticeRule, alpha: float, W: WeightSet,
               + (b - 1) (rho / gamma_u)^(1/(2 alpha)) (k_b (m + 1))^|u| ].
     """
     kb = sine_factor(rule.b)
-    return _rho_bound(rule, rule.npoints, alpha, W, Wprime, rho_wal_value, [
+    return _rho_bound(rule, rule.npoints, alpha, W, Wprime, rho_wal, [
         (rule.b - 1) * (kb * (rule.m + 1)) ** k for k in range(rule.s + 1)])
 
 
@@ -278,35 +278,21 @@ def weighted_exact_star_discrepancy(numerators: np.ndarray, denominator: int,
     return best
 
 
-def lattice_report(rule: LatticeRule, alpha: float, W: WeightSet,
-                   Wprime: WeightSet | None = None,
-                   with_exact: bool = False, with_rho: bool = True) -> DiscrepancyReport:
-    """Assemble the discrepancy bounds (and exact D* for s <= 2) for one rule;
-    the rho bound, which needs the dual minima, only when with_rho is set."""
-    Wp = Wprime if Wprime is not None else W
+def discrepancy_report(rule: LatticeRule | PolyLatticeRule, params: SpaceParams,
+                       with_rho: bool) -> DiscrepancyReport:
+    """The subset-sum bounds of one rule under params' weights, and its exact
+    weighted D* for s <= 2; the rho bound, which needs the dual minima, only
+    when with_rho is set."""
+    W, lattice = params.weights, isinstance(rule, LatticeRule)
     bound_rho, vacuous = None, False
-    if with_rho:
-        bound_rho, vacuous = star_disc_bound_rho_lattice(rule, alpha, W, Wp)  # capped: first
-    bound_joe, r_values = star_disc_bound_lattice(rule, Wp)
+    if with_rho:  # the capped dual minima first
+        rho_bound = star_disc_bound_rho_lattice if lattice else star_disc_bound_rho_poly
+        bound_rho, vacuous = rho_bound(rule, params.alpha, W, W)
+    bound_joe, r_values = (star_disc_bound_lattice if lattice else star_disc_bound_poly)(rule, W)
     exact = None
-    if with_exact and rule.s <= 2:
-        exact = weighted_exact_star_discrepancy(lattice_points(rule), rule.N, Wp)
-    return DiscrepancyReport(bound_joe=bound_joe, bound_rho=bound_rho,
-                             exact_dstar=exact, r_values=r_values, vacuous=vacuous)
-
-
-def poly_report(rule: PolyLatticeRule, alpha: float, W: WeightSet,
-                Wprime: WeightSet | None = None,
-                with_exact: bool = False, with_rho: bool = True) -> DiscrepancyReport:
-    """Polynomial-lattice counterpart of lattice_report."""
-    Wp = Wprime if Wprime is not None else W
-    bound_rho, vacuous = None, False
-    if with_rho:
-        bound_rho, vacuous = star_disc_bound_rho_poly(rule, alpha, W, Wp)
-    bound_joe, r_values = star_disc_bound_poly(rule, Wp)
-    exact = None
-    if with_exact and rule.s <= 2:
-        exact = weighted_exact_star_discrepancy(poly_lattice_points(rule),
-                                                rule.npoints, Wp)
+    if rule.s <= 2:
+        points, n = ((lattice_points(rule), rule.N) if lattice
+                     else (poly_lattice_points(rule), rule.npoints))
+        exact = weighted_exact_star_discrepancy(points, n, W)
     return DiscrepancyReport(bound_joe=bound_joe, bound_rho=bound_rho,
                              exact_dstar=exact, r_values=r_values, vacuous=vacuous)

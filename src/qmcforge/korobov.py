@@ -73,8 +73,10 @@ class LatticeRule:
 class MeritReport:
     """Evaluated merit data for one rule under one (alpha, gamma) pair.
 
-    ``per_subset`` maps a subset u to (inner sum or merit term, phi_u,
-    phi_{u,0}); entries may be None when not computed.
+    ``truncation_bound`` is None for a closed form, else the most P can fall
+    short of the full dual sum.  ``per_subset`` is the rho breakdown only, set
+    with rho: u -> (rho term of u, phi_u, phi_{u,0}), phi_{u,0} None for
+    polynomial lattice rules.
     """
 
     p_value: float
@@ -146,8 +148,7 @@ def omega_table(alpha: int, N: int) -> np.ndarray:
     return table
 
 
-def p_merit_closed(rule: LatticeRule, params: SpaceParams,
-                   want_subsets: bool = False) -> MeritReport:
+def p_merit_closed(rule: LatticeRule, params: SpaceParams) -> MeritReport:
     """P(z) by the Bernoulli closed form (integer alpha in 1..4).
 
     Equals (1/N) sum over points of sum over nonempty u of
@@ -155,25 +156,19 @@ def p_merit_closed(rule: LatticeRule, params: SpaceParams,
     """
     table = omega_table(_require_closed_alpha(params.alpha), rule.N)
     return _kernel_merit(table, lambda lo, hi: np.arange(lo, hi)[:, None] * rule.z % rule.N,
-                         rule.N, rule.s, params.weights, want_subsets)
+                         rule.N, rule.s, params.weights)
 
 
-def _kernel_merit(table: np.ndarray, points, npoints: int, s: int, weights: WeightSet,
-                  want_subsets: bool) -> MeritReport:
+def _kernel_merit(table: np.ndarray, points, npoints: int, s: int,
+                  weights: WeightSet) -> MeritReport:
     """Closed-form merit of either rule family: the mean over n of S(n) =
     sum_u gamma_u prod_{j in u} table[x_j(n)], S filled in blocks of points
     x = points(lo, hi) (shape (hi - lo, s)), never holding all n at once."""
     S = np.empty(npoints)
-    sums = dict.fromkeys(subsets_of(s) if want_subsets else (), 0.0)
     block = max(1, _BLOCK_CELLS // s)
     for lo in range(0, npoints, block):
-        factors = table[points(lo, min(lo + block, npoints))]
-        S[lo:lo + block] = subset_product_sum(weights, factors)
-        for u in sums:
-            sums[u] += float(np.prod(factors[:, [j - 1 for j in sorted(u)]], axis=1).sum())
-    per_subset = {u: (weights.weight(u) * total / npoints, None, None)
-                  for u, total in sums.items()} if want_subsets else None
-    return MeritReport(p_value=float(S.mean()), method="closed-form", per_subset=per_subset)
+        S[lo:lo + block] = subset_product_sum(weights, table[points(lo, min(lo + block, npoints))])
+    return MeritReport(p_value=float(S.mean()), method="closed-form")
 
 
 def p_merit_series(rule: LatticeRule, params: SpaceParams, K: int | None = None) -> MeritReport:
@@ -282,27 +277,9 @@ def dual_product_minima(rule: LatticeRule) -> dict[frozenset[int], tuple[int, in
     return out
 
 
-def zaremba_rho_value(rule: LatticeRule, params: SpaceParams) -> float:
-    """rho alone, from the cached dual minima (no merit evaluation)."""
-    return max(params.weights.weight(u) / float(phi_u) ** (2.0 * params.alpha)
-               for u, (phi_u, _phi_u0) in dual_product_minima(rule).items())
-
-
-def zaremba_rho(rule: LatticeRule, params: SpaceParams,
-                series_K: int | None = None) -> MeritReport:
-    """Figure of merit rho = max over u of gamma_u / phi_u(z)^(2 alpha).
-
-    The report carries P as well (the truncated series when series_K is given
-    or alpha is not an integer in 1..4, with p_merit_series' default radius;
-    else the closed form) plus the per-subset (term, phi_u, phi_{u,0}) breakdown.
-    """
-    alpha = params.alpha
-    per_subset = {u: (params.weights.weight(u) / float(phi_u) ** (2.0 * alpha), phi_u, phi_u0)
-                  for u, (phi_u, phi_u0) in dual_product_minima(rule).items()}
-    rho = max(term for term, _, _ in per_subset.values())
-    if series_K is None and alpha == int(alpha) and int(alpha) in _BERNOULLI_EVEN:
-        base = p_merit_closed(rule, params)
-    else:
-        base = p_merit_series(rule, params, series_K)
-    return MeritReport(p_value=base.p_value, rho_value=rho, method=base.method,
-                       truncation_bound=base.truncation_bound, per_subset=per_subset)
+def zaremba_rho(rule: LatticeRule, params: SpaceParams) -> tuple[float, dict]:
+    """Figure of merit rho = max over u of gamma_u / phi_u(z)^(2 alpha), and
+    the per-subset breakdown {u: (term, phi_u, phi_{u,0})}."""
+    per_subset = {u: (params.weights.weight(u) / float(phi_u) ** (2.0 * params.alpha), phi_u,
+                      phi_u0) for u, (phi_u, phi_u0) in dual_product_minima(rule).items()}
+    return max(term for term, _, _ in per_subset.values()), per_subset

@@ -17,9 +17,8 @@ import numpy as np
 
 from .cbc import cbc_construct, euler_totient
 from .errors import UsageError
-from .korobov import LatticeRule, p_merit_closed, p_merit_series, zaremba_rho_value
-from .walsh import (PolyLatticeRule, cbc_construct_poly, p_merit_wal_closed, rho_wal,
-                    rho_wal_value)
+from .korobov import LatticeRule, MeritReport, p_merit_closed, p_merit_series, zaremba_rho
+from .walsh import PolyLatticeRule, cbc_construct_poly, p_merit_wal_closed, rho_wal
 from .weights import (SpaceParams, WeightSet, check_monotone, ratio_size_sum,
                       weighted_power_sum, weighted_zeta_sum, zeta)
 
@@ -49,10 +48,11 @@ class StabilityCertificate:
 
 
 def _certificate(lhs: float, rhs: float, components: dict, vacuous: bool = False,
-                 lhs_truncation: float = 0.0,
+                 lhs_truncation: float | None = None,
                  rel_slack: float = CERT_REL_SLACK) -> StabilityCertificate:
     """lhs <= rhs, decided on lhs + lhs_truncation, the most a truncated-series
-    lhs can leave out, so that a pass stays sound."""
+    lhs can leave out (None for a closed form), so that a pass stays sound."""
+    lhs_truncation = lhs_truncation or 0.0
     upper = lhs + lhs_truncation
     passed = vacuous or upper <= rhs * (1.0 + rel_slack)
     return StabilityCertificate(lhs=lhs, rhs=rhs, margin=rhs - upper,
@@ -69,26 +69,26 @@ def c_alpha_prime(alpha_prime: float) -> float:
     return (1.0 + z) + (t + z) * (t / 2.0 - 1.0) / t ** 2
 
 
-def _merit_and_tail(rule: LatticeRule | PolyLatticeRule, alpha_prime: float, Wprime: WeightSet,
-                    series_K: int | None) -> tuple[float, float]:
-    """P under (alpha', gamma') and the most it can fall short of the full
-    dual sum: 0 for a closed form; for the truncated Korobov series the
-    smaller of its tail bound and, for a < alpha' < a + 1 with closed forms
-    at a and a + 1, Hoelder's P_a^(a+1-alpha') P_(a+1)^(alpha'-a) less the
-    series."""
-    params = SpaceParams(alpha=alpha_prime, weights=Wprime)
+def merit(rule: LatticeRule | PolyLatticeRule, params: SpaceParams,
+          series_K: int | None = None) -> MeritReport:
+    """P of the rule under params, by the only choice between closed form and
+    series: the Walsh closed form for every alpha, the Bernoulli closed form
+    for alpha in 1..4, else the truncated Korobov series (radius series_K,
+    default p_merit_series'), whose truncation_bound is the smaller of its
+    tail bound and, for a < alpha < a + 1 with closed forms at a and a + 1,
+    Hoelder's P_a^(a+1-alpha) P_(a+1)^(alpha-a) less the series."""
     if isinstance(rule, PolyLatticeRule):
-        return p_merit_wal_closed(rule, params).p_value, 0.0
-    if alpha_prime in _CLOSED_ALPHAS:
-        return p_merit_closed(rule, params).p_value, 0.0
+        return p_merit_wal_closed(rule, params)
+    if params.alpha in _CLOSED_ALPHAS:
+        return p_merit_closed(rule, params)
     report = p_merit_series(rule, params, series_K)
-    a, t = math.floor(alpha_prime), alpha_prime % 1.0
+    a, t = math.floor(params.alpha), params.alpha % 1.0
     if a in _CLOSED_ALPHAS and a + 1 in _CLOSED_ALPHAS:
-        lo, hi = (p_merit_closed(rule, SpaceParams(alpha=x, weights=Wprime)).p_value
+        lo, hi = (p_merit_closed(rule, SpaceParams(alpha=x, weights=params.weights)).p_value
                   for x in (a, a + 1))
-        return report.p_value, min(report.truncation_bound,
-                                   max(lo ** (1.0 - t) * hi ** t - report.p_value, 0.0))
-    return report.p_value, report.truncation_bound
+        return replace(report, truncation_bound=min(
+            report.truncation_bound, max(lo ** (1.0 - t) * hi ** t - report.p_value, 0.0)))
+    return report
 
 
 def _thm1_size_factors(alpha_prime: float, N: int, s: int) -> list[float]:
@@ -119,15 +119,15 @@ def theorem1_bound(rule: LatticeRule, alpha: float, W: WeightSet,
     """
     if not check_monotone(W, rule.s):
         raise UsageError("the stability bound needs monotone weights gamma")
-    rho = zaremba_rho_value(rule, SpaceParams(alpha=alpha, weights=W))
+    rho = zaremba_rho(rule, SpaceParams(alpha=alpha, weights=W))[0]
     c = c_alpha_prime(alpha_prime)
     ratio = alpha_prime / alpha
     size_factors = _thm1_size_factors(alpha_prime, rule.N, rule.s)
     subset_sum, vacuous = ratio_size_sum(W, Wprime, ratio, size_factors, rule.s)
     rhs = c * rho ** ratio * subset_sum if not vacuous else math.inf
-    lhs, tail = _merit_and_tail(rule, alpha_prime, Wprime, series_K)
-    return _certificate(lhs, rhs, {"rho": rho, "c_alpha_prime": c,
-                                   "subset_sum": subset_sum}, vacuous, tail)
+    lhs = merit(rule, SpaceParams(alpha=alpha_prime, weights=Wprime), series_K)
+    return _certificate(lhs.p_value, rhs, {"rho": rho, "c_alpha_prime": c,
+                                           "subset_sum": subset_sum}, vacuous, lhs.truncation_bound)
 
 
 def theorem2_bound_poly(rule: PolyLatticeRule, alpha: float, W: WeightSet,
@@ -138,13 +138,14 @@ def theorem2_bound_poly(rule: PolyLatticeRule, alpha: float, W: WeightSet,
                         * sum_u g'_u / g_u^(a'/a)
                           * (b^(2a'-1) (b-1) / (b^(2a'-1) - 1))^|u| (m+1)^(|u|-1).
     """
-    rho = rho_wal_value(rule, SpaceParams(alpha=alpha, weights=W))
+    rho = rho_wal(rule, SpaceParams(alpha=alpha, weights=W))[0]
     ratio = alpha_prime / alpha
     size_factors = _thm2_size_factors(alpha_prime, rule.b, rule.m, rule.s)
     subset_sum, vacuous = ratio_size_sum(W, Wprime, ratio, size_factors, rule.s)
     rhs = rho ** ratio * subset_sum if not vacuous else math.inf
-    lhs = p_merit_wal_closed(rule, SpaceParams(alpha=alpha_prime, weights=Wprime)).p_value
-    return _certificate(lhs, rhs, {"rho": rho, "subset_sum": subset_sum}, vacuous)
+    lhs = merit(rule, SpaceParams(alpha=alpha_prime, weights=Wprime))
+    return _certificate(lhs.p_value, rhs, {"rho": rho, "subset_sum": subset_sum}, vacuous,
+                        lhs.truncation_bound)
 
 
 def prop_bound_lattice(N: int, s: int, alpha: float, W: WeightSet, lam: float) -> float:
@@ -178,9 +179,9 @@ def prop1_certificate(rule: LatticeRule, alpha: float, W: WeightSet,
                       lam: float = 1.0) -> StabilityCertificate:
     """P(z) against the CBC guarantee (valid for CBC-constructed rules)."""
     rhs = prop_bound_lattice(rule.N, rule.s, alpha, W, lam)
-    lhs, tail = _merit_and_tail(rule, alpha, W, None)
-    return _certificate(lhs, rhs, {"lambda": lam, "totient": euler_totient(rule.N)},
-                        lhs_truncation=tail)
+    lhs = merit(rule, SpaceParams(alpha=alpha, weights=W))
+    return _certificate(lhs.p_value, rhs, {"lambda": lam, "totient": euler_totient(rule.N)},
+                        lhs_truncation=lhs.truncation_bound)
 
 
 def prop2_certificate(rule: PolyLatticeRule, alpha: float, W: WeightSet,
@@ -188,7 +189,8 @@ def prop2_certificate(rule: PolyLatticeRule, alpha: float, W: WeightSet,
     """rho <= P <= CBC guarantee for polynomial lattice rules; the certificate
     checks the outer inequality and records rho for the chain."""
     rhs = prop_bound_poly(rule.b, rule.m, rule.s, alpha, W, lam)
-    report = rho_wal(rule, SpaceParams(alpha=alpha, weights=W))
+    params = SpaceParams(alpha=alpha, weights=W)
+    report = replace(merit(rule, params), rho_value=rho_wal(rule, params)[0])
     cert = _certificate(report.p_value, rhs, {"lambda": lam, "rho": report.rho_value})
     if report.rho_value > report.p_value * (1.0 + CERT_REL_SLACK):
         return replace(cert, passed=False)
@@ -214,9 +216,9 @@ def combined_bound_eq1(rule: LatticeRule, alpha: float, W: WeightSet,
     size_factors = _thm1_size_factors(alpha_prime, rule.N, rule.s)
     subset_sum, vacuous = ratio_size_sum(W, Wprime, ratio, size_factors, rule.s)
     rhs = c * raw ** (alpha_prime / (alpha * lam)) * subset_sum if not vacuous else math.inf
-    lhs, tail = _merit_and_tail(rule, alpha_prime, Wprime, series_K)
-    return _certificate(lhs, rhs, {"c_alpha_prime": c, "cbc_guarantee_base": raw,
-                                   "subset_sum": subset_sum}, vacuous, tail)
+    lhs = merit(rule, SpaceParams(alpha=alpha_prime, weights=Wprime), series_K)
+    return _certificate(lhs.p_value, rhs, {"c_alpha_prime": c, "cbc_guarantee_base": raw,
+                                           "subset_sum": subset_sum}, vacuous, lhs.truncation_bound)
 
 
 def jensen_certificate(rule: LatticeRule | PolyLatticeRule, alpha: float,
@@ -232,12 +234,11 @@ def jensen_certificate(rule: LatticeRule | PolyLatticeRule, alpha: float,
     if not 0.0 < delta <= 1.0:
         raise UsageError(f"delta must lie in (0, 1], got {delta}")
     alpha_hi = alpha / delta
-    W_hi = W.powered(1.0 / delta)
-    lhs_p, tail = _merit_and_tail(rule, alpha_hi, W_hi, series_K)
-    rhs = _merit_and_tail(rule, alpha, W, series_K)[0]
-    lhs = lhs_p ** delta
+    high = merit(rule, SpaceParams(alpha=alpha_hi, weights=W.powered(1.0 / delta)), series_K)
+    rhs = merit(rule, SpaceParams(alpha=alpha, weights=W), series_K).p_value
+    lhs, tail = high.p_value ** delta, high.truncation_bound or 0.0
     return _certificate(lhs, rhs, {"delta": delta, "alpha_high": alpha_hi},
-                        lhs_truncation=(lhs_p + tail) ** delta - lhs,
+                        lhs_truncation=(high.p_value + tail) ** delta - lhs,
                         rel_slack=JENSEN_REL_SLACK)
 
 
@@ -349,7 +350,7 @@ def corollary_probe(kind: str, probe: CorollaryProbe, grid: Sequence[tuple[int, 
             expo = alpha_prime / (alpha * lam)
             val, _ = ratio_size_sum(W, Wprime, alpha_prime / alpha, merit_factors, s)
             row["sup2"] = val / (s ** probe.q_prime * n ** delta)
-            row["observed"] = _merit_and_tail(rule, alpha_prime, Wprime, None)[0]
+            row["observed"] = merit(rule, SpaceParams(alpha=alpha_prime, weights=Wprime)).p_value
             envelope = s ** (probe.q * expo + probe.q_prime) * n ** (delta - expo)
         else:
             expo = 1.0 / (2.0 * alpha * lam)

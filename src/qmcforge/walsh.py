@@ -201,15 +201,14 @@ def poly_lattice_point_expansions(rule: PolyLatticeRule) -> list[tuple[DigitExpa
             for row in _point_digits(rule).tolist()]
 
 
-def p_merit_wal_closed(rule: PolyLatticeRule, params: SpaceParams,
-                       want_subsets: bool = False) -> MeritReport:
+def p_merit_wal_closed(rule: PolyLatticeRule, params: SpaceParams) -> MeritReport:
     """P(q) by the phi_alpha closed form (any alpha > 1/2).
 
     Equals (1/b^m) sum over points of sum over nonempty u of
     gamma_u * prod_{j in u} phi_alpha(x_j).
     """
     return _kernel_merit(_phi_axis(rule.b, rule.m, params.alpha), _point_block(rule),
-                         rule.npoints, rule.s, params.weights, want_subsets)
+                         rule.npoints, rule.s, params.weights)
 
 
 def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
@@ -233,8 +232,7 @@ def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
               for a in range(1, digit_cap + 1))
     table = _phi_axis(b, rule.m, alpha)
     table[:b ** max(rule.m - digit_cap, 0)] = c_K
-    p = _kernel_merit(table, _point_block(rule), rule.npoints, rule.s, params.weights,
-                      False).p_value
+    p = _kernel_merit(table, _point_block(rule), rule.npoints, rule.s, params.weights).p_value
     c, d = 1.0 + c_K, (b - 1) / b * r ** (digit_cap + 1) / (1.0 - r)
     bound, _ = ratio_size_sum(params.weights, params.weights, 0.0,
                               [k * d * (c + d) ** (k - 1) for k in range(rule.s + 1)], rule.s)
@@ -297,23 +295,12 @@ def dual_mu_minima(rule: PolyLatticeRule) -> dict[frozenset[int], int]:
     return {u: phi[u] for u in subsets_of(rule.s)}
 
 
-def rho_wal_value(rule: PolyLatticeRule, params: SpaceParams) -> float:
-    """rho alone, from the cached dual minima (no merit evaluation)."""
-    minima = dual_mu_minima(rule)
-    return max(params.weights.weight(u) * float(rule.b) ** (-2.0 * params.alpha * phi_u)
-               for u, phi_u in minima.items())
-
-
-def rho_wal(rule: PolyLatticeRule, params: SpaceParams) -> MeritReport:
-    """Figure of merit rho = max over u of gamma_u b^(-2 alpha phi_u(q)).
-
-    The report carries the closed-form P and per-subset (term, phi_u, None).
-    """
+def rho_wal(rule: PolyLatticeRule, params: SpaceParams) -> tuple[float, dict]:
+    """Figure of merit rho = max over u of gamma_u b^(-2 alpha phi_u(q)), and
+    the per-subset breakdown {u: (term, phi_u, None)}."""
     per_subset = {u: (params.weights.weight(u) * float(rule.b) ** (-2.0 * params.alpha * phi_u),
                       phi_u, None) for u, phi_u in dual_mu_minima(rule).items()}
-    base = p_merit_wal_closed(rule, params)
-    return MeritReport(p_value=base.p_value, rho_value=max(t for t, _, _ in per_subset.values()),
-                       method=base.method, per_subset=per_subset)
+    return max(term for term, _, _ in per_subset.values()), per_subset
 
 
 def walsh_char_sum(rule: PolyLatticeRule, k: Sequence[int]) -> complex:

@@ -208,6 +208,52 @@ class TestEvaluate:
         assert report["method"] == "truncated-series"
         assert json.loads(cert_path.read_text())["lhs"] == report["P"]
 
+    @pytest.fixture
+    def rule_31_thm1(self, tmp_path, capsys):
+        """The N = 31, s = 2 CBC rule and its thm1 certificate at alpha' = 1.5."""
+        rule_path = tmp_path / "r.json"
+        run(["construct", "--N", "31", "--s", "2", "--out", str(rule_path)])
+        assert run(["certify", str(rule_path), "--theorem", "thm1", "--alpha", "1",
+                    "--weights", "product:j^-2", "--alpha-prime", "1.5",
+                    "--weights-prime", "product:j^-3"]) == 0
+        return rule_path, json.loads(capsys.readouterr().out)
+
+    def evaluate_15(self, rule_path, capsys, *extra):
+        assert run(["evaluate", str(rule_path), "--alpha", "1.5",
+                    "--weights", "product:j^-3", *extra]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_noninteger_alpha_without_rho(self, rule_31_thm1, capsys):
+        # evaluate takes the series at alpha = 1.5 with or without --rho
+        rule_path, cert = rule_31_thm1
+        plain = self.evaluate_15(rule_path, capsys)
+        assert plain["method"] == "truncated-series" and plain["rho"] is None
+        assert plain["P"] == self.evaluate_15(rule_path, capsys, "--rho")["P"] == cert["lhs"]
+
+    def test_truncation_bound_is_certificate_allowance(self, rule_31_thm1, capsys):
+        # the smaller of the series tail and Hoelder's allowance, as the certificate takes it
+        rule_path, cert = rule_31_thm1
+        report = self.evaluate_15(rule_path, capsys, "--rho")
+        assert report["truncation_bound"] == cert["components"]["lhs_truncation"]
+        assert report["truncation_bound"] == pytest.approx(1.55e-4, rel=1e-2)
+
+    def test_poly_rho_discrepancy_one_closed_form(self, tmp_path, monkeypatch):
+        # --rho --discrepancy evaluates the closed-form P once; rho carries no P
+        from qmcforge import cli, stability, walsh
+        rule_path = tmp_path / "r.json"
+        assert run(["construct", "--kind", "poly-lattice", "--b", "2", "--m", "6", "--s", "2",
+                    "--out", str(rule_path)]) == 0
+        calls, closed_form = [], walsh.p_merit_wal_closed
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return closed_form(*args, **kwargs)
+        for module in (cli, stability, walsh):
+            monkeypatch.setattr(module, "p_merit_wal_closed", counted)
+        assert run(["evaluate", str(rule_path), "--alpha", "1", "--weights", "product:j^-2",
+                    "--rho", "--discrepancy", "--out", str(tmp_path / "e.json")]) == 0
+        assert len(calls) == 1
+
     def test_changed_parameters(self, tmp_path):
         # evaluating under different (alpha, gamma): the stability use case
         rule_path = tmp_path / "rule.json"
@@ -465,3 +511,22 @@ class TestConfigPrecedence:
         assert json.loads(out.read_text())["P"] > 0
         cfg.write_text(json.dumps({"alpha": 1}))
         assert exit_code(["evaluate", str(rule_path), "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("args, rule", [
+    (["construct", "--N", "31", "--s", "2", "--weights", "product:1,x"], None),
+    (["construct", "--N", "31", "--s", "2", "--weights", "explicit:1=abc"], None),
+    (["construct", "--kind", "poly-lattice", "--m", "3", "--p", "1,x"], None),
+    (["sweep", "--N-grid", "17,x"], None),
+    (["evaluate", "RULE", "--alpha", "1", "--weights", "product:j^-2"], {"type": "lattice"}),
+    (["evaluate", "RULE", "--alpha", "1", "--weights", "product:j^-2"],
+     {"type": "lattice", "N": 31, "z": [1, "x"]}),
+    (["evaluate", "RULE", "--alpha", "1", "--weights", "product:j^-2"], [31, 1]),
+])
+def test_malformed_input_usage_error(tmp_path, capsys, args, rule):
+    # malformed input exits 2 with one line, not 1 (certificate failure) with a traceback
+    rule_path = tmp_path / "rule.json"
+    rule_path.write_text(json.dumps(rule))
+    assert run([str(rule_path) if a == "RULE" else a for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

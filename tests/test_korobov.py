@@ -144,28 +144,21 @@ class TestMeritClosed:
     def test_scaling_linearity(self):
         rule = LatticeRule(N=13, z=(1, 5))
         W = WeightSet.order_dependent([1.0, 0.7])
-        base = zaremba_rho(rule, SpaceParams(alpha=1, weights=W))
-        scaled = zaremba_rho(rule, SpaceParams(alpha=1, weights=W.scaled(3.5)))
-        assert scaled.p_value == pytest.approx(3.5 * base.p_value, rel=1e-12)
-        assert scaled.rho_value == pytest.approx(3.5 * base.rho_value, rel=1e-12)
+        base, scaled = (SpaceParams(alpha=1, weights=w) for w in (W, W.scaled(3.5)))
+        assert p_merit_closed(rule, scaled).p_value == pytest.approx(
+            3.5 * p_merit_closed(rule, base).p_value, rel=1e-12)
+        assert zaremba_rho(rule, scaled)[0] == pytest.approx(3.5 * zaremba_rho(rule, base)[0],
+                                                             rel=1e-12)
 
     def test_point_blocks_match_one_block(self, monkeypatch):
         # 1021 points in 4 coordinates: one block by default, blocks of 10
         # points (the last one 1) when patched
         rule = LatticeRule(N=1021, z=(1, 306, 388, 138))
         params = SpaceParams(alpha=2, weights=WeightSet.order_dependent([1.0, 0.4, 0.2, 0.1]))
-        whole = p_merit_closed(rule, params, want_subsets=True)
+        whole = p_merit_closed(rule, params)
         monkeypatch.setattr(korobov, "_BLOCK_CELLS", 10 * 4 + 3)
-        blocked = p_merit_closed(rule, params, want_subsets=True)
+        blocked = p_merit_closed(rule, params)
         assert blocked.p_value == whole.p_value
-        for u, (inner, _, _) in whole.per_subset.items():
-            assert blocked.per_subset[u][0] == pytest.approx(inner, rel=1e-13)
-
-    def test_per_subset_sums_to_total(self):
-        rule = LatticeRule(N=13, z=(1, 5))
-        r = p_merit_closed(rule, unit_params(2), want_subsets=True)
-        total = sum(v[0] for v in r.per_subset.values())
-        assert total == pytest.approx(r.p_value, rel=1e-12)
 
 
 class TestMeritSeries:
@@ -239,22 +232,22 @@ class TestMeritSeries:
 
 class TestZaremba:
     def test_pair_example(self):
-        rep = zaremba_rho(LatticeRule(N=5, z=(1, 2)), unit_params(2))
-        by_u = {tuple(sorted(u)): v for u, v in rep.per_subset.items()}
+        rho, per_subset = zaremba_rho(LatticeRule(N=5, z=(1, 2)), unit_params(2))
+        by_u = {tuple(sorted(u)): v for u, v in per_subset.items()}
         assert by_u[(1,)][1] == 5
         assert by_u[(2,)][1] == 5
         assert by_u[(1, 2)][1] == 2
-        assert rep.rho_value == pytest.approx(0.25)
+        assert rho == pytest.approx(0.25)
 
     def test_singleton_minimum_is_n(self):
         for N in (7, 16, 33):
-            rep = zaremba_rho(LatticeRule(N=N, z=(1,)), unit_params(1))
-            assert rep.rho_value == pytest.approx(N ** -2.0)
+            rho, _ = zaremba_rho(LatticeRule(N=N, z=(1,)), unit_params(1))
+            assert rho == pytest.approx(N ** -2.0)
 
     def test_composite_gcd_singleton(self):
         # z = 2, N = 4: dual multiples of 2, so phi = 2 rather than N
-        rep = zaremba_rho(LatticeRule(N=4, z=(2,)), unit_params(1))
-        assert next(iter(rep.per_subset.values()))[1] == 2
+        _, per_subset = zaremba_rho(LatticeRule(N=4, z=(2,)), unit_params(1))
+        assert next(iter(per_subset.values()))[1] == 2
 
     def test_rho_below_p(self):
         rng = np.random.default_rng(3)
@@ -262,8 +255,9 @@ class TestZaremba:
             N = int(rng.integers(4, 40))
             s = int(rng.integers(1, 4))
             z = tuple(int(v) for v in rng.integers(1, N, size=s))
-            rep = zaremba_rho(LatticeRule(N=N, z=z), unit_params(s))
-            assert rep.rho_value <= rep.p_value * (1 + 1e-12)
+            rule = LatticeRule(N=N, z=z)
+            rho, _ = zaremba_rho(rule, unit_params(s))
+            assert rho <= p_merit_closed(rule, unit_params(s)).p_value * (1 + 1e-12)
 
     def test_phi_matches_independent_enumeration(self):
         rule = LatticeRule(N=12, z=(1, 7, 5))

@@ -210,13 +210,11 @@ class TestMeritClosed:
         rule = PolyLatticeRule(b=3, m=5, p=smallest_irreducible(3, 5),
                                q=tuple(GFPoly.from_code(3, c) for c in (1, 100, 57)))
         params = SpaceParams(alpha=1.5, weights=WeightSet.pod([1.0, 2.0, 6.0], [1.0, 0.5, 0.3]))
-        whole = p_merit_wal_closed(rule, params, want_subsets=True)
+        whole = p_merit_wal_closed(rule, params)
         series = p_merit_wal_series(rule, params, 3)
         monkeypatch.setattr(korobov, "_BLOCK_CELLS", 7 * 3 + 2)
-        blocked = p_merit_wal_closed(rule, params, want_subsets=True)
+        blocked = p_merit_wal_closed(rule, params)
         assert blocked.p_value == whole.p_value
-        for u, (inner, _, _) in whole.per_subset.items():
-            assert blocked.per_subset[u][0] == pytest.approx(inner, rel=1e-13)
         assert p_merit_wal_series(rule, params, 3) == series
 
     def test_noninteger_alpha_supported(self):
@@ -249,9 +247,9 @@ class TestMeritSeries:
 
 class TestRho:
     def test_full_grid(self):
-        rep = rho_wal(rule_m3(1), unit_params(1))
-        assert rep.rho_value == pytest.approx(2.0 ** -8)
-        assert next(iter(rep.per_subset.values()))[1] == 4  # phi = m + 1
+        rho, per_subset = rho_wal(rule_m3(1), unit_params(1))
+        assert rho == pytest.approx(2.0 ** -8)
+        assert next(iter(per_subset.values()))[1] == 4  # phi = m + 1
 
     def test_rho_below_p(self):
         rng = np.random.default_rng(5)
@@ -261,8 +259,8 @@ class TestRho:
             p = smallest_irreducible(2, m)
             q = tuple(GFPoly.from_code(2, int(c)) for c in rng.integers(1, 2 ** m, size=s))
             rule = PolyLatticeRule(b=2, m=m, p=p, q=q)
-            rep = rho_wal(rule, unit_params(s))
-            assert rep.rho_value <= rep.p_value * (1 + 1e-12)
+            rho, _ = rho_wal(rule, unit_params(s))
+            assert rho <= p_merit_wal_closed(rule, unit_params(s)).p_value * (1 + 1e-12)
 
     def test_phi_chain_bounds(self):
         for m in (2, 3, 4):
@@ -275,11 +273,11 @@ class TestRho:
 
     def test_zero_weight_subset_never_attains(self):
         W = WeightSet.explicit({(1,): 1.0}, s_max=2)
-        rep = rho_wal(rule_m3(1, 5), SpaceParams(alpha=1, weights=W))
-        by_u = {tuple(sorted(u)): v for u, v in rep.per_subset.items()}
+        rho, per_subset = rho_wal(rule_m3(1, 5), SpaceParams(alpha=1, weights=W))
+        by_u = {tuple(sorted(u)): v for u, v in per_subset.items()}
         assert by_u[(2,)][0] == 0.0
         assert by_u[(1, 2)][0] == 0.0
-        assert rep.rho_value == by_u[(1,)][0]
+        assert rho == by_u[(1,)][0]
 
     def test_phi_matches_independent_enumeration(self):
         rule = rule_m3(3, 6)
@@ -498,12 +496,12 @@ class TestBeyondThreeDimensions:
     PARAMS = SpaceParams(alpha=1.0, weights=WeightSet.product([1.0, 0.5, 0.25, 0.125]))
 
     def test_rho_at_s4(self):
-        rep = rho_wal(self.RULE, self.PARAMS)
+        rho, per_subset = rho_wal(self.RULE, self.PARAMS)
         minima = oracle_minima(self.RULE)
-        assert {u: phi for u, (_, phi, _) in rep.per_subset.items()} == minima
-        assert rep.rho_value == max(self.PARAMS.weights.weight(u) * 2.0 ** (-2 * phi)
-                                    for u, phi in minima.items())
-        assert rep.rho_value <= rep.p_value
+        assert {u: phi for u, (_, phi, _) in per_subset.items()} == minima
+        assert rho == max(self.PARAMS.weights.weight(u) * 2.0 ** (-2 * phi)
+                          for u, phi in minima.items())
+        assert rho <= p_merit_wal_closed(self.RULE, self.PARAMS).p_value
 
     def test_series_at_s4(self):
         rep = p_merit_wal_series(self.RULE, self.PARAMS, 3)
