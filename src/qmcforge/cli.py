@@ -24,7 +24,7 @@ import numpy as np
 
 from .cbc import CbcTrace, cbc_construct
 from .discrepancy import discrepancy_report
-from .errors import ResourceLimitError, UsageError
+from .errors import ResourceLimitError, UsageError, as_int
 from .gfpoly import GFPoly, smallest_irreducible
 from .korobov import LatticeRule, p_merit_closed, p_merit_series, zaremba_rho
 from .stability import (combined_bound_eq1, jensen_certificate, merit, prop1_certificate,
@@ -134,10 +134,10 @@ def load_rule(path: str) -> tuple[LatticeRule | PolyLatticeRule, dict]:
         raise UsageError(f"rule file {path} is not valid JSON: {exc}")
     kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == "lattice":
-        return LatticeRule(N=int(obj["N"]), z=tuple(obj["z"])), obj
+        return LatticeRule(N=obj["N"], z=tuple(obj["z"])), obj
     if kind == "poly-lattice":
-        b = int(obj["b"])
-        rule = PolyLatticeRule(b=b, m=int(obj["m"]), p=GFPoly(b, tuple(obj["p"])),
+        b = as_int(obj["b"], "base b")
+        rule = PolyLatticeRule(b=b, m=obj["m"], p=GFPoly(b, tuple(obj["p"])),
                                q=tuple(GFPoly(b, tuple(c)) for c in obj["q"]))
         return rule, obj
     raise UsageError(f"rule file {path} has unknown type {kind!r}")
@@ -227,7 +227,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     lattice = isinstance(rule, LatticeRule)
     rho_of = zaremba_rho if lattice else rho_wal  # the capped dual minima go first
     rho = rho_of(rule, params) if args.rho else None
-    if args.series_K:  # the explicit cross-check of merit's closed form or series
+    if args.series_K is not None:  # the explicit cross-check of merit's closed form or series
         report = (p_merit_series if lattice else p_merit_wal_series)(rule, params, args.series_K)
     else:
         report = merit(rule, params)

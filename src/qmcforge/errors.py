@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of user input."""
+
+import operator
 
 
 class QmcforgeError(Exception):
@@ -11,3 +13,12 @@ class UsageError(QmcforgeError, ValueError):
 
 class ResourceLimitError(QmcforgeError, RuntimeError):
     """An enumeration or search would exceed the desk-scale resource caps."""
+
+
+def as_int(value, what: str) -> int:
+    """value as an int: Python and numpy integers pass; anything else, a
+    float such as 31.0 included, is a UsageError rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise UsageError(f"{what} must be an integer, got {value!r}") from None

@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic over Z_b (b prime) and base-b digit expansions.
+"""Exact polynomial arithmetic over Z_b (b prime).
 
 Coefficients are stored lowest degree first, reduced mod b, with no trailing
 zeros; the zero polynomial has degree -inf.
@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import ResourceLimitError, UsageError
+from .errors import ResourceLimitError, UsageError, as_int
 
 SUPPORTED_BASES = (2, 3, 5, 7)
 
@@ -19,7 +18,7 @@ _IRRED_WORK_LIMIT = 1 << 20
 
 
 def _normalize(base: int, coeffs) -> tuple[int, ...]:
-    out = [int(c) % base for c in coeffs]
+    out = [as_int(c, "polynomial coefficient") % base for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -136,13 +135,6 @@ class GFPoly:
         return f"GFPoly({self.base}, {' + '.join(terms)})"
 
 
-def gf_mulmod(a: GFPoly, c: GFPoly, p: GFPoly) -> GFPoly:
-    """(a * c) mod p with exact coefficient arithmetic."""
-    if p.is_zero():
-        raise UsageError("modulus polynomial must be nonzero")
-    return (a * c) % p
-
-
 def gf_is_irreducible(p: GFPoly) -> bool:
     """Trial division by every monic polynomial of degree 1..deg(p)/2."""
     d = p.degree
@@ -170,64 +162,3 @@ def smallest_irreducible(b: int, m: int) -> GFPoly:
         if gf_is_irreducible(candidate):
             return candidate
     raise RuntimeError("no irreducible found; unreachable for prime b")
-
-
-@dataclass(frozen=True)
-class DigitExpansion:
-    """First m base-b digits t_1..t_m of a Laurent expansion; value in [0, 1)."""
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(not 0 <= d < self.base for d in self.digits):
-            raise UsageError("digits must lie in 0..b-1")
-
-    @property
-    def numerator(self) -> int:
-        """Numerator over b^m: sum t_i * b^(m-i)."""
-        n = 0
-        for d in self.digits:
-            n = n * self.base + d
-        return n
-
-    @property
-    def denominator(self) -> int:
-        return self.base ** len(self.digits)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-
-def nu_m(numer: GFPoly, p: GFPoly, m: int) -> DigitExpansion:
-    """Digits t_1..t_m of the Laurent expansion of numer(x) / p(x).
-
-    Requires deg(p) = m.  With p = sum p_i x^i and numer reduced mod p, digit
-    t_k solves the coefficient match at x^(m-k):
-
-        p_m t_k = numer_{m-k} - sum_{i<k} p_{m-(k-i)} t_i   (mod b).
-    """
-    numer._same_base(p)
-    if p.degree != m:
-        raise UsageError(f"modulus degree {p.degree} != m = {m}")
-    b = p.base
-    r = (numer % p).coeffs
-    rc = list(r) + [0] * (m - len(r))
-    pc = p.coeffs
-    inv_lead = pow(pc[m], -1, b)
-    digits = []
-    for k in range(1, m + 1):
-        acc = rc[m - k]
-        for i in range(1, k):
-            acc -= pc[m - (k - i)] * digits[i - 1]
-        digits.append((acc * inv_lead) % b)
-    return DigitExpansion(b, tuple(digits))
-
-
-def tr_m(k: int, m: int, b: int) -> GFPoly:
-    """Polynomial kappa_0 + kappa_1 x + ... + kappa_{m-1} x^{m-1} from the
-    base-b digits of k (digits at position >= m are dropped)."""
-    if k < 0:
-        raise UsageError("k must be >= 0")
-    return GFPoly.from_code(b, k % b ** m)

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import QmcforgeError, ResourceLimitError, UsageError
+from .errors import QmcforgeError, ResourceLimitError, UsageError, as_int
 from .weights import (SpaceParams, WeightSet, _guard_enum, ratio_size_sum, subset_product_sum,
                       subsets_of)
 
@@ -53,7 +53,8 @@ class LatticeRule:
     z: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "z", tuple(int(v) for v in self.z))
+        object.__setattr__(self, "N", as_int(self.N, "modulus N"))
+        object.__setattr__(self, "z", tuple(as_int(v, "component of z") for v in self.z))
         if self.N < 2:
             raise UsageError(f"modulus N must be >= 2, got {self.N}")
         if len(self.z) < 1:

@@ -174,6 +174,24 @@ def _wal_value(k: int, digits: Sequence[int], b: int) -> complex:
     return cmath.exp(2j * cmath.pi * (exponent % b) / b)
 
 
+def _wal_mean(rows: Sequence[Sequence[Sequence[int]]], k: Sequence[int], b: int) -> complex:
+    """Mean of wal_k over points given by their digit rows."""
+    total = 0.0 + 0.0j
+    for row in rows:
+        term = 1.0 + 0.0j
+        for kj, digits in zip(k, row):
+            term *= _wal_value(kj, digits, b)
+        total += term
+    return total / len(rows)
+
+
+def char_sum_poly(rule: PolyLatticeRule, k: Sequence[int]) -> complex:
+    """(1/b^m) sum over points of wal_k(x), from the reference points."""
+    if len(k) != rule.s or any(kj < 0 for kj in k):
+        raise UsageError("frequency vector must have s nonnegative components")
+    return _wal_mean(reference_poly_points(rule), k, rule.b)
+
+
 def _frequencies(s: int, limit: int, count: int) -> list[tuple[int, ...]]:
     """Deterministic probe frequencies ordered by sup-norm shells."""
     out: list[tuple[int, ...]] = []
@@ -209,14 +227,7 @@ def wce_by_function_probe(rule: LatticeRule | PolyLatticeRule, params: SpacePara
                 continue
             mu_sum = sum(mu_of(kj, b) for kj in k if kj)
             r = gamma * float(b) ** (-2.0 * alpha * mu_sum)
-            qsum = 0.0 + 0.0j
-            for row in rows:
-                term = 1.0 + 0.0j
-                for j, kj in enumerate(k):
-                    term *= _wal_value(kj, row[j], b)
-                qsum += term
-            qsum /= rule.npoints
-            best = max(best, math.sqrt(r) * abs(qsum))
+            best = max(best, math.sqrt(r) * abs(_wal_mean(rows, k, b)))
         p = p_merit_wal_closed(rule, params).p_value
     else:
         freqs = _frequencies(rule.s, 2 * rule.N, probe_count)

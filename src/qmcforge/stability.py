@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .cbc import cbc_construct, euler_totient
 from .errors import UsageError
 from .korobov import LatticeRule, MeritReport, p_merit_closed, p_merit_series, zaremba_rho
@@ -240,49 +238,6 @@ def jensen_certificate(rule: LatticeRule | PolyLatticeRule, alpha: float,
     return _certificate(lhs, rhs, {"delta": delta, "alpha_high": alpha_hi},
                         lhs_truncation=(high.p_value + tail) ** delta - lhs,
                         rel_slack=JENSEN_REL_SLACK)
-
-
-def certificate_table_csv(rows: Sequence[tuple[int, int, StabilityCertificate]]) -> str:
-    """CSV with columns s, N_or_m, lhs, rhs, margin, passed for a batch of
-    certificates (grid runs, regression baselines)."""
-    lines = ["s,N_or_m,lhs,rhs,margin,passed"]
-    for s, size, cert in rows:
-        lines.append(f"{s},{size},{cert.lhs!r},{cert.rhs!r},{cert.margin!r},{cert.passed}")
-    return "\n".join(lines) + "\n"
-
-
-def probe_table_csv(table: dict) -> str:
-    """CSV rendering of a corollary_probe result, one row per grid cell."""
-    rows = table["rows"]
-    if not rows:
-        return "s,N_or_m\n"
-    fields = list(rows[0].keys())
-    lines = [",".join(fields)]
-    for row in rows:
-        lines.append(",".join(repr(row[f]) if isinstance(row[f], float) else str(row[f])
-                              for f in fields))
-    lines.append(f"# C = {table['C']!r}")
-    return "\n".join(lines) + "\n"
-
-
-def rosser_schoenfeld_holds(N: int) -> bool:
-    """Totient growth check for N >= 3:
-    1/phi(N) < (1/N) (e^gamma log log N + 2.50637 / log log N)."""
-    if N < 3:
-        raise UsageError("the totient inequality needs N >= 3")
-    ll = math.log(math.log(N))
-    rhs = (math.exp(0.5772156649015329) * ll + 2.50637 / ll) / N
-    return 1.0 / euler_totient(N) < rhs
-
-
-def totient_sieve(limit: int) -> np.ndarray:
-    """phi(n) for n = 0..limit via a sieve (phi[0] = 0 by convention)."""
-    phi = np.arange(limit + 1, dtype=np.int64)
-    phi[0] = 0
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
-    return phi
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .cbc import CbcTrace, _check_dimension, _greedy, _row_scan
-from .errors import QmcforgeError, ResourceLimitError, UsageError
-from .gfpoly import DigitExpansion, GFPoly, gf_is_irreducible, smallest_irreducible
+from .errors import QmcforgeError, ResourceLimitError, UsageError, as_int
+from .gfpoly import GFPoly, smallest_irreducible
 from .korobov import MeritReport, _kernel_merit
 from .weights import SpaceParams, _guard_enum, ratio_size_sum, subsets_of
 
@@ -42,6 +41,7 @@ class PolyLatticeRule:
     q: tuple[GFPoly, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "m", as_int(self.m, "degree m"))
         object.__setattr__(self, "q", tuple(self.q))
         if self.m < 1:
             raise UsageError(f"degree m must be >= 1, got {self.m}")
@@ -79,23 +79,6 @@ def mu_of(k: int, b: int) -> int:
         k //= b
         count += 1
     return count
-
-
-@dataclass(frozen=True)
-class WalshIndexProfile:
-    """A frequency index k >= 1 together with its digit count mu(k)."""
-
-    b: int
-    k: int
-    mu: int
-
-    @classmethod
-    def of(cls, k: int, b: int) -> "WalshIndexProfile":
-        return cls(b=b, k=k, mu=mu_of(k, b))
-
-    def __post_init__(self):
-        if not self.b ** (self.mu - 1) <= self.k < self.b ** self.mu:
-            raise UsageError(f"mu={self.mu} is not the digit count of k={self.k}")
 
 
 def walsh_phi_alpha(numer: int, m: int, alpha: float, b: int) -> float:
@@ -187,18 +170,6 @@ def poly_lattice_points(rule: PolyLatticeRule) -> np.ndarray:
     Row for n in G_m holds the numerator of nu_m(n q_j / p) in column j.
     """
     return _point_block(rule)(0, rule.npoints)
-
-
-def _point_digits(rule: PolyLatticeRule) -> np.ndarray:
-    """digits[n, j, i-1] = digit xi_i of coordinate j of point n."""
-    powers = rule.b ** np.arange(rule.m - 1, -1, -1)
-    return (poly_lattice_points(rule)[:, :, None] // powers) % rule.b
-
-
-def poly_lattice_point_expansions(rule: PolyLatticeRule) -> list[tuple[DigitExpansion, ...]]:
-    """The same node set as exact digit expansions (m digits per coordinate)."""
-    return [tuple(DigitExpansion(rule.b, tuple(d)) for d in row)
-            for row in _point_digits(rule).tolist()]
 
 
 def p_merit_wal_closed(rule: PolyLatticeRule, params: SpaceParams) -> MeritReport:
@@ -303,21 +274,6 @@ def rho_wal(rule: PolyLatticeRule, params: SpaceParams) -> tuple[float, dict]:
     return max(term for term, _, _ in per_subset.values()), per_subset
 
 
-def walsh_char_sum(rule: PolyLatticeRule, k: Sequence[int]) -> complex:
-    """(1/b^m) sum over points of wal_k(x), from exact digits.
-
-    Equals 1 exactly when tr_m(k) . q = 0 mod p; otherwise the modulus is at
-    rounding level.
-    """
-    k = tuple(int(v) for v in k)
-    if len(k) != rule.s or any(v < 0 for v in k):
-        raise UsageError("frequency vector must have s nonnegative components")
-    b, m = rule.b, rule.m
-    kappa = np.asarray([[(kj // b ** i) % b for i in range(m)] for kj in k], dtype=np.int64)
-    exponent = np.einsum("nji,ji->n", _point_digits(rule), kappa) % b  # xi_i pairs kappa_{i-1}
-    return complex(np.exp(2j * np.pi * exponent / b).mean())
-
-
 def cbc_construct_poly(b: int, m: int, s: int, params: SpaceParams,
                        p: GFPoly | None = None) -> tuple[PolyLatticeRule, CbcTrace]:
     """Greedy CBC over G_m \\ {0}: q_1 = 1, then each component minimizes the
@@ -346,8 +302,3 @@ def cbc_construct_poly(b: int, m: int, s: int, params: SpaceParams,
     rule = PolyLatticeRule(b=b, m=m, p=p,
                            q=tuple(GFPoly.from_code(b, c) for c, _ in trace.choices))
     return rule, trace
-
-
-def certification_available(rule: PolyLatticeRule) -> bool:
-    """True when the modulus is irreducible, as the CBC quality bound assumes."""
-    return gf_is_irreducible(rule.p)

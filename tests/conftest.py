@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,26 @@ def brute_force_monotone(W: WeightSet, s: int) -> bool:
             if v < u and W.weight(v) < W.weight(u):
                 return False
     return True
+
+
+def rosser_schoenfeld_holds(N: int) -> bool:
+    """Totient growth check for N >= 3:
+    1/phi(N) < (1/N) (e^gamma log log N + 2.50637 / log log N)."""
+    from qmcforge.cbc import euler_totient
+
+    ll = math.log(math.log(N))
+    rhs = (math.exp(0.5772156649015329) * ll + 2.50637 / ll) / N
+    return 1.0 / euler_totient(N) < rhs
+
+
+def totient_sieve(limit: int) -> np.ndarray:
+    """phi(n) for n = 0..limit via a sieve (phi[0] = 0 by convention)."""
+    phi = np.arange(limit + 1, dtype=np.int64)
+    phi[0] = 0
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # p prime
+            phi[p::p] -= phi[p::p] // p
+    return phi
 
 
 def random_lattice_rules(N: int, s: int, count: int, seed: int):

@@ -10,17 +10,17 @@ import math
 
 import numpy as np
 
-from conftest import random_lattice_rules, random_poly_rules
+from conftest import (random_lattice_rules, random_poly_rules, rosser_schoenfeld_holds,
+                      totient_sieve)
 from qmcforge.cbc import cbc_construct
 from qmcforge.discrepancy import (star_disc_bound_lattice, star_disc_bound_poly,
                                   star_disc_bound_rho_lattice, star_disc_bound_rho_poly,
                                   weighted_exact_star_discrepancy)
-from qmcforge.gfpoly import GFPoly, gf_mulmod, nu_m, smallest_irreducible
+from qmcforge.gfpoly import GFPoly, smallest_irreducible
 from qmcforge.korobov import (LatticeRule, dual_product_minima, lattice_points,
                               p_merit_closed, p_merit_series)
 from qmcforge.stability import (jensen_certificate, prop1_certificate, prop2_certificate,
-                                rosser_schoenfeld_holds, theorem1_bound,
-                                theorem2_bound_poly, totient_sieve)
+                                theorem1_bound, theorem2_bound_poly)
 from qmcforge.walsh import (PolyLatticeRule, cbc_construct_poly, dual_mu_minima,
                             p_merit_wal_closed, p_merit_wal_series, poly_lattice_points)
 from qmcforge.weights import SpaceParams, WeightSet
@@ -93,12 +93,11 @@ def test_criterion_01_character_sums():
             resid = {}
             for qc in range(1, size):
                 q = GFPoly.from_code(2, qc)
-                numers = [nu_m(gf_mulmod(GFPoly.from_code(2, nc), q, p), p, m).numerator
-                          for nc in range(size)]
+                numers = poly_lattice_points(PolyLatticeRule(2, m, p, (q,)))[:, 0].tolist()
                 X = np.array([int(format(a, f"0{m}b")[::-1], 2) for a in numers],
                              dtype=np.int64)
                 wal[qc] = 1.0 - 2.0 * parity[k_arr[:, None] & X[None, :]]
-                resid[qc] = np.array([gf_mulmod(GFPoly.from_code(2, k & mask), q, p).code()
+                resid[qc] = np.array([(GFPoly.from_code(2, k & mask) * q % p).code()
                                       for k in range(kmax)], dtype=np.int64)
             for qc in range(1, size):
                 S = wal[qc].mean(axis=1)

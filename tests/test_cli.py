@@ -194,6 +194,25 @@ class TestEvaluate:
             assert with_rho[key] == series[key]
         assert with_rho["rho"] is not None
 
+    def test_series_K_zero_lattice_refused(self, tmp_path):
+        # K = 0 is an explicit radius, below N, not a request for the closed form
+        rule_path = tmp_path / "rule.json"
+        run(["construct", "--N", "31", "--s", "2", "--out", str(rule_path)])
+        assert run(["evaluate", str(rule_path), "--alpha", "1", "--weights", "product:j^-2",
+                    "--series-K", "0"]) == 2
+
+    def test_series_K_zero_poly_truncated_series(self, tmp_path, capsys):
+        # digit cap 0 keeps no dual vector: P = 0 with the whole of P in the tail bound
+        rule_path = tmp_path / "rule.json"
+        run(["construct", "--kind", "poly-lattice", "--b", "2", "--m", "4", "--s", "1",
+             "--out", str(rule_path)])
+        capsys.readouterr()
+        assert run(["evaluate", str(rule_path), "--alpha", "1", "--weights", "product:j^-2",
+                    "--series-K", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["method"] == "truncated-series"
+        assert report["P"] == 0.0 and report["truncation_bound"] == 0.5
+
     def test_default_series_radius_shared_with_certify(self, tmp_path):
         # at N = 31 < 64 both verbs take the series at the same default radius
         rule_path, cert_path, rep_path = (tmp_path / n for n in ("r.json", "c.json", "e.json"))
@@ -522,6 +541,13 @@ class TestConfigPrecedence:
     (["evaluate", "RULE", "--alpha", "1", "--weights", "product:j^-2"],
      {"type": "lattice", "N": 31, "z": [1, "x"]}),
     (["evaluate", "RULE", "--alpha", "1", "--weights", "product:j^-2"], [31, 1]),
+    # non-integer fields are refused, not truncated to N=31, z=(1, 12) or m=3
+    (["evaluate", "RULE", "--alpha", "1", "--weights", "product:j^-2"],
+     {"type": "lattice", "N": 31.7, "z": [1, 12.9]}),
+    (["evaluate", "RULE", "--alpha", "1", "--weights", "product:j^-2"],
+     {"type": "poly-lattice", "b": 2, "m": 3.5, "p": [1, 1, 0, 1], "q": [[1], [0, 1]]}),
+    (["evaluate", "RULE", "--alpha", "1", "--weights", "product:j^-2"],
+     {"type": "poly-lattice", "b": 2, "m": 3, "p": [1, 1, 0, 1], "q": [[1], [0, 1.5]]}),
 ])
 def test_malformed_input_usage_error(tmp_path, capsys, args, rule):
     # malformed input exits 2 with one line, not 1 (certificate failure) with a traceback

@@ -1,11 +1,9 @@
-from fractions import Fraction
-
 import pytest
 
 from qmcforge.errors import UsageError
-from qmcforge.gfpoly import (GFPoly, gf_is_irreducible, gf_mulmod, nu_m,
-                             smallest_irreducible, tr_m)
+from qmcforge.gfpoly import GFPoly, gf_is_irreducible, smallest_irreducible
 from qmcforge.oracle import reference_laurent_digits
+from qmcforge.walsh import PolyLatticeRule, poly_lattice_points
 
 
 def poly(base, *coeffs):
@@ -17,21 +15,28 @@ class TestArithmetic:
         # (x+1)^2 mod (x^2+x+1) over GF(2) is x
         a = poly(2, 1, 1)
         p = poly(2, 1, 1, 1)
-        assert gf_mulmod(a, a, p).coeffs == (0, 1)
+        assert ((a * a) % p).coeffs == (0, 1)
 
     def test_zero_absorbs(self):
         a = poly(3, 2, 1)
         p = poly(3, 1, 0, 1)
-        assert gf_mulmod(a, GFPoly.zero(3), p).is_zero()
+        assert ((a * GFPoly.zero(3)) % p).is_zero()
 
     def test_identity(self):
         c = poly(2, 1, 0, 1)
         p = poly(2, 1, 1, 0, 0, 1)
-        assert gf_mulmod(GFPoly.one(2), c, p).coeffs == c.coeffs
+        assert ((GFPoly.one(2) * c) % p).coeffs == c.coeffs
 
     def test_base_mismatch(self):
         with pytest.raises(UsageError):
-            gf_mulmod(poly(2, 1), poly(3, 1), poly(3, 1, 1))
+            (poly(2, 1) * poly(3, 1)) % poly(3, 1, 1)
+
+    def test_integer_coefficients_only(self):
+        import numpy as np
+
+        assert poly(3, np.int64(4), 2).coeffs == (1, 2)
+        with pytest.raises(UsageError):
+            poly(2, 1, 1.5)  # refused, not truncated to x + 1
 
     def test_normalization_strips_leading_zeros(self):
         assert poly(2, 1, 1, 0, 0).coeffs == (1, 1)
@@ -98,43 +103,42 @@ class TestIrreducibility:
 
 class TestDigitExpansion:
     def test_example_x_over_trinomial(self):
-        p = poly(2, 1, 1, 1)
-        e = nu_m(poly(2, 0, 1), p, 2)
-        assert e.digits == (1, 1)
-        assert e.value == Fraction(3, 4)
+        assert reference_laurent_digits(poly(2, 0, 1), poly(2, 1, 1, 1), 2) == (1, 1)
 
     def test_zero_numerator(self):
-        p = poly(2, 1, 1, 1)
-        e = nu_m(GFPoly.zero(2), p, 2)
-        assert e.digits == (0, 0)
-        assert e.value == 0
+        assert reference_laurent_digits(GFPoly.zero(2), poly(2, 1, 1, 1), 2) == (0, 0)
 
     def test_power_modulus_shift(self):
-        p = poly(2, 0, 0, 1)  # x^2
-        e = nu_m(GFPoly.one(2), p, 2)
-        assert e.digits == (0, 1)
-        assert e.value == Fraction(1, 4)
+        # 1 / x^2 = x^(-2): digits (0, 1)
+        assert reference_laurent_digits(GFPoly.one(2), poly(2, 0, 0, 1), 2) == (0, 1)
 
     def test_degree_mismatch(self):
         with pytest.raises(UsageError):
-            nu_m(GFPoly.one(2), poly(2, 1, 1, 1), 3)
+            PolyLatticeRule(b=2, m=3, p=poly(2, 1, 1, 1), q=(GFPoly.one(2),))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_exhaustive_against_reference_division(self, m):
+        # row n = 1 of the shipped point set holds the digits of q_j / p for
+        # every nonzero q_j of degree < m, reducible moduli included
         b = 2
+        numers = [GFPoly.from_code(b, code) for code in range(1, b ** m)]
         for pcode in range(b ** m, 2 * b ** m):
             p = GFPoly.from_code(b, pcode)
-            for ncode in range(b ** m):
-                numer = GFPoly.from_code(b, ncode)
-                got = nu_m(numer, p, m).digits
+            got = poly_lattice_points(PolyLatticeRule(b=b, m=m, p=p, q=tuple(numers)))[1]
+            for numer, numerator in zip(numers, got.tolist()):
                 ref = reference_laurent_digits(numer, p, m)
-                assert got == ref
+                assert numerator == sum(t * b ** (m - i) for i, t in enumerate(ref, 1))
 
     def test_reference_division_period(self):
         p = poly(2, 1, 1, 1)
         assert reference_laurent_digits(poly(2, 0, 1), p, 6) == (1, 1, 0, 1, 1, 0)
         assert reference_laurent_digits(GFPoly.zero(2), p, 5) == (0,) * 5
         assert reference_laurent_digits(GFPoly.one(2), poly(2, 0, 0, 1), 4) == (0, 1, 0, 0)
+
+
+def tr_m(k, m, b):
+    """The polynomial of the low m base-b digits of k."""
+    return GFPoly.from_code(b, k % b ** m)
 
 
 class TestTruncation:

@@ -5,10 +5,10 @@ import pytest
 from qmcforge.errors import ResourceLimitError
 from qmcforge.gfpoly import GFPoly
 from qmcforge.korobov import LatticeRule, p_merit_closed
-from qmcforge.oracle import (dual_enumerate_lattice, dual_enumerate_poly,
-                             reference_laurent_digits, reference_star_discrepancy,
-                             wce_by_function_probe)
-from qmcforge.walsh import PolyLatticeRule, p_merit_wal_closed
+from qmcforge.oracle import (char_sum_poly, dual_enumerate_lattice, dual_enumerate_poly,
+                             reference_laurent_digits, reference_poly_points,
+                             reference_star_discrepancy, wce_by_function_probe)
+from qmcforge.walsh import PolyLatticeRule, p_merit_wal_closed, poly_lattice_points
 from qmcforge.weights import SpaceParams, WeightSet
 
 P3 = GFPoly(2, (1, 1, 0, 1))
@@ -39,15 +39,13 @@ class TestDualPoly:
         assert [k[0] for k in dual_enumerate_poly(rule, 5)] == [0, 8, 16, 24]
 
     def test_matches_library_membership(self):
-        from qmcforge.walsh import walsh_char_sum
-
         rule = PolyLatticeRule(b=2, m=2, p=GFPoly(2, (1, 1, 1)),
                                q=(GFPoly.from_code(2, 2), GFPoly.from_code(2, 3)))
         duals = set(dual_enumerate_poly(rule, 3))
         for k1 in range(8):
             for k2 in range(8):
                 expected = 1.0 if (k1, k2) in duals else 0.0
-                assert abs(walsh_char_sum(rule, (k1, k2)) - expected) < 1e-9
+                assert abs(char_sum_poly(rule, (k1, k2)) - expected) < 1e-9
 
 
 class TestReferenceLaurent:
@@ -63,12 +61,11 @@ class TestReferenceLaurent:
         assert got == (0, 1, 0, 0)
 
     def test_base3_against_synthetic(self):
-        from qmcforge.gfpoly import nu_m
-
-        p = GFPoly(3, (2, 1, 1))
-        for code in range(9):
-            numer = GFPoly.from_code(3, code)
-            assert reference_laurent_digits(numer, p, 2) == nu_m(numer, p, 2).digits
+        # every nonzero q of degree < 2 over Z_3, as the shipped point set computes it
+        rule = PolyLatticeRule(b=3, m=2, p=GFPoly(3, (2, 1, 1)),
+                               q=tuple(GFPoly.from_code(3, code) for code in range(1, 9)))
+        expected = [[3 * t1 + t2 for t1, t2 in row] for row in reference_poly_points(rule)]
+        assert poly_lattice_points(rule).tolist() == expected
 
 
 class TestFunctionProbe:

@@ -2,15 +2,15 @@ import math
 
 import pytest
 
-from conftest import random_lattice_rules
+from conftest import random_lattice_rules, rosser_schoenfeld_holds, totient_sieve
 from qmcforge.cbc import cbc_construct, euler_totient
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly
 from qmcforge.korobov import LatticeRule, p_merit_closed, p_merit_series
 from qmcforge.stability import (CorollaryProbe, c_alpha_prime, combined_bound_eq1,
                                 corollary_probe, jensen_certificate, prop1_certificate,
-                                prop2_certificate, prop_bound, rosser_schoenfeld_holds,
-                                theorem1_bound, theorem2_bound_poly, totient_sieve)
+                                prop2_certificate, prop_bound, theorem1_bound,
+                                theorem2_bound_poly)
 from qmcforge.walsh import PolyLatticeRule, cbc_construct_poly
 from qmcforge.weights import SpaceParams, WeightSet, zeta
 
@@ -227,25 +227,6 @@ class TestSerialization:
         cert = theorem1_bound(LatticeRule(N=5, z=(1,)), 1.0, UNIT1, 1.0, UNIT1)
         obj = cert.to_jsonable()
         assert set(obj) == {"lhs", "rhs", "margin", "components", "passed", "vacuous"}
-
-    def test_certificate_csv_columns(self):
-        from qmcforge.stability import certificate_table_csv
-
-        cert = theorem1_bound(LatticeRule(N=5, z=(1,)), 1.0, UNIT1, 1.0, UNIT1)
-        text = certificate_table_csv([(1, 5, cert)])
-        lines = text.strip().splitlines()
-        assert lines[0] == "s,N_or_m,lhs,rhs,margin,passed"
-        assert lines[1].startswith("1,5,") and lines[1].endswith("True")
-
-    def test_probe_csv(self):
-        from qmcforge.stability import probe_table_csv
-
-        W = WeightSet.product([j ** -2.0 for j in range(1, 9)])
-        probe = CorollaryProbe(lam=0.75, delta=0.5)
-        out = corollary_probe("cor1", probe, [(2, 8)], 1.0, W, 2.0, W)
-        text = probe_table_csv(out)
-        assert text.splitlines()[0].startswith("s,N_or_m,")
-        assert text.splitlines()[-1].startswith("# C =")
 
 
 class TestCorollaryProbe:

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from qmcforge import cbc, korobov
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly, gf_is_irreducible, smallest_irreducible
-from qmcforge.oracle import dual_enumerate_poly, reference_poly_points
+from qmcforge.oracle import char_sum_poly, dual_enumerate_poly, reference_poly_points
 from qmcforge.walsh import (PolyLatticeRule, _phi_axis, cbc_construct_poly, dual_mu_minima, mu_of,
-                            p_merit_wal_closed, p_merit_wal_series,
-                            poly_lattice_point_expansions, poly_lattice_points, rho_wal,
-                            walsh_char_sum, walsh_phi_alpha)
+                            p_merit_wal_closed, p_merit_wal_series, poly_lattice_points, rho_wal,
+                            walsh_phi_alpha)
 from qmcforge.weights import SpaceParams, WeightSet, subsets_of
 
 P3 = GFPoly(2, (1, 1, 0, 1))  # x^3 + x + 1
@@ -54,14 +53,10 @@ class TestMu:
             mu_of(0, 2)
 
     def test_bracketing_invariant(self):
-        from qmcforge.walsh import WalshIndexProfile
-
         for b in (2, 3, 5):
             for k in range(1, 300):
-                prof = WalshIndexProfile.of(k, b)
-                assert b ** (prof.mu - 1) <= k < b ** prof.mu
-        with pytest.raises(UsageError):
-            WalshIndexProfile(b=2, k=4, mu=2)
+                mu = mu_of(k, b)
+                assert b ** (mu - 1) <= k < b ** mu
 
 
 class TestPhiAlpha:
@@ -166,16 +161,15 @@ class TestPointsAgainstOracle:
         expected = [[sum(t * b ** (m - i) for i, t in enumerate(digits, 1)) for digits in row]
                     for row in ref]
         assert poly_lattice_points(rule).tolist() == expected
-        got = [tuple(e.digits for e in row) for row in poly_lattice_point_expansions(rule)]
-        assert got == ref
 
     @pytest.mark.parametrize("b,p", REDUCIBLE)
     def test_reducible_modulus_points(self, b, p):
         assert not gf_is_irreducible(p)
-        rule = random_rule(b, int(p.degree), p, 2, seed=7)
-        ref = reference_poly_points(rule)
-        got = [tuple(e.digits for e in row) for row in poly_lattice_point_expansions(rule)]
-        assert got == ref
+        m = int(p.degree)
+        rule = random_rule(b, m, p, 2, seed=7)
+        expected = [[sum(t * b ** (m - i) for i, t in enumerate(digits, 1)) for digits in row]
+                    for row in reference_poly_points(rule)]
+        assert poly_lattice_points(rule).tolist() == expected
 
 
 class TestMeritClosed:
@@ -292,20 +286,20 @@ class TestRho:
 
 class TestCharSum:
     def test_zero_frequency(self):
-        assert walsh_char_sum(rule_m3(1), (0,)) == pytest.approx(1.0)
+        assert char_sum_poly(rule_m3(1), (0,)) == pytest.approx(1.0)
 
     def test_dual_frequency(self):
-        assert walsh_char_sum(rule_m3(1), (8,)) == pytest.approx(1.0, abs=1e-12)
+        assert char_sum_poly(rule_m3(1), (8,)) == pytest.approx(1.0, abs=1e-12)
 
     def test_nondual_frequency(self):
-        assert abs(walsh_char_sum(rule_m3(1), (1,))) < 1e-9
+        assert abs(char_sum_poly(rule_m3(1), (1,))) < 1e-9
 
     def test_matches_membership_exhaustively_small(self):
         rule = rule_m3(5, 7)
         dual_set = set(dual_enumerate_poly(rule, 4))
         for k in product(range(0, 16, 3), repeat=2):
             expected = 1.0 if k in dual_set else 0.0
-            assert abs(walsh_char_sum(rule, k) - expected) < 1e-9
+            assert abs(char_sum_poly(rule, k) - expected) < 1e-9
 
 
 class TestCbcPoly:
@@ -341,7 +335,7 @@ class TestCbcPoly:
         assert rule.p.coeffs == (1, 0, 1, 0, 0, 1)
 
     # codes and trace merits recorded from the per-point GF(b) arithmetic
-    # (b^(2m) gf_mulmod + nu_m calls) this construction replaced
+    # (b^(2m) products mod p and Laurent expansions) this construction replaced
     PINNED = {
         (2, 8): ([1, 196, 157, 224, 234, 93, 102, 210],
                  [7.62939453125e-06, 2.193450927734375e-05, 3.775954246520996e-05,
@@ -376,10 +370,9 @@ class TestCbcPoly:
         assert cbc_construct_poly(2, 8, s, params) == whole
 
     def test_reducible_modulus_accepted(self):
-        from qmcforge.walsh import certification_available
         p = GFPoly(2, (0, 0, 0, 1))  # x^3
         rule, _ = cbc_construct_poly(2, 3, 2, unit_params(2), p=p)
-        assert not certification_available(rule)
+        assert rule.p == p and not gf_is_irreducible(rule.p)
 
 
 class TestJensenWalsh:
