@@ -3,12 +3,14 @@ certificates and sweep tables.
 
 Exit codes: 0 success or certificate pass, 1 certificate failure, 2 usage or
 precondition error, 3 resource cap exceeded.
+
+Each verb imports the modules it runs, so that a job loads and compiles no
+more of the package than it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import io
@@ -17,23 +19,18 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cbc import CbcTrace, cbc_construct
-from .discrepancy import discrepancy_report
 from .errors import ResourceLimitError, UsageError, as_int
-from .gfpoly import GFPoly, smallest_irreducible
-from .korobov import LatticeRule, p_merit_closed, p_merit_series, zaremba_rho
-from .stability import (combined_bound_eq1, jensen_certificate, merit, prop1_certificate,
-                        prop2_certificate, prop_bound_lattice, prop_bound_poly, theorem1_bound,
-                        theorem2_bound_poly)
-from .walsh import (PolyLatticeRule, cbc_construct_poly, p_merit_wal_closed, p_merit_wal_series,
-                    rho_wal)
 from .weights import (S_MAX_DEFAULT, SpaceParams, WeightSet, check_monotone,
                       parse_weight_formula)
+
+if TYPE_CHECKING:
+    from .gfpoly import GFPoly
+    from .korobov import LatticeRule
+    from .walsh import PolyLatticeRule
 
 EXIT_OK = 0
 EXIT_CERT_FAILED = 1
@@ -120,6 +117,7 @@ def parse_weights(spec, s_needed: int = 0) -> WeightSet:
 
 @_parser("polynomial")
 def _poly_from_arg(text: str, b: int) -> GFPoly:
+    from .gfpoly import GFPoly
     return GFPoly(b, tuple(int(t) for t in text.split(",")))
 
 
@@ -134,8 +132,11 @@ def load_rule(path: str) -> tuple[LatticeRule | PolyLatticeRule, dict]:
         raise UsageError(f"rule file {path} is not valid JSON: {exc}")
     kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == "lattice":
+        from .korobov import LatticeRule
         return LatticeRule(N=obj["N"], z=tuple(obj["z"])), obj
     if kind == "poly-lattice":
+        from .gfpoly import GFPoly
+        from .walsh import PolyLatticeRule
         b = as_int(obj["b"], "base b")
         rule = PolyLatticeRule(b=b, m=obj["m"], p=GFPoly(b, tuple(obj["p"])),
                                q=tuple(GFPoly(b, tuple(c)) for c in obj["q"]))
@@ -181,7 +182,9 @@ def _splice_config(argv: list[str]) -> list[str]:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    from .cbc import CbcTrace, cbc_construct
     if args.kind == "lattice":
+        from .korobov import LatticeRule, p_merit_closed
         if args.N is None:
             raise UsageError("lattice construction needs --N")
         N, s, alpha = int(args.N), int(args.s), float(args.alpha)
@@ -198,6 +201,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     else:
         if args.m is None:
             raise UsageError("poly-lattice construction needs --m")
+        from .gfpoly import GFPoly, smallest_irreducible
+        from .walsh import PolyLatticeRule, cbc_construct_poly, p_merit_wal_closed
         b, m, s, alpha = int(args.b), int(args.m), int(args.s), float(args.alpha)
         W = parse_weights(args.weights, s)
         p = _poly_from_arg(args.p, b) if args.p else smallest_irreducible(b, m)
@@ -222,6 +227,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .korobov import LatticeRule, p_merit_series, zaremba_rho
+    from .stability import merit
+    from .walsh import p_merit_wal_series, rho_wal
     rule, _ = load_rule(args.rule)
     params = SpaceParams(alpha=float(args.alpha), weights=parse_weights(args.weights, rule.s))
     lattice = isinstance(rule, LatticeRule)
@@ -235,12 +243,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report = dataclasses.replace(report, rho_value=rho[0], per_subset=rho[1])
     payload = report.to_jsonable()
     if args.discrepancy:
+        from .discrepancy import discrepancy_report
         payload["discrepancy"] = discrepancy_report(rule, params, args.rho).to_jsonable()
     _emit(payload, args.out)
     return EXIT_OK
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    from .korobov import LatticeRule
+    from .stability import (combined_bound_eq1, jensen_certificate, prop1_certificate,
+                            prop2_certificate, theorem1_bound, theorem2_bound_poly)
+    from .walsh import PolyLatticeRule
     rule, _ = load_rule(args.rule)
     alpha = float(args.alpha)
     W = parse_weights(args.weights, rule.s)
@@ -278,6 +291,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def _sweep_cell(kind: str, size: int, s: int, alpha: float, W: WeightSet,
                 certify: str | None) -> dict:
+    from .cbc import cbc_construct
+    from .korobov import p_merit_closed
+    from .stability import prop_bound_lattice, prop_bound_poly, theorem1_bound, theorem2_bound_poly
+    from .walsh import cbc_construct_poly, p_merit_wal_closed
     params = SpaceParams(alpha=alpha, weights=W)
     if kind == "lattice":
         rule, _ = cbc_construct(size, s, params)
@@ -315,8 +332,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     s, alpha = int(args.s), float(args.alpha)
     W = parse_weights(args.weights, s)
 
+    from . import stability  # noqa: F401  the cells' modules load here, not in the workers
+
     workers = worker_count()
     if workers > 1 and len(grid) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(
                 lambda size: _sweep_cell(args.kind, size, s, alpha, W, args.certify), grid))
@@ -331,6 +351,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if len(grid) >= 2 and np.all(sqrtp > 0):
         slope = float(np.polyfit(np.log(sizes), np.log(sqrtp), 1)[0])
 
+    import csv
     buf = io.StringIO()
     fields = list(rows[0].keys())
     writer = csv.DictWriter(buf, fieldnames=fields)

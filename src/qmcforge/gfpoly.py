@@ -32,8 +32,10 @@ class GFPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.base not in SUPPORTED_BASES:
-            raise UsageError(f"base must be a prime in {SUPPORTED_BASES}, got {self.base}")
+        base = as_int(self.base, "base b")
+        if base not in SUPPORTED_BASES:
+            raise UsageError(f"base must be a prime in {SUPPORTED_BASES}, got {base}")
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "coeffs", _normalize(self.base, self.coeffs))
 
     @classmethod

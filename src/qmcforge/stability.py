@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .cbc import cbc_construct, euler_totient
+from .cbc import euler_totient
 from .errors import UsageError
 from .korobov import LatticeRule, MeritReport, p_merit_closed, p_merit_series, zaremba_rho
-from .walsh import PolyLatticeRule, cbc_construct_poly, p_merit_wal_closed, rho_wal
+from .walsh import PolyLatticeRule, p_merit_wal_closed, rho_wal
 from .weights import (SpaceParams, WeightSet, check_monotone, ratio_size_sum,
                       weighted_power_sum, weighted_zeta_sum, zeta)
 
@@ -238,86 +238,3 @@ def jensen_certificate(rule: LatticeRule | PolyLatticeRule, alpha: float,
     return _certificate(lhs, rhs, {"delta": delta, "alpha_high": alpha_hi},
                         lhs_truncation=(high.p_value + tail) ** delta - lhs,
                         rel_slack=JENSEN_REL_SLACK)
-
-
-@dataclass(frozen=True)
-class CorollaryProbe:
-    """Exponents for finite evaluations of the tractability statements.
-
-    lam and delta obey 1/(2 alpha) < lam < 1 and 0 < delta < cap, where the
-    cap is alpha'/(alpha lam) for the merit statements and 1/(alpha lam) for
-    the discrepancy statements; q, q_prime, q_dprime >= 0 divide out the
-    allowed polynomial growth in s.
-    """
-
-    lam: float
-    delta: float
-    q: float = 0.0
-    q_prime: float = 0.0
-    q_dprime: float = 0.0
-
-    def validate(self, kind: str, alpha: float, alpha_prime: float) -> None:
-        if not (1.0 / (2.0 * alpha) < self.lam < 1.0):
-            raise UsageError(f"lambda={self.lam} outside (1/(2 alpha), 1)")
-        cap = (alpha_prime / (alpha * self.lam) if kind in ("cor1", "cor3")
-               else 1.0 / (alpha * self.lam))
-        if not 0.0 < self.delta < cap:
-            raise UsageError(f"delta={self.delta} outside (0, {cap})")
-        if min(self.q, self.q_prime, self.q_dprime) < 0:
-            raise UsageError("growth exponents must be >= 0")
-
-
-def corollary_probe(kind: str, probe: CorollaryProbe, grid: Sequence[tuple[int, int]],
-                    alpha: float, W: WeightSet, alpha_prime: float,
-                    Wprime: WeightSet) -> dict:
-    """Evaluate the finite quantities inside the tractability suprema on a
-    declared (s, N) or (s, m) grid, plus the observed merit or discrepancy
-    bound and its ratio to the claimed envelope.
-
-    Rules are CBC-constructed per grid cell under (alpha, gamma).  The
-    empirical constant C is the largest observed ratio; no asymptotic claim
-    is asserted.  Reporting tool only.
-    """
-    from .discrepancy import sine_factor, star_disc_bound_rho_lattice, star_disc_bound_rho_poly
-    if kind not in ("cor1", "cor2", "cor3", "cor4"):
-        raise UsageError(f"unknown corollary kind {kind!r}")
-    probe.validate(kind, alpha, alpha_prime)
-    lam, delta, params = probe.lam, probe.delta, SpaceParams(alpha=alpha, weights=W)
-    rows = []
-    for s, size in grid:
-        if kind in ("cor1", "cor2"):  # lattice rules with N = size; n = phi(N)
-            rule, _ = cbc_construct(size, s, params)
-            n = euler_totient(size)
-            sup1 = weighted_zeta_sum(W, s, lam, alpha)
-            merit_factors = _thm1_size_factors(alpha_prime, size, s)
-            disc_factors = [(2.0 * math.log2(size)) ** k for k in range(s + 1)]
-            disc_bound = star_disc_bound_rho_lattice
-        else:  # polynomial lattice rules with b = 2, m = size; n = b^m
-            b = 2
-            rule, _ = cbc_construct_poly(b, size, s, params)
-            n = float(b) ** size
-            sup1 = weighted_power_sum(W, s, lam, (b - 1.0) / (float(b) ** (2.0 * alpha * lam) - b))
-            merit_factors = _thm2_size_factors(alpha_prime, b, size, s)
-            disc_factors = [(sine_factor(b) * (size + 1.0)) ** k for k in range(s + 1)]
-            disc_bound = star_disc_bound_rho_poly
-        row: dict = {"s": s, "N_or_m": size, "sup1": sup1 / s ** probe.q}
-        if kind in ("cor1", "cor3"):
-            expo = alpha_prime / (alpha * lam)
-            val, _ = ratio_size_sum(W, Wprime, alpha_prime / alpha, merit_factors, s)
-            row["sup2"] = val / (s ** probe.q_prime * n ** delta)
-            row["observed"] = merit(rule, SpaceParams(alpha=alpha_prime, weights=Wprime)).p_value
-            envelope = s ** (probe.q * expo + probe.q_prime) * n ** (delta - expo)
-        else:
-            expo = 1.0 / (2.0 * alpha * lam)
-            order_sum, _ = ratio_size_sum(Wprime, Wprime, 0.0, range(s + 1), s)  # gamma'_u |u|
-            row["sup2"] = order_sum / s ** probe.q_prime
-            val, _ = ratio_size_sum(W, Wprime, 1.0 / (2.0 * alpha), disc_factors, s)
-            row["sup3"] = val / (s ** probe.q_dprime * n ** delta)
-            row["observed"] = disc_bound(rule, alpha, W, Wprime)[0]
-            envelope = (s ** max(probe.q_prime, probe.q * expo + probe.q_dprime)
-                        * n ** (delta - expo))
-        row["envelope"] = envelope
-        row["ratio"] = row["observed"] / envelope if envelope > 0 else math.inf
-        rows.append(row)
-    C = max((r["ratio"] for r in rows), default=0.0)
-    return {"kind": kind, "rows": rows, "C": C}

@@ -258,7 +258,7 @@ class TestEvaluate:
 
     def test_poly_rho_discrepancy_one_closed_form(self, tmp_path, monkeypatch):
         # --rho --discrepancy evaluates the closed-form P once; rho carries no P
-        from qmcforge import cli, stability, walsh
+        from qmcforge import stability, walsh
         rule_path = tmp_path / "r.json"
         assert run(["construct", "--kind", "poly-lattice", "--b", "2", "--m", "6", "--s", "2",
                     "--out", str(rule_path)]) == 0
@@ -267,7 +267,7 @@ class TestEvaluate:
         def counted(*args, **kwargs):
             calls.append(1)
             return closed_form(*args, **kwargs)
-        for module in (cli, stability, walsh):
+        for module in (stability, walsh):
             monkeypatch.setattr(module, "p_merit_wal_closed", counted)
         assert run(["evaluate", str(rule_path), "--alpha", "1", "--weights", "product:j^-2",
                     "--rho", "--discrepancy", "--out", str(tmp_path / "e.json")]) == 0

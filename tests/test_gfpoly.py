@@ -38,6 +38,11 @@ class TestArithmetic:
         with pytest.raises(UsageError):
             poly(2, 1, 1.5)  # refused, not truncated to x + 1
 
+    @pytest.mark.parametrize("base", [2.0, "2"])
+    def test_integer_base_only(self, base):
+        with pytest.raises(UsageError):
+            GFPoly(base, (1, 3))  # not float or string coefficients mod 2.0
+
     def test_normalization_strips_leading_zeros(self):
         assert poly(2, 1, 1, 0, 0).coeffs == (1, 1)
         assert poly(2).degree == float("-inf")

@@ -1,18 +1,20 @@
 import math
+from dataclasses import dataclass
 
 import pytest
 
 from conftest import random_lattice_rules, rosser_schoenfeld_holds, totient_sieve
 from qmcforge.cbc import cbc_construct, euler_totient
+from qmcforge.discrepancy import sine_factor, star_disc_bound_rho_lattice, star_disc_bound_rho_poly
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly
 from qmcforge.korobov import LatticeRule, p_merit_closed, p_merit_series
-from qmcforge.stability import (CorollaryProbe, c_alpha_prime, combined_bound_eq1,
-                                corollary_probe, jensen_certificate, prop1_certificate,
-                                prop2_certificate, prop_bound, theorem1_bound,
-                                theorem2_bound_poly)
+from qmcforge.stability import (_thm1_size_factors, _thm2_size_factors, c_alpha_prime,
+                                combined_bound_eq1, jensen_certificate, merit, prop1_certificate,
+                                prop2_certificate, prop_bound, theorem1_bound, theorem2_bound_poly)
 from qmcforge.walsh import PolyLatticeRule, cbc_construct_poly
-from qmcforge.weights import SpaceParams, WeightSet, zeta
+from qmcforge.weights import (SpaceParams, WeightSet, ratio_size_sum, weighted_power_sum,
+                              weighted_zeta_sum, zeta)
 
 P3 = GFPoly(2, (1, 1, 0, 1))
 UNIT1 = WeightSet.product([1.0])
@@ -227,6 +229,89 @@ class TestSerialization:
         cert = theorem1_bound(LatticeRule(N=5, z=(1,)), 1.0, UNIT1, 1.0, UNIT1)
         obj = cert.to_jsonable()
         assert set(obj) == {"lhs", "rhs", "margin", "components", "passed", "vacuous"}
+
+
+@dataclass(frozen=True)
+class CorollaryProbe:
+    """Exponents for finite evaluations of the tractability statements.
+
+    lam and delta obey 1/(2 alpha) < lam < 1 and 0 < delta < cap, where the
+    cap is alpha'/(alpha lam) for the merit statements and 1/(alpha lam) for
+    the discrepancy statements; q, q_prime, q_dprime >= 0 divide out the
+    allowed polynomial growth in s.
+    """
+
+    lam: float
+    delta: float
+    q: float = 0.0
+    q_prime: float = 0.0
+    q_dprime: float = 0.0
+
+    def validate(self, kind: str, alpha: float, alpha_prime: float) -> None:
+        if not (1.0 / (2.0 * alpha) < self.lam < 1.0):
+            raise UsageError(f"lambda={self.lam} outside (1/(2 alpha), 1)")
+        cap = (alpha_prime / (alpha * self.lam) if kind in ("cor1", "cor3")
+               else 1.0 / (alpha * self.lam))
+        if not 0.0 < self.delta < cap:
+            raise UsageError(f"delta={self.delta} outside (0, {cap})")
+        if min(self.q, self.q_prime, self.q_dprime) < 0:
+            raise UsageError("growth exponents must be >= 0")
+
+
+def corollary_probe(kind: str, probe: CorollaryProbe, grid: list[tuple[int, int]],
+                    alpha: float, W: WeightSet, alpha_prime: float,
+                    Wprime: WeightSet) -> dict:
+    """Evaluate the finite quantities inside the tractability suprema on a
+    declared (s, N) or (s, m) grid, plus the observed merit or discrepancy
+    bound and its ratio to the claimed envelope.
+
+    Rules are CBC-constructed per grid cell under (alpha, gamma).  The
+    empirical constant C is the largest observed ratio; no asymptotic claim
+    is asserted.
+    """
+    if kind not in ("cor1", "cor2", "cor3", "cor4"):
+        raise UsageError(f"unknown corollary kind {kind!r}")
+    probe.validate(kind, alpha, alpha_prime)
+    lam, delta, params = probe.lam, probe.delta, SpaceParams(alpha=alpha, weights=W)
+    rows = []
+    for s, size in grid:
+        if kind in ("cor1", "cor2"):  # lattice rules with N = size; n = phi(N)
+            rule, _ = cbc_construct(size, s, params)
+            n = euler_totient(size)
+            sup1 = weighted_zeta_sum(W, s, lam, alpha)
+            merit_factors = _thm1_size_factors(alpha_prime, size, s)
+            disc_factors = [(2.0 * math.log2(size)) ** k for k in range(s + 1)]
+            disc_bound = star_disc_bound_rho_lattice
+        else:  # polynomial lattice rules with b = 2, m = size; n = b^m
+            b = 2
+            rule, _ = cbc_construct_poly(b, size, s, params)
+            n = float(b) ** size
+            sup1 = weighted_power_sum(W, s, lam,
+                                      (b - 1.0) / (float(b) ** (2.0 * alpha * lam) - b))
+            merit_factors = _thm2_size_factors(alpha_prime, b, size, s)
+            disc_factors = [(sine_factor(b) * (size + 1.0)) ** k for k in range(s + 1)]
+            disc_bound = star_disc_bound_rho_poly
+        row: dict = {"s": s, "N_or_m": size, "sup1": sup1 / s ** probe.q}
+        if kind in ("cor1", "cor3"):
+            expo = alpha_prime / (alpha * lam)
+            val, _ = ratio_size_sum(W, Wprime, alpha_prime / alpha, merit_factors, s)
+            row["sup2"] = val / (s ** probe.q_prime * n ** delta)
+            row["observed"] = merit(rule, SpaceParams(alpha=alpha_prime, weights=Wprime)).p_value
+            envelope = s ** (probe.q * expo + probe.q_prime) * n ** (delta - expo)
+        else:
+            expo = 1.0 / (2.0 * alpha * lam)
+            order_sum, _ = ratio_size_sum(Wprime, Wprime, 0.0, range(s + 1), s)  # gamma'_u |u|
+            row["sup2"] = order_sum / s ** probe.q_prime
+            val, _ = ratio_size_sum(W, Wprime, 1.0 / (2.0 * alpha), disc_factors, s)
+            row["sup3"] = val / (s ** probe.q_dprime * n ** delta)
+            row["observed"] = disc_bound(rule, alpha, W, Wprime)[0]
+            envelope = (s ** max(probe.q_prime, probe.q * expo + probe.q_dprime)
+                        * n ** (delta - expo))
+        row["envelope"] = envelope
+        row["ratio"] = row["observed"] / envelope if envelope > 0 else math.inf
+        rows.append(row)
+    C = max((r["ratio"] for r in rows), default=0.0)
+    return {"kind": kind, "rows": rows, "C": C}
 
 
 class TestCorollaryProbe:
