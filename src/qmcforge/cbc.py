@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UsageError
-from .korobov import _BLOCK_CELLS, LatticeRule, omega_table
+from .korobov import _BLOCK_CELLS, LatticeRule, is_prime, omega_table, primitive_root
 from .weights import SpaceParams, WeightSet
 
 TIE_REL_TOL = 1e-12
@@ -39,44 +39,6 @@ class CbcTrace:
     def to_jsonable(self) -> list:
         return [{"dim": i + 1, "chosen": c, "merit": m}
                 for i, (c, m) in enumerate(self.choices)]
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, ascending, by trial division."""
-    out, f = [], 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    return out + [n] if n > 1 else out
-
-
-def euler_totient(N: int) -> int:
-    """phi(N) = #{1 <= n <= N : gcd(n, N) = 1} = N prod_{p | N} (1 - 1/p)."""
-    if N < 1:
-        raise UsageError("totient needs N >= 1")
-    for f in _prime_factors(N):
-        N -= N // f
-    return N
-
-
-def is_prime(N: int) -> bool:
-    return N >= 2 and _prime_factors(N) == [N]
-
-
-def primitive_root(N: int) -> int:
-    """Smallest generator of the multiplicative group mod prime N."""
-    if not is_prime(N):
-        raise UsageError(f"primitive root search needs prime N, got {N}")
-    if N == 2:
-        return 1
-    factors = _prime_factors(N - 1)
-    for g in range(2, N):
-        if all(pow(g, (N - 1) // q, N) != 1 for q in factors):
-            return g
-    raise RuntimeError("no primitive root found; unreachable for prime N")
 
 
 class _MeritState:

@@ -16,7 +16,6 @@ import functools
 import io
 import json
 import math
-import os
 import random
 import sys
 from typing import TYPE_CHECKING, Sequence
@@ -38,16 +37,9 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def worker_count() -> int:
-    """Worker cap from QMCFORGE_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("QMCFORGE_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"QMCFORGE_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise UsageError("QMCFORGE_THREADS must be >= 0")
-    return n if n > 0 else min(8, os.cpu_count() or 1)
+# the rule type, as load_rule reads it, that each certificate applies to (None: either)
+CERTIFICATE_RULE_TYPE = {"thm1": "lattice", "prop1": "lattice", "eq1": "lattice",
+                         "thm2": "poly-lattice", "prop2": "poly-lattice", "jensen": None}
 
 
 def _parser(what: str):
@@ -227,16 +219,16 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .korobov import LatticeRule, p_merit_series, zaremba_rho
     from .stability import merit
-    from .walsh import p_merit_wal_series, rho_wal
-    rule, _ = load_rule(args.rule)
+    rule, obj = load_rule(args.rule)
     params = SpaceParams(alpha=float(args.alpha), weights=parse_weights(args.weights, rule.s))
-    lattice = isinstance(rule, LatticeRule)
-    rho_of = zaremba_rho if lattice else rho_wal  # the capped dual minima go first
-    rho = rho_of(rule, params) if args.rho else None
+    if obj["type"] == "lattice":
+        from .korobov import p_merit_series as series, zaremba_rho as rho_of
+    else:
+        from .walsh import p_merit_wal_series as series, rho_wal as rho_of
+    rho = rho_of(rule, params) if args.rho else None  # the capped dual minima go first
     if args.series_K is not None:  # the explicit cross-check of merit's closed form or series
-        report = (p_merit_series if lattice else p_merit_wal_series)(rule, params, args.series_K)
+        report = series(rule, params, args.series_K)
     else:
         report = merit(rule, params)
     if rho is not None:
@@ -250,59 +242,47 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    from .korobov import LatticeRule
-    from .stability import (combined_bound_eq1, jensen_certificate, prop1_certificate,
-                            prop2_certificate, theorem1_bound, theorem2_bound_poly)
-    from .walsh import PolyLatticeRule
-    rule, _ = load_rule(args.rule)
+    from . import stability
+    rule, obj = load_rule(args.rule)
+    selector = args.theorem
+    if CERTIFICATE_RULE_TYPE[selector] not in (None, obj["type"]):
+        raise UsageError(f"{selector} applies to {CERTIFICATE_RULE_TYPE[selector]} rules, "
+                         f"not {obj['type']} rules")
     alpha = float(args.alpha)
     W = parse_weights(args.weights, rule.s)
     Wp = parse_weights(args.weights_prime, rule.s) if args.weights_prime else W
     alpha_p = float(args.alpha_prime) if args.alpha_prime is not None else alpha
     lam = float(args.lam)
-    selector = args.theorem
     if selector == "thm1":
-        if not isinstance(rule, LatticeRule):
-            raise UsageError("thm1 applies to lattice rules")
-        cert = theorem1_bound(rule, alpha, W, alpha_p, Wp)
+        cert = stability.theorem1_bound(rule, alpha, W, alpha_p, Wp)
     elif selector == "thm2":
-        if not isinstance(rule, PolyLatticeRule):
-            raise UsageError("thm2 applies to polynomial lattice rules")
-        cert = theorem2_bound_poly(rule, alpha, W, alpha_p, Wp)
+        cert = stability.theorem2_bound_poly(rule, alpha, W, alpha_p, Wp)
     elif selector == "prop1":
-        if not isinstance(rule, LatticeRule):
-            raise UsageError("prop1 applies to lattice rules")
-        cert = prop1_certificate(rule, alpha, W, lam)
+        cert = stability.prop1_certificate(rule, alpha, W, lam)
     elif selector == "prop2":
-        if not isinstance(rule, PolyLatticeRule):
-            raise UsageError("prop2 applies to polynomial lattice rules")
-        cert = prop2_certificate(rule, alpha, W, lam)
+        cert = stability.prop2_certificate(rule, alpha, W, lam)
     elif selector == "eq1":
-        if not isinstance(rule, LatticeRule):
-            raise UsageError("eq1 applies to lattice rules")
-        cert = combined_bound_eq1(rule, alpha, W, alpha_p, Wp, lam)
-    elif selector == "jensen":
-        cert = jensen_certificate(rule, alpha, W, float(args.delta))
+        cert = stability.combined_bound_eq1(rule, alpha, W, alpha_p, Wp, lam)
     else:
-        raise UsageError(f"unknown certificate selector {selector!r}")
+        cert = stability.jensen_certificate(rule, alpha, W, float(args.delta))
     _emit(cert.to_jsonable(), args.out)
     return EXIT_OK if cert.passed else EXIT_CERT_FAILED
 
 
 def _sweep_cell(kind: str, size: int, s: int, alpha: float, W: WeightSet,
                 certify: str | None) -> dict:
-    from .cbc import cbc_construct
-    from .korobov import p_merit_closed
     from .stability import prop_bound_lattice, prop_bound_poly, theorem1_bound, theorem2_bound_poly
-    from .walsh import cbc_construct_poly, p_merit_wal_closed
     params = SpaceParams(alpha=alpha, weights=W)
     if kind == "lattice":
+        from .cbc import cbc_construct
+        from .korobov import p_merit_closed
         rule, _ = cbc_construct(size, s, params)
         p = p_merit_closed(rule, params).p_value
         bound = prop_bound_lattice(size, s, alpha, W, 1.0)
         certificate = theorem1_bound
         applies = check_monotone(W, s)  # Theorem 1 needs monotone weights
     else:
+        from .walsh import cbc_construct_poly, p_merit_wal_closed
         rule, _ = cbc_construct_poly(2, size, s, params)
         p = p_merit_wal_closed(rule, params).p_value
         bound = prop_bound_poly(2, size, s, alpha, W, 1.0)
@@ -331,17 +311,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("sweep grid is empty")
     s, alpha = int(args.s), float(args.alpha)
     W = parse_weights(args.weights, s)
-
-    from . import stability  # noqa: F401  the cells' modules load here, not in the workers
-
-    workers = worker_count()
-    if workers > 1 and len(grid) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda size: _sweep_cell(args.kind, size, s, alpha, W, args.certify), grid))
-    else:
-        rows = [_sweep_cell(args.kind, size, s, alpha, W, args.certify) for size in grid]
+    rows = [_sweep_cell(args.kind, size, s, alpha, W, args.certify) for size in grid]
 
     sizes = np.asarray([row["N_or_m"] for row in rows], dtype=np.float64)
     if args.kind == "poly-lattice":
@@ -404,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ce = sub.add_parser("certify", help="check a stability or construction bound")
     ce.add_argument("rule", help="rule JSON path")
-    ce.add_argument("--theorem", required=True,
-                    choices=["thm1", "thm2", "prop1", "prop2", "eq1", "jensen"])
+    ce.add_argument("--theorem", required=True, choices=list(CERTIFICATE_RULE_TYPE))
     ce.add_argument("--alpha", type=float, required=True)
     ce.add_argument("--weights", required=True)
     ce.add_argument("--alpha-prime", type=float, dest="alpha_prime")
@@ -438,8 +407,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
 
 

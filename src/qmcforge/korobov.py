@@ -33,8 +33,8 @@ _BERNOULLI_EVEN = {
 }
 
 ZAREMBA_N_LIMIT = 1024
-SERIES_DIM_LIMIT = 4
-SERIES_CELL_LIMIT = 2 * 10 ** 8
+# cells of the series box over coordinates 2..s, about 40 bytes each at peak
+SERIES_CELL_LIMIT = 1 << 24
 
 # cells per block of a streamed product space (CBC candidate rows, merit
 # points), and int64 cells of a dual-minima head table
@@ -68,6 +68,44 @@ class LatticeRule:
 
     def to_jsonable(self) -> dict:
         return {"type": "lattice", "N": self.N, "z": list(self.z)}
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
+
+
+def euler_totient(N: int) -> int:
+    """phi(N) = #{1 <= n <= N : gcd(n, N) = 1} = N prod_{p | N} (1 - 1/p)."""
+    if N < 1:
+        raise UsageError("totient needs N >= 1")
+    for f in _prime_factors(N):
+        N -= N // f
+    return N
+
+
+def is_prime(N: int) -> bool:
+    return N >= 2 and _prime_factors(N) == [N]
+
+
+def primitive_root(N: int) -> int:
+    """Smallest generator of the multiplicative group mod prime N."""
+    if not is_prime(N):
+        raise UsageError(f"primitive root search needs prime N, got {N}")
+    if N == 2:
+        return 1
+    factors = _prime_factors(N - 1)
+    for g in range(2, N):
+        if all(pow(g, (N - 1) // q, N) != 1 for q in factors):
+            return g
+    raise RuntimeError("no primitive root found; unreachable for prime N")
 
 
 @dataclass(frozen=True)
@@ -184,10 +222,8 @@ def p_merit_series(rule: LatticeRule, params: SpaceParams, K: int | None = None)
     if K < rule.N:
         raise UsageError(f"need K >= N (K={K}, N={rule.N})")
     s = rule.s
-    if s > SERIES_DIM_LIMIT:
-        raise UsageError(f"series evaluation supports s <= {SERIES_DIM_LIMIT}")
-    if (2 * K + 1) ** s > SERIES_CELL_LIMIT:
-        raise ResourceLimitError(f"series box (2K+1)^s too large at K={K}, s={s}")
+    if (2 * K + 1) ** (s - 1) > SERIES_CELL_LIMIT:
+        raise ResourceLimitError(f"series box (2K+1)^(s-1) too large at K={K}, s={s}")
     alpha = params.alpha
     rng = np.arange(-K, K + 1, dtype=np.int64)
     # |k| = 1 stands in at k = 0, which the zero weight pattern excludes

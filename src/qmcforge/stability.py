@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .cbc import euler_totient
 from .errors import UsageError
-from .korobov import LatticeRule, MeritReport, p_merit_closed, p_merit_series, zaremba_rho
-from .walsh import PolyLatticeRule, p_merit_wal_closed, rho_wal
+from .korobov import (LatticeRule, MeritReport, euler_totient, p_merit_closed, p_merit_series,
+                      zaremba_rho)
 from .weights import (SpaceParams, WeightSet, check_monotone, ratio_size_sum,
                       weighted_power_sum, weighted_zeta_sum, zeta)
+
+if TYPE_CHECKING:  # walsh loads only for polynomial lattice rules
+    from .walsh import PolyLatticeRule
 
 CERT_REL_SLACK = 1e-9
 JENSEN_REL_SLACK = 1e-10
@@ -75,7 +77,8 @@ def merit(rule: LatticeRule | PolyLatticeRule, params: SpaceParams,
     default p_merit_series'), whose truncation_bound is the smaller of its
     tail bound and, for a < alpha < a + 1 with closed forms at a and a + 1,
     Hoelder's P_a^(a+1-alpha) P_(a+1)^(alpha-a) less the series."""
-    if isinstance(rule, PolyLatticeRule):
+    if not isinstance(rule, LatticeRule):
+        from .walsh import p_merit_wal_closed
         return p_merit_wal_closed(rule, params)
     if params.alpha in _CLOSED_ALPHAS:
         return p_merit_closed(rule, params)
@@ -89,21 +92,29 @@ def merit(rule: LatticeRule | PolyLatticeRule, params: SpaceParams,
     return report
 
 
-def _thm1_size_factors(alpha_prime: float, N: int, s: int) -> list[float]:
-    """Theorem-1 factor F^k (log2 N)^(k-1) per subset size k = 1..s (entry 0
-    is 0), with F = 2^(2a'+1) / (2^(2a'-1) - 1)."""
+def _stability_bound(rule: LatticeRule | PolyLatticeRule, alpha: float, W: WeightSet,
+                     target: SpaceParams, base: float, power: float, c: float, F: float,
+                     L: float, components: dict,
+                     series_K: int | None = None) -> StabilityCertificate:
+    """The one shape of Theorems 1 and 2 and eq. (1): with (a', g') = target,
+
+        P_{a',g'} <= c * base^power * sum_u g'_u / g_u^(a'/a) * F^|u| L^(|u|-1),
+
+    components naming the base and c as the certificate records them."""
+    size_factors = [0.0] + [F ** k * L ** (k - 1) for k in range(1, rule.s + 1)]
+    subset_sum, vacuous = ratio_size_sum(W, target.weights, target.alpha / alpha, size_factors,
+                                         rule.s)
+    rhs = c * base ** power * subset_sum if not vacuous else math.inf
+    lhs = merit(rule, target, series_K)
+    return _certificate(lhs.p_value, rhs, {**components, "subset_sum": subset_sum}, vacuous,
+                        lhs.truncation_bound)
+
+
+def _korobov_constants(alpha_prime: float, N: int) -> tuple[float, float, float]:
+    """(c_{a'}, F, L) of Theorem 1: F = 2^(2a'+1) / (2^(2a'-1) - 1), L = log2 N."""
+    c = c_alpha_prime(alpha_prime)  # refuses a' <= 1/2 before F divides by zero
     F = 2.0 ** (2.0 * alpha_prime + 1.0) / (2.0 ** (2.0 * alpha_prime - 1.0) - 1.0)
-    L = math.log2(N)
-    return [0.0] + [F ** k * L ** (k - 1) for k in range(1, s + 1)]
-
-
-def _thm2_size_factors(alpha_prime: float, b: int, m: int, s: int) -> list[float]:
-    """Theorem-2 factor F^k (m+1)^(k-1) per subset size k = 1..s (entry 0 is
-    0), with F = b^(2a'-1) (b-1) / (b^(2a'-1) - 1)."""
-    bf = float(b)
-    F = bf ** (2.0 * alpha_prime - 1.0) * (bf - 1.0) / (bf ** (2.0 * alpha_prime - 1.0) - 1.0)
-    M = m + 1.0
-    return [0.0] + [F ** k * M ** (k - 1) for k in range(1, s + 1)]
+    return c, F, math.log2(N)
 
 
 def theorem1_bound(rule: LatticeRule, alpha: float, W: WeightSet,
@@ -118,14 +129,10 @@ def theorem1_bound(rule: LatticeRule, alpha: float, W: WeightSet,
     if not check_monotone(W, rule.s):
         raise UsageError("the stability bound needs monotone weights gamma")
     rho = zaremba_rho(rule, SpaceParams(alpha=alpha, weights=W))[0]
-    c = c_alpha_prime(alpha_prime)
-    ratio = alpha_prime / alpha
-    size_factors = _thm1_size_factors(alpha_prime, rule.N, rule.s)
-    subset_sum, vacuous = ratio_size_sum(W, Wprime, ratio, size_factors, rule.s)
-    rhs = c * rho ** ratio * subset_sum if not vacuous else math.inf
-    lhs = merit(rule, SpaceParams(alpha=alpha_prime, weights=Wprime), series_K)
-    return _certificate(lhs.p_value, rhs, {"rho": rho, "c_alpha_prime": c,
-                                           "subset_sum": subset_sum}, vacuous, lhs.truncation_bound)
+    c, F, L = _korobov_constants(alpha_prime, rule.N)
+    return _stability_bound(rule, alpha, W, SpaceParams(alpha=alpha_prime, weights=Wprime), rho,
+                            alpha_prime / alpha, c, F, L, {"rho": rho, "c_alpha_prime": c},
+                            series_K)
 
 
 def theorem2_bound_poly(rule: PolyLatticeRule, alpha: float, W: WeightSet,
@@ -136,14 +143,13 @@ def theorem2_bound_poly(rule: PolyLatticeRule, alpha: float, W: WeightSet,
                         * sum_u g'_u / g_u^(a'/a)
                           * (b^(2a'-1) (b-1) / (b^(2a'-1) - 1))^|u| (m+1)^(|u|-1).
     """
+    from .walsh import rho_wal
     rho = rho_wal(rule, SpaceParams(alpha=alpha, weights=W))[0]
-    ratio = alpha_prime / alpha
-    size_factors = _thm2_size_factors(alpha_prime, rule.b, rule.m, rule.s)
-    subset_sum, vacuous = ratio_size_sum(W, Wprime, ratio, size_factors, rule.s)
-    rhs = rho ** ratio * subset_sum if not vacuous else math.inf
-    lhs = merit(rule, SpaceParams(alpha=alpha_prime, weights=Wprime))
-    return _certificate(lhs.p_value, rhs, {"rho": rho, "subset_sum": subset_sum}, vacuous,
-                        lhs.truncation_bound)
+    target = SpaceParams(alpha=alpha_prime, weights=Wprime)  # a' > 1/2, so F is finite
+    b = float(rule.b)
+    F = b ** (2.0 * alpha_prime - 1.0) * (b - 1.0) / (b ** (2.0 * alpha_prime - 1.0) - 1.0)
+    return _stability_bound(rule, alpha, W, target, rho, alpha_prime / alpha, 1.0, F, rule.m + 1.0,
+                            {"rho": rho})
 
 
 def prop_bound_lattice(N: int, s: int, alpha: float, W: WeightSet, lam: float) -> float:
@@ -163,16 +169,6 @@ def prop_bound_poly(b: int, m: int, s: int, alpha: float, W: WeightSet, lam: flo
     return (total / (b ** m - 1)) ** (1.0 / lam)
 
 
-def prop_bound(kind: str, size, s: int, alpha: float, W: WeightSet, lam: float) -> float:
-    """Dispatch on kind: 'lattice' takes size = N, 'poly' takes size = (b, m)."""
-    if kind == "lattice":
-        return prop_bound_lattice(int(size), s, alpha, W, lam)
-    if kind == "poly":
-        b, m = size
-        return prop_bound_poly(int(b), int(m), s, alpha, W, lam)
-    raise UsageError(f"unknown bound kind {kind!r}")
-
-
 def prop1_certificate(rule: LatticeRule, alpha: float, W: WeightSet,
                       lam: float = 1.0) -> StabilityCertificate:
     """P(z) against the CBC guarantee (valid for CBC-constructed rules)."""
@@ -186,6 +182,7 @@ def prop2_certificate(rule: PolyLatticeRule, alpha: float, W: WeightSet,
                       lam: float = 1.0) -> StabilityCertificate:
     """rho <= P <= CBC guarantee for polynomial lattice rules; the certificate
     checks the outer inequality and records rho for the chain."""
+    from .walsh import rho_wal
     rhs = prop_bound_poly(rule.b, rule.m, rule.s, alpha, W, lam)
     params = SpaceParams(alpha=alpha, weights=W)
     report = replace(merit(rule, params), rho_value=rho_wal(rule, params)[0])
@@ -208,15 +205,11 @@ def combined_bound_eq1(rule: LatticeRule, alpha: float, W: WeightSet,
     """
     if not check_monotone(W, rule.s):
         raise UsageError("the stability bound needs monotone weights gamma")
-    c = c_alpha_prime(alpha_prime)
-    ratio = alpha_prime / alpha
+    c, F, L = _korobov_constants(alpha_prime, rule.N)
     raw = weighted_zeta_sum(W, rule.s, lam, alpha) / euler_totient(rule.N)
-    size_factors = _thm1_size_factors(alpha_prime, rule.N, rule.s)
-    subset_sum, vacuous = ratio_size_sum(W, Wprime, ratio, size_factors, rule.s)
-    rhs = c * raw ** (alpha_prime / (alpha * lam)) * subset_sum if not vacuous else math.inf
-    lhs = merit(rule, SpaceParams(alpha=alpha_prime, weights=Wprime), series_K)
-    return _certificate(lhs.p_value, rhs, {"c_alpha_prime": c, "cbc_guarantee_base": raw,
-                                           "subset_sum": subset_sum}, vacuous, lhs.truncation_bound)
+    return _stability_bound(rule, alpha, W, SpaceParams(alpha=alpha_prime, weights=Wprime), raw,
+                            alpha_prime / (alpha * lam), c, F, L,
+                            {"c_alpha_prime": c, "cbc_guarantee_base": raw}, series_K)
 
 
 def jensen_certificate(rule: LatticeRule | PolyLatticeRule, alpha: float,

@@ -242,34 +242,18 @@ def check_monotone(W: WeightSet, s: int) -> bool:
     """True iff gamma_v >= gamma_u whenever v is a nonempty proper subset of u.
 
     Checked through single-element removals (gamma_{u\\{j}} >= gamma_u), which
-    implies the full condition by transitivity.  Product, pod and order kinds
-    reduce to small index scans; explicit tables only need their own entries
-    checked because unlisted subsets weigh 0.
+    implies the full condition by transitivity.  For gamma_u = Gamma_|u|
+    prod_{j in u} g_j a removal from |u| = k reads Gamma_(k-1) >= Gamma_k g_j,
+    needed wherever k - 1 coordinates other than j have g_i > 0.  Explicit
+    tables only need their own entries checked because unlisted subsets weigh 0.
     """
     if not 1 <= s <= W.s_max:
         raise UsageError(f"dimension s={s} outside 1..{W.s_max}")
-    if s == 1:
-        return True
-    if W.kind == "product":
-        # gamma_{u\{j}} - gamma_u = prod_{i in u\{j}} gamma_i * (1 - gamma_j).
-        heavy = [j for j in range(1, s + 1) if W.gamma[j - 1] > 1.0]
-        for j in heavy:
-            if any(W.gamma[i - 1] > 0.0 for i in range(1, s + 1) if i != j):
-                return False
-        return True
-    if W.kind == "order":
-        return all(W.Gamma[k - 2] >= W.Gamma[k - 1] for k in range(2, s + 1))
-    if W.kind == "pod":
-        # For u of size k containing j: Gamma_{k-1} >= Gamma_k * gamma_j unless
-        # every (k-1)-subset of the other coordinates has a zero product.
-        positives = sum(1 for i in range(1, s + 1) if W.gamma[i - 1] > 0.0)
-        for k in range(2, s + 1):
-            for j in range(1, s + 1):
-                others_positive = positives - (1 if W.gamma[j - 1] > 0.0 else 0)
-                attainable = others_positive >= k - 1
-                if attainable and W.Gamma[k - 2] < W.Gamma[k - 1] * W.gamma[j - 1]:
-                    return False
-        return True
+    if W.kind != "explicit":
+        G, g = _size_and_coordinate_parts(W, s)
+        positives = sum(1 for x in g if x > 0.0)
+        return all(G[k - 2] >= G[k - 1] * g[j] for k in range(2, s + 1) for j in range(s)
+                   if positives - (g[j] > 0.0) >= k - 1)
     # explicit: removals from unlisted subsets (gamma_u = 0) hold trivially
     for fs, w in W.table:
         if len(fs) < 2 or max(fs) > s or w == 0.0:

@@ -34,7 +34,7 @@ def brute_force_monotone(W: WeightSet, s: int) -> bool:
 def rosser_schoenfeld_holds(N: int) -> bool:
     """Totient growth check for N >= 3:
     1/phi(N) < (1/N) (e^gamma log log N + 2.50637 / log log N)."""
-    from qmcforge.cbc import euler_totient
+    from qmcforge.korobov import euler_totient
 
     ll = math.log(math.log(N))
     rhs = (math.exp(0.5772156649015329) * ll + 2.50637 / ll) / N

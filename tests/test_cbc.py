@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qmcforge import cbc
-from qmcforge.cbc import (TIE_REL_TOL, _powers, _select, cbc_construct, euler_totient,
-                          primitive_root)
+from qmcforge.cbc import TIE_REL_TOL, _powers, _select, cbc_construct
+from qmcforge.korobov import euler_totient, primitive_root
 from qmcforge.errors import UsageError
 from qmcforge.korobov import LatticeRule, omega_table, p_merit_closed
 from qmcforge.stability import prop_bound_lattice

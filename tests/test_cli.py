@@ -1,9 +1,15 @@
 import csv
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qmcforge
 from qmcforge.cli import main, parse_weights
 from qmcforge.errors import UsageError
 
@@ -258,7 +264,7 @@ class TestEvaluate:
 
     def test_poly_rho_discrepancy_one_closed_form(self, tmp_path, monkeypatch):
         # --rho --discrepancy evaluates the closed-form P once; rho carries no P
-        from qmcforge import stability, walsh
+        from qmcforge import walsh
         rule_path = tmp_path / "r.json"
         assert run(["construct", "--kind", "poly-lattice", "--b", "2", "--m", "6", "--s", "2",
                     "--out", str(rule_path)]) == 0
@@ -267,8 +273,7 @@ class TestEvaluate:
         def counted(*args, **kwargs):
             calls.append(1)
             return closed_form(*args, **kwargs)
-        for module in (stability, walsh):
-            monkeypatch.setattr(module, "p_merit_wal_closed", counted)
+        monkeypatch.setattr(walsh, "p_merit_wal_closed", counted)  # merit imports it per call
         assert run(["evaluate", str(rule_path), "--alpha", "1", "--weights", "product:j^-2",
                     "--rho", "--discrepancy", "--out", str(tmp_path / "e.json")]) == 0
         assert len(calls) == 1
@@ -327,6 +332,38 @@ class TestCertify:
         assert run(["certify", str(lattice_rule_file), "--theorem", "jensen",
                     "--alpha", "1", "--weights", "product:j^-2",
                     "--delta", "0.5"]) == 0
+
+    def test_jensen_poly(self, poly_rule_file):
+        assert run(["certify", str(poly_rule_file), "--theorem", "jensen",
+                    "--alpha", "1", "--weights", "product:j^-2",
+                    "--delta", "0.5"]) == 0
+
+    @pytest.mark.parametrize("selector, family", [
+        ("thm1", "poly"), ("prop1", "poly"), ("eq1", "poly"),
+        ("thm2", "lattice"), ("prop2", "lattice")])
+    def test_selector_of_the_other_family(self, selector, family, request, capsys):
+        rule_file = request.getfixturevalue(f"{family}_rule_file")
+        capsys.readouterr()
+        assert run(["certify", str(rule_file), "--theorem", selector,
+                    "--alpha", "1", "--weights", "product:j^-2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {selector} applies to ") and err.count("\n") == 1
+
+    def test_series_box_counts_coordinates_2_to_s(self, tmp_path, capsys):
+        # alpha' = 1.5 takes the series at K = N = 359: 719^2 cells over coordinates 2..3
+        rule_path = tmp_path / "rule.json"
+        assert run(["construct", "--N", "359", "--s", "3", "--out", str(rule_path)]) == 0
+        capsys.readouterr()
+        assert run(["certify", str(rule_path), "--theorem", "thm1", "--alpha", "1",
+                    "--weights", "product:j^-2", "--alpha-prime", "1.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+
+    def test_oversized_series_box_exit_three(self, tmp_path):
+        # 719^3 cells over coordinates 2..4 exceed the series cap
+        rule_path = tmp_path / "rule.json"
+        rule_path.write_text(json.dumps({"type": "lattice", "N": 359, "z": [1, 105, 82, 17]}))
+        assert run(["certify", str(rule_path), "--theorem", "jensen", "--alpha", "1.5",
+                    "--weights", "product:j^-2"]) == 3
 
     def test_nonmonotone_usage_error(self, lattice_rule_file):
         code = run(["certify", str(lattice_rule_file), "--theorem", "thm1",
@@ -449,8 +486,7 @@ class TestSweep:
         row = next(csv.DictReader(out.read_text().splitlines()[:-1]))
         assert math.isfinite(float(row["thm1_rhs"]))
 
-    def test_threads_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("QMCFORGE_THREADS", "2")
+    def test_rows_in_grid_order(self, capsys):
         code = run(["sweep", "--kind", "lattice", "--N-grid", "8,16,32",
                     "--s", "2", "--alpha", "1", "--weights", "product:j^-2"])
         assert code == 0
@@ -556,3 +592,21 @@ def test_malformed_input_usage_error(tmp_path, capsys, args, rule):
     assert run([str(rule_path) if a == "RULE" else a for a in args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["construct", "--N", "1000000007", "--s", "1", "--random"],
+    ["construct", "--kind", "poly-lattice", "--b", "7", "--m", "11", "--s", "1", "--random"],
+])
+def test_out_of_memory_exit_three(tmp_path, args):
+    # each needs an array of several GiB; under a 2 GiB address-space limit numpy's
+    # MemoryError exits 3 with one line, not 1 (certificate failure) with a traceback
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(qmcforge.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "qmcforge.cli", *args], cwd=tmp_path,
+                         capture_output=True, text=True, preexec_fn=limit, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("resource limit: ") and out.stderr.count("\n") == 1

@@ -4,14 +4,14 @@ from dataclasses import dataclass
 import pytest
 
 from conftest import random_lattice_rules, rosser_schoenfeld_holds, totient_sieve
-from qmcforge.cbc import cbc_construct, euler_totient
+from qmcforge.cbc import cbc_construct
 from qmcforge.discrepancy import sine_factor, star_disc_bound_rho_lattice, star_disc_bound_rho_poly
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly
-from qmcforge.korobov import LatticeRule, p_merit_closed, p_merit_series
-from qmcforge.stability import (_thm1_size_factors, _thm2_size_factors, c_alpha_prime,
-                                combined_bound_eq1, jensen_certificate, merit, prop1_certificate,
-                                prop2_certificate, prop_bound, theorem1_bound, theorem2_bound_poly)
+from qmcforge.korobov import LatticeRule, euler_totient, p_merit_closed, p_merit_series
+from qmcforge.stability import (c_alpha_prime, combined_bound_eq1, jensen_certificate, merit,
+                                prop1_certificate, prop2_certificate, prop_bound_lattice,
+                                prop_bound_poly, theorem1_bound, theorem2_bound_poly)
 from qmcforge.walsh import PolyLatticeRule, cbc_construct_poly
 from qmcforge.weights import (SpaceParams, WeightSet, ratio_size_sum, weighted_power_sum,
                               weighted_zeta_sum, zeta)
@@ -50,6 +50,12 @@ class TestTheorem1:
         Wp = WeightSet.product([0.0])
         cert = theorem1_bound(LatticeRule(N=5, z=(1,)), 1.0, UNIT1, 1.0, Wp)
         assert cert.lhs == 0.0 and cert.rhs == 0.0 and cert.passed
+
+    def test_alpha_prime_half_refused(self):
+        # at alpha' = 1/2 the size factor's denominator b^(2a'-1) - 1 vanishes
+        rule = PolyLatticeRule(b=2, m=3, p=P3, q=(GFPoly.one(2),))
+        with pytest.raises(UsageError):
+            theorem2_bound_poly(rule, 1.0, UNIT1, 0.5, UNIT1)
 
     def test_vacuous_zero_source_weight(self):
         W = WeightSet.explicit({(1,): 1.0}, s_max=2)
@@ -112,6 +118,12 @@ class TestTheorem2:
         cert = theorem2_bound_poly(rule, 1.0, UNIT1, 1.0, Wp)
         assert cert.lhs == 0.0 and cert.rhs == 0.0 and cert.passed
 
+    def test_alpha_prime_half_refused(self):
+        # at alpha' = 1/2 the size factor's denominator b^(2a'-1) - 1 vanishes
+        rule = PolyLatticeRule(b=2, m=3, p=P3, q=(GFPoly.one(2),))
+        with pytest.raises(UsageError):
+            theorem2_bound_poly(rule, 1.0, UNIT1, 0.5, UNIT1)
+
     def test_grid_with_noninteger_target(self):
         W = WeightSet.product([1.0, 0.25])
         for m in (3, 4, 5):
@@ -129,20 +141,21 @@ class TestTheorem2:
 
 class TestPropBounds:
     def test_lattice_value(self):
-        assert prop_bound("lattice", 5, 1, 1.0, UNIT1, 1.0) == pytest.approx(
+        assert prop_bound_lattice(5, 1, 1.0, UNIT1, 1.0) == pytest.approx(
             2 * zeta(2.0) / 4, rel=1e-12)
 
     def test_poly_value(self):
-        assert prop_bound("poly", (2, 3), 1, 1.0, UNIT1, 1.0) == pytest.approx(1 / 14,
-                                                                               rel=1e-12)
+        assert prop_bound_poly(2, 3, 1, 1.0, UNIT1, 1.0) == pytest.approx(1 / 14, rel=1e-12)
 
     def test_zero_weights(self):
         W = WeightSet.product([0.0])
-        assert prop_bound("lattice", 7, 1, 1.0, W, 1.0) == 0.0
+        assert prop_bound_lattice(7, 1, 1.0, W, 1.0) == 0.0
 
     def test_lambda_out_of_range(self):
         with pytest.raises(UsageError):
-            prop_bound("lattice", 7, 1, 1.0, UNIT1, 0.4)
+            prop_bound_lattice(7, 1, 1.0, UNIT1, 0.4)
+        with pytest.raises(UsageError):
+            prop_bound_poly(2, 3, 1, 1.0, UNIT1, 0.4)
 
     def test_certificates_on_cbc_output(self):
         W = WeightSet.product([1.0, 0.5])
@@ -279,7 +292,8 @@ def corollary_probe(kind: str, probe: CorollaryProbe, grid: list[tuple[int, int]
             rule, _ = cbc_construct(size, s, params)
             n = euler_totient(size)
             sup1 = weighted_zeta_sum(W, s, lam, alpha)
-            merit_factors = _thm1_size_factors(alpha_prime, size, s)
+            F = 2.0 ** (2 * alpha_prime + 1) / (2.0 ** (2 * alpha_prime - 1) - 1)
+            L = math.log2(size)
             disc_factors = [(2.0 * math.log2(size)) ** k for k in range(s + 1)]
             disc_bound = star_disc_bound_rho_lattice
         else:  # polynomial lattice rules with b = 2, m = size; n = b^m
@@ -288,9 +302,11 @@ def corollary_probe(kind: str, probe: CorollaryProbe, grid: list[tuple[int, int]
             n = float(b) ** size
             sup1 = weighted_power_sum(W, s, lam,
                                       (b - 1.0) / (float(b) ** (2.0 * alpha * lam) - b))
-            merit_factors = _thm2_size_factors(alpha_prime, b, size, s)
+            F = b ** (2 * alpha_prime - 1) * (b - 1) / (b ** (2 * alpha_prime - 1) - 1.0)
+            L = size + 1.0
             disc_factors = [(sine_factor(b) * (size + 1.0)) ** k for k in range(s + 1)]
             disc_bound = star_disc_bound_rho_poly
+        merit_factors = [0.0] + [F ** k * L ** (k - 1) for k in range(1, s + 1)]  # Theorem 1 or 2
         row: dict = {"s": s, "N_or_m": size, "sup1": sup1 / s ** probe.q}
         if kind in ("cor1", "cor3"):
             expo = alpha_prime / (alpha * lam)

@@ -83,21 +83,16 @@ def test_evaluate_loads_discrepancy_only_when_asked(workdir):
     assert "qmcforge.discrepancy" in loaded_after_cli(EVALUATE + ["--discrepancy"], workdir)
 
 
-def test_sweep_loads_its_modules_before_the_workers(workdir):
-    # a module first imported in a worker thread is compiled there, and the
-    # thread's allocations raise the job's peak RSS
-    spy = ("import builtins, os, threading\n"
-           "os.environ['QMCFORGE_THREADS'] = '2'\n"
-           "thread_loads, real_import = [], builtins.__import__\n"
-           "def spy(*args, **kwargs):\n"
-           "    before = set(sys.modules)\n"
-           "    try:\n"
-           "        return real_import(*args, **kwargs)\n"
-           "    finally:\n"
-           "        if threading.current_thread() is not threading.main_thread():\n"
-           "            thread_loads.extend(set(sys.modules) - before)\n"
-           "builtins.__import__ = spy\n")
-    run = ("from qmcforge.cli import main\n"
-           "assert main(['sweep', '--N-grid', '17,31', '--out', 'sweep.csv']) == 0\n")
-    loaded = loaded_after(f"import sys\n{spy}{run}assert not thread_loads, thread_loads", workdir)
-    assert {"concurrent.futures", "csv"} <= loaded
+def test_lattice_evaluate_and_certify_skip_the_polynomial_modules(workdir):
+    certify = ["certify", "rule.json", "--theorem", "thm1", "--alpha", "1",
+               "--weights", "product:j^-2", "--out", "cert.json"]
+    for argv in (EVALUATE, certify):
+        loaded = loaded_after_cli(argv, workdir)
+        assert "qmcforge.stability" in loaded
+        assert not loaded & package("walsh", "gfpoly", "cbc")
+
+
+def test_sweep_loads_no_thread_pool(workdir):
+    loaded = loaded_after_cli(["sweep", "--N-grid", "17,31", "--out", "sweep.csv"], workdir)
+    assert "csv" in loaded
+    assert "concurrent.futures" not in loaded

@@ -95,6 +95,11 @@ class TestMonotone:
     @pytest.mark.parametrize("s", [2, 4, 6, 8])
     def test_matches_brute_force(self, s):
         rng = np.random.default_rng(7 + s)
+
+        def coordinate_weights():
+            # zero and > 1 entries, so that whether a removal is attainable matters
+            return rng.choice([0.0, 0.0, 0.5, 1.0, 1.3], size=s).tolist()
+
         candidates = [
             WeightSet.product(rng.uniform(0.0, 1.4, size=s).tolist()),
             WeightSet.pod(rng.uniform(0.2, 1.5, size=s).tolist(),
@@ -105,6 +110,9 @@ class TestMonotone:
                  for k in range(1, s + 1) for c in combinations(range(1, s + 1), k)
                  if rng.uniform() < 0.4},
                 s_max=s),
+            *(WeightSet.product(coordinate_weights()) for _ in range(8)),
+            *(WeightSet.pod(rng.uniform(0.5, 1.2, size=s).tolist(), coordinate_weights())
+              for _ in range(8)),
         ]
         for W in candidates:
             assert check_monotone(W, s) == brute_force_monotone(W, s)
