@@ -12,18 +12,16 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cbc": ("CbcTrace", "cbc_construct"),
-    "discrepancy": ("DiscrepancyReport", "exact_star_discrepancy", "r_u_lattice", "r_u_poly",
-                    "star_disc_bound_lattice", "star_disc_bound_poly",
-                    "star_disc_bound_rho_lattice", "star_disc_bound_rho_poly"),
+    "discrepancy": ("DiscrepancyReport", "exact_star_discrepancy", "star_disc_bound",
+                    "star_disc_bound_rho"),
     "errors": ("QmcforgeError", "ResourceLimitError", "UsageError"),
     "gfpoly": ("GFPoly", "gf_is_irreducible", "smallest_irreducible"),
-    "korobov": ("LatticeRule", "MeritReport", "bernoulli_even", "euler_totient", "lattice_points",
-                "p_merit_closed", "p_merit_series", "zaremba_rho"),
+    "korobov": ("LatticeRule", "MeritReport", "euler_totient", "p_merit_closed", "p_merit_series"),
     "stability": ("StabilityCertificate", "c_alpha_prime", "combined_bound_eq1",
                   "jensen_certificate", "prop_bound_lattice", "prop_bound_poly",
                   "theorem1_bound", "theorem2_bound_poly"),
-    "walsh": ("PolyLatticeRule", "cbc_construct_poly", "mu_of", "p_merit_wal_closed",
-              "p_merit_wal_series", "poly_lattice_points", "rho_wal", "walsh_phi_alpha"),
+    "walsh": ("PolyLatticeRule", "cbc_construct_poly", "mu_of", "p_merit_wal_series",
+              "walsh_phi_alpha"),
     "weights": ("SpaceParams", "WeightSet", "check_monotone", "weighted_zeta_sum", "zeta"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

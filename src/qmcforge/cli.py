@@ -42,6 +42,13 @@ CERTIFICATE_RULE_TYPE = {"thm1": "lattice", "prop1": "lattice", "eq1": "lattice"
                          "thm2": "poly-lattice", "prop2": "poly-lattice", "jensen": None}
 
 
+def _check_family(selector: str, kind: str) -> None:
+    """Refuse a certificate selector for the rule family it does not apply to."""
+    if CERTIFICATE_RULE_TYPE[selector] not in (None, kind):
+        raise UsageError(f"{selector} applies to {CERTIFICATE_RULE_TYPE[selector]} rules, "
+                         f"not {kind} rules")
+
+
 def _parser(what: str):
     """Decorate a parser of user input so that the ValueError, KeyError or
     TypeError of malformed input exits 2 as a one-line UsageError."""
@@ -175,13 +182,16 @@ def _splice_config(argv: list[str]) -> list[str]:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     from .cbc import CbcTrace, cbc_construct
+    from .korobov import p_merit_closed
     if args.kind == "lattice":
-        from .korobov import LatticeRule, p_merit_closed
+        from .korobov import LatticeRule
         if args.N is None:
             raise UsageError("lattice construction needs --N")
         N, s, alpha = int(args.N), int(args.s), float(args.alpha)
         W = parse_weights(args.weights, s)
         if args.random:
+            if N < 2:  # before the draw from the empty range 1..N-1
+                raise UsageError(f"modulus N must be >= 2, got {N}")
             rng = random.Random(args.seed)
             z = tuple(rng.randrange(1, N) for _ in range(s))
             rule = LatticeRule(N=N, z=z)
@@ -194,7 +204,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if args.m is None:
             raise UsageError("poly-lattice construction needs --m")
         from .gfpoly import GFPoly, smallest_irreducible
-        from .walsh import PolyLatticeRule, cbc_construct_poly, p_merit_wal_closed
+        from .walsh import PolyLatticeRule, cbc_construct_poly
         b, m, s, alpha = int(args.b), int(args.m), int(args.s), float(args.alpha)
         W = parse_weights(args.weights, s)
         p = _poly_from_arg(args.p, b) if args.p else smallest_irreducible(b, m)
@@ -202,7 +212,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             rng = random.Random(args.seed)
             q = tuple(GFPoly.from_code(b, rng.randrange(1, b ** m)) for _ in range(s))
             rule = PolyLatticeRule(b=b, m=m, p=p, q=q)
-            merit = p_merit_wal_closed(rule, SpaceParams(alpha=alpha, weights=W)).p_value
+            merit = p_merit_closed(rule, SpaceParams(alpha=alpha, weights=W)).p_value
             trace = CbcTrace(choices=tuple((qj.code(), merit) for qj in rule.q), evaluations=0)
         else:
             rule, trace = cbc_construct_poly(b, m, s, SpaceParams(alpha=alpha, weights=W), p=p)
@@ -220,15 +230,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .stability import merit
-    rule, obj = load_rule(args.rule)
+    rule, _ = load_rule(args.rule)
     params = SpaceParams(alpha=float(args.alpha), weights=parse_weights(args.weights, rule.s))
-    if obj["type"] == "lattice":
-        from .korobov import p_merit_series as series, zaremba_rho as rho_of
-    else:
-        from .walsh import p_merit_wal_series as series, rho_wal as rho_of
-    rho = rho_of(rule, params) if args.rho else None  # the capped dual minima go first
+    rho = rule.rho(params) if args.rho else None  # the capped dual minima go first
     if args.series_K is not None:  # the explicit cross-check of merit's closed form or series
-        report = series(rule, params, args.series_K)
+        report = rule.series(params, args.series_K)
     else:
         report = merit(rule, params)
     if rho is not None:
@@ -245,9 +251,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     from . import stability
     rule, obj = load_rule(args.rule)
     selector = args.theorem
-    if CERTIFICATE_RULE_TYPE[selector] not in (None, obj["type"]):
-        raise UsageError(f"{selector} applies to {CERTIFICATE_RULE_TYPE[selector]} rules, "
-                         f"not {obj['type']} rules")
+    _check_family(selector, obj["type"])
     alpha = float(args.alpha)
     W = parse_weights(args.weights, rule.s)
     Wp = parse_weights(args.weights_prime, rule.s) if args.weights_prime else W
@@ -271,23 +275,22 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def _sweep_cell(kind: str, size: int, s: int, alpha: float, W: WeightSet,
                 certify: str | None) -> dict:
+    from .korobov import p_merit_closed
     from .stability import prop_bound_lattice, prop_bound_poly, theorem1_bound, theorem2_bound_poly
     params = SpaceParams(alpha=alpha, weights=W)
     if kind == "lattice":
         from .cbc import cbc_construct
-        from .korobov import p_merit_closed
         rule, _ = cbc_construct(size, s, params)
-        p = p_merit_closed(rule, params).p_value
         bound = prop_bound_lattice(size, s, alpha, W, 1.0)
         certificate = theorem1_bound
         applies = check_monotone(W, s)  # Theorem 1 needs monotone weights
     else:
-        from .walsh import cbc_construct_poly, p_merit_wal_closed
+        from .walsh import cbc_construct_poly
         rule, _ = cbc_construct_poly(2, size, s, params)
-        p = p_merit_wal_closed(rule, params).p_value
         bound = prop_bound_poly(2, size, s, alpha, W, 1.0)
         certificate = theorem2_bound_poly
         applies = True  # Theorem 2 needs no monotonicity
+    p = p_merit_closed(rule, params).p_value
     thm_rhs, passed = math.nan, None
     if certify or applies:
         try:
@@ -303,6 +306,8 @@ def _sweep_cell(kind: str, size: int, s: int, alpha: float, W: WeightSet,
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.certify:
+        _check_family(args.certify, args.kind)
     grid_text = args.N_grid if args.kind == "lattice" else args.m_grid
     if not grid_text:
         raise UsageError("sweep needs --N-grid (lattice) or --m-grid (poly-lattice)")

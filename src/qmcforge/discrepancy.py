@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .korobov import LatticeRule, lattice_points, zaremba_rho
-from .walsh import PolyLatticeRule, mu_of, poly_lattice_points, rho_wal
 from .weights import (SpaceParams, WeightSet, _guard_enum, check_monotone, ratio_size_sum,
                       subsets_of)
+
+if TYPE_CHECKING:
+    from .korobov import LatticeRule
+    from .walsh import PolyLatticeRule
 
 EXACT_DSTAR_N_LIMIT = 4096
 
@@ -58,43 +60,6 @@ def _columns(u: Iterable[int], s: int) -> list[int]:
     return [j - 1 for j in idx]
 
 
-def _fft_error(c: np.ndarray, n: int, axes: int) -> float:
-    """e >= ||fl(g) - g||_2 / sqrt(c.size) for the length-n DFT g of c along
-    `axes` axes, run in long double and rounded to float64.  Rounding adds
-    2^-53 ||g||_2 = 2^-53 sqrt(c.size) ||c||_2.  The transform is modelled as
-    8 u per pass (Higham 2002, Thm 24.2: 6.7 u per radix-2 pass) plus 20 u
-    from c, u the long-double unit roundoff, times sqrt 2 for a mirrored half,
-    over 2 ceil(log2 2n) + 3 passes per axis: Bluestein's two padded
-    transforms and three chirp products, as pocketfft runs for large primes.
-    Its generic small-prime passes are covered only empirically (tests check
-    the table against a direct sum up to N = 4093).  With 80-bit long double
-    this term is below 2^-53 / 3."""
-    passes = axes * (2 * math.ceil(math.log2(2 * n)) + 3)
-    u = np.finfo(np.longdouble).eps / 2
-    return float(np.linalg.norm(c)) * (2.0 ** -53 + 2 ** 0.5 * (8 * passes + 20) * u)
-
-
-def _lattice_kernel(N: int) -> tuple[np.ndarray, float]:
-    """g(a/N) = sum over -N/2 < k <= N/2, k != 0, of e(k a/N) / |k|, a < N,
-    from one FFT of c_k = 1/|k| at index k mod N, mirrored across N/2 as in
-    korobov.omega_table so that z and N - z give bitwise-equal R."""
-    k = np.arange(1, N)
-    c = np.concatenate([[0.0], 1.0 / np.minimum(k, N - k)])
-    g = np.fft.fft(c.astype(np.longdouble)).real.astype(np.float64)
-    g[N // 2 + 1:] = g[1:(N + 1) // 2][::-1]
-    return g, _fft_error(c, N, 1)
-
-
-def _poly_kernel(b: int, m: int) -> tuple[np.ndarray, float]:
-    """g(a/b^m) = sum over 0 < k < b^m of r_tilde(k) wal_k(a/b^m), a < b^m: the
-    size-b DFT along each digit axis of r_tilde reshaped to [b] * m, axes
-    reversed since digit kappa_i of k pairs with digit xi_(i+1) of x.  It is
-    real (r_tilde is even under digitwise negation) and exact for b = 2."""
-    c = np.asarray([0.0] + [r_tilde(k, b) for k in range(1, b ** m)])
-    g = np.fft.fftn(c.astype(np.longdouble).reshape([b] * m)).real.T.ravel()
-    return g.astype(np.float64), (0.0 if b == 2 else _fft_error(c, b, m))
-
-
 def _point_sum(table: np.ndarray, table_err: float, x: np.ndarray) -> tuple[float, float]:
     """R = mean_n prod_j f_nj - 1, f_nj = 1 + g(x_nj), over numerators x (N, d),
     and a first-order bound on the rounding error of R (u = 2^-53), the sum of:
@@ -119,100 +84,46 @@ def _point_sum(table: np.ndarray, table_err: float, x: np.ndarray) -> tuple[floa
     return mean - 1.0, float(table_err * spread + 2.0 ** -53 * rounding)
 
 
-def _subset_bound(x: np.ndarray, kernel: tuple, W: WeightSet, scale: float) -> tuple[float, dict]:
-    """sum_u gamma_u [1 - (1 - 1/N)^|u| + scale (R_u + allowance_u)], and each R_u."""
-    npts, s = x.shape
+def r_u(rule: LatticeRule | PolyLatticeRule, u: Iterable[int]) -> float:
+    """R_u of the rule as a point sum over its r_kernel: for a lattice rule the
+    dual vectors in the box -N/2 < k_j <= N/2 weighted by prod 1/max(1, |k_j|),
+    for a polynomial lattice rule those with all k_j < b^m weighted by prod
+    r_tilde(k_j); the zero vector excluded, coordinates outside u zero."""
+    table, table_err, _ = rule.r_kernel()
+    return _point_sum(table, table_err, rule.points()[:, _columns(u, rule.s)])[0]
+
+
+def star_disc_bound(rule: LatticeRule | PolyLatticeRule, W: WeightSet) -> tuple[float, dict]:
+    """Subset-sum bound sum_u gamma_u [1 - (1 - 1/n)^|u| + scale R_u] over the n
+    points, scale 1/2 for lattice rules and 1 for polynomial lattice rules,
+    each R_u raised by its rounding allowance; returns it and the per-subset R."""
+    table, table_err, scale = rule.r_kernel()
+    x, s = rule.points(), rule.s
     _guard_enum(s)
     total, r_values = 0.0, {}
     for u in subsets_of(s):
-        r_values[u], slack = _point_sum(*kernel, x[:, _columns(u, s)])
-        total += W.weight(u) * (1 - (1 - 1 / npts) ** len(u) + scale * (r_values[u] + slack))
+        r_values[u], slack = _point_sum(table, table_err, x[:, _columns(u, s)])
+        total += W.weight(u) * (1 - (1 - 1 / rule.npoints) ** len(u)
+                                + scale * (r_values[u] + slack))
     return total, r_values
 
 
-def r_u_lattice(rule: LatticeRule, u: Iterable[int]) -> float:
-    """R_{u,N}(z): dual vectors in the box -N/2 < k_j <= N/2 (vector nonzero),
-    weighted by prod 1/max(1, |k_j|), as a point sum over the kernel table."""
-    return _point_sum(*_lattice_kernel(rule.N), lattice_points(rule)[:, _columns(u, rule.s)])[0]
+def star_disc_bound_rho(rule: LatticeRule | PolyLatticeRule, alpha: float, W: WeightSet,
+                        Wprime: WeightSet) -> tuple[float, bool]:
+    """Merit-based bound for monotone gamma over the n points, F = rule.rho_bound_factors():
 
+        D* <= sum_u gamma'_u [1 - (1 - 1/n)^|u| + (rho / gamma_u)^(1/(2 alpha)) F_|u|],
 
-def star_disc_bound_lattice(rule: LatticeRule, W: WeightSet) -> tuple[float, dict]:
-    """Subset-sum bound sum_u gamma_u [1 - (1 - 1/N)^|u| + R_{u,N}(z) / 2], each
-    R_u raised by its rounding allowance; returns it and the per-subset R."""
-    return _subset_bound(lattice_points(rule), _lattice_kernel(rule.N), W, 0.5)
-
-
-def star_disc_bound_rho_lattice(rule: LatticeRule, alpha: float, W: WeightSet,
-                                Wprime: WeightSet) -> tuple[float, bool]:
-    """Merit-based bound: for monotone gamma,
-
-        D* <= sum_u gamma'_u [ 1 - (1 - 1/N)^|u|
-              + rho^(1/(2 alpha)) / (2 gamma_u^(1/(2 alpha)))
-                * ( log 2 (log2 N)^|u| + 3 (2 log2 N)^(|u|-1) ) ].
-
-    Returns (bound, vacuous); vacuous marks gamma_u = 0 < gamma'_u, where the
-    bound is +inf.
-    """
-    L = math.log2(rule.N)
-    return _rho_bound(rule, rule.N, alpha, W, Wprime, zaremba_rho, [0.0] + [
-        (math.log(2.0) * L ** k + 3.0 * (2.0 * L) ** (k - 1)) / 2.0
-        for k in range(1, rule.s + 1)])
-
-
-def _rho_bound(rule: LatticeRule | PolyLatticeRule, npoints: int, alpha: float,
-               W: WeightSet, Wprime: WeightSet, rho_of, factors: list[float]) -> tuple[float, bool]:
-    """(sum_u gamma'_u [1 - (1 - 1/npoints)^|u| + factors[|u|] (rho / gamma_u)^(1/(2 alpha))],
-    vacuous) for monotone W, rho = rho_of(rule, (alpha, W))[0], as two subset-size
-    sums; gamma_u = 0 < gamma'_u makes it vacuous, the sum +inf."""
+    as two subset-size sums.  Returns (bound, vacuous); vacuous marks
+    gamma_u = 0 < gamma'_u, where the bound is +inf."""
     if not check_monotone(W, rule.s):
         raise UsageError("rho-based discrepancy bound needs monotone weights")
-    rho_pow = rho_of(rule, SpaceParams(alpha=alpha, weights=W))[0] ** (1.0 / (2.0 * alpha))
+    rho_pow = rule.rho(SpaceParams(alpha=alpha, weights=W))[0] ** (1.0 / (2.0 * alpha))
     volume, vacuous = ratio_size_sum(
-        W, Wprime, 0.0, [1.0 - (1.0 - 1.0 / npoints) ** k for k in range(rule.s + 1)], rule.s)
+        W, Wprime, 0.0, [1.0 - (1.0 - 1.0 / rule.npoints) ** k for k in range(rule.s + 1)], rule.s)
     rho_term, _ = ratio_size_sum(W, Wprime, 1.0 / (2.0 * alpha),
-                                 [rho_pow * f for f in factors], rule.s)
+                                 [rho_pow * f for f in rule.rho_bound_factors()], rule.s)
     return (math.inf if vacuous else volume + rho_term), vacuous
-
-
-def r_tilde(k: int, b: int) -> float:
-    """Per-coordinate weight of the polynomial-lattice R sum: 1 for k = 0,
-    else 1 / (b^a sin(pi kappa_{a-1} / b)) with a = mu(k) and kappa_{a-1}
-    the leading base-b digit."""
-    if k == 0:
-        return 1.0
-    a = mu_of(k, b)
-    lead = k // b ** (a - 1)
-    return 1.0 / (b ** a * math.sin(math.pi * lead / b))
-
-
-def r_u_poly(rule: PolyLatticeRule, u: Iterable[int]) -> float:
-    """R_{u,b^m}(q): dual vectors with all components < b^m (vector nonzero),
-    weighted by prod r_tilde(k_j), as a point sum over the kernel table."""
-    x = poly_lattice_points(rule)[:, _columns(u, rule.s)]
-    return _point_sum(*_poly_kernel(rule.b, rule.m), x)[0]
-
-
-def star_disc_bound_poly(rule: PolyLatticeRule, W: WeightSet) -> tuple[float, dict]:
-    """Subset-sum bound sum_u gamma_u [1 - (1 - 1/b^m)^|u| + R_{u,b^m}(q)],
-    each R_u raised by its rounding allowance."""
-    return _subset_bound(poly_lattice_points(rule), _poly_kernel(rule.b, rule.m), W, 1.0)
-
-
-def sine_factor(b: int) -> float:
-    """k_b = 1 for b = 2 and 1 + 1/sin(pi/b) for prime b > 2."""
-    return 1.0 if b == 2 else 1.0 + 1.0 / math.sin(math.pi / b)
-
-
-def star_disc_bound_rho_poly(rule: PolyLatticeRule, alpha: float, W: WeightSet,
-                             Wprime: WeightSet) -> tuple[float, bool]:
-    """Merit-based bound: for monotone gamma,
-
-        D* <= sum_u gamma'_u [ 1 - (1 - 1/b^m)^|u|
-              + (b - 1) (rho / gamma_u)^(1/(2 alpha)) (k_b (m + 1))^|u| ].
-    """
-    kb = sine_factor(rule.b)
-    return _rho_bound(rule, rule.npoints, alpha, W, Wprime, rho_wal, [
-        (rule.b - 1) * (kb * (rule.m + 1)) ** k for k in range(rule.s + 1)])
 
 
 def exact_star_discrepancy(numerators: np.ndarray, denominator: int) -> float:
@@ -283,16 +194,11 @@ def discrepancy_report(rule: LatticeRule | PolyLatticeRule, params: SpaceParams,
     """The subset-sum bounds of one rule under params' weights, and its exact
     weighted D* for s <= 2; the rho bound, which needs the dual minima, only
     when with_rho is set."""
-    W, lattice = params.weights, isinstance(rule, LatticeRule)
+    W = params.weights
     bound_rho, vacuous = None, False
     if with_rho:  # the capped dual minima first
-        rho_bound = star_disc_bound_rho_lattice if lattice else star_disc_bound_rho_poly
-        bound_rho, vacuous = rho_bound(rule, params.alpha, W, W)
-    bound_joe, r_values = (star_disc_bound_lattice if lattice else star_disc_bound_poly)(rule, W)
-    exact = None
-    if rule.s <= 2:
-        points, n = ((lattice_points(rule), rule.N) if lattice
-                     else (poly_lattice_points(rule), rule.npoints))
-        exact = weighted_exact_star_discrepancy(points, n, W)
+        bound_rho, vacuous = star_disc_bound_rho(rule, params.alpha, W, W)
+    bound_joe, r_values = star_disc_bound(rule, W)
+    exact = weighted_exact_star_discrepancy(rule.points(), rule.npoints, W) if rule.s <= 2 else None
     return DiscrepancyReport(bound_joe=bound_joe, bound_rho=bound_rho,
                              exact_dstar=exact, r_values=r_values, vacuous=vacuous)

@@ -16,13 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .errors import QmcforgeError, ResourceLimitError, UsageError, as_int
 from .weights import (SpaceParams, WeightSet, _guard_enum, ratio_size_sum, subset_product_sum,
                       subsets_of)
+
+if TYPE_CHECKING:
+    from .walsh import PolyLatticeRule
 
 # Monomial coefficients of B_2, B_4, B_6, B_8, highest degree first.
 _BERNOULLI_EVEN = {
@@ -66,8 +69,51 @@ class LatticeRule:
     def s(self) -> int:
         return len(self.z)
 
+    @property
+    def npoints(self) -> int:
+        return self.N
+
     def to_jsonable(self) -> dict:
         return {"type": "lattice", "N": self.N, "z": list(self.z)}
+
+    def points(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Integer numerators of nodes lo..hi-1 (default all), shape (hi - lo, s);
+        denominator N.  Row n holds (n * z_j) mod N, so the point is row / N exactly."""
+        n = np.arange(lo, self.N if hi is None else hi, dtype=np.int64)
+        return (n[:, None] * np.asarray(self.z, dtype=np.int64)[None, :]) % self.N
+
+    def merit_kernel(self, alpha: float) -> np.ndarray:
+        """omega(a/N), a = 0..N-1, the kernel of P's closed form (integer alpha in 1..4)."""
+        return omega_table(_require_closed_alpha(alpha), self.N)
+
+    def rho(self, params: SpaceParams) -> tuple[float, dict]:
+        """Figure of merit rho = max over u of gamma_u / phi_u(z)^(2 alpha), and
+        the per-subset breakdown {u: (term, phi_u, phi_{u,0})}."""
+        per_subset = {u: (params.weights.weight(u) / float(phi_u) ** (2.0 * params.alpha), phi_u,
+                          phi_u0) for u, (phi_u, phi_u0) in dual_product_minima(self).items()}
+        return max(term for term, _, _ in per_subset.values()), per_subset
+
+    def series(self, params: SpaceParams, K: int | None) -> MeritReport:
+        return p_merit_series(self, params, K)
+
+    def r_kernel(self) -> tuple[np.ndarray, float, float]:
+        """(g, e, 1/2): g(a/N) = sum over -N/2 < k <= N/2, k != 0, of e(k a/N) / |k|,
+        a < N, from one FFT of c_k = 1/|k| at index k mod N, mirrored across N/2
+        as in omega_table so that z and N - z give bitwise-equal R; e bounds its
+        rounding, and R_u enters the discrepancy bound halved."""
+        N = self.N
+        k = np.arange(1, N)
+        c = np.concatenate([[0.0], 1.0 / np.minimum(k, N - k)])
+        g = np.fft.fft(c.astype(np.longdouble)).real.astype(np.float64)
+        g[N // 2 + 1:] = g[1:(N + 1) // 2][::-1]
+        return g, _fft_error(c, N, 1), 0.5
+
+    def rho_bound_factors(self) -> list[float]:
+        """F_k = (log 2 (log2 N)^k + 3 (2 log2 N)^(k-1)) / 2, k = 1..s, and F_0 = 0:
+        the subset-size factors of discrepancy.star_disc_bound_rho."""
+        L = math.log2(self.N)
+        return [0.0] + [(math.log(2.0) * L ** k + 3.0 * (2.0 * L) ** (k - 1)) / 2.0
+                        for k in range(1, self.s + 1)]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -134,15 +180,6 @@ class MeritReport:
                 "truncation_bound": self.truncation_bound, "per_subset": subsets}
 
 
-def lattice_points(rule: LatticeRule) -> np.ndarray:
-    """Integer numerators of the node set, shape (N, s); denominator is N.
-
-    Row n holds (n * z_j) mod N, so the point is row / N exactly.
-    """
-    n = np.arange(rule.N, dtype=np.int64)
-    return (n[:, None] * np.asarray(rule.z, dtype=np.int64)[None, :]) % rule.N
-
-
 def bernoulli_even(alpha: int, x: float) -> float:
     """B_{2 alpha}(x) for alpha in {1, 2, 3, 4}, x in [0, 1), via Horner."""
     coeffs = _BERNOULLI_EVEN.get(alpha)
@@ -187,26 +224,38 @@ def omega_table(alpha: int, N: int) -> np.ndarray:
     return table
 
 
-def p_merit_closed(rule: LatticeRule, params: SpaceParams) -> MeritReport:
-    """P(z) by the Bernoulli closed form (integer alpha in 1..4).
+def _fft_error(c: np.ndarray, n: int, axes: int) -> float:
+    """e >= ||fl(g) - g||_2 / sqrt(c.size) for the length-n DFT g of c along
+    `axes` axes, run in long double and rounded to float64.  Rounding adds
+    2^-53 ||g||_2 = 2^-53 sqrt(c.size) ||c||_2.  The transform is modelled as
+    8 u per pass (Higham 2002, Thm 24.2: 6.7 u per radix-2 pass) plus 20 u
+    from c, u the long-double unit roundoff, times sqrt 2 for a mirrored half,
+    over 2 ceil(log2 2n) + 3 passes per axis: Bluestein's two padded
+    transforms and three chirp products, as pocketfft runs for large primes.
+    Its generic small-prime passes are covered only empirically (tests check
+    the table against a direct sum up to N = 4093).  With 80-bit long double
+    this term is below 2^-53 / 3."""
+    passes = axes * (2 * math.ceil(math.log2(2 * n)) + 3)
+    u = np.finfo(np.longdouble).eps / 2
+    return float(np.linalg.norm(c)) * (2.0 ** -53 + 2 ** 0.5 * (8 * passes + 20) * u)
 
-    Equals (1/N) sum over points of sum over nonempty u of
-    gamma_u * prod_{j in u} omega(x_j).
-    """
-    table = omega_table(_require_closed_alpha(params.alpha), rule.N)
-    return _kernel_merit(table, lambda lo, hi: np.arange(lo, hi)[:, None] * rule.z % rule.N,
-                         rule.N, rule.s, params.weights)
+
+def p_merit_closed(rule: LatticeRule | PolyLatticeRule, params: SpaceParams) -> MeritReport:
+    """P of either rule family by its closed form: the mean over the points of
+    sum over nonempty u of gamma_u * prod_{j in u} kernel(x_j), the kernel
+    rule.merit_kernel(alpha) (Bernoulli for integer alpha in 1..4, or Walsh)."""
+    return _kernel_merit(rule, rule.merit_kernel(params.alpha), params.weights)
 
 
-def _kernel_merit(table: np.ndarray, points, npoints: int, s: int,
+def _kernel_merit(rule: LatticeRule | PolyLatticeRule, table: np.ndarray,
                   weights: WeightSet) -> MeritReport:
-    """Closed-form merit of either rule family: the mean over n of S(n) =
-    sum_u gamma_u prod_{j in u} table[x_j(n)], S filled in blocks of points
-    x = points(lo, hi) (shape (hi - lo, s)), never holding all n at once."""
-    S = np.empty(npoints)
-    block = max(1, _BLOCK_CELLS // s)
+    """The mean over n of S(n) = sum_u gamma_u prod_{j in u} table[x_j(n)], S
+    filled in blocks of points x = rule.points(lo, hi), never holding all n at once."""
+    npoints, S = rule.npoints, np.empty(rule.npoints)
+    block = max(1, _BLOCK_CELLS // rule.s)
     for lo in range(0, npoints, block):
-        S[lo:lo + block] = subset_product_sum(weights, table[points(lo, min(lo + block, npoints))])
+        x = rule.points(lo, min(lo + block, npoints))
+        S[lo:lo + block] = subset_product_sum(weights, table[x])
     return MeritReport(p_value=float(S.mean()), method="closed-form")
 
 
@@ -312,11 +361,3 @@ def dual_product_minima(rule: LatticeRule) -> dict[frozenset[int], tuple[int, in
     if any(low[sum(1 << (j - 1) for j in u)] != phi_u0 for u, (_, phi_u0) in out.items()):
         raise QmcforgeError("phi_{u,0} disagrees with min over subsets; search bug")
     return out
-
-
-def zaremba_rho(rule: LatticeRule, params: SpaceParams) -> tuple[float, dict]:
-    """Figure of merit rho = max over u of gamma_u / phi_u(z)^(2 alpha), and
-    the per-subset breakdown {u: (term, phi_u, phi_{u,0})}."""
-    per_subset = {u: (params.weights.weight(u) / float(phi_u) ** (2.0 * params.alpha), phi_u,
-                      phi_u0) for u, (phi_u, phi_u0) in dual_product_minima(rule).items()}
-    return max(term for term, _, _ in per_subset.values()), per_subset

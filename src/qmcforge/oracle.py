@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .errors import ResourceLimitError, UsageError
 from .gfpoly import GFPoly
 from .korobov import LatticeRule, p_merit_closed, p_merit_series
-from .walsh import PolyLatticeRule, mu_of, p_merit_wal_closed
+from .walsh import PolyLatticeRule, mu_of
 from .weights import SpaceParams
 
 _ENUM_LIMIT = 10 ** 8
@@ -228,7 +228,7 @@ def wce_by_function_probe(rule: LatticeRule | PolyLatticeRule, params: SpacePara
             mu_sum = sum(mu_of(kj, b) for kj in k if kj)
             r = gamma * float(b) ** (-2.0 * alpha * mu_sum)
             best = max(best, math.sqrt(r) * abs(_wal_mean(rows, k, b)))
-        p = p_merit_wal_closed(rule, params).p_value
+        p = p_merit_closed(rule, params).p_value
     else:
         freqs = _frequencies(rule.s, 2 * rule.N, probe_count)
         for k in freqs:

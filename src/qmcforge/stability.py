@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import UsageError
-from .korobov import (LatticeRule, MeritReport, euler_totient, p_merit_closed, p_merit_series,
-                      zaremba_rho)
+from .korobov import LatticeRule, MeritReport, euler_totient, p_merit_closed, p_merit_series
 from .weights import (SpaceParams, WeightSet, check_monotone, ratio_size_sum,
                       weighted_power_sum, weighted_zeta_sum, zeta)
 
@@ -77,10 +76,7 @@ def merit(rule: LatticeRule | PolyLatticeRule, params: SpaceParams,
     default p_merit_series'), whose truncation_bound is the smaller of its
     tail bound and, for a < alpha < a + 1 with closed forms at a and a + 1,
     Hoelder's P_a^(a+1-alpha) P_(a+1)^(alpha-a) less the series."""
-    if not isinstance(rule, LatticeRule):
-        from .walsh import p_merit_wal_closed
-        return p_merit_wal_closed(rule, params)
-    if params.alpha in _CLOSED_ALPHAS:
+    if not isinstance(rule, LatticeRule) or params.alpha in _CLOSED_ALPHAS:
         return p_merit_closed(rule, params)
     report = p_merit_series(rule, params, series_K)
     a, t = math.floor(params.alpha), params.alpha % 1.0
@@ -128,7 +124,7 @@ def theorem1_bound(rule: LatticeRule, alpha: float, W: WeightSet,
     """
     if not check_monotone(W, rule.s):
         raise UsageError("the stability bound needs monotone weights gamma")
-    rho = zaremba_rho(rule, SpaceParams(alpha=alpha, weights=W))[0]
+    rho = rule.rho(SpaceParams(alpha=alpha, weights=W))[0]
     c, F, L = _korobov_constants(alpha_prime, rule.N)
     return _stability_bound(rule, alpha, W, SpaceParams(alpha=alpha_prime, weights=Wprime), rho,
                             alpha_prime / alpha, c, F, L, {"rho": rho, "c_alpha_prime": c},
@@ -143,8 +139,7 @@ def theorem2_bound_poly(rule: PolyLatticeRule, alpha: float, W: WeightSet,
                         * sum_u g'_u / g_u^(a'/a)
                           * (b^(2a'-1) (b-1) / (b^(2a'-1) - 1))^|u| (m+1)^(|u|-1).
     """
-    from .walsh import rho_wal
-    rho = rho_wal(rule, SpaceParams(alpha=alpha, weights=W))[0]
+    rho = rule.rho(SpaceParams(alpha=alpha, weights=W))[0]
     target = SpaceParams(alpha=alpha_prime, weights=Wprime)  # a' > 1/2, so F is finite
     b = float(rule.b)
     F = b ** (2.0 * alpha_prime - 1.0) * (b - 1.0) / (b ** (2.0 * alpha_prime - 1.0) - 1.0)
@@ -182,10 +177,9 @@ def prop2_certificate(rule: PolyLatticeRule, alpha: float, W: WeightSet,
                       lam: float = 1.0) -> StabilityCertificate:
     """rho <= P <= CBC guarantee for polynomial lattice rules; the certificate
     checks the outer inequality and records rho for the chain."""
-    from .walsh import rho_wal
     rhs = prop_bound_poly(rule.b, rule.m, rule.s, alpha, W, lam)
     params = SpaceParams(alpha=alpha, weights=W)
-    report = replace(merit(rule, params), rho_value=rho_wal(rule, params)[0])
+    report = replace(merit(rule, params), rho_value=rule.rho(params)[0])
     cert = _certificate(report.p_value, rhs, {"lambda": lam, "rho": report.rho_value})
     if report.rho_value > report.p_value * (1.0 + CERT_REL_SLACK):
         return replace(cert, passed=False)

@@ -13,6 +13,7 @@ the b^m residues of G_m, one component at a time, with no box of frequencies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ import numpy as np
 from .cbc import CbcTrace, _check_dimension, _greedy, _row_scan
 from .errors import QmcforgeError, ResourceLimitError, UsageError, as_int
 from .gfpoly import GFPoly, smallest_irreducible
-from .korobov import MeritReport, _kernel_merit
+from .korobov import MeritReport, _fft_error, _kernel_merit
 from .weights import SpaceParams, _guard_enum, ratio_size_sum, subsets_of
 
 # Cell guard for CBC's b^m x b^m candidate space.
@@ -69,6 +70,45 @@ class PolyLatticeRule:
         return {"type": "poly-lattice", "b": self.b, "m": self.m,
                 "p": list(self.p.coeffs), "q": [list(qj.coeffs) for qj in self.q]}
 
+    def points(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Integer numerators of nodes lo..hi-1 (default all), shape (hi - lo, s);
+        denominator b^m.  Row for n in G_m holds the numerator of nu_m(n q_j / p)
+        in column j."""
+        return _points_of(self.b, self.m, self.p.coeffs, [qj.code() for qj in self.q],
+                          np.arange(lo, self.npoints if hi is None else hi)).T
+
+    def merit_kernel(self, alpha: float) -> np.ndarray:
+        """phi_alpha(a / b^m), a = 0..b^m-1, the kernel of P's closed form (any alpha > 1/2)."""
+        return _phi_axis(self.b, self.m, alpha)
+
+    def rho(self, params: SpaceParams) -> tuple[float, dict]:
+        """Figure of merit rho = max over u of gamma_u b^(-2 alpha phi_u(q)), and
+        the per-subset breakdown {u: (term, phi_u, None)}."""
+        per_subset = {u: (params.weights.weight(u) * float(self.b) ** (-2.0 * params.alpha * phi_u),
+                          phi_u, None) for u, phi_u in dual_mu_minima(self).items()}
+        return max(term for term, _, _ in per_subset.values()), per_subset
+
+    def series(self, params: SpaceParams, K: int) -> MeritReport:
+        return p_merit_wal_series(self, params, K)
+
+    def r_kernel(self) -> tuple[np.ndarray, float, float]:
+        """(g, e, 1): g(a/b^m) = sum over 0 < k < b^m of r_tilde(k) wal_k(a/b^m),
+        a < b^m, the size-b DFT along each digit axis of r_tilde reshaped to
+        [b] * m, axes reversed since digit kappa_i of k pairs with digit xi_(i+1)
+        of x; e bounds its rounding, and R_u enters the discrepancy bound whole.
+        g is real (r_tilde is even under digitwise negation) and exact for b = 2."""
+        b, m = self.b, self.m
+        c = np.asarray([0.0] + [r_tilde(k, b) for k in range(1, b ** m)])
+        g = np.fft.fftn(c.astype(np.longdouble).reshape([b] * m)).real.T.ravel()
+        return g.astype(np.float64), (0.0 if b == 2 else _fft_error(c, b, m)), 1.0
+
+    def rho_bound_factors(self) -> list[float]:
+        """F_k = (b - 1) (k_b (m + 1))^k, k = 0..s, k_b = 1 for b = 2 and
+        1 + 1/sin(pi/b) for prime b > 2: the subset-size factors of
+        discrepancy.star_disc_bound_rho."""
+        kb = 1.0 if self.b == 2 else 1.0 + 1.0 / math.sin(math.pi / self.b)
+        return [(self.b - 1) * (kb * (self.m + 1)) ** k for k in range(self.s + 1)]
+
 
 def mu_of(k: int, b: int) -> int:
     """Number of base-b digits of k >= 1 (position of the leading digit)."""
@@ -79,6 +119,17 @@ def mu_of(k: int, b: int) -> int:
         k //= b
         count += 1
     return count
+
+
+def r_tilde(k: int, b: int) -> float:
+    """Per-coordinate weight of the polynomial-lattice R sum: 1 for k = 0,
+    else 1 / (b^a sin(pi kappa_{a-1} / b)) with a = mu(k) and kappa_{a-1}
+    the leading base-b digit."""
+    if k == 0:
+        return 1.0
+    a = mu_of(k, b)
+    lead = k // b ** (a - 1)
+    return 1.0 / (b ** a * math.sin(math.pi * lead / b))
 
 
 def walsh_phi_alpha(numer: int, m: int, alpha: float, b: int) -> float:
@@ -157,31 +208,6 @@ def _points_of(b: int, m: int, p_coeffs: tuple[int, ...], qcodes, ncodes) -> np.
     return out.astype(np.int64)
 
 
-def _point_block(rule: PolyLatticeRule):
-    """points(lo, hi): rows lo..hi-1 of poly_lattice_points(rule)."""
-    qcodes = [qj.code() for qj in rule.q]
-    return lambda lo, hi: _points_of(rule.b, rule.m, rule.p.coeffs, qcodes,
-                                     np.arange(lo, hi)).T
-
-
-def poly_lattice_points(rule: PolyLatticeRule) -> np.ndarray:
-    """Integer numerators of the node set, shape (b^m, s); denominator b^m.
-
-    Row for n in G_m holds the numerator of nu_m(n q_j / p) in column j.
-    """
-    return _point_block(rule)(0, rule.npoints)
-
-
-def p_merit_wal_closed(rule: PolyLatticeRule, params: SpaceParams) -> MeritReport:
-    """P(q) by the phi_alpha closed form (any alpha > 1/2).
-
-    Equals (1/b^m) sum over points of sum over nonempty u of
-    gamma_u * prod_{j in u} phi_alpha(x_j).
-    """
-    return _kernel_merit(_phi_axis(rule.b, rule.m, params.alpha), _point_block(rule),
-                         rule.npoints, rule.s, params.weights)
-
-
 def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
                        digit_cap: int) -> MeritReport:
     """P(q) truncated to the dual vectors with k_j < b^digit_cap, as a point sum.
@@ -201,9 +227,9 @@ def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
     r = float(b) ** (1.0 - 2.0 * alpha)
     c_K = sum((b - 1) * b ** (a - 1) * float(b) ** (-2.0 * alpha * a)
               for a in range(1, digit_cap + 1))
-    table = _phi_axis(b, rule.m, alpha)
+    table = rule.merit_kernel(alpha)
     table[:b ** max(rule.m - digit_cap, 0)] = c_K
-    p = _kernel_merit(table, _point_block(rule), rule.npoints, rule.s, params.weights).p_value
+    p = _kernel_merit(rule, table, params.weights).p_value
     c, d = 1.0 + c_K, (b - 1) / b * r ** (digit_cap + 1) / (1.0 - r)
     bound, _ = ratio_size_sum(params.weights, params.weights, 0.0,
                               [k * d * (c + d) ** (k - 1) for k in range(rule.s + 1)], rule.s)
@@ -264,14 +290,6 @@ def dual_mu_minima(rule: PolyLatticeRule) -> dict[frozenset[int], int]:
     start[0] = 0
     walk(start, frozenset())
     return {u: phi[u] for u in subsets_of(rule.s)}
-
-
-def rho_wal(rule: PolyLatticeRule, params: SpaceParams) -> tuple[float, dict]:
-    """Figure of merit rho = max over u of gamma_u b^(-2 alpha phi_u(q)), and
-    the per-subset breakdown {u: (term, phi_u, None)}."""
-    per_subset = {u: (params.weights.weight(u) * float(rule.b) ** (-2.0 * params.alpha * phi_u),
-                      phi_u, None) for u, phi_u in dual_mu_minima(rule).items()}
-    return max(term for term, _, _ in per_subset.values()), per_subset
 
 
 def cbc_construct_poly(b: int, m: int, s: int, params: SpaceParams,

@@ -13,16 +13,13 @@ import numpy as np
 from conftest import (random_lattice_rules, random_poly_rules, rosser_schoenfeld_holds,
                       totient_sieve)
 from qmcforge.cbc import cbc_construct
-from qmcforge.discrepancy import (star_disc_bound_lattice, star_disc_bound_poly,
-                                  star_disc_bound_rho_lattice, star_disc_bound_rho_poly,
+from qmcforge.discrepancy import (star_disc_bound, star_disc_bound_rho,
                                   weighted_exact_star_discrepancy)
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
-from qmcforge.korobov import (LatticeRule, dual_product_minima, lattice_points,
-                              p_merit_closed, p_merit_series)
+from qmcforge.korobov import LatticeRule, dual_product_minima, p_merit_closed, p_merit_series
 from qmcforge.stability import (jensen_certificate, prop1_certificate, prop2_certificate,
                                 theorem1_bound, theorem2_bound_poly)
-from qmcforge.walsh import (PolyLatticeRule, cbc_construct_poly, dual_mu_minima,
-                            p_merit_wal_closed, p_merit_wal_series, poly_lattice_points)
+from qmcforge.walsh import PolyLatticeRule, cbc_construct_poly, dual_mu_minima, p_merit_wal_series
 from qmcforge.weights import SpaceParams, WeightSet
 
 
@@ -93,7 +90,7 @@ def test_criterion_01_character_sums():
             resid = {}
             for qc in range(1, size):
                 q = GFPoly.from_code(2, qc)
-                numers = poly_lattice_points(PolyLatticeRule(2, m, p, (q,)))[:, 0].tolist()
+                numers = PolyLatticeRule(2, m, p, (q,)).points()[:, 0].tolist()
                 X = np.array([int(format(a, f"0{m}b")[::-1], 2) for a in numers],
                              dtype=np.int64)
                 wal[qc] = 1.0 - 2.0 * parity[k_arr[:, None] & X[None, :]]
@@ -170,7 +167,7 @@ def test_criterion_02_closed_vs_series():
         rule = PolyLatticeRule(b=2, m=m, p=p, q=q)
         W = _product_weights(-2.0, s) if i % 2 else _unit_weights(s)
         params = SpaceParams(alpha=alpha, weights=W)
-        closed = p_merit_wal_closed(rule, params).p_value
+        closed = p_merit_closed(rule, params).p_value
         series = p_merit_wal_series(rule, params, m + 3)
         gap = abs(closed - series.p_value) - series.truncation_bound
         worst_gap_w = max(worst_gap_w, gap)
@@ -194,7 +191,7 @@ def test_criterion_03_analytic_spot_values():
     # 8; grouping by digit count gives 2^j frequencies with mu = 4 + j, so
     #   P = 2^-8 + sum_{j>=1} 2^j 2^(-2(4+j)) = 2^-8 + 2^-8 = 1/128.
     prule = PolyLatticeRule(b=2, m=3, p=GFPoly(2, (1, 1, 0, 1)), q=(GFPoly.one(2),))
-    wgot = p_merit_wal_closed(prule, SpaceParams(alpha=1.0, weights=WeightSet.product([1.0])))
+    wgot = p_merit_closed(prule, SpaceParams(alpha=1.0, weights=WeightSet.product([1.0])))
     wexpect = 1.0 / 128.0
     ok2 = abs(wgot.p_value - wexpect) <= 1e-10 * wexpect
     _report(3, "Walsh spot value P(m=3, p=x^3+x+1, q=1) = 1/128", ok2,
@@ -399,9 +396,9 @@ def test_criterion_09_discrepancy_soundness():
     for rule in _lattice_disc_family():
         s = rule.s
         for W in (_unit_weights(s), _product_weights(-2.0, s)):
-            exact = weighted_exact_star_discrepancy(lattice_points(rule), rule.N, W)
-            joe, _ = star_disc_bound_lattice(rule, W)
-            rho_b, _ = star_disc_bound_rho_lattice(rule, 1.0, W, W)
+            exact = weighted_exact_star_discrepancy(rule.points(), rule.N, W)
+            joe, _ = star_disc_bound(rule, W)
+            rho_b, _ = star_disc_bound_rho(rule, 1.0, W, W)
             count += 1
             if exact > joe + 1e-9 or exact > rho_b + 1e-9:
                 violations.append(("lattice", rule.N, rule.z))
@@ -412,10 +409,9 @@ def test_criterion_09_discrepancy_soundness():
     for rule in _poly_disc_family():
         s = rule.s
         for W in (_unit_weights(s), _product_weights(-2.0, s)):
-            exact = weighted_exact_star_discrepancy(poly_lattice_points(rule),
-                                                    rule.npoints, W)
-            joe, _ = star_disc_bound_poly(rule, W)
-            rho_b, _ = star_disc_bound_rho_poly(rule, 1.0, W, W)
+            exact = weighted_exact_star_discrepancy(rule.points(), rule.npoints, W)
+            joe, _ = star_disc_bound(rule, W)
+            rho_b, _ = star_disc_bound_rho(rule, 1.0, W, W)
             count += 1
             if exact > joe + 1e-9 or exact > rho_b + 1e-9:
                 violations.append(("poly", rule.m, tuple(q.code() for q in rule.q)))

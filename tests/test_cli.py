@@ -264,16 +264,17 @@ class TestEvaluate:
 
     def test_poly_rho_discrepancy_one_closed_form(self, tmp_path, monkeypatch):
         # --rho --discrepancy evaluates the closed-form P once; rho carries no P
-        from qmcforge import walsh
+        from qmcforge import korobov, stability
         rule_path = tmp_path / "r.json"
         assert run(["construct", "--kind", "poly-lattice", "--b", "2", "--m", "6", "--s", "2",
                     "--out", str(rule_path)]) == 0
-        calls, closed_form = [], walsh.p_merit_wal_closed
+        calls, closed_form = [], korobov.p_merit_closed
 
         def counted(*args, **kwargs):
             calls.append(1)
             return closed_form(*args, **kwargs)
-        monkeypatch.setattr(walsh, "p_merit_wal_closed", counted)  # merit imports it per call
+        for module in (korobov, stability):  # its home and the binding merit calls
+            monkeypatch.setattr(module, "p_merit_closed", counted)
         assert run(["evaluate", str(rule_path), "--alpha", "1", "--weights", "product:j^-2",
                     "--rho", "--discrepancy", "--out", str(tmp_path / "e.json")]) == 0
         assert len(calls) == 1
@@ -348,6 +349,11 @@ class TestCertify:
                     "--alpha", "1", "--weights", "product:j^-2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {selector} applies to ") and err.count("\n") == 1
+        if selector in ("thm1", "thm2"):  # sweep --certify refuses it alike
+            kind, grid = (("poly-lattice", ["--m-grid", "3,4"]) if family == "poly"
+                          else ("lattice", ["--N-grid", "17,31"]))
+            assert run(["sweep", "--kind", kind, *grid, "--s", "2", "--certify", selector]) == 2
+            assert capsys.readouterr() == ("", err)
 
     def test_series_box_counts_coordinates_2_to_s(self, tmp_path, capsys):
         # alpha' = 1.5 takes the series at K = N = 359: 719^2 cells over coordinates 2..3
@@ -584,6 +590,9 @@ class TestConfigPrecedence:
      {"type": "poly-lattice", "b": 2, "m": 3.5, "p": [1, 1, 0, 1], "q": [[1], [0, 1]]}),
     (["evaluate", "RULE", "--alpha", "1", "--weights", "product:j^-2"],
      {"type": "poly-lattice", "b": 2, "m": 3, "p": [1, 1, 0, 1], "q": [[1], [0, 1.5]]}),
+    # refused before the draw from the empty range 1..N-1, as without --random
+    (["construct", "--N", "0", "--s", "2", "--random"], None),
+    (["construct", "--N", "1", "--s", "2", "--random"], None),
 ])
 def test_malformed_input_usage_error(tmp_path, capsys, args, rule):
     # malformed input exits 2 with one line, not 1 (certificate failure) with a traceback

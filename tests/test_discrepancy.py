@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmcforge.cbc import cbc_construct
-from qmcforge.discrepancy import (exact_star_discrepancy, r_tilde, r_u_lattice, r_u_poly,
-                                  sine_factor, star_disc_bound_lattice,
-                                  star_disc_bound_poly, star_disc_bound_rho_lattice,
-                                  star_disc_bound_rho_poly, weighted_exact_star_discrepancy)
+from qmcforge.discrepancy import (exact_star_discrepancy, r_u, star_disc_bound,
+                                  star_disc_bound_rho, weighted_exact_star_discrepancy)
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
-from qmcforge.korobov import LatticeRule, lattice_points
+from qmcforge.korobov import LatticeRule
 from qmcforge.oracle import dual_enumerate_poly, reference_star_discrepancy
-from qmcforge.walsh import PolyLatticeRule, poly_lattice_points
+from qmcforge.walsh import PolyLatticeRule, r_tilde
 from qmcforge.weights import SpaceParams, WeightSet
 
 P3 = GFPoly(2, (1, 1, 0, 1))
@@ -22,25 +20,25 @@ P3 = GFPoly(2, (1, 1, 0, 1))
 
 class TestRLattice:
     def test_singleton_no_dual_in_box(self):
-        assert r_u_lattice(LatticeRule(N=4, z=(1,)), [1]) == 0.0
+        assert r_u(LatticeRule(N=4, z=(1,)), [1]) == 0.0
 
     def test_pair_n2(self):
-        assert r_u_lattice(LatticeRule(N=2, z=(1, 1)), [1, 2]) == 1.0
+        assert r_u(LatticeRule(N=2, z=(1, 1)), [1, 2]) == 1.0
 
     def test_empty_subset_rejected(self):
         with pytest.raises(UsageError):
-            r_u_lattice(LatticeRule(N=4, z=(1,)), [])
+            r_u(LatticeRule(N=4, z=(1,)), [])
 
     def test_reflection_invariance(self):
         for N in (5, 8, 13):
             for z2 in range(1, N):
-                a = r_u_lattice(LatticeRule(N=N, z=(1, z2)), [1, 2])
-                b = r_u_lattice(LatticeRule(N=N, z=(1, N - z2 if z2 < N else z2)), [1, 2])
+                a = r_u(LatticeRule(N=N, z=(1, z2)), [1, 2])
+                b = r_u(LatticeRule(N=N, z=(1, N - z2 if z2 < N else z2)), [1, 2])
                 assert a == pytest.approx(b, abs=0.0)
 
     def test_matches_direct_box_scan(self):
         rule = LatticeRule(N=6, z=(1, 5))
-        got = r_u_lattice(rule, [1, 2])
+        got = r_u(rule, [1, 2])
         direct = 0.0
         for k1 in range(-2, 4):
             for k2 in range(-2, 4):
@@ -53,24 +51,22 @@ class TestRLattice:
 
 class TestJoeBoundLattice:
     def test_singleton_example(self):
-        b, _ = star_disc_bound_lattice(LatticeRule(N=4, z=(1,)), WeightSet.product([1.0]))
+        b, _ = star_disc_bound(LatticeRule(N=4, z=(1,)), WeightSet.product([1.0]))
         assert b == pytest.approx(0.25)
 
     def test_zero_weights(self):
-        b, _ = star_disc_bound_lattice(LatticeRule(N=4, z=(1, 3)),
-                                       WeightSet.product([0.0, 0.0]))
+        b, _ = star_disc_bound(LatticeRule(N=4, z=(1, 3)), WeightSet.product([0.0, 0.0]))
         assert b == 0.0
 
     def test_pair_example(self):
-        b, _ = star_disc_bound_lattice(LatticeRule(N=2, z=(1, 1)),
-                                       WeightSet.order_dependent([1.0, 1.0]))
+        b, _ = star_disc_bound(LatticeRule(N=2, z=(1, 1)), WeightSet.order_dependent([1.0, 1.0]))
         assert b == pytest.approx(2.25)
 
 
 class TestRhoBoundLattice:
     def test_singleton_example(self):
         W = WeightSet.product([1.0])
-        b, vac = star_disc_bound_rho_lattice(LatticeRule(N=5, z=(1,)), 1.0, W, W)
+        b, vac = star_disc_bound_rho(LatticeRule(N=5, z=(1,)), 1.0, W, W)
         expect = 0.2 + 0.1 * (math.log(2) * math.log2(5) + 3.0)
         assert not vac
         assert b == pytest.approx(expect, rel=1e-12)
@@ -78,19 +74,19 @@ class TestRhoBoundLattice:
     def test_zero_prime_weights(self):
         W = WeightSet.product([1.0])
         Wp = WeightSet.product([0.0])
-        b, vac = star_disc_bound_rho_lattice(LatticeRule(N=5, z=(1,)), 1.0, W, Wp)
+        b, vac = star_disc_bound_rho(LatticeRule(N=5, z=(1,)), 1.0, W, Wp)
         assert b == 0.0 and not vac
 
     def test_vacuous_flag(self):
         W = WeightSet.explicit({(1,): 1.0}, s_max=2)
         Wp = WeightSet.order_dependent([1.0, 1.0])
-        b, vac = star_disc_bound_rho_lattice(LatticeRule(N=5, z=(1, 2)), 1.0, W, Wp)
+        b, vac = star_disc_bound_rho(LatticeRule(N=5, z=(1, 2)), 1.0, W, Wp)
         assert vac and math.isinf(b)
 
     def test_nonmonotone_rejected(self):
         W = WeightSet.explicit({(1,): 0.1, (1, 2): 0.5}, s_max=2)
         with pytest.raises(UsageError):
-            star_disc_bound_rho_lattice(LatticeRule(N=5, z=(1, 2)), 1.0, W, W)
+            star_disc_bound_rho(LatticeRule(N=5, z=(1, 2)), 1.0, W, W)
 
 
 class TestRPoly:
@@ -100,12 +96,18 @@ class TestRPoly:
         assert r_tilde(2, 2) == pytest.approx(0.25)
 
     def test_sine_factor(self):
-        assert sine_factor(2) == 1.0
-        assert sine_factor(3) == pytest.approx(1 + 2 / math.sqrt(3), rel=1e-12)
+        # k_b in the factors (b - 1) (k_b (m + 1))^|u| of the rho-based bound
+        def kb(b):
+            rule = PolyLatticeRule(b=b, m=1, p=smallest_irreducible(b, 1), q=(GFPoly.one(b),))
+            factors = rule.rho_bound_factors()
+            assert factors[0] == b - 1
+            return factors[1] / ((b - 1) * 2)
+        assert kb(2) == 1.0
+        assert kb(3) == pytest.approx(1 + 2 / math.sqrt(3), rel=1e-12)
 
     def test_full_grid_has_empty_dual_box(self):
         rule = PolyLatticeRule(b=2, m=3, p=P3, q=(GFPoly.one(2),))
-        assert r_u_poly(rule, [1]) == 0.0
+        assert r_u(rule, [1]) == 0.0
 
     def test_matches_direct_scan(self):
         rule = PolyLatticeRule(b=2, m=2, p=GFPoly(2, (1, 1, 1)),
@@ -114,35 +116,35 @@ class TestRPoly:
         direct = sum(r_tilde(k1, 2) * r_tilde(k2, 2)
                      for (k1, k2) in dual_enumerate_poly(rule, 2)
                      if (k1, k2) != (0, 0))
-        assert r_u_poly(rule, [1, 2]) == pytest.approx(direct, rel=1e-13)
+        assert r_u(rule, [1, 2]) == pytest.approx(direct, rel=1e-13)
 
 
 class TestRhoBoundPoly:
     def test_m3_example(self):
         W = WeightSet.product([1.0])
         rule = PolyLatticeRule(b=2, m=3, p=P3, q=(GFPoly.one(2),))
-        b, vac = star_disc_bound_rho_poly(rule, 1.0, W, W)
+        b, vac = star_disc_bound_rho(rule, 1.0, W, W)
         assert b == pytest.approx(0.375, rel=1e-12)
 
     def test_zero_prime_weights(self):
         W = WeightSet.product([1.0])
         Wp = WeightSet.product([0.0])
         rule = PolyLatticeRule(b=2, m=3, p=P3, q=(GFPoly.one(2),))
-        b, _ = star_disc_bound_rho_poly(rule, 1.0, W, Wp)
+        b, _ = star_disc_bound_rho(rule, 1.0, W, Wp)
         assert b == 0.0
 
 
 class TestExactDstar:
     def test_equispaced(self):
         for N in (3, 8, 17):
-            pts = lattice_points(LatticeRule(N=N, z=(1,)))
+            pts = LatticeRule(N=N, z=(1,)).points()
             assert exact_star_discrepancy(pts, N) == pytest.approx(1.0 / N, abs=1e-15)
 
     def test_single_point_at_origin(self):
         assert exact_star_discrepancy(np.asarray([[0]]), 1) == pytest.approx(1.0)
 
     def test_two_dim_example(self):
-        pts = lattice_points(LatticeRule(N=2, z=(1, 1)))
+        pts = LatticeRule(N=2, z=(1, 1)).points()
         assert exact_star_discrepancy(pts, 2) == pytest.approx(0.75)
 
     def test_three_dims_rejected(self):
@@ -175,9 +177,9 @@ class TestUpperBoundProperty:
         for N in (4, 7, 12, 16):
             for z2 in (1, 3, N - 1):
                 rule = LatticeRule(N=N, z=(1, z2))
-                exact = exact_star_discrepancy(lattice_points(rule), N)
-                joe, _ = star_disc_bound_lattice(rule, W)
-                rho_b, _ = star_disc_bound_rho_lattice(rule, 1.0, W, W)
+                exact = exact_star_discrepancy(rule.points(), N)
+                joe, _ = star_disc_bound(rule, W)
+                rho_b, _ = star_disc_bound_rho(rule, 1.0, W, W)
                 # weighted D* with unit pair weight dominates the plain D*
                 assert exact <= joe + 1e-9
                 assert exact <= rho_b + 1e-9
@@ -189,9 +191,9 @@ class TestUpperBoundProperty:
             for codes in ((1, 1), (1, 3), (3, 2 ** m - 1)):
                 rule = PolyLatticeRule(b=2, m=m, p=p,
                                        q=tuple(GFPoly.from_code(2, c) for c in codes))
-                exact = exact_star_discrepancy(poly_lattice_points(rule), 2 ** m)
-                joe, _ = star_disc_bound_poly(rule, W)
-                rho_b, _ = star_disc_bound_rho_poly(rule, 1.0, W, W)
+                exact = exact_star_discrepancy(rule.points(), 2 ** m)
+                joe, _ = star_disc_bound(rule, W)
+                rho_b, _ = star_disc_bound_rho(rule, 1.0, W, W)
                 assert exact <= joe + 1e-9
                 assert exact <= rho_b + 1e-9
 
@@ -202,15 +204,15 @@ class TestBeyondEnumerationSizes:
     def test_lattice_n4093_dominates_exact(self):
         W = WeightSet.product([1.0, 0.25])
         rule, _ = cbc_construct(4093, 2, SpaceParams(alpha=1.0, weights=W), fast=True)
-        joe, r_values = star_disc_bound_lattice(rule, W)
+        joe, r_values = star_disc_bound(rule, W)
         assert len(r_values) == 3
-        assert joe >= weighted_exact_star_discrepancy(lattice_points(rule), 4093, W)
+        assert joe >= weighted_exact_star_discrepancy(rule.points(), 4093, W)
 
     def test_poly_s5_matches_enumeration(self):
         rule = PolyLatticeRule(b=2, m=3, p=P3,
                                q=tuple(GFPoly.from_code(2, c) for c in (1, 3, 5, 7, 6)))
         W = WeightSet.product([j ** -2.0 for j in range(1, 6)])
-        joe, r_values = star_disc_bound_poly(rule, W)
+        joe, r_values = star_disc_bound(rule, W)
         duals = [k for k in dual_enumerate_poly(rule, 3) if any(k)]
         assert len(r_values) == 31
         expect = 0.0

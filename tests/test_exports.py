@@ -1,11 +1,21 @@
 import qmcforge
 
+# merged into one function of the rule, or used only by the tests
+REMOVED = ("bernoulli_even", "lattice_points", "p_merit_wal_closed", "poly_lattice_points",
+           "r_u_lattice", "r_u_poly", "rho_wal", "star_disc_bound_lattice",
+           "star_disc_bound_poly", "star_disc_bound_rho_lattice", "star_disc_bound_rho_poly",
+           "zaremba_rho")
+
 
 def test_all_names_resolve_once():
     names = qmcforge.__all__
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(qmcforge, name)]
     assert not missing
+
+
+def test_removed_names_do_not_resolve():
+    assert not [name for name in REMOVED + ("r_u",) if hasattr(qmcforge, name)]
 
 
 def test_star_import():

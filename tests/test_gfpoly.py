@@ -3,7 +3,7 @@ import pytest
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly, gf_is_irreducible, smallest_irreducible
 from qmcforge.oracle import reference_laurent_digits
-from qmcforge.walsh import PolyLatticeRule, poly_lattice_points
+from qmcforge.walsh import PolyLatticeRule
 
 
 def poly(base, *coeffs):
@@ -129,7 +129,7 @@ class TestDigitExpansion:
         numers = [GFPoly.from_code(b, code) for code in range(1, b ** m)]
         for pcode in range(b ** m, 2 * b ** m):
             p = GFPoly.from_code(b, pcode)
-            got = poly_lattice_points(PolyLatticeRule(b=b, m=m, p=p, q=tuple(numers)))[1]
+            got = PolyLatticeRule(b=b, m=m, p=p, q=tuple(numers)).points()[1]
             for numer, numerator in zip(numers, got.tolist()):
                 ref = reference_laurent_digits(numer, p, m)
                 assert numerator == sum(t * b ** (m - i) for i, t in enumerate(ref, 1))

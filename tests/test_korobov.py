@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from qmcforge import korobov
 from qmcforge.errors import ResourceLimitError, UsageError
-from qmcforge.korobov import (LatticeRule, bernoulli_even, dual_product_minima,
-                              lattice_points, omega_table, p_merit_closed,
-                              p_merit_series, zaremba_rho)
+from qmcforge.korobov import (LatticeRule, bernoulli_even, dual_product_minima, omega_table,
+                              p_merit_closed, p_merit_series)
 from qmcforge.oracle import char_sum_lattice, dual_enumerate_lattice
 from qmcforge.weights import SpaceParams, WeightSet, subsets_of
 
@@ -51,15 +50,15 @@ def oracle_minima(rule):
 
 class TestLatticePoints:
     def test_two_point_rule(self):
-        pts = lattice_points(LatticeRule(N=2, z=(1,)))
+        pts = LatticeRule(N=2, z=(1,)).points()
         assert pts[:, 0].tolist() == [0, 1]
 
     def test_five_point_pair(self):
-        pts = lattice_points(LatticeRule(N=5, z=(1, 2)))
+        pts = LatticeRule(N=5, z=(1, 2)).points()
         assert [tuple(r) for r in pts.tolist()] == [(0, 0), (1, 2), (2, 4), (3, 1), (4, 3)]
 
     def test_reflected_generator(self):
-        pts = lattice_points(LatticeRule(N=4, z=(3,)))
+        pts = LatticeRule(N=4, z=(3,)).points()
         assert pts[:, 0].tolist() == [0, 3, 2, 1]
 
     def test_validation(self):
@@ -147,8 +146,7 @@ class TestMeritClosed:
         base, scaled = (SpaceParams(alpha=1, weights=w) for w in (W, W.scaled(3.5)))
         assert p_merit_closed(rule, scaled).p_value == pytest.approx(
             3.5 * p_merit_closed(rule, base).p_value, rel=1e-12)
-        assert zaremba_rho(rule, scaled)[0] == pytest.approx(3.5 * zaremba_rho(rule, base)[0],
-                                                             rel=1e-12)
+        assert rule.rho(scaled)[0] == pytest.approx(3.5 * rule.rho(base)[0], rel=1e-12)
 
     def test_point_blocks_match_one_block(self, monkeypatch):
         # 1021 points in 4 coordinates: one block by default, blocks of 10
@@ -232,7 +230,7 @@ class TestMeritSeries:
 
 class TestZaremba:
     def test_pair_example(self):
-        rho, per_subset = zaremba_rho(LatticeRule(N=5, z=(1, 2)), unit_params(2))
+        rho, per_subset = LatticeRule(N=5, z=(1, 2)).rho(unit_params(2))
         by_u = {tuple(sorted(u)): v for u, v in per_subset.items()}
         assert by_u[(1,)][1] == 5
         assert by_u[(2,)][1] == 5
@@ -241,12 +239,12 @@ class TestZaremba:
 
     def test_singleton_minimum_is_n(self):
         for N in (7, 16, 33):
-            rho, _ = zaremba_rho(LatticeRule(N=N, z=(1,)), unit_params(1))
+            rho, _ = LatticeRule(N=N, z=(1,)).rho(unit_params(1))
             assert rho == pytest.approx(N ** -2.0)
 
     def test_composite_gcd_singleton(self):
         # z = 2, N = 4: dual multiples of 2, so phi = 2 rather than N
-        _, per_subset = zaremba_rho(LatticeRule(N=4, z=(2,)), unit_params(1))
+        _, per_subset = LatticeRule(N=4, z=(2,)).rho(unit_params(1))
         assert next(iter(per_subset.values()))[1] == 2
 
     def test_rho_below_p(self):
@@ -256,7 +254,7 @@ class TestZaremba:
             s = int(rng.integers(1, 4))
             z = tuple(int(v) for v in rng.integers(1, N, size=s))
             rule = LatticeRule(N=N, z=z)
-            rho, _ = zaremba_rho(rule, unit_params(s))
+            rho, _ = rule.rho(unit_params(s))
             assert rho <= p_merit_closed(rule, unit_params(s)).p_value * (1 + 1e-12)
 
     def test_phi_matches_independent_enumeration(self):

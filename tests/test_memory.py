@@ -13,7 +13,7 @@ import numpy as np
 from qmcforge.cbc import cbc_construct
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
 from qmcforge.korobov import LatticeRule, p_merit_closed, p_merit_series
-from qmcforge.walsh import PolyLatticeRule, cbc_construct_poly, p_merit_wal_closed
+from qmcforge.walsh import PolyLatticeRule, cbc_construct_poly
 from qmcforge.weights import SpaceParams, WeightSet
 
 MiB = 1 << 20
@@ -63,4 +63,4 @@ def test_poly_closed_merit():
     rng = np.random.default_rng(7)
     q = tuple(GFPoly.from_code(2, int(c)) for c in rng.integers(1, 2 ** 18, size=32))
     rule = PolyLatticeRule(b=2, m=18, p=smallest_irreducible(2, 18), q=q)
-    assert traced_peak(lambda: p_merit_wal_closed(rule, product_params(32))) < 32 * MiB
+    assert traced_peak(lambda: p_merit_closed(rule, product_params(32))) < 32 * MiB

@@ -8,7 +8,7 @@ from qmcforge.korobov import LatticeRule, p_merit_closed
 from qmcforge.oracle import (char_sum_poly, dual_enumerate_lattice, dual_enumerate_poly,
                              reference_laurent_digits, reference_poly_points,
                              reference_star_discrepancy, wce_by_function_probe)
-from qmcforge.walsh import PolyLatticeRule, p_merit_wal_closed, poly_lattice_points
+from qmcforge.walsh import PolyLatticeRule
 from qmcforge.weights import SpaceParams, WeightSet
 
 P3 = GFPoly(2, (1, 1, 0, 1))
@@ -65,7 +65,7 @@ class TestReferenceLaurent:
         rule = PolyLatticeRule(b=3, m=2, p=GFPoly(3, (2, 1, 1)),
                                q=tuple(GFPoly.from_code(3, code) for code in range(1, 9)))
         expected = [[3 * t1 + t2 for t1, t2 in row] for row in reference_poly_points(rule)]
-        assert poly_lattice_points(rule).tolist() == expected
+        assert rule.points().tolist() == expected
 
 
 class TestFunctionProbe:
@@ -82,7 +82,7 @@ class TestFunctionProbe:
         params = SpaceParams(alpha=1.0, weights=WeightSet.product([1.0]))
         lower = wce_by_function_probe(rule, params, probe_count=300)
         assert lower == pytest.approx(2.0 ** -4, rel=1e-9)  # k = 8, r = 2^-8
-        assert lower <= math.sqrt(p_merit_wal_closed(rule, params).p_value) + 1e-9
+        assert lower <= math.sqrt(p_merit_closed(rule, params).p_value) + 1e-9
 
     def test_zero_weights_zero_probe(self):
         rule = LatticeRule(N=5, z=(1,))

@@ -17,13 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmcforge.discrepancy import (_lattice_kernel, _point_sum, _poly_kernel, r_tilde,
-                                  r_u_lattice, r_u_poly, star_disc_bound_lattice,
-                                  star_disc_bound_poly)
+from qmcforge.discrepancy import _point_sum, r_u, star_disc_bound
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
-from qmcforge.korobov import LatticeRule, lattice_points
+from qmcforge.korobov import LatticeRule
 from qmcforge.oracle import dual_enumerate_lattice, dual_enumerate_poly
-from qmcforge.walsh import PolyLatticeRule, poly_lattice_points
+from qmcforge.walsh import PolyLatticeRule, r_tilde
 from qmcforge.weights import WeightSet, subsets_of
 
 BOX_CELLS = 30_000  # oracle enumeration size per example
@@ -39,11 +37,13 @@ def oracle_r_values(s, duals, weight):
             for u in subsets_of(s)}
 
 
-def check_against_oracle(rule, W, x, kernel, ref, r_u, bound, scale):
-    npts = x.shape[0]
-    total, r_values = bound(rule, W)
+def check_against_oracle(rule, W, ref, scale):
+    x, npts = rule.points(), rule.npoints
+    table, table_err, kernel_scale = rule.r_kernel()
+    assert kernel_scale == scale
+    total, r_values = star_disc_bound(rule, W)
     for u, want in ref.items():
-        got, slack = _point_sum(*kernel, x[:, [j - 1 for j in sorted(u)]])
+        got, slack = _point_sum(table, table_err, x[:, [j - 1 for j in sorted(u)]])
         assert abs(got - want) <= 1e-12 * abs(want) + slack
         assert got + slack >= want
         assert r_u(rule, u) == got == r_values[u]
@@ -81,8 +81,7 @@ def lattice_matches_oracle(rule, W):
     duals = [k for k in dual_enumerate_lattice(rule, N // 2)
              if any(k) and all(-N < 2 * kj for kj in k)]  # box -N/2 < k_j <= N/2
     ref = oracle_r_values(rule.s, duals, lambda kj: 1.0 / max(1, abs(kj)))
-    check_against_oracle(rule, W, lattice_points(rule), _lattice_kernel(N), ref,
-                         r_u_lattice, star_disc_bound_lattice, 0.5)
+    check_against_oracle(rule, W, ref, 0.5)
 
 
 @SETTINGS
@@ -103,8 +102,7 @@ def test_lattice_point_sum_matches_oracle_large_n(N, z, W):
 def test_poly_point_sum_matches_oracle(rule, W):
     duals = [k for k in dual_enumerate_poly(rule, rule.m) if any(k)]
     ref = oracle_r_values(rule.s, duals, lambda kj: r_tilde(kj, rule.b))
-    check_against_oracle(rule, W, poly_lattice_points(rule), _poly_kernel(rule.b, rule.m),
-                         ref, r_u_poly, star_disc_bound_poly, 1.0)
+    check_against_oracle(rule, W, ref, 1.0)
 
 
 PI = 4 * np.arctan(np.longdouble(1))
@@ -134,13 +132,14 @@ def direct_poly_table(b, m):
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 7, 31, 47, 53, 64, 97, 100, 127, 243, 251,
                                256, 509, 1000, 1021, 2039, 4093])
 def test_lattice_table_within_its_error_bound(N):
-    table, table_err = _lattice_kernel(N)
+    table, table_err, _ = LatticeRule(N=N, z=(1,)).r_kernel()
     err = np.linalg.norm(table.astype(np.longdouble) - direct_lattice_table(N))
     assert float(err) <= math.sqrt(N) * table_err
 
 
 @pytest.mark.parametrize("b, m", [(2, 8), (3, 5), (5, 4), (7, 3)])
 def test_poly_table_within_its_error_bound(b, m):
-    table, table_err = _poly_kernel(b, m)
+    rule = PolyLatticeRule(b=b, m=m, p=smallest_irreducible(b, m), q=(GFPoly.from_code(b, 1),))
+    table, table_err, _ = rule.r_kernel()
     err = np.linalg.norm(table.astype(np.longdouble) - direct_poly_table(b, m))
     assert float(err) <= math.sqrt(b ** m) * table_err

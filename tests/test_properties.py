@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from qmcforge.cbc import cbc_construct
 from qmcforge.cli import load_rule
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
-from qmcforge.korobov import LatticeRule, p_merit_closed, zaremba_rho
+from qmcforge.korobov import LatticeRule, p_merit_closed
 from qmcforge.stability import prop_bound_lattice, prop_bound_poly
-from qmcforge.walsh import PolyLatticeRule, cbc_construct_poly, p_merit_wal_closed, rho_wal
+from qmcforge.walsh import PolyLatticeRule, cbc_construct_poly
 from qmcforge.weights import SpaceParams, WeightSet, subsets_of
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -55,7 +55,7 @@ class TestMeritChain:
         s = data.draw(st.integers(1, 4))
         params = SpaceParams(alpha=alpha, weights=data.draw(weight_sets(s)))
         rule, _ = cbc_construct(N, s, params)
-        rho, _ = zaremba_rho(rule, params)
+        rho, _ = rule.rho(params)
         p = p_merit_closed(rule, params).p_value
         assert rho <= p * (1 + SLACK)
         assert p <= prop_bound_lattice(N, s, alpha, params.weights, 1.0) * (1 + SLACK)
@@ -67,8 +67,8 @@ class TestMeritChain:
         (b, m), s = bm, data.draw(st.integers(1, 4))
         params = SpaceParams(alpha=alpha, weights=data.draw(weight_sets(s)))
         rule, _ = cbc_construct_poly(b, m, s, params)
-        rho, _ = rho_wal(rule, params)
-        p = p_merit_wal_closed(rule, params).p_value
+        rho, _ = rule.rho(params)
+        p = p_merit_closed(rule, params).p_value
         assert rho <= p * (1 + SLACK)
         assert p <= prop_bound_poly(b, m, s, alpha, params.weights, 1.0) * (1 + SLACK)
 

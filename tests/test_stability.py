@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_lattice_rules, rosser_schoenfeld_holds, totient_sieve
 from qmcforge.cbc import cbc_construct
-from qmcforge.discrepancy import sine_factor, star_disc_bound_rho_lattice, star_disc_bound_rho_poly
+from qmcforge.discrepancy import star_disc_bound_rho
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly
 from qmcforge.korobov import LatticeRule, euler_totient, p_merit_closed, p_merit_series
@@ -295,7 +295,6 @@ def corollary_probe(kind: str, probe: CorollaryProbe, grid: list[tuple[int, int]
             F = 2.0 ** (2 * alpha_prime + 1) / (2.0 ** (2 * alpha_prime - 1) - 1)
             L = math.log2(size)
             disc_factors = [(2.0 * math.log2(size)) ** k for k in range(s + 1)]
-            disc_bound = star_disc_bound_rho_lattice
         else:  # polynomial lattice rules with b = 2, m = size; n = b^m
             b = 2
             rule, _ = cbc_construct_poly(b, size, s, params)
@@ -304,8 +303,7 @@ def corollary_probe(kind: str, probe: CorollaryProbe, grid: list[tuple[int, int]
                                       (b - 1.0) / (float(b) ** (2.0 * alpha * lam) - b))
             F = b ** (2 * alpha_prime - 1) * (b - 1) / (b ** (2 * alpha_prime - 1) - 1.0)
             L = size + 1.0
-            disc_factors = [(sine_factor(b) * (size + 1.0)) ** k for k in range(s + 1)]
-            disc_bound = star_disc_bound_rho_poly
+            disc_factors = [(size + 1.0) ** k for k in range(s + 1)]  # k_b = 1 at b = 2
         merit_factors = [0.0] + [F ** k * L ** (k - 1) for k in range(1, s + 1)]  # Theorem 1 or 2
         row: dict = {"s": s, "N_or_m": size, "sup1": sup1 / s ** probe.q}
         if kind in ("cor1", "cor3"):
@@ -320,7 +318,7 @@ def corollary_probe(kind: str, probe: CorollaryProbe, grid: list[tuple[int, int]
             row["sup2"] = order_sum / s ** probe.q_prime
             val, _ = ratio_size_sum(W, Wprime, 1.0 / (2.0 * alpha), disc_factors, s)
             row["sup3"] = val / (s ** probe.q_dprime * n ** delta)
-            row["observed"] = disc_bound(rule, alpha, W, Wprime)[0]
+            row["observed"] = star_disc_bound_rho(rule, alpha, W, Wprime)[0]
             envelope = (s ** max(probe.q_prime, probe.q * expo + probe.q_dprime)
                         * n ** (delta - expo))
         row["envelope"] = envelope

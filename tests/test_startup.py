@@ -86,7 +86,7 @@ def test_evaluate_loads_discrepancy_only_when_asked(workdir):
 def test_lattice_evaluate_and_certify_skip_the_polynomial_modules(workdir):
     certify = ["certify", "rule.json", "--theorem", "thm1", "--alpha", "1",
                "--weights", "product:j^-2", "--out", "cert.json"]
-    for argv in (EVALUATE, certify):
+    for argv in (EVALUATE, EVALUATE + ["--rho", "--discrepancy"], certify):
         loaded = loaded_after_cli(argv, workdir)
         assert "qmcforge.stability" in loaded
         assert not loaded & package("walsh", "gfpoly", "cbc")

@@ -11,9 +11,9 @@ from qmcforge import cbc, korobov
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly, gf_is_irreducible, smallest_irreducible
 from qmcforge.oracle import char_sum_poly, dual_enumerate_poly, reference_poly_points
+from qmcforge.korobov import p_merit_closed
 from qmcforge.walsh import (PolyLatticeRule, _phi_axis, cbc_construct_poly, dual_mu_minima, mu_of,
-                            p_merit_wal_closed, p_merit_wal_series, poly_lattice_points, rho_wal,
-                            walsh_phi_alpha)
+                            p_merit_wal_series, walsh_phi_alpha)
 from qmcforge.weights import SpaceParams, WeightSet, subsets_of
 
 P3 = GFPoly(2, (1, 1, 0, 1))  # x^3 + x + 1
@@ -110,17 +110,17 @@ class TestPhiAlpha:
 class TestPoints:
     def test_m2_example(self):
         rule = PolyLatticeRule(b=2, m=2, p=GFPoly(2, (1, 1, 1)), q=(GFPoly.one(2),))
-        pts = poly_lattice_points(rule)
+        pts = rule.points()
         assert pts[:, 0].tolist() == [0, 1, 3, 2]  # 0, 1/4, 3/4, 1/2
 
     def test_m1_monomial(self):
         rule = PolyLatticeRule(b=2, m=1, p=GFPoly(2, (0, 1)), q=(GFPoly.one(2),))
-        pts = poly_lattice_points(rule)
+        pts = rule.points()
         assert sorted(pts[:, 0].tolist()) == [0, 1]  # {0, 1/2}
 
     def test_zero_index_point_is_origin(self):
         rule = rule_m3(5, 3)
-        pts = poly_lattice_points(rule)
+        pts = rule.points()
         assert pts[0].tolist() == [0, 0]
 
     def test_unit_scaling_invariance(self):
@@ -133,11 +133,11 @@ class TestPoints:
             scaled = PolyLatticeRule(
                 b=b, m=m, p=p,
                 q=tuple((qj * GFPoly(b, (c,))) % p for qj in q))
-            a = sorted(map(tuple, poly_lattice_points(base).tolist()))
-            bb = sorted(map(tuple, poly_lattice_points(scaled).tolist()))
+            a = sorted(map(tuple, base.points().tolist()))
+            bb = sorted(map(tuple, scaled.points().tolist()))
             assert a == bb
-            pa = p_merit_wal_closed(base, unit_params(2)).p_value
-            pb = p_merit_wal_closed(scaled, unit_params(2)).p_value
+            pa = p_merit_closed(base, unit_params(2)).p_value
+            pb = p_merit_closed(scaled, unit_params(2)).p_value
             assert pa == pytest.approx(pb, rel=1e-12)
 
 
@@ -160,7 +160,7 @@ class TestPointsAgainstOracle:
         ref = reference_poly_points(rule)
         expected = [[sum(t * b ** (m - i) for i, t in enumerate(digits, 1)) for digits in row]
                     for row in ref]
-        assert poly_lattice_points(rule).tolist() == expected
+        assert rule.points().tolist() == expected
 
     @pytest.mark.parametrize("b,p", REDUCIBLE)
     def test_reducible_modulus_points(self, b, p):
@@ -169,24 +169,24 @@ class TestPointsAgainstOracle:
         rule = random_rule(b, m, p, 2, seed=7)
         expected = [[sum(t * b ** (m - i) for i, t in enumerate(digits, 1)) for digits in row]
                     for row in reference_poly_points(rule)]
-        assert poly_lattice_points(rule).tolist() == expected
+        assert rule.points().tolist() == expected
 
 
 class TestMeritClosed:
     def test_full_grid_value(self):
         rule = rule_m3(1)
-        r = p_merit_wal_closed(rule, unit_params(1))
+        r = p_merit_closed(rule, unit_params(1))
         assert r.p_value == pytest.approx(1 / 128, rel=1e-12)
 
     def test_zero_weights(self):
         W = WeightSet.product([0.0])
         rule = rule_m3(1)
-        assert p_merit_wal_closed(rule, SpaceParams(alpha=1, weights=W)).p_value == 0.0
+        assert p_merit_closed(rule, SpaceParams(alpha=1, weights=W)).p_value == 0.0
 
     def test_matches_dual_series_oracle_s2(self):
         rule = rule_m3(1, 5)
         params = unit_params(2, alpha=1.0)
-        closed = p_merit_wal_closed(rule, params).p_value
+        closed = p_merit_closed(rule, params).p_value
         direct = 0.0
         for k in dual_enumerate_poly(rule, 6):
             if k == (0, 0):
@@ -204,16 +204,16 @@ class TestMeritClosed:
         rule = PolyLatticeRule(b=3, m=5, p=smallest_irreducible(3, 5),
                                q=tuple(GFPoly.from_code(3, c) for c in (1, 100, 57)))
         params = SpaceParams(alpha=1.5, weights=WeightSet.pod([1.0, 2.0, 6.0], [1.0, 0.5, 0.3]))
-        whole = p_merit_wal_closed(rule, params)
+        whole = p_merit_closed(rule, params)
         series = p_merit_wal_series(rule, params, 3)
         monkeypatch.setattr(korobov, "_BLOCK_CELLS", 7 * 3 + 2)
-        blocked = p_merit_wal_closed(rule, params)
+        blocked = p_merit_closed(rule, params)
         assert blocked.p_value == whole.p_value
         assert p_merit_wal_series(rule, params, 3) == series
 
     def test_noninteger_alpha_supported(self):
         rule = rule_m3(1, 5)
-        r = p_merit_wal_closed(rule, unit_params(2, alpha=1.5))
+        r = p_merit_closed(rule, unit_params(2, alpha=1.5))
         assert r.p_value > 0
 
 
@@ -223,7 +223,7 @@ class TestMeritSeries:
         r = p_merit_wal_series(rule, unit_params(1), 6)
         # duals below 2^6 are 8,16,24,...,56: 2^-8 + 2*2^-10 + 4*2^-12
         assert r.p_value == pytest.approx(7 / 1024, rel=1e-12)
-        closed = p_merit_wal_closed(rule, unit_params(1)).p_value
+        closed = p_merit_closed(rule, unit_params(1)).p_value
         assert abs(closed - r.p_value) <= r.truncation_bound + 1e-9
 
     def test_b_equals_bm_contributes(self):
@@ -241,7 +241,7 @@ class TestMeritSeries:
 
 class TestRho:
     def test_full_grid(self):
-        rho, per_subset = rho_wal(rule_m3(1), unit_params(1))
+        rho, per_subset = rule_m3(1).rho(unit_params(1))
         assert rho == pytest.approx(2.0 ** -8)
         assert next(iter(per_subset.values()))[1] == 4  # phi = m + 1
 
@@ -253,8 +253,8 @@ class TestRho:
             p = smallest_irreducible(2, m)
             q = tuple(GFPoly.from_code(2, int(c)) for c in rng.integers(1, 2 ** m, size=s))
             rule = PolyLatticeRule(b=2, m=m, p=p, q=q)
-            rho, _ = rho_wal(rule, unit_params(s))
-            assert rho <= p_merit_wal_closed(rule, unit_params(s)).p_value * (1 + 1e-12)
+            rho, _ = rule.rho(unit_params(s))
+            assert rho <= p_merit_closed(rule, unit_params(s)).p_value * (1 + 1e-12)
 
     def test_phi_chain_bounds(self):
         for m in (2, 3, 4):
@@ -267,7 +267,7 @@ class TestRho:
 
     def test_zero_weight_subset_never_attains(self):
         W = WeightSet.explicit({(1,): 1.0}, s_max=2)
-        rho, per_subset = rho_wal(rule_m3(1, 5), SpaceParams(alpha=1, weights=W))
+        rho, per_subset = rule_m3(1, 5).rho(SpaceParams(alpha=1, weights=W))
         by_u = {tuple(sorted(u)): v for u, v in per_subset.items()}
         assert by_u[(2,)][0] == 0.0
         assert by_u[(1, 2)][0] == 0.0
@@ -311,23 +311,23 @@ class TestCbcPoly:
     def test_prop2_style_bound_m3_s2(self):
         params = unit_params(2)
         rule, trace = cbc_construct_poly(2, 3, 2, params, p=P3)
-        p_val = p_merit_wal_closed(rule, params).p_value
+        p_val = p_merit_closed(rule, params).p_value
         rhs = (1 / 7) * (0.5 + 0.5 + 0.25)
         assert p_val <= rhs * (1 + 1e-9)
 
     def test_argmin_beats_every_last_component_swap(self):
         params = SpaceParams(alpha=1.0, weights=WeightSet.product([1.0, 0.5, 0.25]))
         rule, trace = cbc_construct_poly(2, 4, 3, params)
-        best = p_merit_wal_closed(rule, params).p_value
+        best = p_merit_closed(rule, params).p_value
         for code in range(1, 16):
             other = PolyLatticeRule(b=2, m=4, p=rule.p,
                                     q=rule.q[:2] + (GFPoly.from_code(2, code),))
-            assert best <= p_merit_wal_closed(other, params).p_value * (1 + 1e-9)
+            assert best <= p_merit_closed(other, params).p_value * (1 + 1e-9)
 
     def test_trace_merit_matches_fresh_evaluation(self):
         params = SpaceParams(alpha=1.5, weights=WeightSet.product([1.0, 0.5]))
         rule, trace = cbc_construct_poly(2, 5, 2, params)
-        fresh = p_merit_wal_closed(rule, params).p_value
+        fresh = p_merit_closed(rule, params).p_value
         assert trace.choices[-1][1] == pytest.approx(fresh, rel=1e-12)
 
     def test_default_modulus_is_smallest_irreducible(self):
@@ -382,8 +382,8 @@ class TestJensenWalsh:
         rule, _ = cbc_construct_poly(2, 4, 2, params)
         hi = SpaceParams(alpha=1.0 / delta,
                          weights=params.weights.powered(1.0 / delta))
-        lhs = p_merit_wal_closed(rule, hi).p_value ** delta
-        rhs = p_merit_wal_closed(rule, params).p_value
+        lhs = p_merit_closed(rule, hi).p_value ** delta
+        rhs = p_merit_closed(rule, params).p_value
         assert lhs <= rhs * (1 + 1e-10)
 
 
@@ -467,7 +467,7 @@ def test_series_matches_oracle_dual_sum(data):
     got = p_merit_wal_series(rule, SpaceParams(alpha=alpha, weights=W), K)
     assert got.method == "truncated-series"
     assert abs(got.p_value - dual_sum) <= 1e-12 * box_sum
-    closed = p_merit_wal_closed(rule, SpaceParams(alpha=alpha, weights=W)).p_value
+    closed = p_merit_closed(rule, SpaceParams(alpha=alpha, weights=W)).p_value
     tol = 1e-12 * (box_sum + got.truncation_bound)
     assert -tol <= closed - got.p_value <= got.truncation_bound + tol
 
@@ -489,14 +489,14 @@ class TestBeyondThreeDimensions:
     PARAMS = SpaceParams(alpha=1.0, weights=WeightSet.product([1.0, 0.5, 0.25, 0.125]))
 
     def test_rho_at_s4(self):
-        rho, per_subset = rho_wal(self.RULE, self.PARAMS)
+        rho, per_subset = self.RULE.rho(self.PARAMS)
         minima = oracle_minima(self.RULE)
         assert {u: phi for u, (_, phi, _) in per_subset.items()} == minima
         assert rho == max(self.PARAMS.weights.weight(u) * 2.0 ** (-2 * phi)
                           for u, phi in minima.items())
-        assert rho <= p_merit_wal_closed(self.RULE, self.PARAMS).p_value
+        assert rho <= p_merit_closed(self.RULE, self.PARAMS).p_value
 
     def test_series_at_s4(self):
         rep = p_merit_wal_series(self.RULE, self.PARAMS, 3)
-        closed = p_merit_wal_closed(self.RULE, self.PARAMS).p_value
+        closed = p_merit_closed(self.RULE, self.PARAMS).p_value
         assert rep.p_value <= closed <= rep.p_value + rep.truncation_bound
