@@ -16,12 +16,11 @@ _EXPORTS = {
                     "star_disc_bound_rho"),
     "errors": ("QmcforgeError", "ResourceLimitError", "UsageError"),
     "gfpoly": ("GFPoly", "gf_is_irreducible", "smallest_irreducible"),
-    "korobov": ("LatticeRule", "MeritReport", "euler_totient", "p_merit_closed", "p_merit_series"),
-    "stability": ("StabilityCertificate", "c_alpha_prime", "combined_bound_eq1",
-                  "jensen_certificate", "prop_bound_lattice", "prop_bound_poly",
-                  "theorem1_bound", "theorem2_bound_poly"),
-    "walsh": ("PolyLatticeRule", "cbc_construct_poly", "mu_of", "p_merit_wal_series",
-              "walsh_phi_alpha"),
+    "korobov": ("LatticeRule", "MeritReport", "c_alpha_prime", "euler_totient", "p_merit_closed",
+                "p_merit_series"),
+    "stability": ("StabilityCertificate", "combined_bound_eq1", "jensen_certificate",
+                  "prop_bound", "prop_certificate", "stability_bound"),
+    "walsh": ("PolyLatticeRule", "mu_of", "p_merit_wal_series", "walsh_phi_alpha"),
     "weights": ("SpaceParams", "WeightSet", "check_monotone", "weighted_zeta_sum", "zeta"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,29 +1,32 @@
-"""Greedy component-by-component search for lattice generating vectors.
+"""Greedy component-by-component search for generating vectors of both rule
+families.
 
 Each step scans every candidate for the next component, evaluating the merit
 with earlier components frozen, and keeps the argmin (smallest candidate among
 near-ties).  The per-point subset sums are maintained incrementally: extending
 the rule by one coordinate changes each point's sum by t * h(n), where t is
 the new coordinate's (gamma-scaled) kernel factor and h is a state vector, so
-one scan costs one product F @ h with F[c, n] = omega(c n / N), made in row
-blocks for c <= N/2 (omega is mirrored, so row N - c equals row c).  For prime N the
-scan is instead a circular correlation in the index ordering induced by a
-primitive root, evaluated with the FFT; that order is sorted once so that
-selection is one vectorised test.  POD and order-dependent state keeps one
-contiguous row per subset size.  The loop itself (_greedy) also builds
-polynomial lattice rules, which supply their own kernel columns and scan.
+one scan costs one product F @ h, F[c, n] the kernel at point n for candidate
+c.  POD and order-dependent state keeps one contiguous row per subset size.
+The loop (_greedy) is the same for both families; each rule's cbc_scan
+supplies the kernel columns, the candidates and the scan (F in row blocks, or
+for prime N a circular correlation by the FFT).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import UsageError
-from .korobov import _BLOCK_CELLS, LatticeRule, is_prime, omega_table, primitive_root
+from .korobov import _BLOCK_CELLS
 from .weights import SpaceParams, WeightSet
+
+if TYPE_CHECKING:
+    from .korobov import LatticeRule
+    from .walsh import PolyLatticeRule
 
 TIE_REL_TOL = 1e-12
 
@@ -150,15 +153,14 @@ def _row_scan(rows: Callable[[int, int], np.ndarray], count: int, npoints: int,
 
 
 def _greedy(s: int, weights: WeightSet, npoints: int, column: Callable[[int], np.ndarray],
-            scan: Callable[[np.ndarray], np.ndarray], candidates: np.ndarray,
-            order: np.ndarray) -> CbcTrace:
+            scan: Callable[[np.ndarray], np.ndarray], candidates: np.ndarray) -> CbcTrace:
     """The CBC loop shared by both rule families.
 
     Component 1 is candidate 1; each later step keeps the candidate minimizing
     (sum S + scale * F @ h) / npoints, where ``column(c)`` is the kernel at the
-    points for candidate c, ``scan(h)`` returns F @ h over ``candidates`` and
-    ``order`` lists the indices of ``candidates`` in ascending order.
+    points for candidate c and ``scan(h)`` returns F @ h over ``candidates``.
     """
+    order = np.argsort(candidates)
     state = _MeritState(weights, npoints)
     state.update(column(1))
     trace = [(1, float(state.S.mean()))]
@@ -170,49 +172,11 @@ def _greedy(s: int, weights: WeightSet, npoints: int, column: Callable[[int], np
     return CbcTrace(choices=tuple(trace), evaluations=1 + (s - 1) * (npoints - 1))
 
 
-def cbc_construct(N: int, s: int, params: SpaceParams,
-                  fast: bool = False) -> tuple[LatticeRule, CbcTrace]:
-    """Greedy CBC search: z_1 = 1, then each z_{l+1} minimizes the merit over
-    {1, ..., N-1} with ties resolved toward the smallest candidate.
-
-    Works for every weight kind; integer alpha in 1..4 (Bernoulli closed
-    form evaluated incrementally).  ``fast`` (prime N only) scans by a
-    length-(N-1) circular correlation in the primitive-root ordering, with
-    the FFT.  The FFT's rounding scales with the kernel's norm rather than
-    with the merit, so candidates that tie exactly (z, N - z, z^-1, N - z^-1
-    at s = 2) can come out more than TIE_REL_TOL apart: the choice can then
-    differ from the direct scan's within the tie class, and later components
-    follow a different prefix (N = 2027, s = 6, gamma_j = j^-2 is one case).
-    """
-    if N < 2:
-        raise UsageError(f"modulus N must be >= 2, got {N}")
-    if fast and not is_prime(N):
-        raise UsageError(f"fast CBC needs prime N, got {N}")
-    _check_dimension(s, params.weights)
-    alpha = int(params.alpha)
-    if alpha != params.alpha:
-        raise UsageError("CBC construction needs integer alpha (closed-form merit)")
-    table = omega_table(alpha, N)
-    n = np.arange(N, dtype=np.int64)
-
-    if fast and N > 2:
-        exps = _powers(primitive_root(N), N)
-        fft_w = np.fft.fft(table[exps])
-        candidates, order = exps, np.argsort(exps)
-
-        def scan(h: np.ndarray) -> np.ndarray:
-            # T(g^a) = h(0) w(0) + sum_b h(g^b) w(g^(a+b) mod (N-1))
-            corr = np.real(np.fft.ifft(np.conj(np.fft.fft(h[exps])) * fft_w))
-            return h[0] * table[0] + corr
-    else:
-        # rows c and N - c of omega((c n) mod N) are identical and the tie
-        # policy keeps the smaller c, so candidates c <= N/2 suffice; with
-        # s = 1 nothing is scanned and no row is built
-        candidates = np.arange(1, (N // 2 if s > 1 else 0) + 1, dtype=np.int64)
-        order = np.arange(candidates.size)
-        scan = _row_scan(lambda lo, hi: table[(candidates[lo:hi, None] * n) % N],
-                         candidates.size, N, s > 2)
-
-    trace = _greedy(s, params.weights, N, lambda c: table[(c * n) % N], scan,
-                    candidates, order)
-    return LatticeRule(N=N, z=tuple(c for c, _ in trace.choices)), trace
+def cbc_construct(rule: LatticeRule | PolyLatticeRule, s: int, params: SpaceParams,
+                  fast: bool = False) -> tuple[LatticeRule | PolyLatticeRule, CbcTrace]:
+    """Greedy CBC search from the one-component rule that carries the modulus
+    (N, or b, m and p; only the modulus is read): component 1 is 1, each later
+    one minimizes the closed-form merit over rule.cbc_scan's candidates with
+    ties resolved toward the smallest, and ``fast`` asks for the FFT scan."""
+    trace = _greedy(s, params.weights, rule.npoints, *rule.cbc_scan(s, params, fast))
+    return rule.with_codes([c for c, _ in trace.choices]), trace

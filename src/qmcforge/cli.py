@@ -180,43 +180,39 @@ def _splice_config(argv: list[str]) -> list[str]:
     return argv[:1] + tokens + argv[1:]
 
 
+def _modulus_rule(kind: str, N: int | None = None, b: int = 2, m: int | None = None,
+                  p: str | None = None) -> LatticeRule | PolyLatticeRule:
+    """The one-component rule (z = 1 or q = 1) that carries the modulus: N, or
+    b, m and p (default the smallest irreducible of degree m)."""
+    if kind == "lattice":
+        from .korobov import LatticeRule
+        return LatticeRule(N=N, z=(1,))
+    from .gfpoly import GFPoly, smallest_irreducible
+    from .walsh import PolyLatticeRule
+    poly = _poly_from_arg(p, b) if p else smallest_irreducible(b, m)
+    return PolyLatticeRule(b=b, m=m, p=poly, q=(GFPoly(b, (1,)),))
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     from .cbc import CbcTrace, cbc_construct
     from .korobov import p_merit_closed
-    if args.kind == "lattice":
-        from .korobov import LatticeRule
-        if args.N is None:
-            raise UsageError("lattice construction needs --N")
-        N, s, alpha = int(args.N), int(args.s), float(args.alpha)
-        W = parse_weights(args.weights, s)
-        if args.random:
-            if N < 2:  # before the draw from the empty range 1..N-1
-                raise UsageError(f"modulus N must be >= 2, got {N}")
-            rng = random.Random(args.seed)
-            z = tuple(rng.randrange(1, N) for _ in range(s))
-            rule = LatticeRule(N=N, z=z)
-            merit = p_merit_closed(rule, SpaceParams(alpha=alpha, weights=W)).p_value
-            trace = CbcTrace(choices=tuple((zj, merit) for zj in z), evaluations=0)
-        else:
-            rule, trace = cbc_construct(N, s, SpaceParams(alpha=alpha, weights=W), args.fast)
-        payload = rule.to_jsonable()
+    if args.kind == "lattice" and args.N is None:
+        raise UsageError("lattice construction needs --N")
+    if args.kind == "poly-lattice" and args.m is None:
+        raise UsageError("poly-lattice construction needs --m")
+    s = int(args.s)
+    W = parse_weights(args.weights, s)
+    modulus = _modulus_rule(args.kind, args.N, args.b, args.m, args.p)
+    params = SpaceParams(alpha=float(args.alpha), weights=W)
+    if args.random:
+        rng = random.Random(args.seed)
+        codes = [rng.randrange(1, modulus.npoints) for _ in range(s)]
+        rule = modulus.with_codes(codes)
+        merit = p_merit_closed(rule, params).p_value
+        trace = CbcTrace(choices=tuple((c, merit) for c in codes), evaluations=0)
     else:
-        if args.m is None:
-            raise UsageError("poly-lattice construction needs --m")
-        from .gfpoly import GFPoly, smallest_irreducible
-        from .walsh import PolyLatticeRule, cbc_construct_poly
-        b, m, s, alpha = int(args.b), int(args.m), int(args.s), float(args.alpha)
-        W = parse_weights(args.weights, s)
-        p = _poly_from_arg(args.p, b) if args.p else smallest_irreducible(b, m)
-        if args.random:
-            rng = random.Random(args.seed)
-            q = tuple(GFPoly.from_code(b, rng.randrange(1, b ** m)) for _ in range(s))
-            rule = PolyLatticeRule(b=b, m=m, p=p, q=q)
-            merit = p_merit_closed(rule, SpaceParams(alpha=alpha, weights=W)).p_value
-            trace = CbcTrace(choices=tuple((qj.code(), merit) for qj in rule.q), evaluations=0)
-        else:
-            rule, trace = cbc_construct_poly(b, m, s, SpaceParams(alpha=alpha, weights=W), p=p)
-        payload = rule.to_jsonable()
+        rule, trace = cbc_construct(modulus, s, params, args.fast)
+    payload = rule.to_jsonable()
     payload["alpha"] = float(args.alpha)
     payload["weights"] = W.to_jsonable()
     payload["trace"] = trace.to_jsonable()
@@ -257,14 +253,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     Wp = parse_weights(args.weights_prime, rule.s) if args.weights_prime else W
     alpha_p = float(args.alpha_prime) if args.alpha_prime is not None else alpha
     lam = float(args.lam)
-    if selector == "thm1":
-        cert = stability.theorem1_bound(rule, alpha, W, alpha_p, Wp)
-    elif selector == "thm2":
-        cert = stability.theorem2_bound_poly(rule, alpha, W, alpha_p, Wp)
-    elif selector == "prop1":
-        cert = stability.prop1_certificate(rule, alpha, W, lam)
-    elif selector == "prop2":
-        cert = stability.prop2_certificate(rule, alpha, W, lam)
+    if selector in ("thm1", "thm2"):
+        cert = stability.stability_bound(rule, alpha, W, alpha_p, Wp)
+    elif selector in ("prop1", "prop2"):
+        cert = stability.prop_certificate(rule, alpha, W, lam)
     elif selector == "eq1":
         cert = stability.combined_bound_eq1(rule, alpha, W, alpha_p, Wp, lam)
     else:
@@ -274,27 +266,20 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _sweep_cell(kind: str, size: int, s: int, alpha: float, W: WeightSet,
-                certify: str | None) -> dict:
+                certify: str | None) -> tuple[dict, int]:
+    """The table row of the CBC rule for grid value size (N, or m with b = 2),
+    and the rule's point count."""
+    from .cbc import cbc_construct
     from .korobov import p_merit_closed
-    from .stability import prop_bound_lattice, prop_bound_poly, theorem1_bound, theorem2_bound_poly
+    from .stability import prop_bound, stability_bound
     params = SpaceParams(alpha=alpha, weights=W)
-    if kind == "lattice":
-        from .cbc import cbc_construct
-        rule, _ = cbc_construct(size, s, params)
-        bound = prop_bound_lattice(size, s, alpha, W, 1.0)
-        certificate = theorem1_bound
-        applies = check_monotone(W, s)  # Theorem 1 needs monotone weights
-    else:
-        from .walsh import cbc_construct_poly
-        rule, _ = cbc_construct_poly(2, size, s, params)
-        bound = prop_bound_poly(2, size, s, alpha, W, 1.0)
-        certificate = theorem2_bound_poly
-        applies = True  # Theorem 2 needs no monotonicity
+    rule, _ = cbc_construct(_modulus_rule(kind, N=size, m=size), s, params)
+    bound = prop_bound(rule, alpha, W, 1.0)
     p = p_merit_closed(rule, params).p_value
     thm_rhs, passed = math.nan, None
-    if certify or applies:
+    if certify or not rule.needs_monotone_weights or check_monotone(W, s):
         try:
-            cert = certificate(rule, alpha, W, alpha, W)
+            cert = stability_bound(rule, alpha, W, alpha, W)
             thm_rhs, passed = cert.rhs, cert.passed
         except ResourceLimitError:  # the certificate's own caps decide, not the sweep
             pass
@@ -302,7 +287,7 @@ def _sweep_cell(kind: str, size: int, s: int, alpha: float, W: WeightSet,
            "thm1_rhs": thm_rhs}
     if certify:
         row["passed"] = passed
-    return row
+    return row, rule.npoints
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -316,11 +301,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("sweep grid is empty")
     s, alpha = int(args.s), float(args.alpha)
     W = parse_weights(args.weights, s)
-    rows = [_sweep_cell(args.kind, size, s, alpha, W, args.certify) for size in grid]
+    rows, npoints = zip(*(_sweep_cell(args.kind, size, s, alpha, W, args.certify)
+                          for size in grid))
 
-    sizes = np.asarray([row["N_or_m"] for row in rows], dtype=np.float64)
-    if args.kind == "poly-lattice":
-        sizes = 2.0 ** sizes
+    sizes = np.asarray(npoints, dtype=np.float64)
     sqrtp = np.asarray([row["sqrtP"] for row in rows])
     slope = math.nan
     if len(grid) >= 2 and np.all(sqrtp > 0):

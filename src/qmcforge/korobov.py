@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import QmcforgeError, ResourceLimitError, UsageError, as_int
 from .weights import (SpaceParams, WeightSet, _guard_enum, ratio_size_sum, subset_product_sum,
-                      subsets_of)
+                      subsets_of, weighted_zeta_sum, zeta)
 
 if TYPE_CHECKING:
     from .walsh import PolyLatticeRule
@@ -54,6 +54,7 @@ class LatticeRule:
 
     N: int
     z: tuple[int, ...]
+    needs_monotone_weights = True  # Theorem 1 holds for monotone weights only
 
     def __post_init__(self):
         object.__setattr__(self, "N", as_int(self.N, "modulus N"))
@@ -114,6 +115,73 @@ class LatticeRule:
         L = math.log2(self.N)
         return [0.0] + [(math.log(2.0) * L ** k + 3.0 * (2.0 * L) ** (k - 1)) / 2.0
                         for k in range(1, self.s + 1)]
+
+    def with_codes(self, codes: list[int]) -> LatticeRule:
+        """The rule of the same modulus with z = codes."""
+        return LatticeRule(N=self.N, z=tuple(codes))
+
+    def cbc_scan(self, s: int, params: SpaceParams, fast: bool = False) -> tuple:
+        """(column, scan, candidates) of cbc._greedy for z_(l+1) in 1..N-1.
+
+        Integer alpha in 1..4 only (the Bernoulli closed form).  ``fast``
+        (prime N only) scans by a length-(N-1) circular correlation in the
+        primitive-root ordering, with the FFT.  The FFT's rounding scales with
+        the kernel's norm rather than with the merit, so candidates that tie
+        exactly (z, N - z, z^-1, N - z^-1 at s = 2) can come out more than
+        TIE_REL_TOL apart: the choice can then differ from the direct scan's
+        within the tie class, and later components follow a different prefix
+        (N = 2027, s = 6, gamma_j = j^-2 is one case).
+        """
+        from .cbc import _check_dimension, _powers, _row_scan  # cbc imports korobov
+        N = self.N
+        if fast and not is_prime(N):
+            raise UsageError(f"fast CBC needs prime N, got {N}")
+        _check_dimension(s, params.weights)
+        if int(params.alpha) != params.alpha:
+            raise UsageError("CBC construction needs integer alpha (closed-form merit)")
+        table, n = self.merit_kernel(params.alpha), np.arange(N, dtype=np.int64)
+        if fast and N > 2:
+            exps = _powers(primitive_root(N), N)
+            fft_w = np.fft.fft(table[exps])
+            candidates = exps
+
+            def scan(h: np.ndarray) -> np.ndarray:
+                # T(g^a) = h(0) w(0) + sum_b h(g^b) w(g^(a+b) mod (N-1))
+                corr = np.real(np.fft.ifft(np.conj(np.fft.fft(h[exps])) * fft_w))
+                return h[0] * table[0] + corr
+        else:
+            # rows c and N - c of omega((c n) mod N) are identical and the tie
+            # policy keeps the smaller c, so candidates c <= N/2 suffice; with
+            # s = 1 nothing is scanned and no row is built
+            candidates = np.arange(1, (N // 2 if s > 1 else 0) + 1, dtype=np.int64)
+            scan = _row_scan(lambda lo, hi: table[(candidates[lo:hi, None] * n) % N],
+                             candidates.size, N, s > 2)
+        return lambda c: table[(c * n) % N], scan, candidates
+
+    def stability_constants(self, alpha_prime: float) -> tuple[float, float, float, dict]:
+        """(c, F, L) of Theorem 1 and the components it records: c = c_{a'},
+        F = 2^(2a'+1) / (2^(2a'-1) - 1), L = log2 N."""
+        c = c_alpha_prime(alpha_prime)  # refuses a' <= 1/2 before F divides by zero
+        F = 2.0 ** (2.0 * alpha_prime + 1.0) / (2.0 ** (2.0 * alpha_prime - 1.0) - 1.0)
+        return c, F, math.log2(self.N), {"c_alpha_prime": c}
+
+    def cbc_guarantee(self, W: WeightSet, alpha: float, lam: float) -> tuple[float, int]:
+        """(sum over u of gamma_u^lam (2 zeta(2 alpha lam))^|u|, phi(N)): Prop 1's
+        CBC guarantee is (sum / phi(N))^(1/lam), any 1/(2 alpha) < lam <= 1."""
+        return weighted_zeta_sum(W, self.s, lam, alpha), euler_totient(self.N)
+
+    def guarantee_components(self, params: SpaceParams) -> dict:
+        """What the Prop 1 certificate records beside lambda."""
+        return {"totient": euler_totient(self.N)}
+
+
+def c_alpha_prime(alpha_prime: float) -> float:
+    """(1 + zeta(2a')) + (2^(2a') + zeta(2a')) (2^(2a'-1) - 1) / 2^(4a'), Theorem 1's c."""
+    if not alpha_prime > 0.5:
+        raise UsageError(f"alpha' must exceed 1/2, got {alpha_prime}")
+    z = zeta(2.0 * alpha_prime)
+    t = 2.0 ** (2.0 * alpha_prime)
+    return (1.0 + z) + (t + z) * (t / 2.0 - 1.0) / t ** 2
 
 
 def _prime_factors(n: int) -> list[int]:

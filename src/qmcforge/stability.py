@@ -14,9 +14,8 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import UsageError
-from .korobov import LatticeRule, MeritReport, euler_totient, p_merit_closed, p_merit_series
-from .weights import (SpaceParams, WeightSet, check_monotone, ratio_size_sum,
-                      weighted_power_sum, weighted_zeta_sum, zeta)
+from .korobov import LatticeRule, MeritReport, p_merit_closed, p_merit_series
+from .weights import SpaceParams, WeightSet, check_monotone, ratio_size_sum
 
 if TYPE_CHECKING:  # walsh loads only for polynomial lattice rules
     from .walsh import PolyLatticeRule
@@ -59,15 +58,6 @@ def _certificate(lhs: float, rhs: float, components: dict, vacuous: bool = False
                                 passed=passed, vacuous=vacuous)
 
 
-def c_alpha_prime(alpha_prime: float) -> float:
-    """(1 + zeta(2a')) + (2^(2a') + zeta(2a')) (2^(2a'-1) - 1) / 2^(4a')."""
-    if not alpha_prime > 0.5:
-        raise UsageError(f"alpha' must exceed 1/2, got {alpha_prime}")
-    z = zeta(2.0 * alpha_prime)
-    t = 2.0 ** (2.0 * alpha_prime)
-    return (1.0 + z) + (t + z) * (t / 2.0 - 1.0) / t ** 2
-
-
 def merit(rule: LatticeRule | PolyLatticeRule, params: SpaceParams,
           series_K: int | None = None) -> MeritReport:
     """P of the rule under params, by the only choice between closed form and
@@ -106,82 +96,50 @@ def _stability_bound(rule: LatticeRule | PolyLatticeRule, alpha: float, W: Weigh
                         lhs.truncation_bound)
 
 
-def _korobov_constants(alpha_prime: float, N: int) -> tuple[float, float, float]:
-    """(c_{a'}, F, L) of Theorem 1: F = 2^(2a'+1) / (2^(2a'-1) - 1), L = log2 N."""
-    c = c_alpha_prime(alpha_prime)  # refuses a' <= 1/2 before F divides by zero
-    F = 2.0 ** (2.0 * alpha_prime + 1.0) / (2.0 ** (2.0 * alpha_prime - 1.0) - 1.0)
-    return c, F, math.log2(N)
-
-
-def theorem1_bound(rule: LatticeRule, alpha: float, W: WeightSet,
-                   alpha_prime: float, Wprime: WeightSet,
-                   series_K: int | None = None) -> StabilityCertificate:
-    """Korobov stability: for monotone gamma (gamma_v >= gamma_u for v in u),
-
-        P_{a',g'}(z) <= c_{a'} rho_{a,g}(z)^(a'/a)
-                        * sum_u g'_u / g_u^(a'/a)
-                          * (2^(2a'+1) / (2^(2a'-1) - 1))^|u| (log2 N)^(|u|-1).
-    """
-    if not check_monotone(W, rule.s):
+def _require_monotone(rule: LatticeRule | PolyLatticeRule, W: WeightSet) -> None:
+    if rule.needs_monotone_weights and not check_monotone(W, rule.s):
         raise UsageError("the stability bound needs monotone weights gamma")
-    rho = rule.rho(SpaceParams(alpha=alpha, weights=W))[0]
-    c, F, L = _korobov_constants(alpha_prime, rule.N)
-    return _stability_bound(rule, alpha, W, SpaceParams(alpha=alpha_prime, weights=Wprime), rho,
-                            alpha_prime / alpha, c, F, L, {"rho": rho, "c_alpha_prime": c},
-                            series_K)
 
 
-def theorem2_bound_poly(rule: PolyLatticeRule, alpha: float, W: WeightSet,
-                        alpha_prime: float, Wprime: WeightSet) -> StabilityCertificate:
-    """Walsh stability (no monotonicity needed):
+def stability_bound(rule: LatticeRule | PolyLatticeRule, alpha: float, W: WeightSet,
+                    alpha_prime: float, Wprime: WeightSet,
+                    series_K: int | None = None) -> StabilityCertificate:
+    """Theorems 1 (Korobov, monotone gamma: gamma_v >= gamma_u for v in u) and
+    2 (Walsh, any gamma), one statement:
 
-        P_{a',g'}(q) <= rho_{a,g}(q)^(a'/a)
-                        * sum_u g'_u / g_u^(a'/a)
-                          * (b^(2a'-1) (b-1) / (b^(2a'-1) - 1))^|u| (m+1)^(|u|-1).
+        P_{a',g'} <= c rho_{a,g}^(a'/a) sum_u g'_u / g_u^(a'/a) F^|u| L^(|u|-1),
+
+    Theorem 1: c = c_{a'}, F = 2^(2a'+1) / (2^(2a'-1) - 1), L = log2 N;
+    Theorem 2: c = 1, F = b^(2a'-1) (b-1) / (b^(2a'-1) - 1), L = m + 1.
     """
+    _require_monotone(rule, W)
     rho = rule.rho(SpaceParams(alpha=alpha, weights=W))[0]
-    target = SpaceParams(alpha=alpha_prime, weights=Wprime)  # a' > 1/2, so F is finite
-    b = float(rule.b)
-    F = b ** (2.0 * alpha_prime - 1.0) * (b - 1.0) / (b ** (2.0 * alpha_prime - 1.0) - 1.0)
-    return _stability_bound(rule, alpha, W, target, rho, alpha_prime / alpha, 1.0, F, rule.m + 1.0,
-                            {"rho": rho})
+    c, F, L, components = rule.stability_constants(alpha_prime)
+    return _stability_bound(rule, alpha, W, SpaceParams(alpha=alpha_prime, weights=Wprime), rho,
+                            alpha_prime / alpha, c, F, L, {"rho": rho, **components}, series_K)
 
 
-def prop_bound_lattice(N: int, s: int, alpha: float, W: WeightSet, lam: float) -> float:
-    """CBC guarantee for lattice rules:
-    (weighted_zeta_sum(lam) / phi(N))^(1/lam), any 1/(2 alpha) < lam <= 1."""
-    total = weighted_zeta_sum(W, s, lam, alpha)
-    return (total / euler_totient(N)) ** (1.0 / lam)
+def prop_bound(rule: LatticeRule | PolyLatticeRule, alpha: float, W: WeightSet,
+               lam: float = 1.0) -> float:
+    """The CBC guarantee of Props 1 and 2, (sum / units)^(1/lam) with
+    (sum, units) = rule.cbc_guarantee: units phi(N) for lattice rules and
+    b^m - 1 for polynomial lattice rules (irreducible p)."""
+    total, units = rule.cbc_guarantee(W, alpha, lam)
+    return (total / units) ** (1.0 / lam)
 
 
-def prop_bound_poly(b: int, m: int, s: int, alpha: float, W: WeightSet, lam: float) -> float:
-    """CBC guarantee for polynomial lattice rules with irreducible modulus:
-    ((1/(b^m - 1)) sum_u gamma_u^lam ((b-1)/(b^(2 alpha lam) - b))^|u|)^(1/lam)."""
-    if lam > 1.0 or 2.0 * alpha * lam <= 1.0:
-        raise UsageError(f"need 1/(2 alpha) < lambda <= 1, got lambda={lam}")
-    factor = (b - 1.0) / (float(b) ** (2.0 * alpha * lam) - b)
-    total = weighted_power_sum(W, s, lam, factor)
-    return (total / (b ** m - 1)) ** (1.0 / lam)
-
-
-def prop1_certificate(rule: LatticeRule, alpha: float, W: WeightSet,
-                      lam: float = 1.0) -> StabilityCertificate:
-    """P(z) against the CBC guarantee (valid for CBC-constructed rules)."""
-    rhs = prop_bound_lattice(rule.N, rule.s, alpha, W, lam)
-    lhs = merit(rule, SpaceParams(alpha=alpha, weights=W))
-    return _certificate(lhs.p_value, rhs, {"lambda": lam, "totient": euler_totient(rule.N)},
-                        lhs_truncation=lhs.truncation_bound)
-
-
-def prop2_certificate(rule: PolyLatticeRule, alpha: float, W: WeightSet,
-                      lam: float = 1.0) -> StabilityCertificate:
-    """rho <= P <= CBC guarantee for polynomial lattice rules; the certificate
-    checks the outer inequality and records rho for the chain."""
-    rhs = prop_bound_poly(rule.b, rule.m, rule.s, alpha, W, lam)
+def prop_certificate(rule: LatticeRule | PolyLatticeRule, alpha: float, W: WeightSet,
+                     lam: float = 1.0) -> StabilityCertificate:
+    """P against the CBC guarantee (valid for CBC-constructed rules).  Where the
+    rule records rho (Prop 2 reads rho <= P <= guarantee), the certificate
+    checks the outer inequality and fails if rho exceeds P."""
+    rhs = prop_bound(rule, alpha, W, lam)
     params = SpaceParams(alpha=alpha, weights=W)
-    report = replace(merit(rule, params), rho_value=rule.rho(params)[0])
-    cert = _certificate(report.p_value, rhs, {"lambda": lam, "rho": report.rho_value})
-    if report.rho_value > report.p_value * (1.0 + CERT_REL_SLACK):
+    lhs = merit(rule, params)
+    recorded = rule.guarantee_components(params)
+    cert = _certificate(lhs.p_value, rhs, {"lambda": lam, **recorded},
+                        lhs_truncation=lhs.truncation_bound)
+    if recorded.get("rho", 0.0) > lhs.p_value * (1.0 + CERT_REL_SLACK):
         return replace(cert, passed=False)
     return cert
 
@@ -197,13 +155,13 @@ def combined_bound_eq1(rule: LatticeRule, alpha: float, W: WeightSet,
     Valid for rules produced by the CBC search under (alpha, gamma); its rhs
     majorizes the Theorem-1 rhs because rho <= P <= CBC guarantee.
     """
-    if not check_monotone(W, rule.s):
-        raise UsageError("the stability bound needs monotone weights gamma")
-    c, F, L = _korobov_constants(alpha_prime, rule.N)
-    raw = weighted_zeta_sum(W, rule.s, lam, alpha) / euler_totient(rule.N)
+    _require_monotone(rule, W)
+    c, F, L, components = rule.stability_constants(alpha_prime)
+    total, units = rule.cbc_guarantee(W, alpha, lam)
+    raw = total / units
     return _stability_bound(rule, alpha, W, SpaceParams(alpha=alpha_prime, weights=Wprime), raw,
                             alpha_prime / (alpha * lam), c, F, L,
-                            {"c_alpha_prime": c, "cbc_guarantee_base": raw}, series_K)
+                            {**components, "cbc_guarantee_base": raw}, series_K)
 
 
 def jensen_certificate(rule: LatticeRule | PolyLatticeRule, alpha: float,

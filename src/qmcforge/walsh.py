@@ -19,11 +19,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cbc import CbcTrace, _check_dimension, _greedy, _row_scan
 from .errors import QmcforgeError, ResourceLimitError, UsageError, as_int
-from .gfpoly import GFPoly, smallest_irreducible
+from .gfpoly import GFPoly
 from .korobov import MeritReport, _fft_error, _kernel_merit
-from .weights import SpaceParams, _guard_enum, ratio_size_sum, subsets_of
+from .weights import (SpaceParams, WeightSet, _guard_enum, ratio_size_sum, subsets_of,
+                      weighted_power_sum)
 
 # Cell guard for CBC's b^m x b^m candidate space.
 _TABLE_CELL_LIMIT = 1 << 24
@@ -40,6 +40,7 @@ class PolyLatticeRule:
     m: int
     p: GFPoly
     q: tuple[GFPoly, ...]
+    needs_monotone_weights = False  # Theorem 2 holds for any weights
 
     def __post_init__(self):
         object.__setattr__(self, "m", as_int(self.m, "degree m"))
@@ -108,6 +109,50 @@ class PolyLatticeRule:
         discrepancy.star_disc_bound_rho."""
         kb = 1.0 if self.b == 2 else 1.0 + 1.0 / math.sin(math.pi / self.b)
         return [(self.b - 1) * (kb * (self.m + 1)) ** k for k in range(self.s + 1)]
+
+    def with_codes(self, codes: list[int]) -> PolyLatticeRule:
+        """The rule of the same modulus with q_j = the polynomial of code codes[j]."""
+        return PolyLatticeRule(b=self.b, m=self.m, p=self.p,
+                               q=tuple(GFPoly.from_code(self.b, c) for c in codes))
+
+    def cbc_scan(self, s: int, params: SpaceParams, fast: bool = False) -> tuple:
+        """(column, scan, candidates) of cbc._greedy for q_(l+1) in G_m \\ {0}, by
+        integer encoding.  A reducible p is accepted (the construction is
+        well-defined), but the CBC guarantee assumes irreducible p."""
+        from .cbc import _check_dimension, _row_scan  # only a search loads cbc
+        if fast:
+            raise UsageError("fast CBC needs a lattice rule; polynomial lattice rules have "
+                             "no FFT scan")
+        _check_dimension(s, params.weights)
+        b, m, size = self.b, self.m, self.npoints
+        if size * size > _TABLE_CELL_LIMIT:
+            raise ResourceLimitError(f"CBC candidate space b^(2m) too large for b={b}, m={m}")
+        table, n, candidates = self.merit_kernel(params.alpha), np.arange(size), np.arange(1, size)
+
+        def rows(lo: int, hi: int) -> np.ndarray:  # the kernel at the points of candidates lo..hi-1
+            return table[_points_of(b, m, self.p.coeffs, candidates[lo:hi], n)]
+        return lambda c: rows(c - 1, c)[0], _row_scan(rows, size - 1, size, s > 2), candidates
+
+    def stability_constants(self, alpha_prime: float) -> tuple[float, float, float, dict]:
+        """(c, F, L) of Theorem 2 and the components it records (none): c = 1,
+        F = b^(2a'-1) (b-1) / (b^(2a'-1) - 1), L = m + 1."""
+        if not alpha_prime > 0.5:  # the target SpaceParams' check, before F divides by zero
+            raise UsageError(f"alpha must exceed 1/2, got {alpha_prime}")
+        t = float(self.b) ** (2.0 * alpha_prime - 1.0)
+        return 1.0, t * (self.b - 1.0) / (t - 1.0), self.m + 1.0, {}
+
+    def cbc_guarantee(self, W: WeightSet, alpha: float, lam: float) -> tuple[float, int]:
+        """(sum over u of gamma_u^lam ((b-1)/(b^(2 alpha lam) - b))^|u|, b^m - 1):
+        Prop 2's CBC guarantee for irreducible p is (sum / (b^m - 1))^(1/lam)."""
+        if lam > 1.0 or 2.0 * alpha * lam <= 1.0:
+            raise UsageError(f"need 1/(2 alpha) < lambda <= 1, got lambda={lam}")
+        factor = (self.b - 1.0) / (float(self.b) ** (2.0 * alpha * lam) - self.b)
+        return weighted_power_sum(W, self.s, lam, factor), self.b ** self.m - 1
+
+    def guarantee_components(self, params: SpaceParams) -> dict:
+        """What the Prop 2 certificate records beside lambda: rho, for its chain
+        rho <= P."""
+        return {"rho": self.rho(params)[0]}
 
 
 def mu_of(k: int, b: int) -> int:
@@ -290,33 +335,3 @@ def dual_mu_minima(rule: PolyLatticeRule) -> dict[frozenset[int], int]:
     start[0] = 0
     walk(start, frozenset())
     return {u: phi[u] for u in subsets_of(rule.s)}
-
-
-def cbc_construct_poly(b: int, m: int, s: int, params: SpaceParams,
-                       p: GFPoly | None = None) -> tuple[PolyLatticeRule, CbcTrace]:
-    """Greedy CBC over G_m \\ {0}: q_1 = 1, then each component minimizes the
-    closed-form merit; ties resolve toward the smallest integer encoding.
-
-    With p omitted, the lexicographically smallest monic irreducible of
-    degree m is used.  A reducible p is accepted (the construction is
-    well-defined), but the search-quality certificate of the CBC bound
-    assumes irreducible p.
-    """
-    if p is None:
-        p = smallest_irreducible(b, m)
-    if p.base != b or p.degree != m:
-        raise UsageError("modulus must have the rule's base and degree m")
-    _check_dimension(s, params.weights)
-    size = b ** m
-    if size * size > _TABLE_CELL_LIMIT:
-        raise ResourceLimitError(f"CBC candidate space b^(2m) too large for b={b}, m={m}")
-    table, n, candidates = _phi_axis(b, m, params.alpha), np.arange(size), np.arange(1, size)
-
-    def rows(lo: int, hi: int) -> np.ndarray:  # the kernel at the points of candidates lo..hi-1
-        return table[_points_of(b, m, p.coeffs, candidates[lo:hi], n)]
-
-    trace = _greedy(s, params.weights, size, lambda c: rows(c - 1, c)[0],
-                    _row_scan(rows, size - 1, size, s > 2), candidates, np.arange(size - 1))
-    rule = PolyLatticeRule(b=b, m=m, p=p,
-                           q=tuple(GFPoly.from_code(b, c) for c, _ in trace.choices))
-    return rule, trace

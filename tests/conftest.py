@@ -70,3 +70,20 @@ def random_poly_rules(b: int, m: int, s: int, count: int, seed: int):
                             q=tuple(GFPoly.from_code(b, int(c))
                                     for c in rng.integers(1, b ** m, size=s)))
             for _ in range(count)]
+
+
+def lattice_modulus(N: int):
+    """The one-component lattice rule z = (1,) that carries the modulus N: the
+    start of a CBC search."""
+    from qmcforge.korobov import LatticeRule
+
+    return LatticeRule(N=N, z=(1,))
+
+
+def poly_modulus(b: int, m: int, p=None):
+    """The one-component polynomial lattice rule q = (1,) that carries the
+    modulus p (default the smallest irreducible of degree m)."""
+    from qmcforge.gfpoly import GFPoly, smallest_irreducible
+    from qmcforge.walsh import PolyLatticeRule
+
+    return PolyLatticeRule(b=b, m=m, p=p or smallest_irreducible(b, m), q=(GFPoly(b, (1,)),))

@@ -10,16 +10,15 @@ import math
 
 import numpy as np
 
-from conftest import (random_lattice_rules, random_poly_rules, rosser_schoenfeld_holds,
-                      totient_sieve)
+from conftest import (lattice_modulus, poly_modulus, random_lattice_rules, random_poly_rules,
+                      rosser_schoenfeld_holds, totient_sieve)
 from qmcforge.cbc import cbc_construct
 from qmcforge.discrepancy import (star_disc_bound, star_disc_bound_rho,
                                   weighted_exact_star_discrepancy)
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
 from qmcforge.korobov import LatticeRule, dual_product_minima, p_merit_closed, p_merit_series
-from qmcforge.stability import (jensen_certificate, prop1_certificate, prop2_certificate,
-                                theorem1_bound, theorem2_bound_poly)
-from qmcforge.walsh import PolyLatticeRule, cbc_construct_poly, dual_mu_minima, p_merit_wal_series
+from qmcforge.stability import jensen_certificate, prop_certificate, stability_bound
+from qmcforge.walsh import PolyLatticeRule, dual_mu_minima, p_merit_wal_series
 from qmcforge.weights import SpaceParams, WeightSet
 
 
@@ -207,11 +206,11 @@ def test_criterion_04_cbc_guarantee():
     count = 0
     for N, s, alpha, W in _lattice_config_grid():
         params = SpaceParams(alpha=alpha, weights=W)
-        rule, _ = cbc_construct(N, s, params)
+        rule, _ = cbc_construct(lattice_modulus(N), s, params)
         for lam in (1.0, 0.75):
             if 2.0 * alpha * lam <= 1.0:
                 continue
-            cert = prop1_certificate(rule, alpha, W, lam)
+            cert = prop_certificate(rule, alpha, W, lam)
             count += 1
             if not cert.passed:
                 failures.append((N, s, alpha, lam))
@@ -225,11 +224,11 @@ def test_criterion_04_cbc_guarantee():
             for m in (1, 2, 3, 4, 5):
                 W = _product_weights(-2.0, s)
                 params = SpaceParams(alpha=alpha, weights=W)
-                rule, _ = cbc_construct_poly(2, m, s, params)
+                rule, _ = cbc_construct(poly_modulus(2, m), s, params)
                 for lam in (1.0, 0.75):
                     if 2.0 * alpha * lam <= 1.0:
                         continue
-                    cert = prop2_certificate(rule, alpha, W, lam)
+                    cert = prop_certificate(rule, alpha, W, lam)
                     count += 1
                     if not cert.passed:
                         failures.append((m, s, alpha, lam))
@@ -249,14 +248,14 @@ def test_criterion_05_stability_grids():
         W = _product_weights(-2.0, s)
         primes = {"same": _product_weights(-2.0, s), "flatter": _product_weights(-4.0, s)}
         for N in (8, 16, 32, 64):
-            rules = [cbc_construct(N, s, SpaceParams(alpha=a, weights=W))[0]
+            rules = [cbc_construct(lattice_modulus(N), s, SpaceParams(alpha=a, weights=W))[0]
                      for a in (1.0, 2.0)]
             rules += random_lattice_rules(N, s, 20, seed=9000 + 17 * s + N)
             for rule in rules:
                 for a in alphas:
                     for ap in alphas:
                         for Wp in primes.values():
-                            cert = theorem1_bound(rule, a, W, ap, Wp, series_K=N)
+                            cert = stability_bound(rule, a, W, ap, Wp, series_K=N)
                             count += 1
                             if not cert.passed:
                                 failures.append((s, N, rule.z, a, ap))
@@ -269,14 +268,14 @@ def test_criterion_05_stability_grids():
         W = _product_weights(-2.0, s)
         primes = {"same": _product_weights(-2.0, s), "flatter": _product_weights(-4.0, s)}
         for m in (3, 4, 5):
-            rules = [cbc_construct_poly(2, m, s, SpaceParams(alpha=a, weights=W))[0]
+            rules = [cbc_construct(poly_modulus(2, m), s, SpaceParams(alpha=a, weights=W))[0]
                      for a in (1.0, 2.0)]
             rules += random_poly_rules(2, m, s, 20, seed=300 + 7 * s + m)
             for rule in rules:
                 for a in alphas:
                     for ap in alphas:
                         for Wp in primes.values():
-                            cert = theorem2_bound_poly(rule, a, W, ap, Wp)
+                            cert = stability_bound(rule, a, W, ap, Wp)
                             count += 1
                             if not cert.passed:
                                 failures.append((s, m, a, ap))
@@ -293,7 +292,7 @@ def test_criterion_06_jensen():
     count = 0
     for N in (8, 16, 32):
         W = WeightSet.product([1.0, 0.5])
-        rule, _ = cbc_construct(N, 2, SpaceParams(alpha=1.0, weights=W))
+        rule, _ = cbc_construct(lattice_modulus(N), 2, SpaceParams(alpha=1.0, weights=W))
         for alpha, delta in ((1.0, 0.5), (2.0, 0.5), (1.6, 0.8)):
             cert = jensen_certificate(rule, alpha, W, delta, series_K=512)
             count += 1
@@ -301,7 +300,7 @@ def test_criterion_06_jensen():
                 failures.append(("lattice", N, alpha, delta))
     for m in (3, 4, 5):
         W = WeightSet.product([1.0, 0.5])
-        rule, _ = cbc_construct_poly(2, m, 2, SpaceParams(alpha=1.0, weights=W))
+        rule, _ = cbc_construct(poly_modulus(2, m), 2, SpaceParams(alpha=1.0, weights=W))
         for delta in (0.5, 0.8):
             cert = jensen_certificate(rule, 1.0, W, delta)
             count += 1
@@ -322,9 +321,10 @@ def test_criterion_07_fast_cbc_equivalence():
         for expo in (-2.0, -1.0):
             gammas = [float(j) ** expo for j in range(1, 9)]
             fast_rule, fast_trace = cbc_construct(
-                N, 8, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)), fast=True)
+                lattice_modulus(N), 8, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)),
+                fast=True)
             naive_rule, naive_trace = cbc_construct(
-                N, 8, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)))
+                lattice_modulus(N), 8, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)))
             if fast_rule.z != naive_rule.z:
                 mismatches.append((N, expo))
             for (_, mf), (_, mn) in zip(fast_trace.choices, naive_trace.choices):
@@ -343,7 +343,8 @@ def test_criterion_08_convergence_rate():
     xs, ys = [], []
     for N in (17, 31, 61, 127, 251):
         rule, _ = cbc_construct(
-            N, 2, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)), fast=True)
+            lattice_modulus(N), 2, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)),
+            fast=True)
         p = p_merit_closed(rule, SpaceParams(alpha=1.0,
                                              weights=WeightSet.product(gammas))).p_value
         xs.append(math.log(N))

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import lattice_modulus
 from qmcforge import cbc
 from qmcforge.cbc import TIE_REL_TOL, _powers, _select, cbc_construct
 from qmcforge.korobov import euler_totient, primitive_root
 from qmcforge.errors import UsageError
 from qmcforge.korobov import LatticeRule, omega_table, p_merit_closed
-from qmcforge.stability import prop_bound_lattice
+from qmcforge.stability import prop_bound
 from qmcforge.weights import SpaceParams, WeightSet
 
 
@@ -60,7 +61,7 @@ class TestPrimitiveRoot:
 class TestNaiveCbc:
     def test_first_component_fixed(self):
         for N in (4, 9, 17):
-            rule, _ = cbc_construct(N, 1, unit_params(1))
+            rule, _ = cbc_construct(lattice_modulus(N), 1, unit_params(1))
             assert rule.z == (1,)
 
     def test_n5_pair_tiebreak(self):
@@ -76,20 +77,20 @@ class TestNaiveCbc:
         best = min(merits.values())
         tied = {z for z, m in merits.items() if m <= best * (1 + 1e-12)}
         assert tied == {2, 3}
-        rule, _ = cbc_construct(5, 2, params)
+        rule, _ = cbc_construct(lattice_modulus(5), 2, params)
         assert rule.z == (1, 2)
 
     def test_prefix_property(self):
         params = SpaceParams(alpha=1.0, weights=WeightSet.product(
             [j ** -2.0 for j in range(1, 7)]))
-        full, _ = cbc_construct(32, 6, params)
+        full, _ = cbc_construct(lattice_modulus(32), 6, params)
         for s in range(1, 6):
-            part, _ = cbc_construct(32, s, params)
+            part, _ = cbc_construct(lattice_modulus(32), s, params)
             assert part.z == full.z[:s]
 
     def test_trace_merit_matches_fresh_evaluation(self):
         params = SpaceParams(alpha=2.0, weights=WeightSet.product([1.0, 0.5, 0.25]))
-        rule, trace = cbc_construct(27, 3, params)
+        rule, trace = cbc_construct(lattice_modulus(27), 3, params)
         fresh = p_merit_closed(rule, params).p_value
         assert trace.choices[-1][1] == pytest.approx(fresh, rel=1e-12)
         assert trace.evaluations == 1 + 2 * 26
@@ -105,7 +106,7 @@ class TestNaiveCbc:
             W = WeightSet.explicit({(1,): 1.0, (2,): 0.7, (1, 2): 0.4,
                                     (1, 3): 0.2, (1, 2, 3): 0.1}, s_max=3)
         params = SpaceParams(alpha=1.0, weights=W)
-        rule, trace = cbc_construct(16, 3, params)
+        rule, trace = cbc_construct(lattice_modulus(16), 3, params)
         for ell in range(1, 3):
             prefix = rule.z[:ell]
             merits = {}
@@ -119,16 +120,16 @@ class TestNaiveCbc:
 
     def test_zero_new_weight_keeps_smallest_candidate(self):
         W = WeightSet.product([1.0, 0.0])
-        rule, _ = cbc_construct(11, 2, SpaceParams(alpha=1, weights=W))
+        rule, _ = cbc_construct(lattice_modulus(11), 2, SpaceParams(alpha=1, weights=W))
         assert rule.z == (1, 1)
 
     def test_cbc_guarantee(self):
         params = SpaceParams(alpha=1.0, weights=WeightSet.product([1.0, 0.25]))
         for N in (8, 13, 21):
-            rule, _ = cbc_construct(N, 2, params)
+            rule, _ = cbc_construct(lattice_modulus(N), 2, params)
             p = p_merit_closed(rule, params).p_value
             for lam in (1.0, 0.75):
-                bound = prop_bound_lattice(N, 2, 1.0, params.weights, lam)
+                bound = prop_bound(rule, 1.0, params.weights, lam)
                 assert p <= bound * (1 + 1e-9)
 
 
@@ -169,7 +170,7 @@ class TestHalfCandidateScan:
     def test_matches_brute_force(self, N, kind):
         s = 4
         params = SpaceParams(alpha=1.0, weights=four_kinds(s)[kind])
-        rule, trace = cbc_construct(N, s, params)
+        rule, trace = cbc_construct(lattice_modulus(N), s, params)
         z, merits = brute_force_cbc(N, s, params)
         assert rule.z == z
         assert trace.evaluations == 1 + (s - 1) * (N - 1)
@@ -183,16 +184,16 @@ class TestHalfCandidateScan:
         # (the last one 3) when patched; s = 2 scans the blocks as they are
         # made, s = 5 fills and holds the whole matrix
         params = SpaceParams(alpha=1.0, weights=four_kinds(s)[kind])
-        whole = cbc_construct(127, s, params)
+        whole = cbc_construct(lattice_modulus(127), s, params)
         monkeypatch.setattr(cbc, "_BLOCK_CELLS", 4 * 127 + 5)
-        assert cbc_construct(127, s, params) == whole
+        assert cbc_construct(lattice_modulus(127), s, params) == whole
 
     @pytest.mark.parametrize("N", [31, 127, 251, 2027])
     def test_second_component_is_smallest_of_its_tie_class(self, N):
         # at s = 2, z, N - z, z^-1 and N - z^-1 give the same point set up to
         # reflection and swapping coordinates, hence the same merit
         params = SpaceParams(alpha=1.0, weights=WeightSet.product([1.0, 0.25]))
-        rule, _ = cbc_construct(N, 2, params)
+        rule, _ = cbc_construct(lattice_modulus(N), 2, params)
         z = rule.z[1]
         inv = pow(z, -1, N)
         assert z == min(z, N - z, inv, N - inv)
@@ -258,20 +259,23 @@ class TestFastCbc:
     def test_composite_rejected(self):
         with pytest.raises(UsageError):
             cbc_construct(
-                12, 2, SpaceParams(alpha=1.0, weights=WeightSet.product([1.0, 1.0])), fast=True)
+                lattice_modulus(12), 2,
+                SpaceParams(alpha=1.0, weights=WeightSet.product([1.0, 1.0])), fast=True)
 
     def test_dimension_one(self):
         rule, _ = cbc_construct(
-            13, 1, SpaceParams(alpha=1.0, weights=WeightSet.product([1.0])), fast=True)
+            lattice_modulus(13), 1, SpaceParams(alpha=1.0, weights=WeightSet.product([1.0])),
+            fast=True)
         assert rule.z == (1,)
 
     @pytest.mark.parametrize("N,s", [(13, 4), (31, 5), (127, 6), (251, 8)])
     def test_matches_naive(self, N, s):
         gammas = [j ** -2.0 for j in range(1, s + 1)]
         fast_rule, fast_trace = cbc_construct(
-            N, s, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)), fast=True)
+            lattice_modulus(N), s, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)),
+            fast=True)
         naive_rule, naive_trace = cbc_construct(
-            N, s, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)))
+            lattice_modulus(N), s, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)))
         assert fast_rule.z == naive_rule.z
         for (_, mf), (_, mn) in zip(fast_trace.choices, naive_trace.choices):
             assert mf == pytest.approx(mn, rel=1e-9)
@@ -281,17 +285,19 @@ class TestFastCbc:
     def test_matches_naive_2027(self):
         gammas = [j ** -2.0 for j in range(1, 7)]
         fast_rule, _ = cbc_construct(
-            2027, 6, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)), fast=True)
+            lattice_modulus(2027), 6, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)),
+            fast=True)
         naive_rule, _ = cbc_construct(
-            2027, 6, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)))
+            lattice_modulus(2027), 6, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)))
         assert fast_rule.z == naive_rule.z
 
     def test_matches_naive_alpha2(self):
         gammas = [1.0, 0.5, 0.25]
         fast_rule, _ = cbc_construct(
-            31, 3, SpaceParams(alpha=2.0, weights=WeightSet.product(gammas)), fast=True)
+            lattice_modulus(31), 3, SpaceParams(alpha=2.0, weights=WeightSet.product(gammas)),
+            fast=True)
         naive_rule, _ = cbc_construct(
-            31, 3, SpaceParams(alpha=2.0, weights=WeightSet.product(gammas)))
+            lattice_modulus(31), 3, SpaceParams(alpha=2.0, weights=WeightSet.product(gammas)))
         assert fast_rule.z == naive_rule.z
 
     @pytest.mark.parametrize("kind", ["pod", "order", "explicit"])
@@ -305,8 +311,8 @@ class TestFastCbc:
              **{(i, j): 0.5 / (i * j) ** 2 for i in range(1, s + 1) for j in range(i + 1, s + 1)}},
             s_max=s))
         params = SpaceParams(alpha=1.0, weights=weights[kind])
-        fast_rule, fast_trace = cbc_construct(N, s, params, fast=True)
-        naive_rule, naive_trace = cbc_construct(N, s, params)
+        fast_rule, fast_trace = cbc_construct(lattice_modulus(N), s, params, fast=True)
+        naive_rule, naive_trace = cbc_construct(lattice_modulus(N), s, params)
         assert fast_rule.z == naive_rule.z
         assert fast_trace.evaluations == naive_trace.evaluations
 
@@ -317,7 +323,8 @@ class TestConvergenceRate:
         logs = []
         for N in (17, 31, 61, 127, 251):
             rule, _ = cbc_construct(
-                N, 2, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)), fast=True)
+                lattice_modulus(N), 2, SpaceParams(alpha=1.0, weights=WeightSet.product(gammas)),
+                fast=True)
             p = p_merit_closed(rule, SpaceParams(alpha=1.0,
                                                  weights=WeightSet.product(gammas))).p_value
             logs.append((math.log(N), 0.5 * math.log(p)))

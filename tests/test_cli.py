@@ -593,6 +593,14 @@ class TestConfigPrecedence:
     # refused before the draw from the empty range 1..N-1, as without --random
     (["construct", "--N", "0", "--s", "2", "--random"], None),
     (["construct", "--N", "1", "--s", "2", "--random"], None),
+    # alpha outside the closed forms 1..4, refused before the kernel table is indexed
+    (["construct", "--N", "31", "--s", "2", "--alpha", "5"], None),
+    (["sweep", "--N-grid", "31,61", "--s", "2", "--alpha", "5"], None),
+    # degree m = 0, refused by the modulus rule before any table or draw
+    (["construct", "--kind", "poly-lattice", "--m", "0", "--p", "1", "--s", "2"], None),
+    (["construct", "--kind", "poly-lattice", "--m", "0", "--p", "1", "--s", "2", "--random"], None),
+    # the FFT scan is for lattice rules only; --fast is refused, not dropped
+    (["construct", "--kind", "poly-lattice", "--m", "4", "--s", "2", "--fast"], None),
 ])
 def test_malformed_input_usage_error(tmp_path, capsys, args, rule):
     # malformed input exits 2 with one line, not 1 (certificate failure) with a traceback

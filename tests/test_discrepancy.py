@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lattice_modulus
 from qmcforge.cbc import cbc_construct
 from qmcforge.discrepancy import (exact_star_discrepancy, r_u, star_disc_bound,
                                   star_disc_bound_rho, weighted_exact_star_discrepancy)
@@ -203,7 +204,8 @@ class TestBeyondEnumerationSizes:
 
     def test_lattice_n4093_dominates_exact(self):
         W = WeightSet.product([1.0, 0.25])
-        rule, _ = cbc_construct(4093, 2, SpaceParams(alpha=1.0, weights=W), fast=True)
+        rule, _ = cbc_construct(lattice_modulus(4093), 2, SpaceParams(alpha=1.0, weights=W),
+                                fast=True)
         joe, r_values = star_disc_bound(rule, W)
         assert len(r_values) == 3
         assert joe >= weighted_exact_star_discrepancy(rule.points(), 4093, W)

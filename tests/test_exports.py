@@ -1,10 +1,11 @@
 import qmcforge
 
 # merged into one function of the rule, or used only by the tests
-REMOVED = ("bernoulli_even", "lattice_points", "p_merit_wal_closed", "poly_lattice_points",
-           "r_u_lattice", "r_u_poly", "rho_wal", "star_disc_bound_lattice",
+REMOVED = ("bernoulli_even", "cbc_construct_poly", "lattice_points", "p_merit_wal_closed",
+           "poly_lattice_points", "prop1_certificate", "prop2_certificate", "prop_bound_lattice",
+           "prop_bound_poly", "r_u_lattice", "r_u_poly", "rho_wal", "star_disc_bound_lattice",
            "star_disc_bound_poly", "star_disc_bound_rho_lattice", "star_disc_bound_rho_poly",
-           "zaremba_rho")
+           "theorem1_bound", "theorem2_bound_poly", "zaremba_rho")
 
 
 def test_all_names_resolve_once():

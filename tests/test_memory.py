@@ -10,10 +10,11 @@ import tracemalloc
 
 import numpy as np
 
+from conftest import lattice_modulus, poly_modulus
 from qmcforge.cbc import cbc_construct
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
 from qmcforge.korobov import LatticeRule, p_merit_closed, p_merit_series
-from qmcforge.walsh import PolyLatticeRule, cbc_construct_poly
+from qmcforge.walsh import PolyLatticeRule
 from qmcforge.weights import SpaceParams, WeightSet
 
 MiB = 1 << 20
@@ -34,7 +35,8 @@ def product_params(s, alpha=1.0):
 
 def test_direct_scan_at_s2():
     # the 2046 x 4093 candidate matrix alone is 67 MB
-    assert traced_peak(lambda: cbc_construct(4093, 2, product_params(2))) < 16 * MiB
+    assert traced_peak(
+        lambda: cbc_construct(lattice_modulus(4093), 2, product_params(2))) < 16 * MiB
 
 
 def test_closed_merit_pod():
@@ -55,7 +57,7 @@ def test_series_box():
 
 def test_poly_scan_at_s2():
     # the b^(2m) point table of b = 2, m = 12 is 134 MB
-    assert traced_peak(lambda: cbc_construct_poly(2, 12, 2, product_params(2))) < 32 * MiB
+    assert traced_peak(lambda: cbc_construct(poly_modulus(2, 12), 2, product_params(2))) < 32 * MiB
 
 
 def test_poly_closed_merit():

@@ -7,12 +7,13 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lattice_modulus, poly_modulus
 from qmcforge.cbc import cbc_construct
 from qmcforge.cli import load_rule
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
 from qmcforge.korobov import LatticeRule, p_merit_closed
-from qmcforge.stability import prop_bound_lattice, prop_bound_poly
-from qmcforge.walsh import PolyLatticeRule, cbc_construct_poly
+from qmcforge.stability import prop_bound
+from qmcforge.walsh import PolyLatticeRule
 from qmcforge.weights import SpaceParams, WeightSet, subsets_of
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -54,11 +55,11 @@ class TestMeritChain:
     def test_lattice(self, N, alpha, data):
         s = data.draw(st.integers(1, 4))
         params = SpaceParams(alpha=alpha, weights=data.draw(weight_sets(s)))
-        rule, _ = cbc_construct(N, s, params)
+        rule, _ = cbc_construct(lattice_modulus(N), s, params)
         rho, _ = rule.rho(params)
         p = p_merit_closed(rule, params).p_value
         assert rho <= p * (1 + SLACK)
-        assert p <= prop_bound_lattice(N, s, alpha, params.weights, 1.0) * (1 + SLACK)
+        assert p <= prop_bound(rule, alpha, params.weights, 1.0) * (1 + SLACK)
 
     @SETTINGS
     @given(bm=st.sampled_from([(2, 4), (2, 7), (3, 3), (3, 5), (5, 3), (7, 2)]),
@@ -66,11 +67,11 @@ class TestMeritChain:
     def test_poly(self, bm, alpha, data):
         (b, m), s = bm, data.draw(st.integers(1, 4))
         params = SpaceParams(alpha=alpha, weights=data.draw(weight_sets(s)))
-        rule, _ = cbc_construct_poly(b, m, s, params)
+        rule, _ = cbc_construct(poly_modulus(b, m), s, params)
         rho, _ = rule.rho(params)
         p = p_merit_closed(rule, params).p_value
         assert rho <= p * (1 + SLACK)
-        assert p <= prop_bound_poly(b, m, s, alpha, params.weights, 1.0) * (1 + SLACK)
+        assert p <= prop_bound(rule, alpha, params.weights, 1.0) * (1 + SLACK)
 
 
 class TestJsonRoundTrip:

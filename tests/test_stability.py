@@ -3,16 +3,17 @@ from dataclasses import dataclass
 
 import pytest
 
-from conftest import random_lattice_rules, rosser_schoenfeld_holds, totient_sieve
+from conftest import (lattice_modulus, poly_modulus, random_lattice_rules, rosser_schoenfeld_holds,
+                      totient_sieve)
 from qmcforge.cbc import cbc_construct
 from qmcforge.discrepancy import star_disc_bound_rho
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly
-from qmcforge.korobov import LatticeRule, euler_totient, p_merit_closed, p_merit_series
-from qmcforge.stability import (c_alpha_prime, combined_bound_eq1, jensen_certificate, merit,
-                                prop1_certificate, prop2_certificate, prop_bound_lattice,
-                                prop_bound_poly, theorem1_bound, theorem2_bound_poly)
-from qmcforge.walsh import PolyLatticeRule, cbc_construct_poly
+from qmcforge.korobov import (LatticeRule, c_alpha_prime, euler_totient, p_merit_closed,
+                              p_merit_series)
+from qmcforge.stability import (combined_bound_eq1, jensen_certificate, merit, prop_bound,
+                                prop_certificate, stability_bound)
+from qmcforge.walsh import PolyLatticeRule
 from qmcforge.weights import (SpaceParams, WeightSet, ratio_size_sum, weighted_power_sum,
                               weighted_zeta_sum, zeta)
 
@@ -40,7 +41,7 @@ class TestCAlphaPrime:
 
 class TestTheorem1:
     def test_singleton_example(self):
-        cert = theorem1_bound(LatticeRule(N=5, z=(1,)), 1.0, UNIT1, 1.0, UNIT1)
+        cert = stability_bound(LatticeRule(N=5, z=(1,)), 1.0, UNIT1, 1.0, UNIT1)
         assert cert.lhs == pytest.approx(math.pi ** 2 / 75, rel=1e-10)
         assert cert.rhs == pytest.approx(c_alpha_prime(1.0) * 0.04 * 8.0, rel=1e-10)
         assert cert.passed and not cert.vacuous
@@ -48,39 +49,39 @@ class TestTheorem1:
 
     def test_zero_target_weights(self):
         Wp = WeightSet.product([0.0])
-        cert = theorem1_bound(LatticeRule(N=5, z=(1,)), 1.0, UNIT1, 1.0, Wp)
+        cert = stability_bound(LatticeRule(N=5, z=(1,)), 1.0, UNIT1, 1.0, Wp)
         assert cert.lhs == 0.0 and cert.rhs == 0.0 and cert.passed
 
     def test_alpha_prime_half_refused(self):
         # at alpha' = 1/2 the size factor's denominator b^(2a'-1) - 1 vanishes
         rule = PolyLatticeRule(b=2, m=3, p=P3, q=(GFPoly.one(2),))
         with pytest.raises(UsageError):
-            theorem2_bound_poly(rule, 1.0, UNIT1, 0.5, UNIT1)
+            stability_bound(rule, 1.0, UNIT1, 0.5, UNIT1)
 
     def test_vacuous_zero_source_weight(self):
         W = WeightSet.explicit({(1,): 1.0}, s_max=2)
         Wp = WeightSet.order_dependent([1.0, 1.0])
-        cert = theorem1_bound(LatticeRule(N=8, z=(1, 3)), 1.0, W, 1.0, Wp)
+        cert = stability_bound(LatticeRule(N=8, z=(1, 3)), 1.0, W, 1.0, Wp)
         assert cert.vacuous and cert.passed and math.isinf(cert.rhs)
 
     def test_nonmonotone_rejected(self):
         W = WeightSet.pod([1.0, 3.0], [1.0, 1.0])
         with pytest.raises(UsageError):
-            theorem1_bound(LatticeRule(N=8, z=(1, 3)), 1.0, W, 1.0, W)
+            stability_bound(LatticeRule(N=8, z=(1, 3)), 1.0, W, 1.0, W)
 
     def test_cross_smoothness_grid(self):
         W = WeightSet.product([j ** -2.0 for j in range(1, 4)])
         Wp = WeightSet.product([j ** -4.0 for j in range(1, 4)])
         for N in (8, 16, 32):
-            rule, _ = cbc_construct(N, 3, SpaceParams(alpha=1.0, weights=W))
+            rule, _ = cbc_construct(lattice_modulus(N), 3, SpaceParams(alpha=1.0, weights=W))
             for ap in (1.0, 2.0):
-                cert = theorem1_bound(rule, 1.0, W, ap, Wp)
+                cert = stability_bound(rule, 1.0, W, ap, Wp)
                 assert cert.passed, (N, ap)
 
     def test_random_rules_alpha_prime_noninteger(self):
         W = WeightSet.product([1.0, 0.25])
         for rule in random_lattice_rules(16, 2, 5, seed=101):
-            cert = theorem1_bound(rule, 2.0, W, 1.5, W)
+            cert = stability_bound(rule, 2.0, W, 1.5, W)
             assert cert.passed
 
 
@@ -89,8 +90,8 @@ class TestTheorem1:
         # lhs + lhs_truncation, at most the series tail and above 0
         W = WeightSet.product([j ** -2.0 for j in range(1, 4)])
         Wp = WeightSet.product([j ** -3.0 for j in range(1, 4)])
-        rule, _ = cbc_construct(127, 3, SpaceParams(alpha=1.0, weights=W))
-        cert = theorem1_bound(rule, 1.0, W, 1.5, Wp)
+        rule, _ = cbc_construct(lattice_modulus(127), 3, SpaceParams(alpha=1.0, weights=W))
+        cert = stability_bound(rule, 1.0, W, 1.5, Wp)
         series = p_merit_series(rule, SpaceParams(alpha=1.5, weights=Wp))
         tail = cert.components["lhs_truncation"]
         assert cert.lhs == series.p_value
@@ -100,14 +101,14 @@ class TestTheorem1:
         assert cert.lhs <= closed  # the exact P at 1.5 lies below P at 1
 
     def test_closed_form_lhs_has_no_tail(self):
-        cert = theorem1_bound(LatticeRule(N=5, z=(1,)), 1.0, UNIT1, 2.0, UNIT1)
+        cert = stability_bound(LatticeRule(N=5, z=(1,)), 1.0, UNIT1, 2.0, UNIT1)
         assert cert.components["lhs_truncation"] == 0.0
 
 
 class TestTheorem2:
     def test_tight_full_grid_case(self):
         rule = PolyLatticeRule(b=2, m=3, p=P3, q=(GFPoly.one(2),))
-        cert = theorem2_bound_poly(rule, 1.0, UNIT1, 1.0, UNIT1)
+        cert = stability_bound(rule, 1.0, UNIT1, 1.0, UNIT1)
         assert cert.lhs == pytest.approx(1 / 128, rel=1e-12)
         assert cert.rhs == pytest.approx(2.0 ** -7, rel=1e-12)
         assert cert.passed
@@ -115,61 +116,61 @@ class TestTheorem2:
     def test_zero_target_weights(self):
         Wp = WeightSet.product([0.0])
         rule = PolyLatticeRule(b=2, m=3, p=P3, q=(GFPoly.one(2),))
-        cert = theorem2_bound_poly(rule, 1.0, UNIT1, 1.0, Wp)
+        cert = stability_bound(rule, 1.0, UNIT1, 1.0, Wp)
         assert cert.lhs == 0.0 and cert.rhs == 0.0 and cert.passed
 
     def test_alpha_prime_half_refused(self):
         # at alpha' = 1/2 the size factor's denominator b^(2a'-1) - 1 vanishes
         rule = PolyLatticeRule(b=2, m=3, p=P3, q=(GFPoly.one(2),))
         with pytest.raises(UsageError):
-            theorem2_bound_poly(rule, 1.0, UNIT1, 0.5, UNIT1)
+            stability_bound(rule, 1.0, UNIT1, 0.5, UNIT1)
 
     def test_grid_with_noninteger_target(self):
         W = WeightSet.product([1.0, 0.25])
         for m in (3, 4, 5):
-            rule, _ = cbc_construct_poly(2, m, 2, SpaceParams(alpha=1.0, weights=W))
-            cert = theorem2_bound_poly(rule, 1.0, W, 1.5, W)
+            rule, _ = cbc_construct(poly_modulus(2, m), 2, SpaceParams(alpha=1.0, weights=W))
+            cert = stability_bound(rule, 1.0, W, 1.5, W)
             assert cert.passed, m
 
     def test_no_monotonicity_needed(self):
         W = WeightSet.pod([1.0, 3.0], [1.0, 1.0])  # not monotone
         base = WeightSet.product([1.0, 1.0])
-        rule, _ = cbc_construct_poly(2, 4, 2, SpaceParams(alpha=1.0, weights=base))
-        cert = theorem2_bound_poly(rule, 1.0, W, 2.0, W)
+        rule, _ = cbc_construct(poly_modulus(2, 4), 2, SpaceParams(alpha=1.0, weights=base))
+        cert = stability_bound(rule, 1.0, W, 2.0, W)
         assert cert.passed
 
 
 class TestPropBounds:
     def test_lattice_value(self):
-        assert prop_bound_lattice(5, 1, 1.0, UNIT1, 1.0) == pytest.approx(
+        assert prop_bound(lattice_modulus(5), 1.0, UNIT1, 1.0) == pytest.approx(
             2 * zeta(2.0) / 4, rel=1e-12)
 
     def test_poly_value(self):
-        assert prop_bound_poly(2, 3, 1, 1.0, UNIT1, 1.0) == pytest.approx(1 / 14, rel=1e-12)
+        assert prop_bound(poly_modulus(2, 3), 1.0, UNIT1, 1.0) == pytest.approx(1 / 14, rel=1e-12)
 
     def test_zero_weights(self):
         W = WeightSet.product([0.0])
-        assert prop_bound_lattice(7, 1, 1.0, W, 1.0) == 0.0
+        assert prop_bound(lattice_modulus(7), 1.0, W, 1.0) == 0.0
 
     def test_lambda_out_of_range(self):
         with pytest.raises(UsageError):
-            prop_bound_lattice(7, 1, 1.0, UNIT1, 0.4)
+            prop_bound(lattice_modulus(7), 1.0, UNIT1, 0.4)
         with pytest.raises(UsageError):
-            prop_bound_poly(2, 3, 1, 1.0, UNIT1, 0.4)
+            prop_bound(poly_modulus(2, 3), 1.0, UNIT1, 0.4)
 
     def test_certificates_on_cbc_output(self):
         W = WeightSet.product([1.0, 0.5])
-        rule, _ = cbc_construct(16, 2, SpaceParams(alpha=1.0, weights=W))
+        rule, _ = cbc_construct(lattice_modulus(16), 2, SpaceParams(alpha=1.0, weights=W))
         for lam in (1.0, 0.75):
-            assert prop1_certificate(rule, 1.0, W, lam).passed
-        prule, _ = cbc_construct_poly(2, 4, 2, SpaceParams(alpha=1.0, weights=W))
+            assert prop_certificate(rule, 1.0, W, lam).passed
+        prule, _ = cbc_construct(poly_modulus(2, 4), 2, SpaceParams(alpha=1.0, weights=W))
         for lam in (1.0, 0.75):
-            assert prop2_certificate(prule, 1.0, W, lam).passed
+            assert prop_certificate(prule, 1.0, W, lam).passed
 
     def test_bad_rule_can_fail_prop1(self):
         # the guarantee holds for CBC outputs, not arbitrary vectors
         W2 = WeightSet.order_dependent([1.0, 1.0])
-        cert = prop1_certificate(LatticeRule(N=16, z=(1, 1)), 2.0, W2)
+        cert = prop_certificate(LatticeRule(N=16, z=(1, 1)), 2.0, W2)
         assert not cert.passed
 
 
@@ -177,8 +178,8 @@ class TestCombinedBound:
     def test_majorizes_theorem1_on_cbc_rules(self):
         W = WeightSet.product([1.0, 0.25])
         for N in (16, 32, 64):
-            rule, _ = cbc_construct(N, 2, SpaceParams(alpha=1.0, weights=W))
-            t1 = theorem1_bound(rule, 1.0, W, 2.0, W)
+            rule, _ = cbc_construct(lattice_modulus(N), 2, SpaceParams(alpha=1.0, weights=W))
+            t1 = stability_bound(rule, 1.0, W, 2.0, W)
             e1 = combined_bound_eq1(rule, 1.0, W, 2.0, W, 1.0)
             assert e1.rhs >= t1.rhs >= t1.lhs
             assert e1.passed
@@ -192,13 +193,13 @@ class TestCombinedBound:
 class TestJensen:
     def test_lattice_half(self):
         W = WeightSet.product([1.0, 0.5])
-        rule, _ = cbc_construct(32, 2, SpaceParams(alpha=1.0, weights=W))
+        rule, _ = cbc_construct(lattice_modulus(32), 2, SpaceParams(alpha=1.0, weights=W))
         cert = jensen_certificate(rule, 1.0, W, 0.5)
         assert cert.passed
 
     def test_lattice_fractional_with_series_rhs(self):
         W = WeightSet.product([1.0, 0.5])
-        rule, _ = cbc_construct(16, 2, SpaceParams(alpha=2.0, weights=W))
+        rule, _ = cbc_construct(lattice_modulus(16), 2, SpaceParams(alpha=2.0, weights=W))
         cert = jensen_certificate(rule, 1.6, W, 0.8, series_K=512)
         assert cert.components["alpha_high"] == pytest.approx(2.0)
         assert cert.passed
@@ -207,7 +208,7 @@ class TestJensen:
         # alpha / delta = 0.947 has no closed forms around it, so the lhs
         # series can only be raised by its tail majorant, which exceeds rhs - lhs
         W = WeightSet.product([1.0, 0.5])
-        rule, _ = cbc_construct(31, 2, SpaceParams(alpha=1.0, weights=W))
+        rule, _ = cbc_construct(lattice_modulus(31), 2, SpaceParams(alpha=1.0, weights=W))
         cert = jensen_certificate(rule, 0.9, W, 0.95)
         assert cert.lhs < cert.rhs
         assert cert.components["lhs_truncation"] > cert.rhs - cert.lhs
@@ -217,7 +218,7 @@ class TestJensen:
 
     def test_poly_both_deltas(self):
         W = WeightSet.product([1.0, 0.5])
-        rule, _ = cbc_construct_poly(2, 5, 2, SpaceParams(alpha=1.0, weights=W))
+        rule, _ = cbc_construct(poly_modulus(2, 5), 2, SpaceParams(alpha=1.0, weights=W))
         for delta in (0.5, 0.8):
             assert jensen_certificate(rule, 1.0, W, delta).passed
 
@@ -239,7 +240,7 @@ class TestTotientInequality:
 
 class TestSerialization:
     def test_certificate_json_keys(self):
-        cert = theorem1_bound(LatticeRule(N=5, z=(1,)), 1.0, UNIT1, 1.0, UNIT1)
+        cert = stability_bound(LatticeRule(N=5, z=(1,)), 1.0, UNIT1, 1.0, UNIT1)
         obj = cert.to_jsonable()
         assert set(obj) == {"lhs", "rhs", "margin", "components", "passed", "vacuous"}
 
@@ -289,7 +290,7 @@ def corollary_probe(kind: str, probe: CorollaryProbe, grid: list[tuple[int, int]
     rows = []
     for s, size in grid:
         if kind in ("cor1", "cor2"):  # lattice rules with N = size; n = phi(N)
-            rule, _ = cbc_construct(size, s, params)
+            rule, _ = cbc_construct(lattice_modulus(size), s, params)
             n = euler_totient(size)
             sup1 = weighted_zeta_sum(W, s, lam, alpha)
             F = 2.0 ** (2 * alpha_prime + 1) / (2.0 ** (2 * alpha_prime - 1) - 1)
@@ -297,7 +298,7 @@ def corollary_probe(kind: str, probe: CorollaryProbe, grid: list[tuple[int, int]
             disc_factors = [(2.0 * math.log2(size)) ** k for k in range(s + 1)]
         else:  # polynomial lattice rules with b = 2, m = size; n = b^m
             b = 2
-            rule, _ = cbc_construct_poly(b, size, s, params)
+            rule, _ = cbc_construct(poly_modulus(b, size), s, params)
             n = float(b) ** size
             sup1 = weighted_power_sum(W, s, lam,
                                       (b - 1.0) / (float(b) ** (2.0 * alpha * lam) - b))

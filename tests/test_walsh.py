@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import poly_modulus
 from qmcforge import cbc, korobov
+from qmcforge.cbc import cbc_construct
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly, gf_is_irreducible, smallest_irreducible
 from qmcforge.oracle import char_sum_poly, dual_enumerate_poly, reference_poly_points
 from qmcforge.korobov import p_merit_closed
-from qmcforge.walsh import (PolyLatticeRule, _phi_axis, cbc_construct_poly, dual_mu_minima, mu_of,
-                            p_merit_wal_series, walsh_phi_alpha)
+from qmcforge.walsh import (PolyLatticeRule, _phi_axis, dual_mu_minima, mu_of, p_merit_wal_series,
+                            walsh_phi_alpha)
 from qmcforge.weights import SpaceParams, WeightSet, subsets_of
 
 P3 = GFPoly(2, (1, 1, 0, 1))  # x^3 + x + 1
@@ -304,20 +306,20 @@ class TestCharSum:
 
 class TestCbcPoly:
     def test_first_component_is_one(self):
-        rule, trace = cbc_construct_poly(2, 4, 1, unit_params(1))
+        rule, trace = cbc_construct(poly_modulus(2, 4), 1, unit_params(1))
         assert rule.q[0].coeffs == (1,)
         assert trace.choices[0][0] == 1
 
     def test_prop2_style_bound_m3_s2(self):
         params = unit_params(2)
-        rule, trace = cbc_construct_poly(2, 3, 2, params, p=P3)
+        rule, trace = cbc_construct(poly_modulus(2, 3, P3), 2, params)
         p_val = p_merit_closed(rule, params).p_value
         rhs = (1 / 7) * (0.5 + 0.5 + 0.25)
         assert p_val <= rhs * (1 + 1e-9)
 
     def test_argmin_beats_every_last_component_swap(self):
         params = SpaceParams(alpha=1.0, weights=WeightSet.product([1.0, 0.5, 0.25]))
-        rule, trace = cbc_construct_poly(2, 4, 3, params)
+        rule, trace = cbc_construct(poly_modulus(2, 4), 3, params)
         best = p_merit_closed(rule, params).p_value
         for code in range(1, 16):
             other = PolyLatticeRule(b=2, m=4, p=rule.p,
@@ -326,12 +328,12 @@ class TestCbcPoly:
 
     def test_trace_merit_matches_fresh_evaluation(self):
         params = SpaceParams(alpha=1.5, weights=WeightSet.product([1.0, 0.5]))
-        rule, trace = cbc_construct_poly(2, 5, 2, params)
+        rule, trace = cbc_construct(poly_modulus(2, 5), 2, params)
         fresh = p_merit_closed(rule, params).p_value
         assert trace.choices[-1][1] == pytest.approx(fresh, rel=1e-12)
 
     def test_default_modulus_is_smallest_irreducible(self):
-        rule, _ = cbc_construct_poly(2, 5, 1, unit_params(1))
+        rule, _ = cbc_construct(poly_modulus(2, 5), 1, unit_params(1))
         assert rule.p.coeffs == (1, 0, 1, 0, 0, 1)
 
     # codes and trace merits recorded from the per-point GF(b) arithmetic
@@ -355,7 +357,7 @@ class TestCbcPoly:
     def test_pinned_codes_and_merits(self, b, m):
         params = SpaceParams(alpha=1.0,
                              weights=WeightSet.product([j ** -2.0 for j in range(1, 9)]))
-        _, trace = cbc_construct_poly(b, m, 8, params)
+        _, trace = cbc_construct(poly_modulus(b, m), 8, params)
         codes, merits = self.PINNED[(b, m)]
         assert [c for c, _ in trace.choices] == codes
         assert [v for _, v in trace.choices] == pytest.approx(merits, rel=1e-12, abs=0)
@@ -365,13 +367,13 @@ class TestCbcPoly:
         # 255 candidate rows of 256 points: one block by default, 3 rows per
         # block when patched; s = 2 streams the blocks, s = 4 holds them
         params = SpaceParams(alpha=1.0, weights=WeightSet.product([1.0, 0.5, 0.3, 0.2]))
-        whole = cbc_construct_poly(2, 8, s, params)
+        whole = cbc_construct(poly_modulus(2, 8), s, params)
         monkeypatch.setattr(cbc, "_BLOCK_CELLS", 3 * 256 + 7)
-        assert cbc_construct_poly(2, 8, s, params) == whole
+        assert cbc_construct(poly_modulus(2, 8), s, params) == whole
 
     def test_reducible_modulus_accepted(self):
         p = GFPoly(2, (0, 0, 0, 1))  # x^3
-        rule, _ = cbc_construct_poly(2, 3, 2, unit_params(2), p=p)
+        rule, _ = cbc_construct(poly_modulus(2, 3, p), 2, unit_params(2))
         assert rule.p == p and not gf_is_irreducible(rule.p)
 
 
@@ -379,7 +381,7 @@ class TestJensenWalsh:
     @pytest.mark.parametrize("delta", [0.5, 0.8])
     def test_power_mean_inequality(self, delta):
         params = SpaceParams(alpha=1.0, weights=WeightSet.product([1.0, 0.5]))
-        rule, _ = cbc_construct_poly(2, 4, 2, params)
+        rule, _ = cbc_construct(poly_modulus(2, 4), 2, params)
         hi = SpaceParams(alpha=1.0 / delta,
                          weights=params.weights.powered(1.0 / delta))
         lhs = p_merit_closed(rule, hi).p_value ** delta
