@@ -106,18 +106,13 @@ class _MeritState:
         self.dim += 1
 
 
-def _select(merits: np.ndarray, candidates: np.ndarray,
-            order: np.ndarray) -> tuple[int, float]:
-    """Smallest candidate whose merit is within TIE_REL_TOL of the minimum.
-
-    ``order`` lists the indices of ``candidates`` in ascending candidate order.
-    """
+def _select(merits: np.ndarray, candidates: np.ndarray) -> tuple[int, float]:
+    """Smallest candidate whose merit is within TIE_REL_TOL of the minimum."""
     m_star = float(merits.min())
-    thresh = m_star + TIE_REL_TOL * abs(m_star)
-    hits = np.flatnonzero(merits[order] <= thresh)
+    hits = np.flatnonzero(merits <= m_star + TIE_REL_TOL * abs(m_star))
     if hits.size == 0:
         raise RuntimeError("selection failed; unreachable")
-    idx = order[hits[0]]
+    idx = hits[np.argmin(candidates[hits])]
     return int(candidates[idx]), float(merits[idx])
 
 
@@ -160,13 +155,12 @@ def _greedy(s: int, weights: WeightSet, npoints: int, column: Callable[[int], np
     (sum S + scale * F @ h) / npoints, where ``column(c)`` is the kernel at the
     points for candidate c and ``scan(h)`` returns F @ h over ``candidates``.
     """
-    order = np.argsort(candidates)
     state = _MeritState(weights, npoints)
     state.update(column(1))
     trace = [(1, float(state.S.mean()))]
     for _ in range(1, s):
         merits = (float(state.S.sum()) + state.scale() * scan(state.gradient())) / npoints
-        chosen, merit = _select(merits, candidates, order)
+        chosen, merit = _select(merits, candidates)
         state.update(column(chosen))
         trace.append((chosen, merit))
     return CbcTrace(choices=tuple(trace), evaluations=1 + (s - 1) * (npoints - 1))

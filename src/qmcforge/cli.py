@@ -23,8 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError, as_int
-from .weights import (S_MAX_DEFAULT, SpaceParams, WeightSet, check_monotone,
-                      parse_weight_formula)
+from .weights import S_MAX_DEFAULT, SpaceParams, WeightSet, check_monotone
 
 if TYPE_CHECKING:
     from .gfpoly import GFPoly
@@ -98,8 +97,7 @@ def parse_weights(spec, s_needed: int = 0) -> WeightSet:
         gpart, _, jpart = data.partition("|")
         Gammas = _parse_seq(gpart)
         if "j^" in jpart:
-            fn = parse_weight_formula(jpart)
-            return WeightSet.pod(Gammas, [fn(j) for j in range(1, len(Gammas) + 1)])
+            return WeightSet.from_formula("pod", jpart, len(Gammas), Gammas)
         return WeightSet.pod(Gammas, _parse_seq(jpart))
     if kind == "order":
         return WeightSet.order_dependent(_parse_seq(data))
@@ -196,6 +194,8 @@ def _modulus_rule(kind: str, N: int | None = None, b: int = 2, m: int | None = N
 def cmd_construct(args: argparse.Namespace) -> int:
     from .cbc import CbcTrace, cbc_construct
     from .korobov import p_merit_closed
+    if args.random and args.fast:
+        raise UsageError("--fast selects the CBC scan, and --random runs no search")
     if args.kind == "lattice" and args.N is None:
         raise UsageError("lattice construction needs --N")
     if args.kind == "poly-lattice" and args.m is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -51,58 +51,43 @@ class DiscrepancyReport:
                 "exact_dstar": self.exact_dstar, "per_subset": rv, "vacuous": self.vacuous}
 
 
-def _columns(u: Iterable[int], s: int) -> list[int]:
-    idx = sorted(set(int(j) for j in u))
-    if not idx:
-        raise UsageError("coordinate subset u must be nonempty")
-    if idx[0] < 1 or idx[-1] > s:
-        raise UsageError(f"subset {tuple(idx)} outside 1..{s}")
-    return [j - 1 for j in idx]
-
-
-def _point_sum(table: np.ndarray, table_err: float, x: np.ndarray) -> tuple[float, float]:
-    """R = mean_n prod_j f_nj - 1, f_nj = 1 + g(x_nj), over numerators x (N, d),
+def _point_sum(f: np.ndarray, hits: np.ndarray, table_err: float) -> tuple[float, float]:
+    """R = mean_n prod_j f_nj - 1 over the factors f_nj = 1 + g(x_nj), shape (N, d),
     and a first-order bound on the rounding error of R (u = 2^-53), the sum of:
 
     * table: the error delta of g, ||delta||_2 <= sqrt(N) table_err, enters
-      as (1/N) sum_nj delta(x_nj) w_nj, w_nj = prod_{i != j} f_ni; with c_j
-      the most hits of one entry in column j, Cauchy-Schwarz bounds it by
-      table_err sum_j sqrt(c_j mean_n w_nj^2);
+      as (1/N) sum_nj delta(x_nj) w_nj, w_nj = prod_{i != j} f_ni; with c_j =
+      hits[j] the most hits of one entry in column j, Cauchy-Schwarz bounds it
+      by table_err sum_j sqrt(c_j mean_n w_nj^2);
     * products: d sums 1 + g and d - 1 products, (2d - 1) u mean_n |prod_j f_nj|;
     * mean: math.fsum and the division by N round once each, 2 u |mean|;
     * the cancelling -1: exact for a mean in [1/2, 2] (Sterbenz), else u |R|.
     """
-    f = 1.0 + table[x]
     prods = np.prod(f, axis=1)
-    mean = math.fsum(prods.tolist()) / x.shape[0]
-    a, ones = np.abs(f), np.ones((x.shape[0], 1))
+    mean = math.fsum(prods.tolist()) / f.shape[0]
+    a, ones = np.abs(f), np.ones((f.shape[0], 1))
     w = (np.cumprod(np.hstack([ones, a[:, :-1]]), axis=1)  # |w_nj|: prefix times suffix
          * np.cumprod(np.hstack([ones, a[:, :0:-1]]), axis=1)[:, ::-1])
-    hits = [np.bincount(col).max() for col in x.T]
     spread = np.sqrt(hits * np.mean(w ** 2, axis=0)).sum()
-    rounding = (2 * x.shape[1] - 1) * np.abs(prods).mean() + 2 * abs(mean) + abs(mean - 1)
+    rounding = (2 * f.shape[1] - 1) * np.abs(prods).mean() + 2 * abs(mean) + abs(mean - 1)
     return mean - 1.0, float(table_err * spread + 2.0 ** -53 * rounding)
-
-
-def r_u(rule: LatticeRule | PolyLatticeRule, u: Iterable[int]) -> float:
-    """R_u of the rule as a point sum over its r_kernel: for a lattice rule the
-    dual vectors in the box -N/2 < k_j <= N/2 weighted by prod 1/max(1, |k_j|),
-    for a polynomial lattice rule those with all k_j < b^m weighted by prod
-    r_tilde(k_j); the zero vector excluded, coordinates outside u zero."""
-    table, table_err, _ = rule.r_kernel()
-    return _point_sum(table, table_err, rule.points()[:, _columns(u, rule.s)])[0]
 
 
 def star_disc_bound(rule: LatticeRule | PolyLatticeRule, W: WeightSet) -> tuple[float, dict]:
     """Subset-sum bound sum_u gamma_u [1 - (1 - 1/n)^|u| + scale R_u] over the n
-    points, scale 1/2 for lattice rules and 1 for polynomial lattice rules,
-    each R_u raised by its rounding allowance; returns it and the per-subset R."""
+    points, each R_u raised by its rounding allowance; returns it and the
+    per-subset R.  R_u, the point sum over rule.r_kernel() in the coordinates
+    of u, sums the nonzero dual vectors supported in u: lattice rules weigh
+    those in the box -N/2 < k_j <= N/2 by prod 1/max(1, |k_j|) (scale 1/2),
+    polynomial lattice rules those with all k_j < b^m by prod r_tilde(k_j) (scale 1)."""
+    _guard_enum(rule.s)  # before the (n, s) points are built
     table, table_err, scale = rule.r_kernel()
-    x, s = rule.points(), rule.s
-    _guard_enum(s)
+    x = rule.points()
+    f, hits = 1.0 + table[x], np.asarray([np.bincount(col).max() for col in x.T])
     total, r_values = 0.0, {}
-    for u in subsets_of(s):
-        r_values[u], slack = _point_sum(table, table_err, x[:, _columns(u, s)])
+    for u in subsets_of(rule.s):
+        cols = [j - 1 for j in sorted(u)]
+        r_values[u], slack = _point_sum(f[:, cols], hits[cols], table_err)
         total += W.weight(u) * (1 - (1 - 1 / rule.npoints) ** len(u)
                                 + scale * (r_values[u] + slack))
     return total, r_values

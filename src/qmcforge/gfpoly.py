@@ -47,10 +47,6 @@ class GFPoly:
         return cls(base, (1,))
 
     @classmethod
-    def x(cls, base: int) -> "GFPoly":
-        return cls(base, (0, 1))
-
-    @classmethod
     def from_code(cls, base: int, code: int) -> "GFPoly":
         """Decode the integer sum(c_i * b^i) back into a polynomial."""
         if code < 0:

@@ -248,17 +248,6 @@ class MeritReport:
                 "truncation_bound": self.truncation_bound, "per_subset": subsets}
 
 
-def bernoulli_even(alpha: int, x: float) -> float:
-    """B_{2 alpha}(x) for alpha in {1, 2, 3, 4}, x in [0, 1), via Horner."""
-    coeffs = _BERNOULLI_EVEN.get(alpha)
-    if coeffs is None:
-        raise UsageError(f"closed form supports alpha in 1..4, got {alpha}")
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 def _require_closed_alpha(alpha: float) -> int:
     a = int(alpha)
     if a != alpha or a not in _BERNOULLI_EVEN:
@@ -363,11 +352,17 @@ def p_merit_series(rule: LatticeRule, params: SpaceParams, K: int | None = None)
             for bit in (0, 1)]
     r1 = (-rng * rule.z[0]) % rule.N
     p = float(np.sum(radial_axis * np.where(rng != 0, mass[1][r1], mass[0][r1])))
-    # dropped: sum_u gamma_u ((c + d)^|u| - c^|u|) <= sum_u gamma_u |u| d (c + d)^(|u|-1), no
-    # cancellation; c sums the 1-d terms |k| <= K, d >= 2 int_K^inf x^(-2 alpha) dx their tail
+    # c sums the 1-d terms |k| <= K, d >= 2 int_K^inf x^(-2 alpha) dx their tail
     c = 1.0 + 2.0 * float(np.sum(radial_axis[K + 1:]))
     d = 2.0 * K ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0)
-    bound, _ = ratio_size_sum(params.weights, params.weights, 0.0,
+    return _series_report(p, params.weights, s, c, d)
+
+
+def _series_report(p: float, weights: WeightSet, s: int, c: float, d: float) -> MeritReport:
+    """The report of a truncated-series P in s coordinates, c the kept (1 included)
+    and d the dropped part of the 1-d kernel sum: the dropped terms sum_u gamma_u
+    ((c + d)^|u| - c^|u|) are at most sum_u gamma_u |u| d (c + d)^(|u|-1), no cancellation."""
+    bound, _ = ratio_size_sum(weights, weights, 0.0,
                               [k * d * (c + d) ** (k - 1) for k in range(s + 1)], s)
     return MeritReport(p_value=p, method="truncated-series", truncation_bound=bound)
 

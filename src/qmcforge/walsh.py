@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import QmcforgeError, ResourceLimitError, UsageError, as_int
 from .gfpoly import GFPoly
-from .korobov import MeritReport, _fft_error, _kernel_merit
-from .weights import (SpaceParams, WeightSet, _guard_enum, ratio_size_sum, subsets_of,
-                      weighted_power_sum)
+from .korobov import MeritReport, _fft_error, _kernel_merit, _series_report
+from .weights import SpaceParams, WeightSet, _guard_enum, subsets_of, weighted_power_sum
 
 # Cell guard for CBC's b^m x b^m candidate space.
 _TABLE_CELL_LIMIT = 1 << 24
@@ -262,9 +261,8 @@ def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
     nonzero (every shell past the first nonzero digit sums to 0), and c_K =
     sum_{a=1..K} (b-1) b^(a-1) b^(-2 alpha a) otherwise, i.e. at the
     numerators below b^(m-K).  Character orthogonality then turns the point
-    mean into the dual sum.  The truncation_bound majorizes the dropped terms,
-    sum_u gamma_u ((c + d)^|u| - c^|u|) with c = 1 + c_K and d = sum_{a > K}
-    (b-1) b^(a-1) b^(-2 alpha a), by |u| d (c + d)^(|u|-1), which does not cancel.
+    mean into the dual sum.  The truncation_bound takes c = 1 + c_K and
+    d = sum_{a > K} (b-1) b^(a-1) b^(-2 alpha a).
     """
     if digit_cap < 0:
         raise UsageError(f"digit cap must be >= 0, got {digit_cap}")
@@ -275,10 +273,8 @@ def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
     table = rule.merit_kernel(alpha)
     table[:b ** max(rule.m - digit_cap, 0)] = c_K
     p = _kernel_merit(rule, table, params.weights).p_value
-    c, d = 1.0 + c_K, (b - 1) / b * r ** (digit_cap + 1) / (1.0 - r)
-    bound, _ = ratio_size_sum(params.weights, params.weights, 0.0,
-                              [k * d * (c + d) ** (k - 1) for k in range(rule.s + 1)], rule.s)
-    return MeritReport(p_value=p, method="truncated-series", truncation_bound=bound)
+    return _series_report(p, params.weights, rule.s, 1.0 + c_K,
+                          (b - 1) / b * r ** (digit_cap + 1) / (1.0 - r))
 
 
 def _cost_extend(rule: PolyLatticeRule, D: np.ndarray, j: int) -> np.ndarray:

@@ -120,8 +120,6 @@ class WeightSet:
             if Gammas is None:
                 raise UsageError("pod weights need a Gamma sequence")
             return cls.pod(Gammas, seq)
-        if kind == "order":
-            return cls.order_dependent(seq)
         raise UsageError(f"formula weights unsupported for kind {kind!r}")
 
     def _check_subset(self, u: Iterable[int]) -> frozenset[int]:
@@ -150,19 +148,6 @@ class WeightSet:
         return replace(self, gamma=tuple(g ** t for g in self.gamma),
                        Gamma=tuple(G ** t for G in self.Gamma),
                        table=tuple((fs, w ** t) for fs, w in self.table))
-
-    def scaled(self, c: float) -> "WeightSet":
-        """Weight set with every gamma_u multiplied by c >= 0."""
-        if c < 0:
-            raise UsageError("weight scale must be >= 0")
-        if self.kind == "product":
-            # c * prod gamma_j is not a product form; route through pod.
-            return WeightSet.pod([c] * len(self.gamma), self.gamma)
-        if self.kind == "pod":
-            return WeightSet.pod([c * G for G in self.Gamma], self.gamma)
-        if self.kind == "order":
-            return WeightSet.order_dependent([c * G for G in self.Gamma])
-        return WeightSet.explicit({fs: c * w for fs, w in self.table}, s_max=self.s_max)
 
     def to_jsonable(self) -> dict:
         if self.kind == "product":
@@ -224,6 +209,8 @@ class SpaceParams:
     def __post_init__(self):
         if not self.alpha > 0.5:
             raise UsageError(f"alpha must exceed 1/2, got {self.alpha}")
+        if not math.isfinite(self.alpha):
+            raise UsageError(f"alpha must be finite, got {self.alpha}")
 
 
 def subsets_of(s: int) -> Iterable[frozenset[int]]:

@@ -214,7 +214,7 @@ class TestSelect:
     def check(self, merits, candidates):
         merits = np.asarray(merits, dtype=np.float64)
         candidates = np.asarray(candidates, dtype=np.int64)
-        got = _select(merits, candidates, np.argsort(candidates))
+        got = _select(merits, candidates)
         assert got == select_by_loop(merits, candidates)
         return got
 

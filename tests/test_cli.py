@@ -601,6 +601,15 @@ class TestConfigPrecedence:
     (["construct", "--kind", "poly-lattice", "--m", "0", "--p", "1", "--s", "2", "--random"], None),
     # the FFT scan is for lattice rules only; --fast is refused, not dropped
     (["construct", "--kind", "poly-lattice", "--m", "4", "--s", "2", "--fast"], None),
+    # an infinite alpha or alpha' is refused by SpaceParams, not met by an
+    # OverflowError, a failed selection over NaN merits or a ZeroDivisionError
+    (["construct", "--N", "31", "--s", "2", "--alpha", "inf"], None),
+    (["construct", "--kind", "poly-lattice", "--m", "3", "--s", "2", "--alpha", "inf"], None),
+    (["certify", "RULE", "--theorem", "thm1", "--alpha", "1", "--weights", "product:j^-2",
+      "--alpha-prime", "inf"], {"type": "lattice", "N": 31, "z": [1, 12]}),
+    # --random runs no search, so --fast with it is refused, not dropped
+    (["construct", "--N", "31", "--s", "2", "--random", "--fast"], None),
+    (["construct", "--kind", "poly-lattice", "--m", "3", "--s", "2", "--random", "--fast"], None),
 ])
 def test_malformed_input_usage_error(tmp_path, capsys, args, rule):
     # malformed input exits 2 with one line, not 1 (certificate failure) with a traceback

@@ -7,16 +7,25 @@ from hypothesis import strategies as st
 
 from conftest import lattice_modulus
 from qmcforge.cbc import cbc_construct
-from qmcforge.discrepancy import (exact_star_discrepancy, r_u, star_disc_bound,
-                                  star_disc_bound_rho, weighted_exact_star_discrepancy)
+from qmcforge.discrepancy import (exact_star_discrepancy, star_disc_bound, star_disc_bound_rho,
+                                  weighted_exact_star_discrepancy)
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
 from qmcforge.korobov import LatticeRule
 from qmcforge.oracle import dual_enumerate_poly, reference_star_discrepancy
 from qmcforge.walsh import PolyLatticeRule, r_tilde
-from qmcforge.weights import SpaceParams, WeightSet
+from qmcforge.weights import SpaceParams, WeightSet, subsets_of
 
 P3 = GFPoly(2, (1, 1, 0, 1))
+
+
+def r_values(rule):
+    """The per-subset R of star_disc_bound, which do not depend on the weights."""
+    return star_disc_bound(rule, WeightSet.product([1.0] * rule.s))[1]
+
+
+def r_u(rule, u):
+    return r_values(rule)[frozenset(u)]
 
 
 class TestRLattice:
@@ -26,9 +35,9 @@ class TestRLattice:
     def test_pair_n2(self):
         assert r_u(LatticeRule(N=2, z=(1, 1)), [1, 2]) == 1.0
 
-    def test_empty_subset_rejected(self):
-        with pytest.raises(UsageError):
-            r_u(LatticeRule(N=4, z=(1,)), [])
+    def test_lists_every_nonempty_subset(self):
+        for s in (1, 2, 3):
+            assert list(r_values(LatticeRule(N=7, z=(1, 2, 3)[:s]))) == list(subsets_of(s))
 
     def test_reflection_invariance(self):
         for N in (5, 8, 13):

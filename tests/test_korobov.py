@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qmcforge import korobov
 from qmcforge.errors import ResourceLimitError, UsageError
-from qmcforge.korobov import (LatticeRule, bernoulli_even, dual_product_minima, omega_table,
+from qmcforge.korobov import (LatticeRule, dual_product_minima, omega_factor, omega_table,
                               p_merit_closed, p_merit_series)
 from qmcforge.oracle import char_sum_lattice, dual_enumerate_lattice
 from qmcforge.weights import SpaceParams, WeightSet, subsets_of
@@ -71,30 +71,30 @@ class TestLatticePoints:
 
 
 class TestBernoulli:
+    """omega_table(alpha, N) is omega_factor(alpha) B_{2 alpha}(a/N), a < N."""
+
     def test_constant_terms(self):
-        assert bernoulli_even(1, 0.0) == pytest.approx(1 / 6)
-        assert bernoulli_even(2, 0.0) == pytest.approx(-1 / 30)
-        assert bernoulli_even(3, 0.0) == pytest.approx(1 / 42)
-        assert bernoulli_even(4, 0.0) == pytest.approx(-1 / 30)
+        for alpha, b0 in ((1, 1 / 6), (2, -1 / 30), (3, 1 / 42), (4, -1 / 30)):
+            assert omega_table(alpha, 7)[0] / omega_factor(alpha) == pytest.approx(b0)
 
     def test_midpoint(self):
-        assert bernoulli_even(1, 0.5) == pytest.approx(-1 / 12)
+        assert omega_table(1, 2)[1] / omega_factor(1) == pytest.approx(-1 / 12)
 
     def test_unsupported_degree(self):
         with pytest.raises(UsageError):
-            bernoulli_even(5, 0.0)
+            LatticeRule(N=5, z=(1,)).merit_kernel(5)
 
     @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
     def test_fourier_series_identity(self, alpha):
-        # B_{2a}(x) * (2 pi)^{2a} / ((-1)^{a+1} (2a)!) = sum_{k != 0} e^{2 pi i k x} / |k|^{2a}
-        from qmcforge.korobov import omega_factor
-        for x in (0.0, 0.125, 0.3, 0.5, 0.9):
+        # omega(x) = sum_{k != 0} e^{2 pi i k x} / |k|^{2a}, at x = a/N on both sides of 1/2
+        table = omega_table(alpha, 80)
+        for a in (0, 10, 24, 40, 72):
+            x = a / 80
             K = 200000 if alpha == 1 else 2000
             k = np.arange(1, K + 1, dtype=np.float64)
             series = 2 * np.sum(np.cos(2 * np.pi * k * x) / k ** (2 * alpha))
             tail = 2 * (K ** (1 - 2 * alpha)) / (2 * alpha - 1)
-            got = omega_factor(alpha) * bernoulli_even(alpha, x)
-            assert abs(got - series) <= tail + 1e-10
+            assert abs(table[a] - series) <= tail + 1e-10
 
 
 class TestOmegaTable:
@@ -141,12 +141,17 @@ class TestMeritClosed:
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_scaling_linearity(self):
+        # P and rho are linear in gamma: c gamma_u as order and as POD weights
         rule = LatticeRule(N=13, z=(1, 5))
-        W = WeightSet.order_dependent([1.0, 0.7])
-        base, scaled = (SpaceParams(alpha=1, weights=w) for w in (W, W.scaled(3.5)))
-        assert p_merit_closed(rule, scaled).p_value == pytest.approx(
-            3.5 * p_merit_closed(rule, base).p_value, rel=1e-12)
-        assert rule.rho(scaled)[0] == pytest.approx(3.5 * rule.rho(base)[0], rel=1e-12)
+        for W, cW in ((WeightSet.order_dependent([1.0, 0.7]),
+                       WeightSet.order_dependent([3.5, 3.5 * 0.7])),
+                      (WeightSet.product([1.0, 0.7]), WeightSet.pod([3.5, 3.5], [1.0, 0.7])),
+                      (WeightSet.pod([1.0, 2.0], [0.5, 0.7]),
+                       WeightSet.pod([3.5, 7.0], [0.5, 0.7]))):
+            base, scaled = (SpaceParams(alpha=1, weights=w) for w in (W, cW))
+            assert p_merit_closed(rule, scaled).p_value == pytest.approx(
+                3.5 * p_merit_closed(rule, base).p_value, rel=1e-12)
+            assert rule.rho(scaled)[0] == pytest.approx(3.5 * rule.rho(base)[0], rel=1e-12)
 
     def test_point_blocks_match_one_block(self, monkeypatch):
         # 1021 points in 4 coordinates: one block by default, blocks of 10

@@ -9,9 +9,12 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from conftest import lattice_modulus, poly_modulus
 from qmcforge.cbc import cbc_construct
+from qmcforge.discrepancy import star_disc_bound
+from qmcforge.errors import ResourceLimitError
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
 from qmcforge.korobov import LatticeRule, p_merit_closed, p_merit_series
 from qmcforge.walsh import PolyLatticeRule
@@ -66,3 +69,14 @@ def test_poly_closed_merit():
     q = tuple(GFPoly.from_code(2, int(c)) for c in rng.integers(1, 2 ** 18, size=32))
     rule = PolyLatticeRule(b=2, m=18, p=smallest_irreducible(2, 18), q=q)
     assert traced_peak(lambda: p_merit_closed(rule, product_params(32))) < 32 * MiB
+
+
+def test_discrepancy_refused_before_points():
+    # the (N, s) point array of N = 65521, s = 21 is 11 MB; the subset cap refuses first
+    rule = LatticeRule(N=65521, z=tuple(range(1, 22)))
+    W = WeightSet.product([j ** -2.0 for j in range(1, 22)])
+
+    def refused():
+        with pytest.raises(ResourceLimitError):
+            star_disc_bound(rule, W)
+    assert traced_peak(refused) < MiB
