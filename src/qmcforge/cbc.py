@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from . import errors
 from .errors import UsageError
 from .korobov import _BLOCK_CELLS
 from .weights import SpaceParams, WeightSet
@@ -135,11 +136,12 @@ def _powers(g: int, N: int) -> np.ndarray:
 def _row_scan(rows: Callable[[int, int], np.ndarray], count: int, npoints: int,
               hold: bool) -> Callable[[np.ndarray], np.ndarray]:
     """scan(h) = F @ h with F[lo:hi] = rows(lo, hi), made in blocks of _BLOCK_CELLS
-    cells: F is held when ``hold`` (later steps rescan it), else each scan
-    remakes the blocks and drops each after its product."""
+    cells: F is held when ``hold`` (later steps rescan it) and its float64 cells
+    fit errors.MEMORY_BUDGET, else each scan remakes the blocks and drops each
+    after its product."""
     block = max(1, _BLOCK_CELLS // npoints)
     spans = [(lo, min(lo + block, count)) for lo in range(0, count, block)]
-    if hold:
+    if hold and count * npoints * 8 <= errors.MEMORY_BUDGET:
         F = np.empty((count, npoints))
         for lo, hi in spans:
             F[lo:hi] = rows(lo, hi)

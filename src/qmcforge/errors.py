@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and the integer check of user input."""
+"""Exception types shared across the package, the checks of user input, and the memory budget."""
 
+import math
 import operator
+
+# bytes one call may allocate for a table it holds (1 GiB); read at call time
+MEMORY_BUDGET = 1 << 30
 
 
 class QmcforgeError(Exception):
@@ -22,3 +26,22 @@ def as_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise UsageError(f"{what} must be an integer, got {value!r}") from None
+
+
+def require(cells: int, bytes_per_cell: int, what: str) -> None:
+    """Refuse, before anything is allocated, a table of ``cells`` cells at
+    ``bytes_per_cell`` bytes each that exceeds MEMORY_BUDGET."""
+    if cells * bytes_per_cell > MEMORY_BUDGET:
+        raise ResourceLimitError(f"{what} needs {cells * bytes_per_cell} bytes, "
+                                 f"budget {MEMORY_BUDGET} bytes")
+
+
+def finite_power(base: float, exponent: float, what: str) -> float:
+    """float(base) ** exponent, or a UsageError when that is not a finite float."""
+    try:
+        value = float(base) ** exponent
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise UsageError(f"{what}: {base:g}^{exponent:g} overflows float64")
+    return value

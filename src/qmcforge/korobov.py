@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .errors import QmcforgeError, ResourceLimitError, UsageError, as_int
+from .errors import QmcforgeError, ResourceLimitError, UsageError, as_int, finite_power, require
 from .weights import (SpaceParams, WeightSet, _guard_enum, ratio_size_sum, subset_product_sum,
                       subsets_of, weighted_zeta_sum, zeta)
 
@@ -36,13 +36,9 @@ _BERNOULLI_EVEN = {
 }
 
 ZAREMBA_N_LIMIT = 1024
-# cells of the series box over coordinates 2..s, about 40 bytes each at peak
-SERIES_CELL_LIMIT = 1 << 24
 
-# cells per block of a streamed product space (CBC candidate rows, merit
-# points), and int64 cells of a dual-minima head table
+# cells per block of a streamed product space (CBC candidate rows, merit points)
 _BLOCK_CELLS = 1 << 18
-_INDEX_BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,10 @@ class LatticeRule:
     def rho(self, params: SpaceParams) -> tuple[float, dict]:
         """Figure of merit rho = max over u of gamma_u / phi_u(z)^(2 alpha), and
         the per-subset breakdown {u: (term, phi_u, phi_{u,0})}."""
-        per_subset = {u: (params.weights.weight(u) / float(phi_u) ** (2.0 * params.alpha), phi_u,
-                          phi_u0) for u, (phi_u, phi_u0) in dual_product_minima(self).items()}
+        alpha, too_large = params.alpha, f"alpha = {params.alpha} too large"
+        per_subset = {u: (params.weights.weight(u) / finite_power(phi_u, 2.0 * alpha, too_large),
+                          phi_u, phi_u0)
+                      for u, (phi_u, phi_u0) in dual_product_minima(self).items()}
         return max(term for term, _, _ in per_subset.values()), per_subset
 
     def series(self, params: SpaceParams, K: int | None) -> MeritReport:
@@ -179,6 +177,7 @@ def c_alpha_prime(alpha_prime: float) -> float:
     """(1 + zeta(2a')) + (2^(2a') + zeta(2a')) (2^(2a'-1) - 1) / 2^(4a'), Theorem 1's c."""
     if not alpha_prime > 0.5:
         raise UsageError(f"alpha' must exceed 1/2, got {alpha_prime}")
+    finite_power(2, 4.0 * alpha_prime, f"alpha' = {alpha_prime} too large")  # t ** 2 below
     z = zeta(2.0 * alpha_prime)
     t = 2.0 ** (2.0 * alpha_prime)
     return (1.0 + z) + (t + z) * (t / 2.0 - 1.0) / t ** 2
@@ -328,8 +327,8 @@ def p_merit_series(rule: LatticeRule, params: SpaceParams, K: int | None = None)
     if K < rule.N:
         raise UsageError(f"need K >= N (K={K}, N={rule.N})")
     s = rule.s
-    if (2 * K + 1) ** (s - 1) > SERIES_CELL_LIMIT:
-        raise ResourceLimitError(f"series box (2K+1)^(s-1) too large at K={K}, s={s}")
+    # 40 bytes per cell at peak (tracemalloc): res, radial, pattern and the bincount weights
+    require((2 * K + 1) ** (s - 1), 40, f"series box (2K+1)^(s-1) at K={K}, s={s}")
     alpha = params.alpha
     rng = np.arange(-K, K + 1, dtype=np.int64)
     # |k| = 1 stands in at k = 0, which the zero weight pattern excludes
@@ -382,8 +381,8 @@ def _phi_search(zs: list[int], N: int) -> int:
         prod, t = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
         for i, zj in enumerate(zs[:star] + zs[star + 1:]):  # the head
             reach = P // prod  # largest |k_j| that keeps the product <= P
-            if int(reach.sum()) * (2 if i else 1) > _INDEX_BLOCK_CELLS:
-                raise ResourceLimitError(f"dual minima head table too large at N={N}, P={P}")
+            # 68 bytes per cell at peak (tracemalloc): parent, k, prod, t and their temporaries
+            require(int(reach.sum()) * (2 if i else 1), 68, f"dual minima head table at P={P}")
             parent = np.repeat(np.arange(prod.size), reach)
             k = np.arange(1, parent.size + 1) - np.repeat(np.cumsum(reach) - reach, reach)
             if i:

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QmcforgeError, ResourceLimitError, UsageError, as_int
+from .errors import QmcforgeError, ResourceLimitError, UsageError, as_int, finite_power
 from .gfpoly import GFPoly
 from .korobov import MeritReport, _fft_error, _kernel_merit, _series_report
 from .weights import SpaceParams, WeightSet, _guard_enum, subsets_of, weighted_power_sum
@@ -137,7 +137,7 @@ class PolyLatticeRule:
         F = b^(2a'-1) (b-1) / (b^(2a'-1) - 1), L = m + 1."""
         if not alpha_prime > 0.5:  # the target SpaceParams' check, before F divides by zero
             raise UsageError(f"alpha must exceed 1/2, got {alpha_prime}")
-        t = float(self.b) ** (2.0 * alpha_prime - 1.0)
+        t = finite_power(self.b, 2.0 * alpha_prime - 1.0, f"alpha' = {alpha_prime} too large")
         return 1.0, t * (self.b - 1.0) / (t - 1.0), self.m + 1.0, {}
 
     def cbc_guarantee(self, W: WeightSet, alpha: float, lam: float) -> tuple[float, int]:
@@ -145,7 +145,8 @@ class PolyLatticeRule:
         Prop 2's CBC guarantee for irreducible p is (sum / (b^m - 1))^(1/lam)."""
         if lam > 1.0 or 2.0 * alpha * lam <= 1.0:
             raise UsageError(f"need 1/(2 alpha) < lambda <= 1, got lambda={lam}")
-        factor = (self.b - 1.0) / (float(self.b) ** (2.0 * alpha * lam) - self.b)
+        factor = (self.b - 1.0) / (finite_power(self.b, 2.0 * alpha * lam,
+                                                f"alpha = {alpha} too large") - self.b)
         return weighted_power_sum(W, self.s, lam, factor), self.b ** self.m - 1
 
     def guarantee_components(self, params: SpaceParams) -> dict:
@@ -191,12 +192,14 @@ def walsh_phi_alpha(numer: int, m: int, alpha: float, b: int) -> float:
         raise UsageError(f"phi_alpha needs alpha > 1/2, got {alpha}")
     if not 0 <= numer < b ** m:
         raise UsageError(f"numerator {numer} outside 0..b^m-1")
-    b2a = float(b) ** (2.0 * alpha)
+    too_large = f"alpha = {alpha} too large"
+    b2a = finite_power(b, 2.0 * alpha, too_large)
     base_term = (b - 1) / (b2a - b)
     if numer == 0:
         return base_term
     a = m - mu_of(numer, b) + 1  # x = numer / b^m, digits xi_i = base-b digits of numer
-    return base_term - (b2a - 1.0) / (float(b) ** ((2.0 * alpha - 1.0) * a) * (b2a - b))
+    return base_term - (b2a - 1.0) / (finite_power(b, (2.0 * alpha - 1.0) * a, too_large)
+                                      * (b2a - b))
 
 
 def _phi_axis(b: int, m: int, alpha: float) -> np.ndarray:

@@ -610,6 +610,12 @@ class TestConfigPrecedence:
     # --random runs no search, so --fast with it is refused, not dropped
     (["construct", "--N", "31", "--s", "2", "--random", "--fast"], None),
     (["construct", "--kind", "poly-lattice", "--m", "3", "--s", "2", "--random", "--fast"], None),
+    # a finite alpha or alpha' whose b^(2 alpha) or 2^(4 alpha') leaves float64 is refused
+    # where the power is taken, not met by an OverflowError or NaN merits
+    (["construct", "--kind", "poly-lattice", "--m", "3", "--s", "2", "--alpha", "600"], None),
+    (["certify", "RULE", "--theorem", "thm1", "--alpha", "1", "--weights", "product:j^-2",
+      "--alpha-prime", "400"], {"type": "lattice", "N": 359, "z": [1, 105, 82, 48]}),
+    (["construct", "--kind", "poly-lattice", "--m", "3", "--s", "2", "--alpha", "1e308"], None),
 ])
 def test_malformed_input_usage_error(tmp_path, capsys, args, rule):
     # malformed input exits 2 with one line, not 1 (certificate failure) with a traceback

@@ -1,8 +1,9 @@
 """Memory regression tests: the streamed scans and merits hold one block of
-their product space at a time.
+their product space at a time, and a table over errors.MEMORY_BUDGET is
+refused before it is allocated.
 
 numpy reports its buffers to tracemalloc, so the traced peak of a call
-bounds the arrays it held at once.  Each budget is far below the whole
+bounds the arrays it held at once.  Each bound is far below the whole
 product space the call walks (noted per test)."""
 
 import math
@@ -12,11 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import lattice_modulus, poly_modulus
+from qmcforge import errors
 from qmcforge.cbc import cbc_construct
 from qmcforge.discrepancy import star_disc_bound
 from qmcforge.errors import ResourceLimitError
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
-from qmcforge.korobov import LatticeRule, p_merit_closed, p_merit_series
+from qmcforge.korobov import LatticeRule, dual_product_minima, p_merit_closed, p_merit_series
 from qmcforge.walsh import PolyLatticeRule
 from qmcforge.weights import SpaceParams, WeightSet
 
@@ -80,3 +82,59 @@ def test_discrepancy_refused_before_points():
         with pytest.raises(ResourceLimitError):
             star_disc_bound(rule, W)
     assert traced_peak(refused) < MiB
+
+
+def weights_of(kind, s):
+    gammas = [j ** -2.0 for j in range(1, s + 1)]
+    if kind == "pod":
+        return WeightSet.pod([float(math.factorial(k)) for k in range(1, s + 1)], gammas)
+    if kind == "order":
+        return WeightSet.order_dependent([0.5 ** k for k in range(1, s + 1)])
+    return WeightSet.product(gammas)
+
+
+@pytest.mark.parametrize("modulus, s, kind", [
+    (lattice_modulus(4093), 16, "product"),
+    (lattice_modulus(2039), 16, "pod"),
+    (lattice_modulus(4096), 8, "product"),
+    (lattice_modulus(1000), 8, "order"),
+    (poly_modulus(2, 8), 8, "product"),
+    (poly_modulus(3, 5), 8, "product"),
+], ids=["lattice-4093", "lattice-2039-pod", "lattice-4096", "lattice-1000-order", "poly-2-8",
+        "poly-3-5"])
+def test_streamed_scan_matches_held(monkeypatch, modulus, s, kind):
+    # under a 64 KiB budget no candidate matrix is held: each scan remakes its
+    # row blocks, and the trace is the held scan's, bitwise
+    params = SpaceParams(alpha=1.0, weights=weights_of(kind, s))
+    held = cbc_construct(modulus, s, params)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 1 << 16)
+    assert cbc_construct(modulus, s, params) == held
+
+
+def test_direct_scan_streams_over_budget(monkeypatch):
+    # s = 3 holds the 67 MB matrix of N = 4093 unless the budget is below it
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 32 * MiB)
+    assert traced_peak(
+        lambda: cbc_construct(lattice_modulus(4093), 3, product_params(3))) < 16 * MiB
+
+
+def refused_within(fn, requested):
+    def refused():
+        with pytest.raises(ResourceLimitError,
+                           match=f"needs {requested} bytes, budget {errors.MEMORY_BUDGET} bytes"):
+            fn()
+    assert traced_peak(refused) < MiB
+
+
+def test_series_box_refused_before_box():
+    # the (2K+1)^3 box of K = 359 is 371 million cells, 40 bytes each
+    rule = LatticeRule(N=359, z=(1, 105, 82, 17))
+    params = SpaceParams(alpha=1.5, weights=WeightSet.product([j ** -2.0 for j in range(1, 5)]))
+    refused_within(lambda: p_merit_series(rule, params), 719 ** 3 * 40)
+
+
+def test_head_table_refused_before_table(monkeypatch):
+    # phi_u of u = {1, 2, 3} walks heads of up to 238 cells, 68 bytes each
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 68 * 200)
+    rule = LatticeRule(N=1021, z=(1, 433, 229))
+    refused_within(lambda: dual_product_minima.__wrapped__(rule), r"\d+")
