@@ -17,15 +17,12 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError
-from .weights import (SpaceParams, WeightSet, _guard_enum, check_monotone, ratio_size_sum,
-                      subsets_of)
+from .errors import UsageError, afford
+from .weights import SpaceParams, WeightSet, check_monotone, ratio_size_sum, subsets_of
 
 if TYPE_CHECKING:
     from .korobov import LatticeRule
     from .walsh import PolyLatticeRule
-
-EXACT_DSTAR_N_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,10 @@ def star_disc_bound(rule: LatticeRule | PolyLatticeRule, W: WeightSet) -> tuple[
     of u, sums the nonzero dual vectors supported in u: lattice rules weigh
     those in the box -N/2 < k_j <= N/2 by prod 1/max(1, |k_j|) (scale 1/2),
     polynomial lattice rules those with all k_j < b^m by prod r_tilde(k_j) (scale 1)."""
-    _guard_enum(rule.s)  # before the (n, s) points are built
+    n, s = rule.npoints, rule.s
+    # before the points are built; units: 20 n for kernel and points, n |u| + 1000 per u
+    afford(n * (s * 2 ** (s - 1) + 20) + 1000 * (2 ** s - 1), 78.9,
+           f"subset sums over the 2^{s} - 1 subsets of {n} points")
     table, table_err, scale = rule.r_kernel()
     x = rule.points()
     f, hits = 1.0 + table[x], np.asarray([np.bincount(col).max() for col in x.T])
@@ -126,8 +126,6 @@ def exact_star_discrepancy(numerators: np.ndarray, denominator: int) -> float:
     npts, s = pts.shape
     if s not in (1, 2):
         raise UsageError(f"exact star discrepancy supports s in (1, 2), got {s}")
-    if npts > EXACT_DSTAR_N_LIMIT:
-        raise ResourceLimitError(f"exact star discrepancy capped at N <= {EXACT_DSTAR_N_LIMIT}")
     if np.any(pts < 0) or np.any(pts >= denominator):
         raise UsageError("point numerators must lie in [0, denominator)")
     if s == 1:
@@ -138,6 +136,8 @@ def exact_star_discrepancy(numerators: np.ndarray, denominator: int) -> float:
         vol = grid / denominator
         dev = np.maximum(np.abs(closed / npts - vol), np.abs(strict / npts - vol))
         return float(dev.max())
+    # units: npts grid rows of npts cells, plus 1600 per row
+    afford(npts * (npts + 1600), 11.5, f"exact star discrepancy of {npts} points")
     gx = np.unique(np.concatenate([pts[:, 0], [0, denominator]]))
     gy = np.unique(np.concatenate([pts[:, 1], [0, denominator]]))
     ix = np.searchsorted(gx, pts[:, 0])

@@ -1,10 +1,12 @@
-"""Exception types shared across the package, the checks of user input, and the memory budget."""
+"""Exception types shared across the package, the checks of user input, and the budgets."""
 
 import math
 import operator
 
 # bytes one call may allocate for a table it holds (1 GiB); read at call time
 MEMORY_BUDGET = 1 << 30
+# nanoseconds of estimated work one call may start (10 s); read at call time
+WORK_BUDGET_NS = 10 * 10 ** 9
 
 
 class QmcforgeError(Exception):
@@ -36,12 +38,22 @@ def require(cells: int, bytes_per_cell: int, what: str) -> None:
                                  f"budget {MEMORY_BUDGET} bytes")
 
 
+def afford(units: int, ns_per_unit: float, what: str) -> None:
+    """Refuse, before its work starts, a call of ``units`` at ``ns_per_unit`` over
+    WORK_BUDGET_NS; units past 10^300 count as 10^300, so 2^s never overflows."""
+    ns = min(units, 10 ** 300) * ns_per_unit
+    if ns > WORK_BUDGET_NS:
+        raise ResourceLimitError(f"{what} needs about {ns / 1e9:.3g} s, "
+                                 f"budget {WORK_BUDGET_NS / 1e9:g} s")
+
+
 def finite_power(base: float, exponent: float, what: str) -> float:
-    """float(base) ** exponent, or a UsageError when that is not a finite float."""
+    """float(base) ** exponent, or a UsageError when that is not a finite nonzero float."""
     try:
         value = float(base) ** exponent
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
-        raise UsageError(f"{what}: {base:g}^{exponent:g} overflows float64")
+    if value == 0.0 or not math.isfinite(value):
+        raise UsageError(f"{what}: {base:g}^{exponent:g} "
+                         f"{'underflows' if value == 0.0 else 'overflows'} float64")
     return value

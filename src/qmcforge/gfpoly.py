@@ -9,12 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ResourceLimitError, UsageError, as_int
+from .errors import UsageError, afford, as_int
 
 SUPPORTED_BASES = (2, 3, 5, 7)
-
-# Irreducibility scan caps: trial division over b^(deg/2) monic candidates.
-_IRRED_WORK_LIMIT = 1 << 20
 
 
 def _normalize(base: int, coeffs) -> tuple[int, ...]:
@@ -141,8 +138,9 @@ def gf_is_irreducible(p: GFPoly) -> bool:
     d = int(d)
     b = p.base
     half = d // 2
-    if b ** half > _IRRED_WORK_LIMIT:
-        raise ResourceLimitError(f"irreducibility scan too large for base {b}, degree {d}")
+    # units: d + 12 per trial division by each of the b + b^2 + ... + b^half candidates
+    afford((b ** (half + 1) - b) // (b - 1) * (d + 12), 766,
+           f"irreducibility test of degree {d} over Z_{b}")
     for deg in range(1, half + 1):
         for low in range(b ** deg):
             candidate = GFPoly.from_code(b, low + b ** deg)  # monic of this degree

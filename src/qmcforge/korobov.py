@@ -20,8 +20,9 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .errors import QmcforgeError, ResourceLimitError, UsageError, as_int, finite_power, require
-from .weights import (SpaceParams, WeightSet, _guard_enum, ratio_size_sum, subset_product_sum,
+from .errors import (QmcforgeError, ResourceLimitError, UsageError, afford, as_int, finite_power,
+                     require)
+from .weights import (SpaceParams, WeightSet, ratio_size_sum, subset_product_sum,
                       subsets_of, weighted_zeta_sum, zeta)
 
 if TYPE_CHECKING:
@@ -35,6 +36,8 @@ _BERNOULLI_EVEN = {
     4: (1.0, -4.0, 14.0 / 3, 0.0, -7.0 / 3, 0.0, 2.0 / 3, 0.0, -1.0 / 30),
 }
 
+# Dual minima cap on N, kept beside the work budget: its refusal is what the sweep
+# tables record as thm1_rhs = NaN at N > 1024, so replacing it moves pinned outputs.
 ZAREMBA_N_LIMIT = 1024
 
 # cells per block of a streamed product space (CBC candidate rows, merit points)
@@ -408,7 +411,8 @@ def dual_product_minima(rule: LatticeRule) -> dict[frozenset[int], tuple[int, in
     N, s = rule.N, rule.s
     if N > ZAREMBA_N_LIMIT:
         raise ResourceLimitError(f"dual minima capped at N <= {ZAREMBA_N_LIMIT}")
-    _guard_enum(s)
+    # units: N + 1000 per subset, the 1000 its search's fixed cost
+    afford((2 ** s - 1) * (N + 1000), 260, f"dual minima over the 2^{s} - 1 subsets")
     out, low = {}, np.full(1 << s, np.iinfo(np.int64).max)  # low: phi_v at the bit mask of v
     for u in subsets_of(s):  # by size, so every u - {j} is done before u
         zs = [rule.z[j - 1] for j in sorted(u)]

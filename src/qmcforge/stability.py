@@ -178,6 +178,8 @@ def jensen_certificate(rule: LatticeRule | PolyLatticeRule, alpha: float,
         raise UsageError(f"delta must lie in (0, 1], got {delta}")
     alpha_hi = alpha / delta
     high = merit(rule, SpaceParams(alpha=alpha_hi, weights=W.powered(1.0 / delta)), series_K)
+    if high.p_value <= 0.0:  # rounding, not a P: P^delta is undefined below 0
+        raise UsageError(f"P at alpha/delta = {alpha_hi:g} is {high.p_value:.3g}, not positive")
     rhs = merit(rule, SpaceParams(alpha=alpha, weights=W), series_K).p_value
     lhs, tail = high.p_value ** delta, high.truncation_bound or 0.0
     return _certificate(lhs, rhs, {"delta": delta, "alpha_high": alpha_hi},

@@ -19,13 +19,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QmcforgeError, ResourceLimitError, UsageError, as_int, finite_power
+from . import errors
+from .errors import QmcforgeError, UsageError, afford, as_int, finite_power
 from .gfpoly import GFPoly
 from .korobov import MeritReport, _fft_error, _kernel_merit, _series_report
-from .weights import SpaceParams, WeightSet, _guard_enum, subsets_of, weighted_power_sum
-
-# Cell guard for CBC's b^m x b^m candidate space.
-_TABLE_CELL_LIMIT = 1 << 24
+from .weights import SpaceParams, WeightSet, subsets_of, weighted_power_sum
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,10 @@ class PolyLatticeRule:
         of x; e bounds its rounding, and R_u enters the discrepancy bound whole.
         g is real (r_tilde is even under digitwise negation) and exact for b = 2."""
         b, m = self.b, self.m
-        c = np.asarray([0.0] + [r_tilde(k, b) for k in range(1, b ** m)])
+        c = np.zeros(b ** m)
+        for a in range(1, m + 1):
+            for lead in range(1, b):  # r_tilde is one value on the run of k of this mu(k), lead
+                c[lead * b ** (a - 1):(lead + 1) * b ** (a - 1)] = r_tilde(lead * b ** (a - 1), b)
         g = np.fft.fftn(c.astype(np.longdouble).reshape([b] * m)).real.T.ravel()
         return g.astype(np.float64), (0.0 if b == 2 else _fft_error(c, b, m)), 1.0
 
@@ -124,8 +125,11 @@ class PolyLatticeRule:
                              "no FFT scan")
         _check_dimension(s, params.weights)
         b, m, size = self.b, self.m, self.npoints
-        if size * size > _TABLE_CELL_LIMIT:
-            raise ResourceLimitError(f"CBC candidate space b^(2m) too large for b={b}, m={m}")
+        # units: 12 m per cell of the candidate rows each time they are built (once
+        # if _row_scan holds them, else every step), 1 per cell scanned, 5 10^4 m per step
+        builds = 1 if (size - 1) * size * 8 <= errors.MEMORY_BUDGET else s - 1
+        afford(size * size * (12 * m * builds + s) + 50000 * m * s, 0.787,
+               f"CBC scan of {size * size} cells over {s} components")
         table, n, candidates = self.merit_kernel(params.alpha), np.arange(size), np.arange(1, size)
 
         def rows(lo: int, hi: int) -> np.ndarray:  # the kernel at the points of candidates lo..hi-1
@@ -317,20 +321,22 @@ def dual_mu_minima(rule: PolyLatticeRule) -> dict[frozenset[int], int]:
     so a reducible p is handled alike.  The subsets are walked depth-first,
     holding one array of b^m costs per depth.
     """
-    _guard_enum(rule.s)
+    b, m, s = rule.b, rule.m, rule.s
+    # units per subset: m b^(m+1) for the residue shifts, 8000 m (m + 1) for their steps
+    afford((2 ** s - 1) * m * (b ** (m + 1) + 8000 * (m + 1)), 1.92, f"dual minima at s={s}")
     phi = {}
 
     def walk(D: np.ndarray, v: frozenset[int]) -> None:
-        for j in range(max(v, default=0) + 1, rule.s + 1):
+        for j in range(max(v, default=0) + 1, s + 1):
             Dj = _cost_extend(rule, D, j - 1)
             u = v | {j}
             phi[u] = int(Dj[0])
-            if not len(u) <= phi[u] <= rule.m + len(u):
-                raise QmcforgeError(f"phi_u = {phi[u]} outside [{len(u)}, {rule.m + len(u)}]")
+            if not len(u) <= phi[u] <= m + len(u):
+                raise QmcforgeError(f"phi_u = {phi[u]} outside [{len(u)}, {m + len(u)}]")
             walk(Dj, u)
 
     # unreachable: above every total cost; costs stay below (m + 1)(s + 2)
-    start = np.full(rule.npoints, (rule.m + 1) * (rule.s + 1), dtype=np.int16)
+    start = np.full(rule.npoints, (m + 1) * (s + 1), dtype=np.int16)
     start[0] = 0
     walk(start, frozenset())
-    return {u: phi[u] for u in subsets_of(rule.s)}
+    return {u: phi[u] for u in subsets_of(s)}

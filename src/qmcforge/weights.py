@@ -19,12 +19,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError
+from .errors import UsageError, afford, finite_power
 
 S_MAX_DEFAULT = 64
-
-# Subset enumeration cutoff for explicit tables and generic fallbacks (2^s cost).
-ENUM_DIM_LIMIT = 20
 
 _BERNOULLI_NUMBERS = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730)
 
@@ -44,7 +41,10 @@ def zeta(x: float) -> float:
     # Correction terms B_{2i}/(2i)! * x(x+1)...(x+2i-2) * M^(-x-2i+1).
     poch = x
     for i, b2i in enumerate(_BERNOULLI_NUMBERS, start=1):
-        total += b2i / math.factorial(2 * i) * poch * M ** (-x - 2 * i + 1)
+        power = M ** (-x - 2 * i + 1)
+        if power == 0.0:  # so are the later terms, whose poch may be inf
+            break
+        total += b2i / math.factorial(2 * i) * poch * power
         poch *= (x + 2 * i - 1) * (x + 2 * i)
     return total
 
@@ -220,11 +220,6 @@ def subsets_of(s: int) -> Iterable[frozenset[int]]:
             yield frozenset(combo)
 
 
-def _guard_enum(s: int) -> None:
-    if s > ENUM_DIM_LIMIT:
-        raise ResourceLimitError(f"subset enumeration capped at s <= {ENUM_DIM_LIMIT}, got {s}")
-
-
 def check_monotone(W: WeightSet, s: int) -> bool:
     """True iff gamma_v >= gamma_u whenever v is a nonempty proper subset of u.
 
@@ -260,6 +255,8 @@ def weighted_zeta_sum(W: WeightSet, s: int, lam: float, alpha: float) -> float:
     """Sum over nonempty u of gamma_u^lam * (2 zeta(2 alpha lam))^|u|."""
     if lam > 1.0 or 2.0 * alpha * lam <= 1.0:
         raise UsageError(f"need 1/(2 alpha) < lambda <= 1, got lambda={lam}, alpha={alpha}")
+    if not math.isfinite(2.0 * alpha * lam):
+        raise UsageError(f"2 alpha lambda overflows float64 at alpha={alpha:g}, lambda={lam:g}")
     return weighted_power_sum(W, s, lam, 2.0 * zeta(2.0 * alpha * lam))
 
 
@@ -330,13 +327,14 @@ def ratio_size_sum(W: WeightSet, Wprime: WeightSet, ratio_exp: float,
             return 0.0, False
         if any(G[k - 1] == 0.0 for k in sizes) or any(g[j] == 0.0 for j in support):
             return math.inf, True
-        e = _elementary_symmetric((gp[j] / g[j] ** ratio_exp for j in support), len(support))
-        return sum(size_factors[k] * Gp[k - 1] / G[k - 1] ** ratio_exp * float(e[k])
-                   for k in sizes), False
+        e = _elementary_symmetric((gp[j] / finite_power(g[j], ratio_exp, "weight gamma_j")
+                                   for j in support), len(support))
+        return sum(size_factors[k] * Gp[k - 1] / finite_power(G[k - 1], ratio_exp, "weight Gamma_k")
+                   * float(e[k]) for k in sizes), False
     if Wprime.kind == "explicit":
         pairs = ((fs, wp) for fs, wp in Wprime.table if max(fs) <= s)
     else:
-        _guard_enum(s)
+        afford(2 ** s, 4700, f"ratio sum over the 2^{s} - 1 subsets")  # a unit per subset
         pairs = ((u, Wprime.weight(u)) for u in subsets_of(s))
     # an explicit gamma by hash lookup, not one scan of its table per u
     weight = W.weight if W.kind != "explicit" else (lambda u, t=dict(W.table): t.get(u, 0.0))
@@ -349,5 +347,5 @@ def ratio_size_sum(W: WeightSet, Wprime: WeightSet, ratio_exp: float,
         if w == 0.0:
             vacuous = True
             continue
-        total += wp / w ** ratio_exp * size_factors[len(u)]
+        total += wp / finite_power(w, ratio_exp, "weight gamma_u") * size_factors[len(u)]
     return (math.inf if vacuous else total), vacuous

@@ -74,8 +74,10 @@ class TestConstruct:
                     "--s", "2", "--alpha", "1", "--weights", "product:j^-2",
                     "--out", str(tmp_path / "r.json")]) == 0
 
-    def test_poly_m13_exceeds_table_cap(self, tmp_path):
-        assert run(["construct", "--kind", "poly-lattice", "--b", "2", "--m", "13",
+    def test_poly_b5_m6_exceeds_work_budget(self, tmp_path):
+        # the smallest b^m whose s = 2 scan the work budget refuses: 5^12 cells
+        # (b = 2, m = 13 has 2^26 and is admitted)
+        assert run(["construct", "--kind", "poly-lattice", "--b", "5", "--m", "6",
                     "--s", "2", "--alpha", "1", "--weights", "product:j^-2",
                     "--out", str(tmp_path / "r.json")]) == 3
 
@@ -139,6 +141,27 @@ class TestEvaluate:
         code = run(["evaluate", str(rule_path), "--alpha", "1",
                     "--weights", "product:j^-2", "--rho"])
         assert code == 3
+
+    def test_work_budget_refuses_rho_at_s20(self, tmp_path, capsys):
+        # the 2^20 - 1 lattice dual minima of N = 1021 would run for minutes; the
+        # work budget refuses them before the first search
+        rule_path = tmp_path / "rule.json"
+        assert run(["construct", "--N", "1021", "--s", "20", "--out", str(rule_path)]) == 0
+        capsys.readouterr()
+        assert run(["evaluate", str(rule_path), "--alpha", "1", "--weights", "product:j^-2",
+                    "--rho"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: dual minima") and err.count("\n") == 1
+
+    def test_exact_discrepancy_within_work_budget(self, tmp_path):
+        # exact D* of 8191 points in two dimensions is a few seconds of work at most
+        rule_path = tmp_path / "rule.json"
+        assert run(["construct", "--N", "8191", "--s", "2", "--out", str(rule_path)]) == 0
+        report_path = tmp_path / "rep.json"
+        assert run(["evaluate", str(rule_path), "--alpha", "1", "--weights", "product:j^-2",
+                    "--discrepancy", "--out", str(report_path)]) == 0
+        disc = json.loads(report_path.read_text())["discrepancy"]
+        assert 0 < disc["exact_dstar"] <= disc["bound_joe"]
 
     def test_discrepancy_beyond_three_dimensions(self, tmp_path):
         rule_path = tmp_path / "rule.json"
@@ -616,6 +639,20 @@ class TestConfigPrecedence:
     (["certify", "RULE", "--theorem", "thm1", "--alpha", "1", "--weights", "product:j^-2",
       "--alpha-prime", "400"], {"type": "lattice", "N": 359, "z": [1, 105, 82, 48]}),
     (["construct", "--kind", "poly-lattice", "--m", "3", "--s", "2", "--alpha", "1e308"], None),
+    # gamma_j^(alpha'/alpha) = (2^-9)^500 underflows to 0, refused before it divides
+    (["certify", "RULE", "--theorem", "thm2", "--alpha", "0.6", "--weights", "product:j^-9",
+      "--alpha-prime", "300"],
+     {"type": "poly-lattice", "b": 2, "m": 8, "p": [1, 1, 0, 1, 1, 0, 0, 0, 1],
+      "q": [[1], [0, 0, 1, 0, 0, 0, 1, 1], [1, 0, 1, 1, 1, 0, 0, 1], [0, 0, 0, 0, 0, 1, 1, 1]]}),
+    # 2 alpha lambda overflows to inf, refused before zeta(inf) reaches the rhs
+    (["certify", "RULE", "--theorem", "prop1", "--alpha", "1e308", "--weights", "product:j^-2"],
+     {"type": "lattice", "N": 31, "z": [1, 12]}),
+    # the CBC rule of N = 4093, s = 16, alpha 3, j^-6 (--fast) has closed-form P < 0
+    # at alpha 3 from rounding: P^(2/3) is refused, not compared as a complex number
+    (["certify", "RULE", "--theorem", "jensen", "--alpha", "2", "--weights", "product:j^-4",
+      "--delta", "0.6666666666666666"],
+     {"type": "lattice", "N": 4093, "z": [1, 3379, 461, 1724, 1060, 2746, 3933, 1548, 3874, 2565,
+                                          3707, 3592, 1466, 2845, 2867, 950]}),
 ])
 def test_malformed_input_usage_error(tmp_path, capsys, args, rule):
     # malformed input exits 2 with one line, not 1 (certificate failure) with a traceback

@@ -36,6 +36,11 @@ class TestZeta:
         with pytest.raises(UsageError):
             zeta(1.0)
 
+    def test_huge_exponent_is_one(self):
+        # once 64^-x underflows the corrections stop, before an inf poch meets a 0 power
+        for x in (200.0, 1e100, 1e200, math.inf):
+            assert zeta(x) == 1.0
+
 
 class TestWeightEvaluation:
     def test_product(self):
@@ -137,6 +142,11 @@ class TestZetaSum:
         W = WeightSet.product([1.0])
         with pytest.raises(UsageError):
             weighted_zeta_sum(W, 1, 0.5, 1.0)
+
+    def test_overflowing_exponent_rejected(self):
+        W = WeightSet.product([1.0])
+        with pytest.raises(UsageError, match="2 alpha lambda overflows"):
+            weighted_zeta_sum(W, 1, 1.0, 1e308)
 
     @pytest.mark.parametrize("s", range(1, 11))
     def test_product_form_equals_subset_enumeration(self, s):
@@ -252,6 +262,15 @@ class TestRatioSizeSum:
         assert (value, vacuous) == (4.0, False)
         value, vacuous = ratio_size_sum(W, WeightSet.product([1.0, 1.0]), 0.5, [0.0, 1.0, 1.0], 2)
         assert vacuous and math.isinf(value)
+
+    def test_underflowing_weight_power_rejected(self):
+        # (2^-9)^500 underflows to 0: refused, not divided by, in both summation forms
+        W = WeightSet.product([1.0, 2.0 ** -9])
+        with pytest.raises(UsageError, match="underflows float64"):
+            ratio_size_sum(W, W, 500.0, [0.0, 1.0, 1.0], 2)
+        explicit = WeightSet.explicit({(1,): 1.0, (2,): 2.0 ** -9, (1, 2): 2.0 ** -9})
+        with pytest.raises(UsageError, match="underflows float64"):
+            ratio_size_sum(explicit, W, 500.0, [0.0, 1.0, 1.0], 2)
 
     def test_dimension_outside_s_max_rejected(self):
         W = WeightSet.product([0.5] * 4)
