@@ -3,18 +3,20 @@ that hold when a rule built for one (alpha, gamma) is used under another.
 
 Every certificate records lhs (the merit under the target parameters), rhs
 (the bound), their margin, and the dominant components.  Inequalities are
-checked with 1e-9 relative slack; a bound rendered infinite by a zero weight
-in a denominator is a vacuous pass, flagged but never a failure.
+checked with 1e-9 relative slack; a bound that is not finite (a zero weight
+in a denominator, or a sum past float64) is a vacuous pass, never a failure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
+
+import numpy as np
 
 from .errors import UsageError
-from .korobov import LatticeRule, MeritReport, p_merit_closed, p_merit_series
+from .korobov import _BERNOULLI_EVEN, LatticeRule, MeritReport, p_merit_closed, p_merit_series
 from .weights import SpaceParams, WeightSet, check_monotone, ratio_size_sum
 
 if TYPE_CHECKING:  # walsh loads only for polynomial lattice rules
@@ -22,8 +24,6 @@ if TYPE_CHECKING:  # walsh loads only for polynomial lattice rules
 
 CERT_REL_SLACK = 1e-9
 JENSEN_REL_SLACK = 1e-10
-
-_CLOSED_ALPHAS = (1.0, 2.0, 3.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class StabilityCertificate:
     margin: float
     components: Mapping[str, float]
     passed: bool
-    vacuous: bool = False
+    vacuous: bool
 
     def to_jsonable(self) -> dict:
         def num(v):
@@ -45,32 +45,31 @@ class StabilityCertificate:
                 "passed": self.passed, "vacuous": self.vacuous}
 
 
-def _certificate(lhs: float, rhs: float, components: dict, vacuous: bool = False,
-                 lhs_truncation: float | None = None,
+def _certificate(lhs: float, rhs: float, components: dict, lhs_truncation: float | None = None,
                  rel_slack: float = CERT_REL_SLACK) -> StabilityCertificate:
     """lhs <= rhs, decided on lhs + lhs_truncation, the most a truncated-series
     lhs can leave out (None for a closed form), so that a pass stays sound."""
     lhs_truncation = lhs_truncation or 0.0
     upper = lhs + lhs_truncation
+    vacuous = not math.isfinite(rhs)
     passed = vacuous or upper <= rhs * (1.0 + rel_slack)
     return StabilityCertificate(lhs=lhs, rhs=rhs, margin=rhs - upper,
                                 components={**components, "lhs_truncation": lhs_truncation},
                                 passed=passed, vacuous=vacuous)
 
 
-def merit(rule: LatticeRule | PolyLatticeRule, params: SpaceParams,
-          series_K: int | None = None) -> MeritReport:
+def merit(rule: LatticeRule | PolyLatticeRule, params: SpaceParams) -> MeritReport:
     """P of the rule under params, by the only choice between closed form and
     series: the Walsh closed form for every alpha, the Bernoulli closed form
-    for alpha in 1..4, else the truncated Korobov series (radius series_K,
-    default p_merit_series'), whose truncation_bound is the smaller of its
-    tail bound and, for a < alpha < a + 1 with closed forms at a and a + 1,
-    Hoelder's P_a^(a+1-alpha) P_(a+1)^(alpha-a) less the series."""
-    if not isinstance(rule, LatticeRule) or params.alpha in _CLOSED_ALPHAS:
+    for alpha in 1..4, else the truncated Korobov series at p_merit_series'
+    default radius, whose truncation_bound is the smaller of its tail bound
+    and, for a < alpha < a + 1 with closed forms at a and a + 1, Hoelder's
+    P_a^(a+1-alpha) P_(a+1)^(alpha-a) less the series."""
+    if not isinstance(rule, LatticeRule) or params.alpha in _BERNOULLI_EVEN:
         return p_merit_closed(rule, params)
-    report = p_merit_series(rule, params, series_K)
+    report = p_merit_series(rule, params)
     a, t = math.floor(params.alpha), params.alpha % 1.0
-    if a in _CLOSED_ALPHAS and a + 1 in _CLOSED_ALPHAS:
+    if a in _BERNOULLI_EVEN and a + 1 in _BERNOULLI_EVEN:
         lo, hi = (p_merit_closed(rule, SpaceParams(alpha=x, weights=params.weights)).p_value
                   for x in (a, a + 1))
         return replace(report, truncation_bound=min(
@@ -79,20 +78,21 @@ def merit(rule: LatticeRule | PolyLatticeRule, params: SpaceParams,
 
 
 def _stability_bound(rule: LatticeRule | PolyLatticeRule, alpha: float, W: WeightSet,
-                     target: SpaceParams, base: float, power: float, c: float, F: float,
-                     L: float, components: dict,
-                     series_K: int | None = None) -> StabilityCertificate:
-    """The one shape of Theorems 1 and 2 and eq. (1): with (a', g') = target,
+                     alpha_prime: float, Wprime: WeightSet, base: float, power: float,
+                     components: Callable[[dict], dict]) -> StabilityCertificate:
+    """The one shape of Theorems 1 and 2 and eq. (1), (c, F, L) from rule.stability_constants:
 
         P_{a',g'} <= c * base^power * sum_u g'_u / g_u^(a'/a) * F^|u| L^(|u|-1),
 
-    components naming the base and c as the certificate records them."""
-    size_factors = [0.0] + [F ** k * L ** (k - 1) for k in range(1, rule.s + 1)]
-    subset_sum, vacuous = ratio_size_sum(W, target.weights, target.alpha / alpha, size_factors,
-                                         rule.s)
-    rhs = c * base ** power * subset_sum if not vacuous else math.inf
-    lhs = merit(rule, target, series_K)
-    return _certificate(lhs.p_value, rhs, {**components, "subset_sum": subset_sum}, vacuous,
+    components(constants) placing the base among the constants the rule records."""
+    c, F, L, constants = rule.stability_constants(alpha_prime)  # refuses a bad alpha' first
+    with np.errstate(over="ignore"):  # a size factor past float64 is inf: a vacuous bound
+        size_factors = [0.0] + [float(np.float64(F) ** k * np.float64(L) ** (k - 1))
+                                for k in range(1, rule.s + 1)]
+    subset_sum = ratio_size_sum(W, Wprime, alpha_prime / alpha, size_factors, rule.s)[0]
+    rhs = c * base ** power * subset_sum if math.isfinite(subset_sum) else math.inf
+    lhs = merit(rule, SpaceParams(alpha=alpha_prime, weights=Wprime))
+    return _certificate(lhs.p_value, rhs, {**components(constants), "subset_sum": subset_sum},
                         lhs.truncation_bound)
 
 
@@ -102,8 +102,7 @@ def _require_monotone(rule: LatticeRule | PolyLatticeRule, W: WeightSet) -> None
 
 
 def stability_bound(rule: LatticeRule | PolyLatticeRule, alpha: float, W: WeightSet,
-                    alpha_prime: float, Wprime: WeightSet,
-                    series_K: int | None = None) -> StabilityCertificate:
+                    alpha_prime: float, Wprime: WeightSet) -> StabilityCertificate:
     """Theorems 1 (Korobov, monotone gamma: gamma_v >= gamma_u for v in u) and
     2 (Walsh, any gamma), one statement:
 
@@ -114,9 +113,8 @@ def stability_bound(rule: LatticeRule | PolyLatticeRule, alpha: float, W: Weight
     """
     _require_monotone(rule, W)
     rho = rule.rho(SpaceParams(alpha=alpha, weights=W))[0]
-    c, F, L, components = rule.stability_constants(alpha_prime)
-    return _stability_bound(rule, alpha, W, SpaceParams(alpha=alpha_prime, weights=Wprime), rho,
-                            alpha_prime / alpha, c, F, L, {"rho": rho, **components}, series_K)
+    return _stability_bound(rule, alpha, W, alpha_prime, Wprime, rho, alpha_prime / alpha,
+                            lambda constants: {"rho": rho, **constants})
 
 
 def prop_bound(rule: LatticeRule | PolyLatticeRule, alpha: float, W: WeightSet,
@@ -139,14 +137,14 @@ def prop_certificate(rule: LatticeRule | PolyLatticeRule, alpha: float, W: Weigh
     recorded = rule.guarantee_components(params)
     cert = _certificate(lhs.p_value, rhs, {"lambda": lam, **recorded},
                         lhs_truncation=lhs.truncation_bound)
-    if recorded.get("rho", 0.0) > lhs.p_value * (1.0 + CERT_REL_SLACK):
+    if "rho" in recorded and recorded["rho"] > lhs.p_value * (1.0 + CERT_REL_SLACK):
         return replace(cert, passed=False)
     return cert
 
 
 def combined_bound_eq1(rule: LatticeRule, alpha: float, W: WeightSet,
-                       alpha_prime: float, Wprime: WeightSet, lam: float = 1.0,
-                       series_K: int | None = None) -> StabilityCertificate:
+                       alpha_prime: float, Wprime: WeightSet,
+                       lam: float = 1.0) -> StabilityCertificate:
     """Stability bound with the CBC guarantee substituted for rho:
 
         P_{a',g'}(z) <= c_{a'} * (weighted_zeta_sum(lam) / phi(N))^(a'/(a lam))
@@ -156,17 +154,14 @@ def combined_bound_eq1(rule: LatticeRule, alpha: float, W: WeightSet,
     majorizes the Theorem-1 rhs because rho <= P <= CBC guarantee.
     """
     _require_monotone(rule, W)
-    c, F, L, components = rule.stability_constants(alpha_prime)
     total, units = rule.cbc_guarantee(W, alpha, lam)
     raw = total / units
-    return _stability_bound(rule, alpha, W, SpaceParams(alpha=alpha_prime, weights=Wprime), raw,
-                            alpha_prime / (alpha * lam), c, F, L,
-                            {**components, "cbc_guarantee_base": raw}, series_K)
+    return _stability_bound(rule, alpha, W, alpha_prime, Wprime, raw, alpha_prime / (alpha * lam),
+                            lambda constants: {**constants, "cbc_guarantee_base": raw})
 
 
 def jensen_certificate(rule: LatticeRule | PolyLatticeRule, alpha: float,
-                       W: WeightSet, delta: float,
-                       series_K: int | None = None) -> StabilityCertificate:
+                       W: WeightSet, delta: float) -> StabilityCertificate:
     """Power-mean stability: (P_{a/d, g^(1/d)})^d <= P_{a, g} for 0 < d <= 1.
 
     For lattice rules a noninteger exponent falls back to the truncated
@@ -177,10 +172,10 @@ def jensen_certificate(rule: LatticeRule | PolyLatticeRule, alpha: float,
     if not 0.0 < delta <= 1.0:
         raise UsageError(f"delta must lie in (0, 1], got {delta}")
     alpha_hi = alpha / delta
-    high = merit(rule, SpaceParams(alpha=alpha_hi, weights=W.powered(1.0 / delta)), series_K)
+    high = merit(rule, SpaceParams(alpha=alpha_hi, weights=W.powered(1.0 / delta)))
     if high.p_value <= 0.0:  # rounding, not a P: P^delta is undefined below 0
         raise UsageError(f"P at alpha/delta = {alpha_hi:g} is {high.p_value:.3g}, not positive")
-    rhs = merit(rule, SpaceParams(alpha=alpha, weights=W), series_K).p_value
+    rhs = merit(rule, SpaceParams(alpha=alpha, weights=W)).p_value
     lhs, tail = high.p_value ** delta, high.truncation_bound or 0.0
     return _certificate(lhs, rhs, {"delta": delta, "alpha_high": alpha_hi},
                         lhs_truncation=(high.p_value + tail) ** delta - lhs,

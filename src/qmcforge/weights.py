@@ -261,13 +261,14 @@ def weighted_zeta_sum(W: WeightSet, s: int, lam: float, alpha: float) -> float:
 
 
 def _elementary_symmetric(terms: Iterable, n: int, shape: tuple = ()) -> np.ndarray:
-    """e_0..e_n of the n terms (scalars, or arrays of the given shape), by
-    the recurrence e_k += t e_(k-1) over the terms t in turn."""
+    """e_0..e_n of the n terms (scalars, or arrays of the given shape), by the
+    recurrence e_k += t e_(k-1) over the terms t in turn; an e_k past float64 is inf."""
     e = np.zeros((n + 1,) + shape)
     e[0] = 1.0
-    for j, t in enumerate(terms):
-        for k in range(j + 1, 0, -1):
-            e[k] += t * e[k - 1]
+    with np.errstate(over="ignore"):
+        for j, t in enumerate(terms):
+            for k in range(j + 1, 0, -1):
+                e[k] += t * e[k - 1]
     return e
 
 

@@ -255,7 +255,7 @@ def test_criterion_05_stability_grids():
                 for a in alphas:
                     for ap in alphas:
                         for Wp in primes.values():
-                            cert = stability_bound(rule, a, W, ap, Wp, series_K=N)
+                            cert = stability_bound(rule, a, W, ap, Wp)
                             count += 1
                             if not cert.passed:
                                 failures.append((s, N, rule.z, a, ap))
@@ -294,7 +294,7 @@ def test_criterion_06_jensen():
         W = WeightSet.product([1.0, 0.5])
         rule, _ = cbc_construct(lattice_modulus(N), 2, SpaceParams(alpha=1.0, weights=W))
         for alpha, delta in ((1.0, 0.5), (2.0, 0.5), (1.6, 0.8)):
-            cert = jensen_certificate(rule, alpha, W, delta, series_K=512)
+            cert = jensen_certificate(rule, alpha, W, delta)
             count += 1
             if not cert.passed:
                 failures.append(("lattice", N, alpha, delta))

@@ -551,12 +551,24 @@ class TestConfigPrecedence:
         assert code == 0
         assert obj["N"] == 31 and len(obj["z"]) == 4 and obj["alpha"] == 2.0
         assert obj["weights"] == parse_weights("product:j^-3", 4).to_jsonable()
+        # a JSON true sets a flag: the FFT scan, whose z_2 at N = 2027 can differ from
+        # the direct scan's within its tie class
+        _, fast = self.construct(tmp_path, {}, "--N", "2027", "--s", "3", "--fast")
+        code, obj = self.construct(tmp_path, {"N": 2027, "s": 3, "fast": True})
+        assert code == 0 and obj == fast
 
     def test_weight_object_in_config(self, tmp_path):
         weights = {"kind": "product", "gamma": [1.0, 0.25]}
         code, obj = self.construct(tmp_path, {"N": 31, "s": 2, "weights": weights})
         assert code == 0
         assert obj["weights"] == weights
+        # a formula string in place of the gamma list gives the command line's weights
+        for weights, spec in (({"kind": "product", "gamma": "j^-2"}, "product:j^-2"),
+                              ({"kind": "pod", "Gamma": [1, 2, 6], "gamma": "j^-2"},
+                               "pod:1,2,6|j^-2")):
+            code, obj = self.construct(tmp_path, {"N": 31, "s": 3, "weights": weights})
+            _, direct = self.construct(tmp_path, {"N": 31, "s": 3}, "--weights", spec)
+            assert code == 0 and obj["trace"] == direct["trace"]
 
     def test_command_line_overrides_config(self, tmp_path):
         code, obj = self.construct(tmp_path, {"N": 31, "s": 4, "alpha": 2}, "--s", "2")
@@ -653,6 +665,12 @@ class TestConfigPrecedence:
       "--delta", "0.6666666666666666"],
      {"type": "lattice", "N": 4093, "z": [1, 3379, 461, 1724, 1060, 2746, 3933, 1548, 3874, 2565,
                                           3707, 3592, 1466, 2845, 2867, 950]}),
+    # a config file that holds a JSON array, not an object
+    (["construct", "--config", "RULE"], [{"N": 31}]),
+    (["construct", "--s", "2"], None),
+    (["sweep", "--N-grid", ","], None),
+    (["construct", "--N", "31", "--s", "2", "--weights", "foo:1"], None),
+    (["construct", "--N", "31", "--s", "2", "--weights", "{bad"], None),
 ])
 def test_malformed_input_usage_error(tmp_path, capsys, args, rule):
     # malformed input exits 2 with one line, not 1 (certificate failure) with a traceback

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass
 
 import pytest
@@ -19,6 +20,10 @@ from qmcforge.weights import (SpaceParams, WeightSet, ratio_size_sum, weighted_p
 
 P3 = GFPoly(2, (1, 1, 0, 1))
 UNIT1 = WeightSet.product([1.0])
+# the b = 2, m = 8, s = 4 CBC rule under alpha 1 and gamma_j = j^-2
+POLY8 = PolyLatticeRule(b=2, m=8, p=GFPoly(2, (1, 1, 0, 1, 1, 0, 0, 0, 1)), q=tuple(
+    GFPoly(2, c) for c in ((1,), (0, 0, 1, 0, 0, 0, 1, 1), (1, 0, 1, 1, 1, 0, 0, 1),
+                           (0, 0, 0, 0, 0, 1, 1, 1))))
 
 
 class TestCAlphaPrime:
@@ -106,6 +111,17 @@ class TestTheorem1:
 
 
 class TestTheorem2:
+    @pytest.mark.parametrize("exponent, alpha_prime", [(9.0, 50.0), (4.0, 60.0)])
+    def test_overflowing_subset_sum_is_vacuous(self, exponent, alpha_prime):
+        # x_j = j^-e / j^(-e a') leaves float64 in the e_k recurrence: a vacuous pass
+        # with no RuntimeWarning, also where rho^a' underflows to 0 (not 0 * inf = NaN)
+        W = WeightSet.product([j ** -exponent for j in range(1, 5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = stability_bound(POLY8, 1.0, W, alpha_prime, W)
+        assert cert.vacuous and cert.passed and math.isinf(cert.rhs)
+        assert math.isinf(cert.components["subset_sum"])
+
     def test_tight_full_grid_case(self):
         rule = PolyLatticeRule(b=2, m=3, p=P3, q=(GFPoly.one(2),))
         cert = stability_bound(rule, 1.0, UNIT1, 1.0, UNIT1)
@@ -173,8 +189,33 @@ class TestPropBounds:
         cert = prop_certificate(LatticeRule(N=16, z=(1, 1)), 2.0, W2)
         assert not cert.passed
 
+    def test_prop1_records_no_rho(self):
+        # the N = 4093, s = 16 CBC rule under alpha 3, j^-6 (fast scan) has a closed-form
+        # P of -5.6e-17 from rounding; with no rho recorded, nothing is checked below P
+        rule = LatticeRule(N=4093, z=(1, 3379, 461, 1724, 1060, 2746, 3933, 1548, 3874, 2565,
+                                      3707, 3592, 1466, 2845, 2867, 950))
+        cert = prop_certificate(rule, 3.0, WeightSet.product([j ** -6.0 for j in range(1, 17)]))
+        assert cert.lhs < 0.0 and "rho" not in cert.components and cert.passed
+
+    def test_recorded_rho_above_P_fails_prop2(self, monkeypatch):
+        W = WeightSet.product([j ** -2.0 for j in range(1, 5)])
+        assert prop_certificate(POLY8, 1.0, W).passed
+        monkeypatch.setattr(PolyLatticeRule, "guarantee_components", lambda self, params: {
+            "rho": 2.0 * merit(self, params).p_value})
+        cert = prop_certificate(POLY8, 1.0, W)
+        assert cert.lhs <= cert.rhs and not cert.passed
+
 
 class TestCombinedBound:
+    def test_overflowing_size_factors_are_vacuous(self):
+        # at N = 65521 the size factor 8^k (log2 N)^(k-1) leaves float64 from k = 147
+        # on, and from k = 257 on its power 16^(k-1) alone does
+        W = WeightSet.product([1.0] * 260)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = combined_bound_eq1(LatticeRule(N=65521, z=(1,) * 260), 1.0, W, 1.0, W)
+        assert cert.vacuous and cert.passed and math.isinf(cert.rhs)
+
     def test_majorizes_theorem1_on_cbc_rules(self):
         W = WeightSet.product([1.0, 0.25])
         for N in (16, 32, 64):
@@ -200,7 +241,7 @@ class TestJensen:
     def test_lattice_fractional_with_series_rhs(self):
         W = WeightSet.product([1.0, 0.5])
         rule, _ = cbc_construct(lattice_modulus(16), 2, SpaceParams(alpha=2.0, weights=W))
-        cert = jensen_certificate(rule, 1.6, W, 0.8, series_K=512)
+        cert = jensen_certificate(rule, 1.6, W, 0.8)
         assert cert.components["alpha_high"] == pytest.approx(2.0)
         assert cert.passed
 
