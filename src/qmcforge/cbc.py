@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import errors
-from .errors import UsageError
+from .errors import UsageError, finite
 from .korobov import _BLOCK_CELLS
 from .weights import SpaceParams, WeightSet
 
@@ -109,10 +109,9 @@ class _MeritState:
 
 def _select(merits: np.ndarray, candidates: np.ndarray) -> tuple[int, float]:
     """Smallest candidate whose merit is within TIE_REL_TOL of the minimum."""
+    finite(float(np.abs(merits).max()), "a CBC merit")  # NaN and inf propagate through max
     m_star = float(merits.min())
     hits = np.flatnonzero(merits <= m_star + TIE_REL_TOL * abs(m_star))
-    if hits.size == 0:
-        raise RuntimeError("selection failed; unreachable")
     idx = hits[np.argmin(candidates[hits])]
     return int(candidates[idx]), float(merits[idx])
 
@@ -158,13 +157,14 @@ def _greedy(s: int, weights: WeightSet, npoints: int, column: Callable[[int], np
     points for candidate c and ``scan(h)`` returns F @ h over ``candidates``.
     """
     state = _MeritState(weights, npoints)
-    state.update(column(1))
-    trace = [(1, float(state.S.mean()))]
-    for _ in range(1, s):
-        merits = (float(state.S.sum()) + state.scale() * scan(state.gradient())) / npoints
-        chosen, merit = _select(merits, candidates)
-        state.update(column(chosen))
-        trace.append((chosen, merit))
+    with np.errstate(over="ignore", invalid="ignore"):  # _select refuses what overflows
+        state.update(column(1))
+        trace = [(1, finite(float(state.S.mean()), "a CBC merit"))]
+        for _ in range(1, s):
+            merits = (float(state.S.sum()) + state.scale() * scan(state.gradient())) / npoints
+            chosen, merit = _select(merits, candidates)
+            state.update(column(chosen))
+            trace.append((chosen, merit))
     return CbcTrace(choices=tuple(trace), evaluations=1 + (s - 1) * (npoints - 1))
 
 

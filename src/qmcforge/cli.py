@@ -142,7 +142,7 @@ def load_rule(path: str) -> tuple[LatticeRule | PolyLatticeRule, dict]:
 
 
 def _emit(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj, indent=2, allow_nan=False)  # a report holds no NaN or inf
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -228,17 +228,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from .stability import merit
     rule, _ = load_rule(args.rule)
     params = SpaceParams(alpha=float(args.alpha), weights=parse_weights(args.weights, rule.s))
-    rho = rule.rho(params) if args.rho else None  # the capped dual minima go first
+    rho, per_subset = rule.rho(params) if args.rho else (None, None)  # capped minima before P
     if args.series_K is not None:  # the explicit cross-check of merit's closed form or series
         report = rule.series(params, args.series_K)
     else:
         report = merit(rule, params)
     if rho is not None:
-        report = dataclasses.replace(report, rho_value=rho[0], per_subset=rho[1])
+        report = dataclasses.replace(report, rho_value=rho, per_subset=per_subset)
     payload = report.to_jsonable()
     if args.discrepancy:
         from .discrepancy import discrepancy_report
-        payload["discrepancy"] = discrepancy_report(rule, params, args.rho).to_jsonable()
+        payload["discrepancy"] = discrepancy_report(rule, params, rho).to_jsonable()
     _emit(payload, args.out)
     return EXIT_OK
 

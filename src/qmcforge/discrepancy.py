@@ -94,16 +94,16 @@ def star_disc_bound(rule: LatticeRule | PolyLatticeRule, W: WeightSet) -> tuple[
 
 
 def star_disc_bound_rho(rule: LatticeRule | PolyLatticeRule, alpha: float, W: WeightSet,
-                        Wprime: WeightSet) -> tuple[float, bool]:
+                        Wprime: WeightSet, rho: float) -> tuple[float, bool]:
     """Merit-based bound for monotone gamma over the n points, F = rule.rho_bound_factors():
 
         D* <= sum_u gamma'_u [1 - (1 - 1/n)^|u| + (rho / gamma_u)^(1/(2 alpha)) F_|u|],
 
-    as two subset-size sums.  Returns (bound, vacuous); vacuous marks
-    gamma_u = 0 < gamma'_u, where the bound is +inf."""
+    as two subset-size sums, rho = rule.rho under (alpha, W).  Returns (bound,
+    vacuous); vacuous marks gamma_u = 0 < gamma'_u, where the bound is +inf."""
     if not check_monotone(W, rule.s):
         raise UsageError("rho-based discrepancy bound needs monotone weights")
-    rho_pow = rule.rho(SpaceParams(alpha=alpha, weights=W))[0] ** (1.0 / (2.0 * alpha))
+    rho_pow = rho ** (1.0 / (2.0 * alpha))
     volume, vacuous = ratio_size_sum(
         W, Wprime, 0.0, [1.0 - (1.0 - 1.0 / rule.npoints) ** k for k in range(rule.s + 1)], rule.s)
     rho_term, _ = ratio_size_sum(W, Wprime, 1.0 / (2.0 * alpha),
@@ -175,14 +175,14 @@ def weighted_exact_star_discrepancy(numerators: np.ndarray, denominator: int,
 
 
 def discrepancy_report(rule: LatticeRule | PolyLatticeRule, params: SpaceParams,
-                       with_rho: bool) -> DiscrepancyReport:
+                       rho: float | None) -> DiscrepancyReport:
     """The subset-sum bounds of one rule under params' weights, and its exact
-    weighted D* for s <= 2; the rho bound, which needs the dual minima, only
-    when with_rho is set."""
+    weighted D* for s <= 2; the rho bound only when rho, the rule's figure of
+    merit under params, is given."""
     W = params.weights
     bound_rho, vacuous = None, False
-    if with_rho:  # the capped dual minima first
-        bound_rho, vacuous = star_disc_bound_rho(rule, params.alpha, W, W)
+    if rho is not None:
+        bound_rho, vacuous = star_disc_bound_rho(rule, params.alpha, W, W, rho)
     bound_joe, r_values = star_disc_bound(rule, W)
     exact = weighted_exact_star_discrepancy(rule.points(), rule.npoints, W) if rule.s <= 2 else None
     return DiscrepancyReport(bound_joe=bound_joe, bound_rho=bound_rho,

@@ -47,6 +47,14 @@ def afford(units: int, ns_per_unit: float, what: str) -> None:
                                  f"budget {WORK_BUDGET_NS / 1e9:g} s")
 
 
+def finite(value: float, what: str) -> float:
+    """value, or a UsageError when it is not finite: kernels and dual terms are
+    bounded, so only weights near the float64 limit push a merit past it."""
+    if not math.isfinite(value):
+        raise UsageError(f"{what} is {value}, not finite in float64: the weights are too large")
+    return value
+
+
 def finite_power(base: float, exponent: float, what: str) -> float:
     """float(base) ** exponent, or a UsageError when that is not a finite nonzero float."""
     try:

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .errors import (QmcforgeError, ResourceLimitError, UsageError, afford, as_int, finite_power,
-                     require)
+from .errors import (QmcforgeError, ResourceLimitError, UsageError, afford, as_int, finite,
+                     finite_power, require)
 from .weights import (SpaceParams, WeightSet, ratio_size_sum, subset_product_sum,
                       subsets_of, weighted_zeta_sum, zeta)
 
@@ -39,6 +38,10 @@ _BERNOULLI_EVEN = {
 # Dual minima cap on N, kept beside the work budget: its refusal is what the sweep
 # tables record as thm1_rhs = NaN at N > 1024, so replacing it moves pinned outputs.
 ZAREMBA_N_LIMIT = 1024
+
+# largest modulus whose products (N - 1)^2 of two residues fit int64, as points,
+# cbc_scan and cbc._powers compute them
+N_MAX = math.isqrt(2 ** 63 - 1) + 1
 
 # cells per block of a streamed product space (CBC candidate rows, merit points)
 _BLOCK_CELLS = 1 << 18
@@ -58,8 +61,8 @@ class LatticeRule:
     def __post_init__(self):
         object.__setattr__(self, "N", as_int(self.N, "modulus N"))
         object.__setattr__(self, "z", tuple(as_int(v, "component of z") for v in self.z))
-        if self.N < 2:
-            raise UsageError(f"modulus N must be >= 2, got {self.N}")
+        if not 2 <= self.N <= N_MAX:
+            raise UsageError(f"modulus N must lie in 2..{N_MAX}, got {self.N}")
         if len(self.z) < 1:
             raise UsageError("generating vector must have at least one component")
         if any(not 1 <= v <= self.N - 1 for v in self.z):
@@ -93,7 +96,7 @@ class LatticeRule:
         per_subset = {u: (params.weights.weight(u) / finite_power(phi_u, 2.0 * alpha, too_large),
                           phi_u, phi_u0)
                       for u, (phi_u, phi_u0) in dual_product_minima(self).items()}
-        return max(term for term, _, _ in per_subset.values()), per_subset
+        return _largest(per_subset), per_subset
 
     def series(self, params: SpaceParams, K: int | None) -> MeritReport:
         return p_merit_series(self, params, K)
@@ -174,6 +177,11 @@ class LatticeRule:
     def guarantee_components(self, params: SpaceParams) -> dict:
         """What the Prop 1 certificate records beside lambda."""
         return {"totient": euler_totient(self.N)}
+
+
+def _largest(per_subset: dict) -> float:
+    """rho, the largest term of a breakdown {u: (term, ...)}; np.max passes on a NaN term."""
+    return finite(float(np.max([term for term, _, _ in per_subset.values()])), "rho")
 
 
 def c_alpha_prime(alpha_prime: float) -> float:
@@ -312,10 +320,12 @@ def _kernel_merit(rule: LatticeRule | PolyLatticeRule, table: np.ndarray,
     filled in blocks of points x = rule.points(lo, hi), never holding all n at once."""
     npoints, S = rule.npoints, np.empty(rule.npoints)
     block = max(1, _BLOCK_CELLS // rule.s)
-    for lo in range(0, npoints, block):
-        x = rule.points(lo, min(lo + block, npoints))
-        S[lo:lo + block] = subset_product_sum(weights, table[x])
-    return MeritReport(p_value=float(S.mean()), method="closed-form")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for lo in range(0, npoints, block):
+            x = rule.points(lo, min(lo + block, npoints))
+            S[lo:lo + block] = subset_product_sum(weights, table[x])
+        p = float(S.mean())
+    return MeritReport(p_value=finite(p, "P"), method="closed-form")
 
 
 def p_merit_series(rule: LatticeRule, params: SpaceParams, K: int | None = None) -> MeritReport:
@@ -350,10 +360,11 @@ def p_merit_series(rule: LatticeRule, params: SpaceParams, K: int | None = None)
         pattern = (pattern[:, None] + (rng != 0) * (1 << j)).ravel()
     # mass[bit][r] sums the cells of residue r, k_1 != 0 as pattern bit 0 = bit;
     # (k_1, cell) is dual iff r = -k_1 z_1 mod N
-    mass = [np.bincount(res, weights=radial * gamma_lut[pattern + bit], minlength=rule.N)
-            for bit in (0, 1)]
-    r1 = (-rng * rule.z[0]) % rule.N
-    p = float(np.sum(radial_axis * np.where(rng != 0, mass[1][r1], mass[0][r1])))
+    with np.errstate(over="ignore", invalid="ignore"):  # _series_report refuses it
+        mass = [np.bincount(res, weights=radial * gamma_lut[pattern + bit], minlength=rule.N)
+                for bit in (0, 1)]
+        r1 = (-rng * rule.z[0]) % rule.N
+        p = float(np.sum(radial_axis * np.where(rng != 0, mass[1][r1], mass[0][r1])))
     # c sums the 1-d terms |k| <= K, d >= 2 int_K^inf x^(-2 alpha) dx their tail
     c = 1.0 + 2.0 * float(np.sum(radial_axis[K + 1:]))
     d = 2.0 * K ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0)
@@ -366,7 +377,8 @@ def _series_report(p: float, weights: WeightSet, s: int, c: float, d: float) -> 
     ((c + d)^|u| - c^|u|) are at most sum_u gamma_u |u| d (c + d)^(|u|-1), no cancellation."""
     bound, _ = ratio_size_sum(weights, weights, 0.0,
                               [k * d * (c + d) ** (k - 1) for k in range(s + 1)], s)
-    return MeritReport(p_value=p, method="truncated-series", truncation_bound=bound)
+    return MeritReport(p_value=finite(p, "series P"), method="truncated-series",
+                       truncation_bound=finite(bound, "series truncation bound"))
 
 
 def _phi_search(zs: list[int], N: int) -> int:
@@ -399,7 +411,6 @@ def _phi_search(zs: list[int], N: int) -> int:
         P *= 2
 
 
-@lru_cache(maxsize=512)
 def dual_product_minima(rule: LatticeRule) -> dict[frozenset[int], tuple[int, int]]:
     """(phi_u, phi_{u,0}) for every nonempty u of the rule, by exact search.
 

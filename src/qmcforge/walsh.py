@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import errors
-from .errors import QmcforgeError, UsageError, afford, as_int, finite_power
+from .errors import QmcforgeError, UsageError, afford, as_int, finite_power, require
 from .gfpoly import GFPoly
-from .korobov import MeritReport, _fft_error, _kernel_merit, _series_report
+from .korobov import MeritReport, _fft_error, _kernel_merit, _largest, _series_report
 from .weights import SpaceParams, WeightSet, subsets_of, weighted_power_sum
 
 
@@ -84,7 +83,7 @@ class PolyLatticeRule:
         the per-subset breakdown {u: (term, phi_u, None)}."""
         per_subset = {u: (params.weights.weight(u) * float(self.b) ** (-2.0 * params.alpha * phi_u),
                           phi_u, None) for u, phi_u in dual_mu_minima(self).items()}
-        return max(term for term, _, _ in per_subset.values()), per_subset
+        return _largest(per_subset), per_subset
 
     def series(self, params: SpaceParams, K: int) -> MeritReport:
         return p_merit_wal_series(self, params, K)
@@ -284,23 +283,31 @@ def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
                           (b - 1) / b * r ** (digit_cap + 1) / (1.0 - r))
 
 
-def _cost_extend(rule: PolyLatticeRule, D: np.ndarray, j: int) -> np.ndarray:
+def _residue_shift(rule: PolyLatticeRule, j: int, e: int) -> np.ndarray:
+    """shift[t] = code of t - v_e, v_e = x^e q_j mod p, for the codes t indexing
+    G_m, built digit by digit (XOR by v_e's code for b = 2)."""
+    b, m = rule.b, rule.m
+    v = (GFPoly.from_code(b, b ** e) * rule.q[j] % rule.p).coeffs
+    shift = np.zeros(1, dtype=np.int64)
+    for i in range(m):
+        vi = v[i] if i < len(v) else 0
+        shift = ((((np.arange(b) - vi) % b) * b ** i)[:, None] + shift).ravel()
+    return shift
+
+
+def _cost_extend(D: np.ndarray, shifts: list[np.ndarray], b: int) -> np.ndarray:
     """out(t) = min over residues r in G_m of D(t - r q_j) + cost(r), the codes
     t indexing G_m; cost(r) = deg(r) + 1, or m + 1 for r = 0, is the least
     mu(k) over k >= 1 with tr_m(k) = r (k = r, or k = b^m for r = 0).
 
     Residues are taken by leading position e: least(t) holds the minimum
     over deg(r) < e (r = 0 included), and r = c x^e + r' gives the shift
-    t - c v_e, v_e = x^e q_j mod p, applied c = 1..b-1 times.
+    t - c v_e, v_e = x^e q_j mod p, applied c = 1..b-1 times through
+    shifts[e] = _residue_shift(rule, j, e).
     """
-    b, m = rule.b, rule.m
+    m = len(shifts)
     least, out = D, D + (m + 1)
-    for e in range(m):
-        v = (GFPoly.from_code(b, b ** e) * rule.q[j] % rule.p).coeffs
-        shift = np.zeros(1, dtype=np.int64)  # code of t - v_e, built digit by digit
-        for i in range(m):
-            vi = v[i] if i < len(v) else 0
-            shift = ((((np.arange(b) - vi) % b) * b ** i)[:, None] + shift).ravel()
+    for e, shift in enumerate(shifts):
         step = best = least[shift]
         for _ in range(b - 2):
             step = step[shift]
@@ -310,7 +317,6 @@ def _cost_extend(rule: PolyLatticeRule, D: np.ndarray, j: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=512)
 def dual_mu_minima(rule: PolyLatticeRule) -> dict[frozenset[int], int]:
     """phi_u(q) = min of mu(k_u) over dual vectors with positive components.
 
@@ -319,16 +325,20 @@ def dual_mu_minima(rule: PolyLatticeRule) -> dict[frozenset[int], int]:
     least total cost of residues (r_j)_{j in u} with sum r_j q_j = t mod p.
     D_{v + {j}} extends D_v by one component; no inverse of q_j is needed,
     so a reducible p is handled alike.  The subsets are walked depth-first,
-    holding one array of b^m costs per depth.
+    holding one array of b^m costs per depth and each coordinate's m shifts.
     """
     b, m, s = rule.b, rule.m, rule.s
-    # units per subset: m b^(m+1) for the residue shifts, 8000 m (m + 1) for their steps
-    afford((2 ** s - 1) * m * (b ** (m + 1) + 8000 * (m + 1)), 1.92, f"dual minima at s={s}")
+    # units: m (b^(m+1) + 2000 b) per subset for the shifted minima and their numpy
+    # calls, m (b^(m+1) + 12500 m) per coordinate for its shifts, built digit by digit
+    afford(m * ((2 ** s - 1) * (b ** (m + 1) + 2000 * b) + s * (b ** (m + 1) + 12500 * m)), 2.0,
+           f"dual minima at s={s}")
+    require(s * m * rule.npoints, 8, f"residue shifts of {s} coordinates at m={m}")
+    shifts = [[_residue_shift(rule, j, e) for e in range(m)] for j in range(s)]
     phi = {}
 
     def walk(D: np.ndarray, v: frozenset[int]) -> None:
         for j in range(max(v, default=0) + 1, s + 1):
-            Dj = _cost_extend(rule, D, j - 1)
+            Dj = _cost_extend(D, shifts[j - 1], b)
             u = v | {j}
             phi[u] = int(Dj[0])
             if not len(u) <= phi[u] <= m + len(u):

@@ -145,9 +145,15 @@ class WeightSet:
         """Weight set with every gamma_u raised to the power t (t > 0)."""
         if t <= 0:
             raise UsageError("weight power must be positive")
-        return replace(self, gamma=tuple(g ** t for g in self.gamma),
-                       Gamma=tuple(G ** t for G in self.Gamma),
-                       table=tuple((fs, w ** t) for fs, w in self.table))
+
+        def power(w: float) -> float:  # not finite_power: a zero weight stays 0
+            try:
+                return w ** t
+            except OverflowError:
+                raise UsageError(f"weight {w:g} to the power {t:g} overflows float64") from None
+        return replace(self, gamma=tuple(map(power, self.gamma)),
+                       Gamma=tuple(map(power, self.Gamma)),
+                       table=tuple((fs, power(w)) for fs, w in self.table))
 
     def to_jsonable(self) -> dict:
         if self.kind == "product":

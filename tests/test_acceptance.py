@@ -399,7 +399,7 @@ def test_criterion_09_discrepancy_soundness():
         for W in (_unit_weights(s), _product_weights(-2.0, s)):
             exact = weighted_exact_star_discrepancy(rule.points(), rule.N, W)
             joe, _ = star_disc_bound(rule, W)
-            rho_b, _ = star_disc_bound_rho(rule, 1.0, W, W)
+            rho_b, _ = star_disc_bound_rho(rule, 1.0, W, W, rule.rho(SpaceParams(1.0, W))[0])
             count += 1
             if exact > joe + 1e-9 or exact > rho_b + 1e-9:
                 violations.append(("lattice", rule.N, rule.z))
@@ -412,7 +412,7 @@ def test_criterion_09_discrepancy_soundness():
         for W in (_unit_weights(s), _product_weights(-2.0, s)):
             exact = weighted_exact_star_discrepancy(rule.points(), rule.npoints, W)
             joe, _ = star_disc_bound(rule, W)
-            rho_b, _ = star_disc_bound_rho(rule, 1.0, W, W)
+            rho_b, _ = star_disc_bound_rho(rule, 1.0, W, W, rule.rho(SpaceParams(1.0, W))[0])
             count += 1
             if exact > joe + 1e-9 or exact > rho_b + 1e-9:
                 violations.append(("poly", rule.m, tuple(q.code() for q in rule.q)))

@@ -14,6 +14,9 @@ from qmcforge.cli import main, parse_weights
 from qmcforge.errors import UsageError
 
 
+OVERFLOW = "pod:1e300,1e300,1e300|1e10,1e10,1e10"
+
+
 def run(args):
     return main(args)
 
@@ -298,6 +301,26 @@ class TestEvaluate:
             return closed_form(*args, **kwargs)
         for module in (korobov, stability):  # its home and the binding merit calls
             monkeypatch.setattr(module, "p_merit_closed", counted)
+        assert run(["evaluate", str(rule_path), "--alpha", "1", "--weights", "product:j^-2",
+                    "--rho", "--discrepancy", "--out", str(tmp_path / "e.json")]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("size, module, search", [
+        (["--N", "31"], "korobov", "dual_product_minima"),
+        (["--kind", "poly-lattice", "--m", "5"], "walsh", "dual_mu_minima"),
+    ], ids=["lattice", "poly"])
+    def test_rho_discrepancy_one_dual_search(self, tmp_path, monkeypatch, size, module, search):
+        # --rho --discrepancy computes rho once and hands it to the rho-based bound
+        import importlib
+        home = importlib.import_module(f"qmcforge.{module}")
+        rule_path = tmp_path / "r.json"
+        assert run(["construct", *size, "--s", "3", "--out", str(rule_path)]) == 0
+        calls, dual_search = [], getattr(home, search)
+
+        def counted(rule):
+            calls.append(1)
+            return dual_search(rule)
+        monkeypatch.setattr(home, search, counted)
         assert run(["evaluate", str(rule_path), "--alpha", "1", "--weights", "product:j^-2",
                     "--rho", "--discrepancy", "--out", str(tmp_path / "e.json")]) == 0
         assert len(calls) == 1
@@ -671,7 +694,18 @@ class TestConfigPrecedence:
     (["sweep", "--N-grid", ","], None),
     (["construct", "--N", "31", "--s", "2", "--weights", "foo:1"], None),
     (["construct", "--N", "31", "--s", "2", "--weights", "{bad"], None),
+    # weights past float64 make every merit NaN or inf: refused where the merit is
+    # formed, not met by a failed selection or written to JSON as NaN or Infinity
+    (["construct", "--N", "31", "--s", "3", "--weights", OVERFLOW], None),
+    (["evaluate", "RULE", "--alpha", "1", "--weights", OVERFLOW],
+     {"type": "lattice", "N": 31, "z": [1, 12, 5]}),
+    (["evaluate", "RULE", "--alpha", "1", "--weights", OVERFLOW, "--series-K", "40"],
+     {"type": "lattice", "N": 31, "z": [1, 12, 5]}),
+    # (N - 1)^2 would pass int64, so the points would be wrong
+    (["evaluate", "RULE", "--alpha", "1", "--weights", "product:j^-2"],
+     {"type": "lattice", "N": 4294967311, "z": [1, 3000000019]}),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_input_usage_error(tmp_path, capsys, args, rule):
     # malformed input exits 2 with one line, not 1 (certificate failure) with a traceback
     rule_path = tmp_path / "rule.json"

@@ -28,6 +28,11 @@ def r_u(rule, u):
     return r_values(rule)[frozenset(u)]
 
 
+def rho_bound(rule, alpha, W, Wprime):
+    """star_disc_bound_rho at the rule's rho under (alpha, W)."""
+    return star_disc_bound_rho(rule, alpha, W, Wprime, rule.rho(SpaceParams(alpha, W))[0])
+
+
 class TestRLattice:
     def test_singleton_no_dual_in_box(self):
         assert r_u(LatticeRule(N=4, z=(1,)), [1]) == 0.0
@@ -76,7 +81,7 @@ class TestJoeBoundLattice:
 class TestRhoBoundLattice:
     def test_singleton_example(self):
         W = WeightSet.product([1.0])
-        b, vac = star_disc_bound_rho(LatticeRule(N=5, z=(1,)), 1.0, W, W)
+        b, vac = rho_bound(LatticeRule(N=5, z=(1,)), 1.0, W, W)
         expect = 0.2 + 0.1 * (math.log(2) * math.log2(5) + 3.0)
         assert not vac
         assert b == pytest.approx(expect, rel=1e-12)
@@ -84,19 +89,19 @@ class TestRhoBoundLattice:
     def test_zero_prime_weights(self):
         W = WeightSet.product([1.0])
         Wp = WeightSet.product([0.0])
-        b, vac = star_disc_bound_rho(LatticeRule(N=5, z=(1,)), 1.0, W, Wp)
+        b, vac = rho_bound(LatticeRule(N=5, z=(1,)), 1.0, W, Wp)
         assert b == 0.0 and not vac
 
     def test_vacuous_flag(self):
         W = WeightSet.explicit({(1,): 1.0}, s_max=2)
         Wp = WeightSet.order_dependent([1.0, 1.0])
-        b, vac = star_disc_bound_rho(LatticeRule(N=5, z=(1, 2)), 1.0, W, Wp)
+        b, vac = rho_bound(LatticeRule(N=5, z=(1, 2)), 1.0, W, Wp)
         assert vac and math.isinf(b)
 
     def test_nonmonotone_rejected(self):
         W = WeightSet.explicit({(1,): 0.1, (1, 2): 0.5}, s_max=2)
         with pytest.raises(UsageError):
-            star_disc_bound_rho(LatticeRule(N=5, z=(1, 2)), 1.0, W, W)
+            rho_bound(LatticeRule(N=5, z=(1, 2)), 1.0, W, W)
 
 
 class TestRPoly:
@@ -133,14 +138,14 @@ class TestRhoBoundPoly:
     def test_m3_example(self):
         W = WeightSet.product([1.0])
         rule = PolyLatticeRule(b=2, m=3, p=P3, q=(GFPoly.one(2),))
-        b, vac = star_disc_bound_rho(rule, 1.0, W, W)
+        b, vac = rho_bound(rule, 1.0, W, W)
         assert b == pytest.approx(0.375, rel=1e-12)
 
     def test_zero_prime_weights(self):
         W = WeightSet.product([1.0])
         Wp = WeightSet.product([0.0])
         rule = PolyLatticeRule(b=2, m=3, p=P3, q=(GFPoly.one(2),))
-        b, _ = star_disc_bound_rho(rule, 1.0, W, Wp)
+        b, _ = rho_bound(rule, 1.0, W, Wp)
         assert b == 0.0
 
 
@@ -189,7 +194,7 @@ class TestUpperBoundProperty:
                 rule = LatticeRule(N=N, z=(1, z2))
                 exact = exact_star_discrepancy(rule.points(), N)
                 joe, _ = star_disc_bound(rule, W)
-                rho_b, _ = star_disc_bound_rho(rule, 1.0, W, W)
+                rho_b, _ = rho_bound(rule, 1.0, W, W)
                 # weighted D* with unit pair weight dominates the plain D*
                 assert exact <= joe + 1e-9
                 assert exact <= rho_b + 1e-9
@@ -203,7 +208,7 @@ class TestUpperBoundProperty:
                                        q=tuple(GFPoly.from_code(2, c) for c in codes))
                 exact = exact_star_discrepancy(rule.points(), 2 ** m)
                 joe, _ = star_disc_bound(rule, W)
-                rho_b, _ = star_disc_bound_rho(rule, 1.0, W, W)
+                rho_b, _ = rho_bound(rule, 1.0, W, W)
                 assert exact <= joe + 1e-9
                 assert exact <= rho_b + 1e-9
 

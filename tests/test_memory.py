@@ -19,7 +19,7 @@ from qmcforge.discrepancy import star_disc_bound
 from qmcforge.errors import ResourceLimitError
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
 from qmcforge.korobov import LatticeRule, dual_product_minima, p_merit_closed, p_merit_series
-from qmcforge.walsh import PolyLatticeRule
+from qmcforge.walsh import PolyLatticeRule, dual_mu_minima
 from qmcforge.weights import SpaceParams, WeightSet
 
 MiB = 1 << 20
@@ -137,4 +137,12 @@ def test_head_table_refused_before_table(monkeypatch):
     # phi_u of u = {1, 2, 3} walks heads of up to 238 cells, 68 bytes each
     monkeypatch.setattr(errors, "MEMORY_BUDGET", 68 * 200)
     rule = LatticeRule(N=1021, z=(1, 433, 229))
-    refused_within(lambda: dual_product_minima.__wrapped__(rule), r"\d+")
+    refused_within(lambda: dual_product_minima(rule), r"\d+")
+
+
+def test_residue_shifts_refused_before_shifts(monkeypatch):
+    # b = 2, m = 10, s = 3 holds 3 coordinates of 10 shifts of 2^10 int64 cells
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 3 * 10 * 1024 * 8 - 1)
+    rule = PolyLatticeRule(b=2, m=10, p=smallest_irreducible(2, 10),
+                           q=tuple(GFPoly.from_code(2, c) for c in (1, 187, 611)))
+    refused_within(lambda: dual_mu_minima(rule), 3 * 10 * 1024 * 8)

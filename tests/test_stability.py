@@ -360,7 +360,7 @@ def corollary_probe(kind: str, probe: CorollaryProbe, grid: list[tuple[int, int]
             row["sup2"] = order_sum / s ** probe.q_prime
             val, _ = ratio_size_sum(W, Wprime, 1.0 / (2.0 * alpha), disc_factors, s)
             row["sup3"] = val / (s ** probe.q_dprime * n ** delta)
-            row["observed"] = star_disc_bound_rho(rule, alpha, W, Wprime)[0]
+            row["observed"] = star_disc_bound_rho(rule, alpha, W, Wprime, rule.rho(params)[0])[0]
             envelope = (s ** max(probe.q_prime, probe.q * expo + probe.q_dprime)
                         * n ** (delta - expo))
         row["envelope"] = envelope

@@ -56,7 +56,7 @@ def test_exact_star_discrepancy_before_grid(no_budget):
 def test_dual_product_minima_before_search(no_budget):
     no_budget.setattr(korobov, "_phi_search", entered)
     with pytest.raises(ResourceLimitError):
-        korobov.dual_product_minima.__wrapped__(LatticeRule(N=31, z=(1, 12)))
+        korobov.dual_product_minima(LatticeRule(N=31, z=(1, 12)))
 
 
 def test_dual_mu_minima_before_recursion(no_budget):
@@ -64,7 +64,20 @@ def test_dual_mu_minima_before_recursion(no_budget):
     rule = PolyLatticeRule(b=2, m=3, p=GFPoly(2, (1, 1, 0, 1)),
                            q=(GFPoly(2, (1,)), GFPoly(2, (0, 1))))
     with pytest.raises(ResourceLimitError):
-        walsh.dual_mu_minima.__wrapped__(rule)
+        walsh.dual_mu_minima(rule)
+
+
+@pytest.mark.parametrize("rule", [
+    LatticeRule(N=31, z=(1, 12)),
+    PolyLatticeRule(b=2, m=3, p=GFPoly(2, (1, 1, 0, 1)), q=(GFPoly(2, (1,)), GFPoly(2, (0, 1)))),
+], ids=["lattice", "poly"])
+def test_rho_checks_the_budget_on_every_call(monkeypatch, rule):
+    # no dual minima outlive the call that computed them, so a repeated rho is checked again
+    params = SpaceParams(alpha=1.0, weights=product(2))
+    rule.rho(params)
+    monkeypatch.setattr(errors, "WORK_BUDGET_NS", 1)
+    with pytest.raises(ResourceLimitError):
+        rule.rho(params)
 
 
 def test_ratio_sum_before_subset_loop(no_budget):
