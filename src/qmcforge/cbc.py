@@ -132,20 +132,25 @@ def _powers(g: int, N: int) -> np.ndarray:
     return out
 
 
-def _row_scan(rows: Callable[[int, int], np.ndarray], count: int, npoints: int,
-              hold: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """scan(h) = F @ h with F[lo:hi] = rows(lo, hi), made in blocks of _BLOCK_CELLS
-    cells: F is held when ``hold`` (later steps rescan it) and its float64 cells
-    fit errors.MEMORY_BUDGET, else each scan remakes the blocks and drops each
-    after its product."""
+def _holds(count: int, npoints: int, s: int) -> bool:
+    """Whether an s-component scan holds its matrix: later steps rescan it and it fits."""
+    return s > 2 and errors.fits(count * npoints, 8)
+
+
+def _row_scan(rows: Callable[[int, int, np.ndarray], np.ndarray], count: int, npoints: int,
+              s: int) -> Callable[[np.ndarray], np.ndarray]:
+    """scan(h) = F @ h, where rows(lo, hi, out) writes F[lo:hi] into out and
+    returns it, in blocks of _BLOCK_CELLS cells: F is held when _holds, else each
+    scan remakes the blocks and drops each after its product."""
     block = max(1, _BLOCK_CELLS // npoints)
     spans = [(lo, min(lo + block, count)) for lo in range(0, count, block)]
-    if hold and count * npoints * 8 <= errors.MEMORY_BUDGET:
+    if _holds(count, npoints, s):
         F = np.empty((count, npoints))
         for lo, hi in spans:
-            F[lo:hi] = rows(lo, hi)
+            rows(lo, hi, F[lo:hi])
         return lambda h: F @ h
-    return lambda h: np.concatenate([rows(lo, hi) @ h for lo, hi in spans])
+    return lambda h: np.concatenate([rows(lo, hi, np.empty((hi - lo, npoints))) @ h
+                                     for lo, hi in spans])
 
 
 def _greedy(s: int, weights: WeightSet, npoints: int, column: Callable[[int], np.ndarray],

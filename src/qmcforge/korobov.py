@@ -154,12 +154,16 @@ class LatticeRule:
                 corr = np.real(np.fft.ifft(np.conj(np.fft.fft(h[exps])) * fft_w))
                 return h[0] * table[0] + corr
         else:
-            # rows c and N - c of omega((c n) mod N) are identical and the tie
-            # policy keeps the smaller c, so candidates c <= N/2 suffice; with
-            # s = 1 nothing is scanned and no row is built
+            # rows c and N - c of omega((c n) mod N) are identical and the tie policy
+            # keeps the smaller c, so candidates c <= N/2 suffice (none at s = 1); the
+            # table is mirrored bitwise, so columns n and N - n are too: made for n <= N/2
             candidates = np.arange(1, (N // 2 if s > 1 else 0) + 1, dtype=np.int64)
-            scan = _row_scan(lambda lo, hi: table[(candidates[lo:hi, None] * n) % N],
-                             candidates.size, N, s > 2)
+
+            def rows(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+                out[:, :N // 2 + 1] = table[(candidates[lo:hi, None] * n[:N // 2 + 1]) % N]
+                out[:, N // 2 + 1:] = out[:, 1:(N + 1) // 2][:, ::-1]
+                return out
+            scan = _row_scan(rows, candidates.size, N, s)
         return lambda c: table[(c * n) % N], scan, candidates
 
     def stability_constants(self, alpha_prime: float) -> tuple[float, float, float, dict]:

@@ -118,7 +118,7 @@ class PolyLatticeRule:
         """(column, scan, candidates) of cbc._greedy for q_(l+1) in G_m \\ {0}, by
         integer encoding.  A reducible p is accepted (the construction is
         well-defined), but the CBC guarantee assumes irreducible p."""
-        from .cbc import _check_dimension, _row_scan  # only a search loads cbc
+        from .cbc import _check_dimension, _holds, _row_scan  # only a search loads cbc
         if fast:
             raise UsageError("fast CBC needs a lattice rule; polynomial lattice rules have "
                              "no FFT scan")
@@ -126,14 +126,14 @@ class PolyLatticeRule:
         b, m, size = self.b, self.m, self.npoints
         # units: 12 m per cell of the candidate rows each time they are built (once
         # if _row_scan holds them, else every step), 1 per cell scanned, 5 10^4 m per step
-        builds = 1 if (size - 1) * size * 8 <= errors.MEMORY_BUDGET else s - 1
+        builds = 1 if _holds(size - 1, size, s) else s - 1
         afford(size * size * (12 * m * builds + s) + 50000 * m * s, 0.787,
                f"CBC scan of {size * size} cells over {s} components")
         table, n, candidates = self.merit_kernel(params.alpha), np.arange(size), np.arange(1, size)
 
-        def rows(lo: int, hi: int) -> np.ndarray:  # the kernel at the points of candidates lo..hi-1
-            return table[_points_of(b, m, self.p.coeffs, candidates[lo:hi], n)]
-        return lambda c: rows(c - 1, c)[0], _row_scan(rows, size - 1, size, s > 2), candidates
+        def rows(lo: int, hi: int, out=None) -> np.ndarray:  # the kernel at candidates lo..hi-1
+            return np.take(table, _points_of(b, m, self.p.coeffs, candidates[lo:hi], n), out=out)
+        return lambda c: rows(c - 1, c)[0], _row_scan(rows, size - 1, size, s), candidates
 
     def stability_constants(self, alpha_prime: float) -> tuple[float, float, float, dict]:
         """(c, F, L) of Theorem 2 and the components it records (none): c = 1,
@@ -295,7 +295,7 @@ def _residue_shift(rule: PolyLatticeRule, j: int, e: int) -> np.ndarray:
     return shift
 
 
-def _cost_extend(D: np.ndarray, shifts: list[np.ndarray], b: int) -> np.ndarray:
+def _cost_extend(D: np.ndarray, shifts, b: int, m: int) -> np.ndarray:
     """out(t) = min over residues r in G_m of D(t - r q_j) + cost(r), the codes
     t indexing G_m; cost(r) = deg(r) + 1, or m + 1 for r = 0, is the least
     mu(k) over k >= 1 with tr_m(k) = r (k = r, or k = b^m for r = 0).
@@ -303,14 +303,13 @@ def _cost_extend(D: np.ndarray, shifts: list[np.ndarray], b: int) -> np.ndarray:
     Residues are taken by leading position e: least(t) holds the minimum
     over deg(r) < e (r = 0 included), and r = c x^e + r' gives the shift
     t - c v_e, v_e = x^e q_j mod p, applied c = 1..b-1 times through
-    shifts[e] = _residue_shift(rule, j, e).
+    the e-th of the m ``shifts``, _residue_shift(rule, j, e), read in order.
     """
-    m = len(shifts)
     least, out = D, D + (m + 1)
     for e, shift in enumerate(shifts):
-        step = best = least[shift]
+        step = best = np.take(least, shift)
         for _ in range(b - 2):
-            step = step[shift]
+            step = np.take(step, shift)
             best = np.minimum(best, step)
         out = np.minimum(out, best + (e + 1))
         least = np.minimum(least, best)
@@ -325,20 +324,23 @@ def dual_mu_minima(rule: PolyLatticeRule) -> dict[frozenset[int], int]:
     least total cost of residues (r_j)_{j in u} with sum r_j q_j = t mod p.
     D_{v + {j}} extends D_v by one component; no inverse of q_j is needed,
     so a reducible p is handled alike.  The subsets are walked depth-first,
-    holding one array of b^m costs per depth and each coordinate's m shifts.
+    holding one array of b^m costs per depth, and all s m shifts if they fit, else one.
     """
     b, m, s = rule.b, rule.m, rule.s
-    # units: m (b^(m+1) + 2000 b) per subset for the shifted minima and their numpy
-    # calls, m (b^(m+1) + 12500 m) per coordinate for its shifts, built digit by digit
-    afford(m * ((2 ** s - 1) * (b ** (m + 1) + 2000 * b) + s * (b ** (m + 1) + 12500 * m)), 2.0,
+    held = errors.fits(s * m * rule.npoints, 8)
+    # units: m (b^(m+1) + 2000 b) per subset for the shifted minima and their numpy calls,
+    # m (b^(m+1) + 12500 m) per build of m shifts: once per coordinate if held, else per extension
+    afford(m * ((2 ** s - 1) * (b ** (m + 1) + 2000 * b)
+                + (s if held else 2 ** s - 1) * (b ** (m + 1) + 12500 * m)), 2.0,
            f"dual minima at s={s}")
-    require(s * m * rule.npoints, 8, f"residue shifts of {s} coordinates at m={m}")
-    shifts = [[_residue_shift(rule, j, e) for e in range(m)] for j in range(s)]
+    require(rule.npoints, 8, f"a residue shift at m={m}")
+    shifts = [[_residue_shift(rule, j, e) for e in range(m)] for j in range(s)] if held else None
     phi = {}
 
     def walk(D: np.ndarray, v: frozenset[int]) -> None:
         for j in range(max(v, default=0) + 1, s + 1):
-            Dj = _cost_extend(D, shifts[j - 1], b)
+            Dj = _cost_extend(D, shifts[j - 1] if held else
+                              (_residue_shift(rule, j - 1, e) for e in range(m)), b, m)
             u = v | {j}
             phi[u] = int(Dj[0])
             if not len(u) <= phi[u] <= m + len(u):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import lattice_modulus, poly_modulus
-from qmcforge import errors
+from qmcforge import errors, walsh
 from qmcforge.cbc import cbc_construct
 from qmcforge.discrepancy import star_disc_bound
 from qmcforge.errors import ResourceLimitError
@@ -111,6 +111,18 @@ def test_streamed_scan_matches_held(monkeypatch, modulus, s, kind):
     assert cbc_construct(modulus, s, params) == held
 
 
+@pytest.mark.parametrize("budget", [1 << 30, 1 << 16], ids=["held", "streamed"])
+@pytest.mark.parametrize("N", [1021, 1001, 1024, 3, 2])
+def test_direct_scan_rows_match_full_construction(monkeypatch, budget, N):
+    # rows made at the points n <= N/2 and mirrored equal omega((c n) mod N) over
+    # every n, bitwise: scan(I) = F @ I returns F exactly
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", budget)
+    rule = lattice_modulus(N)
+    _, scan, candidates = rule.cbc_scan(3, product_params(3))
+    full = rule.merit_kernel(1.0)[(candidates[:, None] * np.arange(N)) % N]
+    assert scan(np.eye(N)).tobytes() == full.tobytes()
+
+
 def test_direct_scan_streams_over_budget(monkeypatch):
     # s = 3 holds the 67 MB matrix of N = 4093 unless the budget is below it
     monkeypatch.setattr(errors, "MEMORY_BUDGET", 32 * MiB)
@@ -140,9 +152,32 @@ def test_head_table_refused_before_table(monkeypatch):
     refused_within(lambda: dual_product_minima(rule), r"\d+")
 
 
+def shift_rule(b, m, codes=(1, 187, 611)):
+    return poly_modulus(b, m).with_codes(list(codes))
+
+
+@pytest.mark.parametrize("b, m, codes", [(2, 10, (1, 187, 611)), (3, 5, (1, 100, 200))],
+                         ids=["2-10", "3-5"])
+def test_rebuilt_shifts_match_held(monkeypatch, b, m, codes):
+    # under a budget below the s m b^m int64 shifts, each of the 7 subset extensions
+    # rebuilds its coordinate's m shifts where the held walk builds 3 m; phi_u is
+    # the held shifts', for every subset
+    rule, builds, build = shift_rule(b, m, codes), [], walsh._residue_shift
+    monkeypatch.setattr(walsh, "_residue_shift", lambda *a: builds.append(a) or build(*a))
+    held = dual_mu_minima(rule)
+    assert len(builds) == 3 * m
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 3 * m * b ** m * 8 - 1)
+    assert dual_mu_minima(rule) == held
+    assert len(builds) == 3 * m + 7 * m
+
+
+def never_built(*args):
+    raise AssertionError("a residue shift was built before the memory budget was checked")
+
+
 def test_residue_shifts_refused_before_shifts(monkeypatch):
-    # b = 2, m = 10, s = 3 holds 3 coordinates of 10 shifts of 2^10 int64 cells
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", 3 * 10 * 1024 * 8 - 1)
-    rule = PolyLatticeRule(b=2, m=10, p=smallest_irreducible(2, 10),
-                           q=tuple(GFPoly.from_code(2, c) for c in (1, 187, 611)))
-    refused_within(lambda: dual_mu_minima(rule), 3 * 10 * 1024 * 8)
+    # b = 2, m = 10: shifts that do not all fit are rebuilt one at a time, so only
+    # a budget below one shift of 2^10 int64 cells refuses, before any is built
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 1024 * 8 - 1)
+    monkeypatch.setattr(walsh, "_residue_shift", never_built)
+    refused_within(lambda: dual_mu_minima(shift_rule(2, 10)), 1024 * 8)

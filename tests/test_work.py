@@ -112,3 +112,16 @@ def test_streamed_poly_scan_counts_a_build_per_step(monkeypatch):
     cbc.cbc_construct(poly_modulus(2, 8), 8, params)
     per_step = 50000 * 8 * 8
     assert units == [2 ** 16 * (96 + 8) + per_step, 2 ** 16 * (96 * 7 + 8) + per_step]
+
+
+def test_rebuilt_shifts_count_a_build_per_extension(monkeypatch):
+    # b = 2, m = 10, s = 3: the held shifts are built once per coordinate; with
+    # none held, each of the 7 subset extensions rebuilds its coordinate's shifts
+    units = []
+    monkeypatch.setattr(walsh, "afford", lambda u, ns_per_unit, what: units.append(u))
+    rule = poly_modulus(2, 10).with_codes([1, 187, 611])
+    walsh.dual_mu_minima(rule)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 3 * 10 * 2 ** 10 * 8 - 1)
+    walsh.dual_mu_minima(rule)
+    per_subset, per_build = 10 * (2 ** 11 + 4000), 10 * (2 ** 11 + 125000)
+    assert units == [7 * per_subset + 3 * per_build, 7 * (per_subset + per_build)]
