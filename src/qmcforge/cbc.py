@@ -10,7 +10,8 @@ one scan costs one product F @ h, F[c, n] the kernel at point n for candidate
 c.  POD and order-dependent state keeps one contiguous row per subset size.
 The loop (_greedy) is the same for both families; each rule's cbc_scan
 supplies the kernel columns, the candidates and the scan (F in row blocks, or
-for prime N a circular correlation by the FFT).
+for prime N a circular correlation by the FFT).  A lattice rule's columns n and
+N - n are equal, so its F spans only n <= N/2 and its scan folds h onto them.
 """
 
 from __future__ import annotations
@@ -96,9 +97,9 @@ class _MeritState:
     def update(self, factor_col: np.ndarray) -> None:
         kind = self.weights.kind
         t_col = self.scale() * factor_col
-        self.S = self.S + t_col * self.gradient()
+        self.S += t_col * self.gradient()
         if kind == "product":
-            self.prodstate = self.prodstate * (1.0 + t_col)
+            self.prodstate *= 1.0 + t_col
         elif kind in ("pod", "order"):
             for k in range(self.dim + 1, 0, -1):
                 self.e[k] += t_col * self.e[k - 1]
@@ -139,7 +140,8 @@ def _holds(count: int, npoints: int, s: int) -> bool:
 
 def _row_scan(rows: Callable[[int, int, np.ndarray], np.ndarray], count: int, npoints: int,
               s: int) -> Callable[[np.ndarray], np.ndarray]:
-    """scan(h) = F @ h, where rows(lo, hi, out) writes F[lo:hi] into out and
+    """scan(h) = F @ h for the count x npoints matrix F (npoints = N/2 + 1 for a
+    lattice rule's folded h), where rows(lo, hi, out) writes F[lo:hi] into out and
     returns it, in blocks of _BLOCK_CELLS cells: F is held when _holds, else each
     scan remakes the blocks and drops each after its product."""
     block = max(1, _BLOCK_CELLS // npoints)
@@ -166,8 +168,9 @@ def _greedy(s: int, weights: WeightSet, npoints: int, column: Callable[[int], np
         state.update(column(1))
         trace = [(1, finite(float(state.S.mean()), "a CBC merit"))]
         for _ in range(1, s):
-            merits = (float(state.S.sum()) + state.scale() * scan(state.gradient())) / npoints
-            chosen, merit = _select(merits, candidates)
+            chosen, merit = _select(  # no merits outlive their step
+                (float(state.S.sum()) + state.scale() * scan(state.gradient())) / npoints,
+                candidates)
             state.update(column(chosen))
             trace.append((chosen, merit))
     return CbcTrace(choices=tuple(trace), evaluations=1 + (s - 1) * (npoints - 1))

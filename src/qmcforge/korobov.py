@@ -127,14 +127,16 @@ class LatticeRule:
     def cbc_scan(self, s: int, params: SpaceParams, fast: bool = False) -> tuple:
         """(column, scan, candidates) of cbc._greedy for z_(l+1) in 1..N-1.
 
-        Integer alpha in 1..4 only (the Bernoulli closed form).  ``fast``
+        Integer alpha in 1..4 only (the Bernoulli closed form).  The direct scan
+        multiplies F[c, n] = omega((c n) mod N) over n <= N/2 only, against h
+        folded onto those columns (F's columns n and N - n are equal).  ``fast``
         (prime N only) scans by a length-(N-1) circular correlation in the
-        primitive-root ordering, with the FFT.  The FFT's rounding scales with
-        the kernel's norm rather than with the merit, so candidates that tie
-        exactly (z, N - z, z^-1, N - z^-1 at s = 2) can come out more than
-        TIE_REL_TOL apart: the choice can then differ from the direct scan's
-        within the tie class, and later components follow a different prefix
-        (N = 2027, s = 6, gamma_j = j^-2 is one case).
+        primitive-root ordering, with the FFT, in one complex buffer.  The FFT's
+        rounding scales with the kernel's norm rather than with the merit, so
+        candidates that tie exactly (z, N - z, z^-1, N - z^-1 at s = 2) can come
+        out more than TIE_REL_TOL apart: the choice can then differ from the
+        direct scan's within the tie class, and later components follow a
+        different prefix (N = 2027, s = 6, gamma_j = j^-2 is one case).
         """
         from .cbc import _check_dimension, _powers, _row_scan  # cbc imports korobov
         N = self.N
@@ -143,28 +145,34 @@ class LatticeRule:
         _check_dimension(s, params.weights)
         if int(params.alpha) != params.alpha:
             raise UsageError("CBC construction needs integer alpha (closed-form merit)")
-        table, n = self.merit_kernel(params.alpha), np.arange(N, dtype=np.int64)
+        table = self.merit_kernel(params.alpha)
         if fast and N > 2:
             exps = _powers(primitive_root(N), N)
-            fft_w = np.fft.fft(table[exps])
+            fft_w, buf = np.fft.fft(table[exps]), np.empty(N - 1, dtype=complex)
             candidates = exps
 
             def scan(h: np.ndarray) -> np.ndarray:
-                # T(g^a) = h(0) w(0) + sum_b h(g^b) w(g^(a+b) mod (N-1))
-                corr = np.real(np.fft.ifft(np.conj(np.fft.fft(h[exps])) * fft_w))
-                return h[0] * table[0] + corr
+                # T(g^a) = h(0) w(0) + sum_b h(g^b) w(g^(a+b) mod (N-1)), in one buffer
+                buf[:] = h[exps]
+                np.fft.fft(buf, out=buf)
+                np.multiply(np.conj(buf, out=buf), fft_w, out=buf)
+                return h[0] * table[0] + np.fft.ifft(buf, out=buf).real
         else:
             # rows c and N - c of omega((c n) mod N) are identical and the tie policy
             # keeps the smaller c, so candidates c <= N/2 suffice (none at s = 1); the
-            # table is mirrored bitwise, so columns n and N - n are too: made for n <= N/2
+            # table is mirrored bitwise, so columns n and N - n are too: h folds onto n <= N/2
             candidates = np.arange(1, (N // 2 if s > 1 else 0) + 1, dtype=np.int64)
+            half = np.arange(N // 2 + 1, dtype=np.int64)
 
             def rows(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-                out[:, :N // 2 + 1] = table[(candidates[lo:hi, None] * n[:N // 2 + 1]) % N]
-                out[:, N // 2 + 1:] = out[:, 1:(N + 1) // 2][:, ::-1]
-                return out
-            scan = _row_scan(rows, candidates.size, N, s)
-        return lambda c: table[(c * n) % N], scan, candidates
+                return np.take(table, (candidates[lo:hi, None] * half) % N, out=out)
+            product = _row_scan(rows, candidates.size, half.size, s)
+
+            def scan(h: np.ndarray) -> np.ndarray:
+                folded = h[:half.size].copy()
+                folded[1:(N + 1) // 2] += h[N - 1:N // 2:-1]
+                return product(folded)
+        return lambda c: table[(c * np.arange(N, dtype=np.int64)) % N], scan, candidates
 
     def stability_constants(self, alpha_prime: float) -> tuple[float, float, float, dict]:
         """(c, F, L) of Theorem 1 and the components it records: c = c_{a'},

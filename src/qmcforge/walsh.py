@@ -125,9 +125,9 @@ class PolyLatticeRule:
         _check_dimension(s, params.weights)
         b, m, size = self.b, self.m, self.npoints
         # units: 12 m per cell of the candidate rows each time they are built (once
-        # if _row_scan holds them, else every step), 1 per cell scanned, 5 10^4 m per step
+        # if _row_scan holds them, else every step), 1 per cell per scan (s - 1), 5 10^4 m per step
         builds = 1 if _holds(size - 1, size, s) else s - 1
-        afford(size * size * (12 * m * builds + s) + 50000 * m * s, 0.787,
+        afford(size * size * (12 * m * builds + s - 1) + 50000 * m * s, 0.787,
                f"CBC scan of {size * size} cells over {s} components")
         table, n, candidates = self.merit_kernel(params.alpha), np.arange(size), np.arange(1, size)
 

@@ -114,8 +114,8 @@ def test_streamed_scan_matches_held(monkeypatch, modulus, s, kind):
 @pytest.mark.parametrize("budget", [1 << 30, 1 << 16], ids=["held", "streamed"])
 @pytest.mark.parametrize("N", [1021, 1001, 1024, 3, 2])
 def test_direct_scan_rows_match_full_construction(monkeypatch, budget, N):
-    # rows made at the points n <= N/2 and mirrored equal omega((c n) mod N) over
-    # every n, bitwise: scan(I) = F @ I returns F exactly
+    # rows made at the points n <= N/2, with each column of I folded onto them,
+    # equal omega((c n) mod N) over every n, bitwise: scan(I) returns F exactly
     monkeypatch.setattr(errors, "MEMORY_BUDGET", budget)
     rule = lattice_modulus(N)
     _, scan, candidates = rule.cbc_scan(3, product_params(3))
@@ -124,10 +124,29 @@ def test_direct_scan_rows_match_full_construction(monkeypatch, budget, N):
 
 
 def test_direct_scan_streams_over_budget(monkeypatch):
-    # s = 3 holds the 67 MB matrix of N = 4093 unless the budget is below it
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", 32 * MiB)
+    # s = 3 holds the 32 MiB half-width matrix of N = 4093 unless the budget is below it
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 16 * MiB)
     assert traced_peak(
         lambda: cbc_construct(lattice_modulus(4093), 3, product_params(3))) < 16 * MiB
+
+
+def test_direct_scan_holds_half_width():
+    # s = 3 holds the 2046 x 2047 matrix over the points n <= N/2 (32 MiB), not the
+    # 2046 x 4093 one (64 MiB)
+    assert traced_peak(
+        lambda: cbc_construct(lattice_modulus(4093), 3, product_params(3))) < 40 * MiB
+
+
+@pytest.mark.parametrize("N", [5, 4093, 65521])
+def test_fast_scan_matches_out_of_place_fft(N):
+    # the in-place scan gives the out-of-place FFT correlation's bytes, on which
+    # the fast-scan choices depend
+    rule = lattice_modulus(N)
+    _, scan, exps = rule.cbc_scan(3, product_params(3), fast=True)
+    table, h = rule.merit_kernel(1.0), np.random.default_rng(N).random(N)
+    fft_w = np.fft.fft(table[exps])
+    expected = np.real(np.fft.ifft(np.conj(np.fft.fft(h[exps])) * fft_w)) + h[0] * table[0]
+    assert scan(h).tobytes() == expected.tobytes()
 
 
 def refused_within(fn, requested):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import poly_modulus
-from qmcforge import cbc, discrepancy, errors, gfpoly, korobov, walsh, weights
+from qmcforge import cbc, cli, discrepancy, errors, gfpoly, korobov, walsh, weights
 from qmcforge.errors import ResourceLimitError, afford
 from qmcforge.gfpoly import GFPoly
 from qmcforge.korobov import LatticeRule
@@ -103,7 +103,7 @@ def test_poly_cbc_scan_before_rows(no_budget):
 
 def test_streamed_poly_scan_counts_a_build_per_step(monkeypatch):
     # b = 2, m = 8, s = 8: the held rows are built once; with none held, each of
-    # the 7 steps rebuilds them
+    # the 7 steps rebuilds them; either way 7 steps scan them
     units = []
     monkeypatch.setattr(walsh, "afford", lambda u, ns_per_unit, what: units.append(u))
     params = SpaceParams(alpha=1.0, weights=product(8))
@@ -111,7 +111,13 @@ def test_streamed_poly_scan_counts_a_build_per_step(monkeypatch):
     monkeypatch.setattr(errors, "MEMORY_BUDGET", 1 << 16)
     cbc.cbc_construct(poly_modulus(2, 8), 8, params)
     per_step = 50000 * 8 * 8
-    assert units == [2 ** 16 * (96 + 8) + per_step, 2 ** 16 * (96 * 7 + 8) + per_step]
+    assert units == [2 ** 16 * (96 + 7) + per_step, 2 ** 16 * (96 * 7 + 7) + per_step]
+
+
+def test_poly_scan_at_s1_counts_no_scan(tmp_path):
+    # s = 1 scans nothing, so b = 2, m = 17 (2^34 cells a scan) is not refused
+    assert cli.main(["construct", "--kind", "poly-lattice", "--b", "2", "--m", "17", "--s", "1",
+                     "--out", str(tmp_path / "rule.json")]) == 0
 
 
 def test_rebuilt_shifts_count_a_build_per_extension(monkeypatch):
