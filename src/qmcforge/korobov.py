@@ -165,7 +165,9 @@ class LatticeRule:
             half = np.arange(N // 2 + 1, dtype=np.int64)
 
             def rows(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-                return np.take(table, (candidates[lo:hi, None] * half) % N, out=out)
+                # 'clip' moves no reduced index and, unlike 'raise', fills out unbuffered
+                index = candidates[lo:hi, None] * half
+                return np.take(table, np.remainder(index, N, out=index), mode="clip", out=out)
             product = _row_scan(rows, candidates.size, half.size, s)
 
             def scan(h: np.ndarray) -> np.ndarray:

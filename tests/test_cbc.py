@@ -198,6 +198,15 @@ class TestHalfCandidateScan:
         inv = pow(z, -1, N)
         assert z == min(z, N - z, inv, N - inv)
 
+    def test_even_n_vector_pinned(self):
+        # at even N the direct merits carry more rounding than TIE_REL_TOL, so the
+        # tie member picked follows the scan's summation order: the folded scan
+        # picks z_2 = 1714 where a full-width F @ h picked 1582; a change to that
+        # order shows up here
+        params = SpaceParams(alpha=1.0, weights=WeightSet.product([j ** -2.0 for j in range(1, 9)]))
+        rule, _ = cbc_construct(lattice_modulus(4096), 8, params)
+        assert rule.z == (1, 1714, 1497, 986, 1782, 1572, 240, 638)
+
 
 def select_by_loop(merits, candidates):
     """Reference selection: scan candidates in ascending order, take the first
