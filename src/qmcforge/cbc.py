@@ -47,7 +47,7 @@ class CbcTrace:
 
 
 class _MeritState:
-    """Incremental per-point subset-sum state over a fixed point count.
+    """Incremental per-point subset-sum state of s coordinates over a fixed point count.
 
     After ell accepted coordinates with factor columns f_1..f_ell, the state
     yields S(n) = sum over nonempty u of gamma_u prod_{j in u} f_j(n) and the
@@ -55,7 +55,7 @@ class _MeritState:
     column t_new is scale() times the raw factor column.
     """
 
-    def __init__(self, weights: WeightSet, npoints: int):
+    def __init__(self, weights: WeightSet, s: int, npoints: int):
         self.weights = weights
         self.npoints = npoints
         self.dim = 0
@@ -63,7 +63,7 @@ class _MeritState:
         if kind == "product":
             self.prodstate = np.ones(npoints)
         elif kind in ("pod", "order"):
-            self.e = np.zeros((weights.s_max + 1, npoints))  # e[k] = e_k(t_1..t_dim)
+            self.e = np.zeros((s + 1, npoints))  # e[k] = e_k(t_1..t_dim)
             self.e[0] = 1.0
         else:
             self.cols: list[np.ndarray] = []
@@ -163,7 +163,7 @@ def _greedy(s: int, weights: WeightSet, npoints: int, column: Callable[[int], np
     (sum S + scale * F @ h) / npoints, where ``column(c)`` is the kernel at the
     points for candidate c and ``scan(h)`` returns F @ h over ``candidates``.
     """
-    state = _MeritState(weights, npoints)
+    state = _MeritState(weights, s, npoints)
     with np.errstate(over="ignore", invalid="ignore"):  # _select refuses what overflows
         state.update(column(1))
         trace = [(1, finite(float(state.S.mean()), "a CBC merit"))]

@@ -274,8 +274,7 @@ def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
         raise UsageError(f"digit cap must be >= 0, got {digit_cap}")
     b, alpha = rule.b, params.alpha
     r = float(b) ** (1.0 - 2.0 * alpha)
-    c_K = sum((b - 1) * b ** (a - 1) * float(b) ** (-2.0 * alpha * a)
-              for a in range(1, digit_cap + 1))
+    c_K = (b - 1) / b * r * (1.0 - r ** digit_cap) / (1.0 - r)
     table = rule.merit_kernel(alpha)
     table[:b ** max(rule.m - digit_cap, 0)] = c_K
     p = _kernel_merit(rule, table, params.weights).p_value

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Expected values tagged as derived in the module tests were computed
-from the independent oracles in qmcforge.oracle (dual enumeration, reference
+from the independent oracles in tests/oracle.py (dual enumeration, reference
 Laurent division, reference star discrepancy) before being frozen here.
 """
 

@@ -226,6 +226,22 @@ class TestEvaluate:
             assert with_rho[key] == series[key]
         assert with_rho["rho"] is not None
 
+    def test_poly_series_digit_cap_past_float_range(self, tmp_path):
+        # b^(K-1) passes the float range near K = 1025; the series then equals the closed form
+        rule_path = tmp_path / "rule.json"
+        assert run(["construct", "--kind", "poly-lattice", "--b", "2", "--m", "6", "--s", "2",
+                    "--alpha", "1", "--weights", "product:j^-2", "--out", str(rule_path)]) == 0
+        reports = []
+        for extra in ([], ["--series-K", "1100"]):
+            out = tmp_path / "rep.json"
+            assert run(["evaluate", str(rule_path), "--alpha", "1", "--weights",
+                        "product:j^-2", "--out", str(out)] + extra) == 0
+            reports.append(json.loads(out.read_text()))
+        closed, series = reports
+        assert series["method"] == "truncated-series"
+        assert series["P"] == pytest.approx(closed["P"], rel=1e-12)
+        assert series["truncation_bound"] == 0.0
+
     def test_series_K_zero_lattice_refused(self, tmp_path):
         # K = 0 is an explicit radius, below N, not a request for the closed form
         rule_path = tmp_path / "rule.json"

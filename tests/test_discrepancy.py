@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lattice_modulus
+from oracle import dual_enumerate_poly, reference_star_discrepancy
 from qmcforge.cbc import cbc_construct
 from qmcforge.discrepancy import (exact_star_discrepancy, star_disc_bound, star_disc_bound_rho,
                                   weighted_exact_star_discrepancy)
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
 from qmcforge.korobov import LatticeRule
-from qmcforge.oracle import dual_enumerate_poly, reference_star_discrepancy
 from qmcforge.walsh import PolyLatticeRule, r_tilde
 from qmcforge.weights import SpaceParams, WeightSet, subsets_of
 
@@ -127,7 +127,6 @@ class TestRPoly:
     def test_matches_direct_scan(self):
         rule = PolyLatticeRule(b=2, m=2, p=GFPoly(2, (1, 1, 1)),
                                q=(GFPoly.from_code(2, 1), GFPoly.from_code(2, 3)))
-        from qmcforge.oracle import dual_enumerate_poly
         direct = sum(r_tilde(k1, 2) * r_tilde(k2, 2)
                      for (k1, k2) in dual_enumerate_poly(rule, 2)
                      if (k1, k2) != (0, 0))

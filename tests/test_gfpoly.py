@@ -1,8 +1,8 @@
 import pytest
 
+from oracle import reference_laurent_digits
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly, gf_is_irreducible, smallest_irreducible
-from qmcforge.oracle import reference_laurent_digits
 from qmcforge.walsh import PolyLatticeRule
 
 

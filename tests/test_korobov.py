@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import char_sum_lattice, dual_enumerate_lattice
 from qmcforge import korobov
 from qmcforge.errors import ResourceLimitError, UsageError
 from qmcforge.korobov import (LatticeRule, dual_product_minima, omega_factor, omega_table,
                               p_merit_closed, p_merit_series)
-from qmcforge.oracle import char_sum_lattice, dual_enumerate_lattice
 from qmcforge.weights import SpaceParams, WeightSet, subsets_of
 
 

@@ -44,6 +44,14 @@ def test_direct_scan_at_s2():
         lambda: cbc_construct(lattice_modulus(4093), 2, product_params(2))) < 16 * MiB
 
 
+def test_order_dependent_state_sized_by_s():
+    # 513 e_k rows of the 65521 points, one per Gamma_k defined, are 257 MiB
+    params = SpaceParams(alpha=1, weights=WeightSet.order_dependent([1.0] * 512))
+    rule = LatticeRule(N=65521, z=(1,))
+    assert traced_peak(lambda: cbc_construct(rule, 2, params, fast=True)) < 16 * MiB
+    assert cbc_construct(rule, 2, params, fast=True)[0].z == (1, 18303)
+
+
 def test_closed_merit_pod():
     # the (N, s) point and kernel arrays are 17 MB each, the POD sums 17 MB more
     rng = np.random.default_rng(5)

@@ -1,17 +1,33 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+from oracle import (char_sum_poly, dual_enumerate_lattice, dual_enumerate_poly,
+                    reference_laurent_digits, reference_poly_points, reference_star_discrepancy,
+                    wce_by_function_probe)
 from qmcforge.errors import ResourceLimitError
 from qmcforge.gfpoly import GFPoly
 from qmcforge.korobov import LatticeRule, p_merit_closed
-from qmcforge.oracle import (char_sum_poly, dual_enumerate_lattice, dual_enumerate_poly,
-                             reference_laurent_digits, reference_poly_points,
-                             reference_star_discrepancy, wce_by_function_probe)
 from qmcforge.walsh import PolyLatticeRule
 from qmcforge.weights import SpaceParams, WeightSet
 
 P3 = GFPoly(2, (1, 1, 0, 1))
+
+
+def test_oracle_imports_only_data_types():
+    # the oracle shares no arithmetic with the evaluators it checks
+    allowed = {"qmcforge.errors": {"ResourceLimitError", "UsageError"},
+               "qmcforge.gfpoly": {"GFPoly"}, "qmcforge.korobov": {"LatticeRule"},
+               "qmcforge.walsh": {"PolyLatticeRule"},
+               "qmcforge.weights": {"SpaceParams", "WeightSet"}}
+    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "qmcforge" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qmcforge"):
+            assert {a.name for a in node.names} <= allowed.get(node.module, set())
 
 
 class TestDualLattice:

@@ -1,5 +1,5 @@
 """R_u as a point sum over a kernel table, checked against dual-box
-enumeration in oracle.py.
+enumeration in tests/oracle.py.
 
 For every subset u of a small rule, the point sum must agree with the
 enumerated R_u within 1e-12 relative plus its rounding allowance, R_u plus the
@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import dual_enumerate_lattice, dual_enumerate_poly
 from qmcforge.discrepancy import _point_sum, star_disc_bound
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
 from qmcforge.korobov import LatticeRule
-from qmcforge.oracle import dual_enumerate_lattice, dual_enumerate_poly
 from qmcforge.walsh import PolyLatticeRule, r_tilde
 from qmcforge.weights import WeightSet, subsets_of
 

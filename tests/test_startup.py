@@ -4,6 +4,7 @@ Every case runs in a fresh interpreter and reads its ``sys.modules`` after the
 import or the verb, so no module loaded by another test can hide a load.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -63,23 +64,28 @@ def test_cli_import_loads_errors_and_weights_only(workdir):
     assert not loaded & {"concurrent.futures", "csv"}
 
 
+def test_oracle_is_not_in_the_package():
+    # the brute-force references live with the tests they serve
+    assert importlib.util.find_spec("qmcforge.oracle") is None
+
+
 def test_lattice_construct(workdir):
     loaded = loaded_after_cli(CONSTRUCT_LATTICE, workdir)
     assert package("cbc", "korobov") <= loaded
-    assert not loaded & package("walsh", "gfpoly", "stability", "discrepancy", "oracle")
+    assert not loaded & package("walsh", "gfpoly", "stability", "discrepancy")
     assert "concurrent.futures" not in loaded
 
 
 def test_poly_construct(workdir):
     loaded = loaded_after_cli(CONSTRUCT_POLY, workdir)
     assert package("gfpoly", "walsh") <= loaded
-    assert not loaded & package("stability", "discrepancy", "oracle")
+    assert not loaded & package("stability", "discrepancy")
 
 
 def test_evaluate_loads_discrepancy_only_when_asked(workdir):
     loaded = loaded_after_cli(EVALUATE, workdir)
     assert "qmcforge.stability" in loaded
-    assert not loaded & package("discrepancy", "oracle")
+    assert not loaded & package("discrepancy")
     assert "qmcforge.discrepancy" in loaded_after_cli(EVALUATE + ["--discrepancy"], workdir)
 
 

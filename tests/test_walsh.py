@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import poly_modulus
+from oracle import char_sum_poly, dual_enumerate_poly, reference_poly_points
 from qmcforge import cbc, korobov
 from qmcforge.cbc import cbc_construct
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly, gf_is_irreducible, smallest_irreducible
-from qmcforge.oracle import char_sum_poly, dual_enumerate_poly, reference_poly_points
 from qmcforge.korobov import p_merit_closed
 from qmcforge.walsh import (PolyLatticeRule, _phi_axis, dual_mu_minima, mu_of, p_merit_wal_series,
                             walsh_phi_alpha)
