@@ -1,7 +1,10 @@
-"""Exact polynomial arithmetic over Z_b (b prime).
+"""Polynomials over Z_b (b prime) as validated coefficient records, and the
+irreducibility test for moduli.
 
 Coefficients are stored lowest degree first, reduced mod b, with no trailing
-zeros; the zero polynomial has degree -inf.
+zeros; the zero polynomial has degree -inf.  Points, CBC rows and Walsh kernels
+run on integer digit codes and walsh forms the residues x^e q_j mod p itself,
+so the one polynomial computation here is the trial division of gf_is_irreducible.
 """
 
 from __future__ import annotations
@@ -65,70 +68,6 @@ class GFPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def _same_base(self, other: "GFPoly") -> None:
-        if self.base != other.base:
-            raise UsageError(f"base mismatch: {self.base} vs {other.base}")
-
-    def __add__(self, other: "GFPoly") -> "GFPoly":
-        self._same_base(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return GFPoly(self.base, tuple((x + y) % self.base for x, y in zip(a, b)))
-
-    def __neg__(self) -> "GFPoly":
-        return GFPoly(self.base, tuple(-c % self.base for c in self.coeffs))
-
-    def __sub__(self, other: "GFPoly") -> "GFPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "GFPoly") -> "GFPoly":
-        self._same_base(other)
-        if self.is_zero() or other.is_zero():
-            return GFPoly.zero(self.base)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % self.base
-        return GFPoly(self.base, tuple(out))
-
-    def divmod(self, divisor: "GFPoly") -> tuple["GFPoly", "GFPoly"]:
-        self._same_base(divisor)
-        if divisor.is_zero():
-            raise UsageError("division by the zero polynomial")
-        b = self.base
-        rem = list(self.coeffs)
-        dcoeffs = divisor.coeffs
-        dd = len(dcoeffs) - 1
-        inv_lead = pow(dcoeffs[-1], -1, b)
-        quot = [0] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            factor = (rem[i + dd] * inv_lead) % b
-            if factor:
-                quot[i] = factor
-                for j, c in enumerate(dcoeffs):
-                    rem[i + j] = (rem[i + j] - factor * c) % b
-        return GFPoly(b, tuple(quot)), GFPoly(b, tuple(rem[:dd]))
-
-    def __mod__(self, divisor: "GFPoly") -> "GFPoly":
-        return self.divmod(divisor)[1]
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return f"GFPoly({self.base}, 0)"
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                lead = "" if c == 1 else str(c)
-                terms.append(f"{lead}x^{i}" if i > 1 else f"{lead}x")
-        return f"GFPoly({self.base}, {' + '.join(terms)})"
-
 
 def gf_is_irreducible(p: GFPoly) -> bool:
     """Trial division by every monic polynomial of degree 1..deg(p)/2."""
@@ -143,10 +82,22 @@ def gf_is_irreducible(p: GFPoly) -> bool:
            f"irreducibility test of degree {d} over Z_{b}")
     for deg in range(1, half + 1):
         for low in range(b ** deg):
-            candidate = GFPoly.from_code(b, low + b ** deg)  # monic of this degree
-            if (p % candidate).is_zero():
+            monic = GFPoly.from_code(b, low + b ** deg).coeffs
+            if _divides(monic, p.coeffs, b):
                 return False
     return True
+
+
+def _divides(d: tuple[int, ...], a: tuple[int, ...], b: int) -> bool:
+    """Whether the monic d divides a over Z_b, by long division: each step
+    clears the remainder's coefficient c of degree top by subtracting c x^(top - deg d) d."""
+    rem, dd = list(a), len(d) - 1
+    for top in range(len(rem) - 1, dd - 1, -1):
+        c = rem[top]
+        if c:
+            for i, di in enumerate(d, top - dd):
+                rem[i] = (rem[i] - c * di) % b
+    return not any(rem)
 
 
 def smallest_irreducible(b: int, m: int) -> GFPoly:

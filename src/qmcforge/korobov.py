@@ -87,7 +87,9 @@ class LatticeRule:
 
     def merit_kernel(self, alpha: float) -> np.ndarray:
         """omega(a/N), a = 0..N-1, the kernel of P's closed form (integer alpha in 1..4)."""
-        return omega_table(_require_closed_alpha(alpha), self.N)
+        alpha = _require_closed_alpha(alpha)
+        require(self.N, 8, f"kernel table at N={self.N}")
+        return omega_table(alpha, self.N)
 
     def rho(self, params: SpaceParams) -> tuple[float, dict]:
         """Figure of merit rho = max over u of gamma_u / phi_u(z)^(2 alpha), and
@@ -356,6 +358,9 @@ def p_merit_series(rule: LatticeRule, params: SpaceParams, K: int | None = None)
     s = rule.s
     # 40 bytes per cell at peak (tracemalloc): res, radial, pattern and the bincount weights
     require((2 * K + 1) ** (s - 1), 40, f"series box (2K+1)^(s-1) at K={K}, s={s}")
+    # 57 bytes per k at peak (tracemalloc, K = N): the k axis arrays, with the two
+    # bincounts of N cells
+    require(2 * K + 1, 57, f"series k axis 2K+1 at K={K}")
     alpha = params.alpha
     rng = np.arange(-K, K + 1, dtype=np.int64)
     # |k| = 1 stands in at k = 0, which the zero weight pattern excludes

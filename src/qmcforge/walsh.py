@@ -76,6 +76,7 @@ class PolyLatticeRule:
 
     def merit_kernel(self, alpha: float) -> np.ndarray:
         """phi_alpha(a / b^m), a = 0..b^m-1, the kernel of P's closed form (any alpha > 1/2)."""
+        require(self.npoints, 8, f"kernel table at b={self.b}, m={self.m}")
         return _phi_axis(self.b, self.m, alpha)
 
     def rho(self, params: SpaceParams) -> tuple[float, dict]:
@@ -284,13 +285,18 @@ def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
 
 def _residue_shift(rule: PolyLatticeRule, j: int, e: int) -> np.ndarray:
     """shift[t] = code of t - v_e, v_e = x^e q_j mod p, for the codes t indexing
-    G_m, built digit by digit (XOR by v_e's code for b = 2)."""
-    b, m = rule.b, rule.m
-    v = (GFPoly.from_code(b, b ** e) * rule.q[j] % rule.p).coeffs
+    G_m, built digit by digit (XOR by v_e's code for b = 2).  v_e takes e
+    multiply-by-x steps from q_j: each shifts the m coefficients up one place
+    and subtracts the overflow digit times p_m^(-1) p."""
+    b, m, p = rule.b, rule.m, rule.p.coeffs
+    inv_lead = pow(p[m], -1, b)
+    v = list(rule.q[j].coeffs) + [0] * (m - len(rule.q[j].coeffs))
+    for _ in range(e):
+        c = v[-1] * inv_lead
+        v = [(vi - c * pi) % b for vi, pi in zip([0] + v[:-1], p)]
     shift = np.zeros(1, dtype=np.int64)
     for i in range(m):
-        vi = v[i] if i < len(v) else 0
-        shift = ((((np.arange(b) - vi) % b) * b ** i)[:, None] + shift).ravel()
+        shift = ((((np.arange(b) - v[i]) % b) * b ** i)[:, None] + shift).ravel()
     return shift
 
 

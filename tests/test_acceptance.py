@@ -12,6 +12,7 @@ import numpy as np
 
 from conftest import (lattice_modulus, poly_modulus, random_lattice_rules, random_poly_rules,
                       rosser_schoenfeld_holds, totient_sieve)
+from oracle import _base_digits, _poly_digits_mod, _poly_digits_mul
 from qmcforge.cbc import cbc_construct
 from qmcforge.discrepancy import (star_disc_bound, star_disc_bound_rho,
                                   weighted_exact_star_discrepancy)
@@ -75,11 +76,12 @@ def test_criterion_01_character_sums():
 
     # Polynomial lattice: base 2, all moduli of degree m <= 4, all generating
     # vectors, all k_j < 2^(m+1).  Walsh values are +-1, assembled from the
-    # exact point digits; membership comes from exact field arithmetic.
+    # exact point digits; membership comes from the oracle's digit-list products
+    # and reductions, with residues coded as integers (addition over Z_2 is XOR).
     worst_w = 0.0
     checked = 0
     for m in range(1, 5):
-        size, kmax, mask = 2 ** m, 2 ** (m + 1), 2 ** m - 1
+        size, kmax = 2 ** m, 2 ** (m + 1)
         parity = np.array([bin(v).count("1") & 1 for v in range(kmax * size)],
                           dtype=np.int64)
         k_arr = np.arange(kmax, dtype=np.int64)
@@ -93,8 +95,11 @@ def test_criterion_01_character_sums():
                 X = np.array([int(format(a, f"0{m}b")[::-1], 2) for a in numers],
                              dtype=np.int64)
                 wal[qc] = 1.0 - 2.0 * parity[k_arr[:, None] & X[None, :]]
-                resid[qc] = np.array([(GFPoly.from_code(2, k & mask) * q % p).code()
-                                      for k in range(kmax)], dtype=np.int64)
+                residues = (_poly_digits_mod(_poly_digits_mul(_base_digits(k, 2, m),
+                                                              list(q.coeffs), 2), list(p.coeffs), 2)
+                            for k in range(kmax))  # tr_m(k) q mod p
+                resid[qc] = np.array([sum(d << i for i, d in enumerate(r)) for r in residues],
+                                     dtype=np.int64)
             for qc in range(1, size):
                 S = wal[qc].mean(axis=1)
                 indicator = (resid[qc] == 0).astype(np.float64)

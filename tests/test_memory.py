@@ -208,3 +208,23 @@ def test_residue_shifts_refused_before_shifts(monkeypatch):
     monkeypatch.setattr(errors, "MEMORY_BUDGET", 1024 * 8 - 1)
     monkeypatch.setattr(walsh, "_residue_shift", never_built)
     refused_within(lambda: dual_mu_minima(shift_rule(2, 10)), 1024 * 8)
+
+
+@pytest.mark.parametrize("merit, cells", [
+    (lambda: p_merit_closed(LatticeRule(N=2000003, z=(1,)), product_params(1)), 2000003),
+    (lambda: cbc_construct(lattice_modulus(1000003), 2, product_params(2), fast=True), 1000003),
+    (lambda: p_merit_closed(poly_modulus(2, 20), product_params(1)), 2 ** 20),
+], ids=["lattice-closed", "lattice-fast-cbc", "poly-closed"])
+def test_kernel_table_refused_before_table(monkeypatch, merit, cells):
+    # the kernel table of the closed form and the CBC scans holds 8 bytes a point
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", MiB)
+    refused_within(merit, cells * 8)
+
+
+def test_series_k_axis_refused_before_axis(monkeypatch):
+    # at s = 1 the box is one cell, but the k axis of K = 2 10^6 is 4 million cells,
+    # 57 bytes each
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", MiB)
+    rule = LatticeRule(N=127, z=(1,))
+    params = SpaceParams(alpha=1.5, weights=WeightSet.product([1.0]))
+    refused_within(lambda: p_merit_series(rule, params, 2000000), 4000001 * 57)

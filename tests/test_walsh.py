@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import poly_modulus
-from oracle import char_sum_poly, dual_enumerate_poly, reference_poly_points
+from oracle import (_base_digits, _poly_digits_mod, _poly_digits_mul, char_sum_poly,
+                    dual_enumerate_poly, reference_poly_points)
 from qmcforge import cbc, korobov
 from qmcforge.cbc import cbc_construct
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly, gf_is_irreducible, smallest_irreducible
 from qmcforge.korobov import p_merit_closed
-from qmcforge.walsh import (PolyLatticeRule, _phi_axis, dual_mu_minima, mu_of, p_merit_wal_series,
-                            walsh_phi_alpha)
+from qmcforge.walsh import (PolyLatticeRule, _phi_axis, _residue_shift, dual_mu_minima, mu_of,
+                            p_merit_wal_series, walsh_phi_alpha)
 from qmcforge.weights import SpaceParams, WeightSet, subsets_of
 
 P3 = GFPoly(2, (1, 1, 0, 1))  # x^3 + x + 1
@@ -132,9 +133,8 @@ class TestPoints:
         q = (GFPoly.from_code(b, 4), GFPoly.from_code(b, 7))
         base = PolyLatticeRule(b=b, m=m, p=p, q=q)
         for c in (2,):
-            scaled = PolyLatticeRule(
-                b=b, m=m, p=p,
-                q=tuple((qj * GFPoly(b, (c,))) % p for qj in q))
+            scaled = PolyLatticeRule(  # c q_j has degree < m: no reduction mod p
+                b=b, m=m, p=p, q=tuple(GFPoly(b, tuple(c * a for a in qj.coeffs)) for qj in q))
             a = sorted(map(tuple, base.points().tolist()))
             bb = sorted(map(tuple, scaled.points().tolist()))
             assert a == bb
@@ -152,6 +152,27 @@ def random_rule(b, m, p, s, seed):
 # (b, p): two reducible moduli, one of them not monic
 REDUCIBLE = [(2, GFPoly(2, (1, 0, 1, 0, 1))),  # (x^2 + x + 1)^2
              (3, GFPoly(3, (0, 1, 0, 2)))]     # x (2x^2 + 1)
+
+
+@pytest.mark.parametrize("modulus", ["irreducible", "x^m + 1"])
+@pytest.mark.parametrize("b, m", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_residue_shift_matches_oracle(b, m, modulus):
+    # shift[t] is the code of t - (x^e q_j mod p), the product and reduction
+    # taken on the oracle's digit lists, for every t in G_m and every e < m
+    def padded(digits):
+        return digits + [0] * (m - len(digits))
+
+    xm1 = GFPoly(b, (1,) + (0,) * (m - 1) + (1,))
+    p = smallest_irreducible(b, m) if modulus == "irreducible" else xm1
+    rule = random_rule(b, m, p, 2, seed=b * m)
+    for j, qj in enumerate(rule.q):
+        for e in range(m):
+            v = padded(_poly_digits_mod(_poly_digits_mul([0] * e + [1], list(qj.coeffs), b),
+                                        list(p.coeffs), b))
+            expected = [sum((d - vi) % b * b ** i
+                            for i, (d, vi) in enumerate(zip(padded(_base_digits(t, b, m)), v)))
+                        for t in range(b ** m)]
+            assert _residue_shift(rule, j, e).tolist() == expected
 
 
 class TestPointsAgainstOracle:

@@ -88,7 +88,7 @@ def test_ratio_sum_before_subset_loop(no_budget):
 
 
 def test_irreducibility_before_trial_division(no_budget):
-    no_budget.setattr(GFPoly, "divmod", entered)
+    no_budget.setattr(gfpoly, "_divides", entered)
     with pytest.raises(ResourceLimitError):
         gfpoly.gf_is_irreducible(GFPoly(2, (1, 1, 0, 1)))
 
