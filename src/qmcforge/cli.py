@@ -141,13 +141,17 @@ def load_rule(path: str) -> tuple[LatticeRule | PolyLatticeRule, dict]:
     raise UsageError(f"rule file {path} has unknown type {kind!r}")
 
 
-def _emit(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2, allow_nan=False)  # a report holds no NaN or inf
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"  # a report holds no NaN or inf
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    """The one output writer of the four verbs: text to --out's file, else to stdout."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        print(text, end="")
 
 
 def _splice_config(argv: list[str]) -> list[str]:
@@ -220,7 +224,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     for entry in payload["trace"]:
         print(f"dim {entry['dim']:3d}  component {entry['chosen']:6d}  merit {entry['merit']:.12e}",
               file=sys.stderr)
-    _emit(payload, args.out)
+    _emit(_json(payload), args.out)
     return EXIT_OK
 
 
@@ -239,7 +243,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.discrepancy:
         from .discrepancy import discrepancy_report
         payload["discrepancy"] = discrepancy_report(rule, params, rho).to_jsonable()
-    _emit(payload, args.out)
+    _emit(_json(payload), args.out)
     return EXIT_OK
 
 
@@ -261,7 +265,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         cert = stability.combined_bound_eq1(rule, alpha, W, alpha_p, Wp, lam)
     else:
         cert = stability.jensen_certificate(rule, alpha, W, float(args.delta))
-    _emit(cert.to_jsonable(), args.out)
+    _emit(_json(cert.to_jsonable()), args.out)
     return EXIT_OK if cert.passed else EXIT_CERT_FAILED
 
 
@@ -317,12 +321,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     writer.writeheader()
     writer.writerows(rows)
     buf.write(f"# slope_log_sqrtP_vs_log_N = {slope:.6f}\n")
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _emit(buf.getvalue(), args.out)
     return EXIT_OK
 
 

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-from .errors import (QmcforgeError, ResourceLimitError, UsageError, afford, as_int, finite,
-                     finite_power, require)
+from .errors import ResourceLimitError, UsageError, afford, as_int, finite, finite_power, require
 from .weights import (SpaceParams, WeightSet, ratio_size_sum, subset_product_sum,
                       subsets_of, weighted_zeta_sum, zeta)
 
@@ -93,12 +92,10 @@ class LatticeRule:
 
     def rho(self, params: SpaceParams) -> tuple[float, dict]:
         """Figure of merit rho = max over u of gamma_u / phi_u(z)^(2 alpha), and
-        the per-subset breakdown {u: (term, phi_u, phi_{u,0})}."""
-        alpha, too_large = params.alpha, f"alpha = {params.alpha} too large"
-        per_subset = {u: (params.weights.weight(u) / finite_power(phi_u, 2.0 * alpha, too_large),
-                          phi_u, phi_u0)
-                      for u, (phi_u, phi_u0) in dual_product_minima(self).items()}
-        return _largest(per_subset), per_subset
+        the per-subset breakdown {u: (term, phi_u)}."""
+        too_large = f"alpha = {params.alpha} too large"
+        return _rho(params, dual_product_minima(self),
+                    lambda gamma, phi: gamma / finite_power(phi, 2.0 * params.alpha, too_large))
 
     def series(self, params: SpaceParams, K: int | None) -> MeritReport:
         return p_merit_series(self, params, K)
@@ -147,6 +144,11 @@ class LatticeRule:
         _check_dimension(s, params.weights)
         if int(params.alpha) != params.alpha:
             raise UsageError("CBC construction needs integer alpha (closed-form merit)")
+        if fast:  # at peak (tracemalloc), 72 bytes a point for the table, exps, fft_w, buf and
+            # three scan-sized temporaries, and 8 for each row of cbc._MeritState: S and the
+            # product, or S and s + 1 more (e_0..e_s, or the columns and the gradient)
+            rows = 2 if params.weights.kind == "product" else s + 2
+            require(N, 72 + 8 * rows, f"fast CBC scan at N={N}")
         table = self.merit_kernel(params.alpha)
         if fast and N > 2:
             exps = _powers(primitive_root(N), N)
@@ -195,9 +197,11 @@ class LatticeRule:
         return {"totient": euler_totient(self.N)}
 
 
-def _largest(per_subset: dict) -> float:
-    """rho, the largest term of a breakdown {u: (term, ...)}; np.max passes on a NaN term."""
-    return finite(float(np.max([term for term, _, _ in per_subset.values()])), "rho")
+def _rho(params: SpaceParams, minima: dict, term: Callable) -> tuple[float, dict]:
+    """(rho, {u: (term(gamma_u, phi_u), phi_u)}) from the dual minima {u: phi_u}
+    of either rule family: rho is the largest term, and np.max passes on a NaN term."""
+    per_subset = {u: (term(params.weights.weight(u), phi), phi) for u, phi in minima.items()}
+    return finite(float(np.max([t for t, _ in per_subset.values()])), "rho"), per_subset
 
 
 def c_alpha_prime(alpha_prime: float) -> float:
@@ -254,21 +258,20 @@ class MeritReport:
 
     ``truncation_bound`` is None for a closed form, else the most P can fall
     short of the full dual sum.  ``per_subset`` is the rho breakdown only, set
-    with rho: u -> (rho term of u, phi_u, phi_{u,0}), phi_{u,0} None for
-    polynomial lattice rules.
+    with rho: u -> (rho term of u, phi_u).
     """
 
     p_value: float
     rho_value: float | None = None
     method: str = "closed-form"
     truncation_bound: float | None = None
-    per_subset: Mapping[frozenset[int], tuple[float, int | None, int | None]] | None = None
+    per_subset: Mapping[frozenset[int], tuple[float, int]] | None = None
 
     def to_jsonable(self) -> dict:
         subsets = None
         if self.per_subset is not None:
             subsets = [{"u": sorted(u), "inner": inner, "phi": phi}
-                       for u, (inner, phi, _phi0) in sorted(
+                       for u, (inner, phi) in sorted(
                            self.per_subset.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
         return {"P": self.p_value, "rho": self.rho_value, "method": self.method,
                 "truncation_bound": self.truncation_bound, "per_subset": subsets}
@@ -430,30 +433,14 @@ def _phi_search(zs: list[int], N: int) -> int:
         P *= 2
 
 
-def dual_product_minima(rule: LatticeRule) -> dict[frozenset[int], tuple[int, int]]:
-    """(phi_u, phi_{u,0}) for every nonempty u of the rule, by exact search.
-
-    phi_u is the minimum of prod |k_j| over dual vectors supported exactly on
-    u with all components nonzero: N / gcd(z_j, N) for u = {j}, _phi_search
-    otherwise.  phi_{u,0} allows zero components (product of max(1, |k_j|)),
-    so it is the least phi_v over nonempty v contained in u.
-    """
+def dual_product_minima(rule: LatticeRule) -> dict[frozenset[int], int]:
+    """phi_u for every nonempty u of the rule, by exact search: the minimum of
+    prod |k_j| over dual vectors supported exactly on u with all components
+    nonzero, N / gcd(z_j, N) for u = {j} and _phi_search otherwise."""
     N, s = rule.N, rule.s
     if N > ZAREMBA_N_LIMIT:
         raise ResourceLimitError(f"dual minima capped at N <= {ZAREMBA_N_LIMIT}")
     # units: N + 1000 per subset, the 1000 its search's fixed cost
     afford((2 ** s - 1) * (N + 1000), 260, f"dual minima over the 2^{s} - 1 subsets")
-    out, low = {}, np.full(1 << s, np.iinfo(np.int64).max)  # low: phi_v at the bit mask of v
-    for u in subsets_of(s):  # by size, so every u - {j} is done before u
-        zs = [rule.z[j - 1] for j in sorted(u)]
-        phi_u = N // math.gcd(zs[0], N) if len(u) == 1 else _phi_search(zs, N)
-        low[sum(1 << (j - 1) for j in u)] = phi_u
-        phi_u0 = min([phi_u] + [out[u - {j}][1] for j in u if u - {j}])
-        if len(u) >= 2 and phi_u0 > N / 2:
-            raise QmcforgeError("phi_{u,0} exceeded N/2 on a mixed subset; search bug")
-        out[u] = (phi_u, phi_u0)
-    for j in range(s):  # then the min over all submasks, one bit at a time
-        low = np.minimum.accumulate(low.reshape(-1, 2, 1 << j), axis=1).ravel()
-    if any(low[sum(1 << (j - 1) for j in u)] != phi_u0 for u, (_, phi_u0) in out.items()):
-        raise QmcforgeError("phi_{u,0} disagrees with min over subsets; search bug")
-    return out
+    return {u: N // math.gcd(rule.z[min(u) - 1], N) if len(u) == 1
+            else _phi_search([rule.z[j - 1] for j in sorted(u)], N) for u in subsets_of(s)}

@@ -21,7 +21,7 @@ import numpy as np
 from . import errors
 from .errors import QmcforgeError, UsageError, afford, as_int, finite_power, require
 from .gfpoly import GFPoly
-from .korobov import MeritReport, _fft_error, _kernel_merit, _largest, _series_report
+from .korobov import MeritReport, _fft_error, _kernel_merit, _rho, _series_report
 from .weights import SpaceParams, WeightSet, subsets_of, weighted_power_sum
 
 
@@ -81,10 +81,9 @@ class PolyLatticeRule:
 
     def rho(self, params: SpaceParams) -> tuple[float, dict]:
         """Figure of merit rho = max over u of gamma_u b^(-2 alpha phi_u(q)), and
-        the per-subset breakdown {u: (term, phi_u, None)}."""
-        per_subset = {u: (params.weights.weight(u) * float(self.b) ** (-2.0 * params.alpha * phi_u),
-                          phi_u, None) for u, phi_u in dual_mu_minima(self).items()}
-        return _largest(per_subset), per_subset
+        the per-subset breakdown {u: (term, phi_u)}."""
+        return _rho(params, dual_mu_minima(self),
+                    lambda gamma, phi: gamma * float(self.b) ** (-2.0 * params.alpha * phi))
 
     def series(self, params: SpaceParams, K: int) -> MeritReport:
         return p_merit_wal_series(self, params, K)

@@ -87,3 +87,10 @@ def poly_modulus(b: int, m: int, p=None):
     from qmcforge.walsh import PolyLatticeRule
 
     return PolyLatticeRule(b=b, m=m, p=p or smallest_irreducible(b, m), q=(GFPoly(b, (1,)),))
+
+
+def with_phi0(minima):
+    """{u: (phi_u, phi_{u,0})} from dual minima {u: phi_u}: phi_{u,0} allows zero
+    components, so it is the least phi_v over nonempty v contained in u."""
+    return {u: (phi, min(phi_v for v, phi_v in minima.items() if v <= u))
+            for u, phi in minima.items()}

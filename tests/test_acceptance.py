@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from conftest import (lattice_modulus, poly_modulus, random_lattice_rules, random_poly_rules,
-                      rosser_schoenfeld_holds, totient_sieve)
+                      rosser_schoenfeld_holds, totient_sieve, with_phi0)
 from oracle import _base_digits, _poly_digits_mod, _poly_digits_mul
 from qmcforge.cbc import cbc_construct
 from qmcforge.discrepancy import (star_disc_bound, star_disc_bound_rho,
@@ -408,7 +408,7 @@ def test_criterion_09_discrepancy_soundness():
             count += 1
             if exact > joe + 1e-9 or exact > rho_b + 1e-9:
                 violations.append(("lattice", rule.N, rule.z))
-        minima = dual_product_minima(rule)
+        minima = with_phi0(dual_product_minima(rule))
         for u, (_phi, phi0) in minima.items():
             if len(u) >= 2 and phi0 > rule.N / 2:
                 violations.append(("phi0", rule.N, rule.z, sorted(u)))

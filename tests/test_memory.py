@@ -210,15 +210,33 @@ def test_residue_shifts_refused_before_shifts(monkeypatch):
     refused_within(lambda: dual_mu_minima(shift_rule(2, 10)), 1024 * 8)
 
 
-@pytest.mark.parametrize("merit, cells", [
-    (lambda: p_merit_closed(LatticeRule(N=2000003, z=(1,)), product_params(1)), 2000003),
-    (lambda: cbc_construct(lattice_modulus(1000003), 2, product_params(2), fast=True), 1000003),
-    (lambda: p_merit_closed(poly_modulus(2, 20), product_params(1)), 2 ** 20),
+@pytest.mark.parametrize("merit, requested", [
+    (lambda: p_merit_closed(LatticeRule(N=2000003, z=(1,)), product_params(1)), 2000003 * 8),
+    (lambda: cbc_construct(lattice_modulus(1000003), 2, product_params(2), fast=True),
+     1000003 * 88),
+    (lambda: p_merit_closed(poly_modulus(2, 20), product_params(1)), 2 ** 20 * 8),
 ], ids=["lattice-closed", "lattice-fast-cbc", "poly-closed"])
-def test_kernel_table_refused_before_table(monkeypatch, merit, cells):
-    # the kernel table of the closed form and the CBC scans holds 8 bytes a point
+def test_kernel_table_refused_before_table(monkeypatch, merit, requested):
+    # the kernel table of the closed form holds 8 bytes a point; the fast CBC scan
+    # counts its 88 bytes a point at product weights, the table's 8 included
     monkeypatch.setattr(errors, "MEMORY_BUDGET", MiB)
-    refused_within(merit, cells * 8)
+    refused_within(merit, requested)
+
+
+@pytest.mark.parametrize("kind, s, per_point", [("product", 2, 88), ("pod", 8, 152)])
+def test_fast_scan_refused_before_table(monkeypatch, kind, s, per_point):
+    # 16 MiB fits the 8 MB kernel table of N = 1000003 but not the fast scan: 72 bytes a
+    # point, and 8 for each merit-state row (2 at product weights, s + 2 otherwise)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 16 * MiB)
+    params = SpaceParams(alpha=1.0, weights=weights_of(kind, s))
+    refused_within(lambda: cbc_construct(lattice_modulus(1000003), s, params, fast=True),
+                   1000003 * per_point)
+
+
+def test_fast_scan_within_default_budget():
+    # the fast scan of N = 1000003 at product weights holds 88 MB, within the 1 GiB budget
+    rule, _ = cbc_construct(lattice_modulus(1000003), 2, product_params(2), fast=True)
+    assert rule.z == (1, 580135)
 
 
 def test_series_k_axis_refused_before_axis(monkeypatch):

@@ -4,6 +4,7 @@ rules of both families, and JSON round-trips of rules and weight sets."""
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,12 +21,13 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 SLACK = 1e-9  # relative, as the certificates allow
 
 positive = st.floats(0.05, 1.0, allow_nan=False)
+KINDS = ["product", "pod", "order", "explicit"]
 
 
 @st.composite
-def weight_sets(draw, s):
-    """One weight set of each kind, defined up to dimension s."""
-    kind = draw(st.sampled_from(["product", "pod", "order", "explicit"]))
+def weight_sets(draw, s, kind=None):
+    """A weight set of the given kind (default drawn), defined up to dimension s."""
+    kind = kind or draw(st.sampled_from(KINDS))
     gammas = draw(st.lists(positive, min_size=s, max_size=s))
     if kind == "product":
         return WeightSet.product(gammas)
@@ -72,6 +74,43 @@ class TestMeritChain:
         p = p_merit_closed(rule, params).p_value
         assert rho <= p * (1 + SLACK)
         assert p <= prop_bound(rule, alpha, params.weights, 1.0) * (1 + SLACK)
+
+
+class TestRhoBreakdown:
+    """rule.rho's breakdown is {u: (term, phi_u)}, each term the family's formula
+    exactly, and rho its largest term, on CBC and random rules of both families."""
+
+    @staticmethod
+    def check(rule, params, term):
+        rho, per_subset = rule.rho(params)
+        for u, entry in per_subset.items():
+            assert len(entry) == 2
+            assert entry[0] == term(params.weights.weight(u), entry[1])
+        assert rho == max(t for t, _ in per_subset.values())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @SETTINGS
+    @given(N=st.integers(3, 400), alpha=st.sampled_from([1.0, 2.0]), cbc=st.booleans(),
+           data=st.data())
+    def test_lattice(self, kind, N, alpha, cbc, data):
+        s = data.draw(st.integers(1, 4))
+        params = SpaceParams(alpha=alpha, weights=data.draw(weight_sets(s, kind)))
+        if cbc:
+            rule, _ = cbc_construct(lattice_modulus(N), s, params)
+        else:
+            rule = LatticeRule(N=N, z=tuple(data.draw(st.lists(st.integers(1, N - 1),
+                                                               min_size=s, max_size=s))))
+        self.check(rule, params, lambda gamma, phi: gamma / phi ** (2 * alpha))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @SETTINGS
+    @given(alpha=st.sampled_from([0.75, 1.0, 1.5, 2.0]), cbc=st.booleans(), data=st.data())
+    def test_poly(self, kind, alpha, cbc, data):
+        rule = data.draw(poly_rules())
+        params = SpaceParams(alpha=alpha, weights=data.draw(weight_sets(rule.s, kind)))
+        if cbc:
+            rule, _ = cbc_construct(poly_modulus(rule.b, rule.m), rule.s, params)
+        self.check(rule, params, lambda gamma, phi: gamma * rule.b ** (-2 * alpha * phi))
 
 
 class TestJsonRoundTrip:

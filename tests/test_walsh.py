@@ -514,7 +514,7 @@ class TestBeyondThreeDimensions:
     def test_rho_at_s4(self):
         rho, per_subset = self.RULE.rho(self.PARAMS)
         minima = oracle_minima(self.RULE)
-        assert {u: phi for u, (_, phi, _) in per_subset.items()} == minima
+        assert {u: phi for u, (_, phi) in per_subset.items()} == minima
         assert rho == max(self.PARAMS.weights.weight(u) * 2.0 ** (-2 * phi)
                           for u, phi in minima.items())
         assert rho <= p_merit_closed(self.RULE, self.PARAMS).p_value
