@@ -128,9 +128,9 @@ def exact_star_discrepancy(numerators: np.ndarray, denominator: int) -> float:
         raise UsageError(f"exact star discrepancy supports s in (1, 2), got {s}")
     if np.any(pts < 0) or np.any(pts >= denominator):
         raise UsageError("point numerators must lie in [0, denominator)")
-    if s == 1:
-        grid = np.unique(np.concatenate([pts[:, 0], [0, denominator]]))
+    if s == 1:  # a repeated grid value only repeats a deviation
         xs = np.sort(pts[:, 0])
+        grid = np.concatenate([[0], xs, [denominator]])
         closed = np.searchsorted(xs, grid, side="right")
         strict = np.searchsorted(xs, grid, side="left")
         vol = grid / denominator
@@ -177,13 +177,13 @@ def weighted_exact_star_discrepancy(numerators: np.ndarray, denominator: int,
 def discrepancy_report(rule: LatticeRule | PolyLatticeRule, params: SpaceParams,
                        rho: float | None) -> DiscrepancyReport:
     """The subset-sum bounds of one rule under params' weights, and its exact
-    weighted D* for s <= 2; the rho bound only when rho, the rule's figure of
-    merit under params, is given."""
+    weighted D* for s <= 2, taken first so that its work-budget refusal precedes the
+    subset sums; the rho bound only when rho, the rule's figure of merit, is given."""
     W = params.weights
     bound_rho, vacuous = None, False
     if rho is not None:
         bound_rho, vacuous = star_disc_bound_rho(rule, params.alpha, W, W, rho)
-    bound_joe, r_values = star_disc_bound(rule, W)
     exact = weighted_exact_star_discrepancy(rule.points(), rule.npoints, W) if rule.s <= 2 else None
+    bound_joe, r_values = star_disc_bound(rule, W)
     return DiscrepancyReport(bound_joe=bound_joe, bound_rho=bound_rho,
                              exact_dstar=exact, r_values=r_values, vacuous=vacuous)

@@ -110,7 +110,7 @@ class LatticeRule:
         c = np.concatenate([[0.0], 1.0 / np.minimum(k, N - k)])
         g = np.fft.fft(c.astype(np.longdouble)).real.astype(np.float64)
         g[N // 2 + 1:] = g[1:(N + 1) // 2][::-1]
-        return g, _fft_error(c, N, 1), 0.5
+        return g, _fft_error(c, N), 0.5
 
     def rho_bound_factors(self) -> list[float]:
         """F_k = (log 2 (log2 N)^k + 3 (2 log2 N)^(k-1)) / 2, k = 1..s, and F_0 = 0:
@@ -310,18 +310,17 @@ def omega_table(alpha: int, N: int) -> np.ndarray:
     return table
 
 
-def _fft_error(c: np.ndarray, n: int, axes: int) -> float:
-    """e >= ||fl(g) - g||_2 / sqrt(c.size) for the length-n DFT g of c along
-    `axes` axes, run in long double and rounded to float64.  Rounding adds
-    2^-53 ||g||_2 = 2^-53 sqrt(c.size) ||c||_2.  The transform is modelled as
-    8 u per pass (Higham 2002, Thm 24.2: 6.7 u per radix-2 pass) plus 20 u
-    from c, u the long-double unit roundoff, times sqrt 2 for a mirrored half,
-    over 2 ceil(log2 2n) + 3 passes per axis: Bluestein's two padded
-    transforms and three chirp products, as pocketfft runs for large primes.
-    Its generic small-prime passes are covered only empirically (tests check
-    the table against a direct sum up to N = 4093).  With 80-bit long double
-    this term is below 2^-53 / 3."""
-    passes = axes * (2 * math.ceil(math.log2(2 * n)) + 3)
+def _fft_error(c: np.ndarray, n: int) -> float:
+    """e >= ||fl(g) - g||_2 / sqrt(n) for the length-n DFT g of c, run in long
+    double and rounded to float64.  Rounding adds 2^-53 ||g||_2 = 2^-53 sqrt(n)
+    ||c||_2.  The transform is modelled as 8 u per pass (Higham 2002, Thm 24.2:
+    6.7 u per radix-2 pass) plus 20 u from c, u the long-double unit roundoff,
+    times sqrt 2 for a mirrored half, over 2 ceil(log2 2n) + 3 passes:
+    Bluestein's two padded transforms and three chirp products, as pocketfft
+    runs for large primes.  Its generic small-prime passes are covered only
+    empirically (tests check the table against a direct sum up to N = 4093).
+    With 80-bit long double this term is below 2^-53 / 3."""
+    passes = 2 * math.ceil(math.log2(2 * n)) + 3
     u = np.finfo(np.longdouble).eps / 2
     return float(np.linalg.norm(c)) * (2.0 ** -53 + 2 ** 0.5 * (8 * passes + 20) * u)
 

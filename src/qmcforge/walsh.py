@@ -21,7 +21,7 @@ import numpy as np
 from . import errors
 from .errors import QmcforgeError, UsageError, afford, as_int, finite_power, require
 from .gfpoly import GFPoly
-from .korobov import MeritReport, _fft_error, _kernel_merit, _rho, _series_report
+from .korobov import _BLOCK_CELLS, MeritReport, _kernel_merit, _rho, _series_report
 from .weights import SpaceParams, WeightSet, subsets_of, weighted_power_sum
 
 
@@ -89,18 +89,27 @@ class PolyLatticeRule:
         return p_merit_wal_series(self, params, K)
 
     def r_kernel(self) -> tuple[np.ndarray, float, float]:
-        """(g, e, 1): g(a/b^m) = sum over 0 < k < b^m of r_tilde(k) wal_k(a/b^m),
-        a < b^m, the size-b DFT along each digit axis of r_tilde reshaped to
-        [b] * m, axes reversed since digit kappa_i of k pairs with digit xi_(i+1)
-        of x; e bounds its rounding, and R_u enters the discrepancy bound whole.
-        g is real (r_tilde is even under digitwise negation) and exact for b = 2."""
-        b, m = self.b, self.m
-        c = np.zeros(b ** m)
-        for a in range(1, m + 1):
-            for lead in range(1, b):  # r_tilde is one value on the run of k of this mu(k), lead
-                c[lead * b ** (a - 1):(lead + 1) * b ** (a - 1)] = r_tilde(lead * b ** (a - 1), b)
-        g = np.fft.fftn(c.astype(np.longdouble).reshape([b] * m)).real.T.ravel()
-        return g.astype(np.float64), (0.0 if b == 2 else _fft_error(c, b, m)), 1.0
+        """(g, e, 1): g(a/b^m) = sum over 0 < k < b^m of r_tilde(k) wal_k(a/b^m), a < b^m,
+        r_tilde(k) = 1 / (b^mu(k) sin(pi d / b)), d the leading base-b digit of k; e bounds
+        its rounding, and R_u enters the discrepancy bound whole.
+
+        Summed over each run of k of one mu(k) and leading digit, g(0) = m C_0 and
+        g(a/b^m) = (m - mu(a)) C_0 + C_d for a >= 1 of leading digit d, where C_d is the
+        sum over 0 < kappa < b of cos(2 pi kappa d / b) / (b sin(pi kappa / b)).  The
+        m (b - 1) + 1 values are formed in long double (unit roundoff u; sinl and atanl
+        within 1 ulp): each term, a quotient of sines of arguments in [-pi/2, pi/2], is
+        within 14 u of its value; so C_d is within (b + 12) u C_0 and g within m (b + 14)
+        u C_0, m + 1 covering second-order terms.  Rounding once to float64 adds 2^-53
+        rms(g).  At b = 2 every sine is +-1, so g is exact and e = 0."""
+        b, m, k = self.b, self.m, np.arange(1, self.b)
+        pi, t = 4 * np.arctan(np.longdouble(1)), np.abs(b - 2 * (np.outer(np.arange(b), k) % b))
+        C = (np.sin(pi * (2 * t - b) / (2 * b))
+             / (b * np.sin(pi * np.minimum(k, b - k) / b))).sum(axis=1)
+        g = np.concatenate([[m * C[0]], (np.arange(m - 1, -1, -1)[:, None] * C[0] + C[1:]).ravel()])
+        runs = np.concatenate([[1], np.repeat(b ** np.arange(m, dtype=np.int64), b - 1)])
+        e = (2.0 ** -53 * float(np.sqrt((runs * g * g).sum() / b ** m)) * (1 + 1e-12)
+             + (m + 1) * (b + 14) * float(np.finfo(np.longdouble).eps / 2 * C[0]))
+        return np.repeat(g.astype(np.float64), runs), (0.0 if b == 2 else e), 1.0
 
     def rho_bound_factors(self) -> list[float]:
         """F_k = (b - 1) (k_b (m + 1))^k, k = 0..s, k_b = 1 for b = 2 and
@@ -169,17 +178,6 @@ def mu_of(k: int, b: int) -> int:
     return count
 
 
-def r_tilde(k: int, b: int) -> float:
-    """Per-coordinate weight of the polynomial-lattice R sum: 1 for k = 0,
-    else 1 / (b^a sin(pi kappa_{a-1} / b)) with a = mu(k) and kappa_{a-1}
-    the leading base-b digit."""
-    if k == 0:
-        return 1.0
-    a = mu_of(k, b)
-    lead = k // b ** (a - 1)
-    return 1.0 / (b ** a * math.sin(math.pi * lead / b))
-
-
 def walsh_phi_alpha(numer: int, m: int, alpha: float, b: int) -> float:
     """Walsh kernel phi_alpha at the rational numer / b^m.
 
@@ -239,22 +237,23 @@ def _laurent_matrix(b: int, m: int, p_coeffs: tuple[int, ...]) -> np.ndarray:
 
 def _points_of(b: int, m: int, p_coeffs: tuple[int, ...], qcodes, ncodes) -> np.ndarray:
     """out[r, i] = numerator over b^m of nu_m(n q_r / p), q_r = qcodes[r] and
-    n = ncodes[i].
+    n = ncodes[i], filled in blocks of _BLOCK_CELLS // m points.
 
     With u_k the Laurent digits of q_r / p, digit i of n q_r / p is
     sum_c n_c u_(i+c): the Hankel matrix of u_1..u_(2m-1) applied to the
     digits of n.  Products stay below m (b-1)^2 and numerators below b^m, so
     float64 arithmetic is exact, floor(digit / b) included.
     """
-    U = (_digits(qcodes, b, m) @ _laurent_matrix(b, m, p_coeffs)) % b
-    nd = _digits(ncodes, b, m).T.astype(np.float64)
-    out = np.zeros((U.shape[0], nd.shape[1]))
-    for i in range(m):  # out <- b out + digit - b floor(digit / b), all in place
-        digit = U[:, i:i + m].astype(np.float64) @ nd
-        out *= b
-        out += digit
-        digit /= b  # np.floor is ~6x faster than np.remainder here
-        out -= np.multiply(np.floor(digit, out=digit), b, out=digit)
+    U = ((_digits(qcodes, b, m) @ _laurent_matrix(b, m, p_coeffs)) % b).astype(np.float64)
+    out, step = np.zeros((U.shape[0], len(ncodes))), _BLOCK_CELLS // m
+    for lo in range(0, len(ncodes), step):
+        nd, acc = _digits(ncodes[lo:lo + step], b, m).T.astype(np.float64), out[:, lo:lo + step]
+        for i in range(m):  # acc <- b acc + digit - b floor(digit / b), all in place
+            digit = U[:, i:i + m] @ nd
+            acc *= b
+            acc += digit
+            digit /= b  # np.floor is ~6x faster than np.remainder here
+            acc -= np.multiply(np.floor(digit, out=digit), b, out=digit)
     return out.astype(np.int64)
 
 

@@ -106,6 +106,17 @@ def dual_enumerate_poly(rule: PolyLatticeRule, digit_cap: int) -> list[tuple[int
     return out
 
 
+def r_tilde(k: int, b: int) -> float:
+    """Per-coordinate weight of the polynomial-lattice R sum: 1 for k = 0, else
+    1 / (b^a sin(pi d / b)), a the number of base-b digits of k and d the leading one."""
+    if k == 0:
+        return 1.0
+    a = 1
+    while k >= b ** a:
+        a += 1
+    return 1.0 / (b ** a * math.sin(math.pi * (k // b ** (a - 1)) / b))
+
+
 def reference_laurent_digits(numer: GFPoly, p: GFPoly, count: int) -> tuple[int, ...]:
     """First ``count`` Laurent digits of numer / p by repeated
     multiply-by-x-and-reduce long division."""

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lattice_modulus
-from oracle import dual_enumerate_poly, reference_star_discrepancy
+from oracle import dual_enumerate_poly, r_tilde, reference_star_discrepancy
 from qmcforge.cbc import cbc_construct
 from qmcforge.discrepancy import (exact_star_discrepancy, star_disc_bound, star_disc_bound_rho,
                                   weighted_exact_star_discrepancy)
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
 from qmcforge.korobov import LatticeRule
-from qmcforge.walsh import PolyLatticeRule, r_tilde
+from qmcforge.walsh import PolyLatticeRule
 from qmcforge.weights import SpaceParams, WeightSet, subsets_of
 
 P3 = GFPoly(2, (1, 1, 0, 1))
@@ -183,6 +183,11 @@ class TestExactDstar:
             fast = exact_star_discrepancy(pts, denom)
             slow = reference_star_discrepancy(pts.tolist(), denom)
             assert fast == pytest.approx(slow, abs=1e-12)
+        # repeated coordinates and a coordinate at 0, in each dimension
+        pts = np.asarray([[0, 5], [3, 5], [3, 0], [0, 5], [7, 2], [3, 2]])
+        for cols in ([0], [1], [0, 1]):
+            assert exact_star_discrepancy(pts[:, cols], 9) == pytest.approx(
+                reference_star_discrepancy(pts[:, cols].tolist(), 9), abs=1e-12)
 
 
 class TestUpperBoundProperty:

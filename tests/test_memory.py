@@ -81,6 +81,18 @@ def test_poly_closed_merit():
     assert traced_peak(lambda: p_merit_closed(rule, product_params(32))) < 32 * MiB
 
 
+def test_poly_points_in_blocks():
+    # b = 2, m = 18: blocks of 2^18 // 18 = 14563 points; the 18 x 2^18 digit matrix
+    # alone is 36 MiB in int64 and 36 MiB more in float64
+    rule = PolyLatticeRule(b=2, m=18, p=smallest_irreducible(2, 18),
+                           q=(GFPoly.from_code(2, 91713), GFPoly.from_code(2, 5)))
+    points = rule.points()
+    for lo, hi in [(0, 1), (100, 14563), (14000, 14563 * 2 + 7), (14563, 14564),
+                   (150001, 2 ** 18), (2 ** 18 - 1, 2 ** 18)]:
+        assert np.array_equal(rule.points(lo, hi), points[lo:hi])
+    assert traced_peak(rule.points) < 24 * MiB
+
+
 def test_discrepancy_refused_before_points():
     # the (N, s) point array of N = 65521, s = 21 is 11 MB; the subset cap refuses first
     rule = LatticeRule(N=65521, z=tuple(range(1, 22)))

@@ -5,8 +5,9 @@ For every subset u of a small rule, the point sum must agree with the
 enumerated R_u within 1e-12 relative plus its rounding allowance, R_u plus the
 allowance must not fall below the enumerated value, and the subset-sum bound
 must not fall below the bound assembled from the enumerated R values.  The
-kernel tables themselves are checked against long-double direct sums, at
-sizes where pocketfft runs radix, generic and Bluestein transforms.
+kernel tables themselves are checked against long-double direct sums: the
+lattice table at sizes where pocketfft runs radix, generic and Bluestein
+transforms, the polynomial table entry by entry.
 """
 
 import math
@@ -17,11 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import dual_enumerate_lattice, dual_enumerate_poly
+from oracle import dual_enumerate_lattice, dual_enumerate_poly, r_tilde
 from qmcforge.discrepancy import _point_sum, star_disc_bound
 from qmcforge.gfpoly import GFPoly, smallest_irreducible
 from qmcforge.korobov import LatticeRule
-from qmcforge.walsh import PolyLatticeRule, r_tilde
+from qmcforge.walsh import PolyLatticeRule
 from qmcforge.weights import WeightSet, subsets_of
 
 BOX_CELLS = 30_000  # oracle enumeration size per example
@@ -119,16 +120,31 @@ def direct_lattice_table(N):
     return sum(c[j] * cos[(j * a) % N] for j in range(1, N))
 
 
+def digit_rows(b, count):
+    """Row n: the count base-b digits of n < b^count, least significant first."""
+    return (np.arange(b ** count)[:, None] // b ** np.arange(count)) % b
+
+
 def direct_poly_table(b, m):
-    """g(a/b^m) = sum_k r_tilde(k) Re wal_k(a/b^m) in long double: digit
-    kappa_i of k (least significant first) meets digit xi_(i+1) of a (most
-    significant first)."""
-    n = np.arange(b ** m)
-    kappa = np.stack([(n // b ** i) % b for i in range(m)], axis=1)
-    xi = np.stack([(n // b ** (m - 1 - i)) % b for i in range(m)], axis=1)
-    cos = np.cos(2 * PI * np.arange(b, dtype=np.longdouble) / b)
-    rt = np.asarray([0.0] + [r_tilde(k, b) for k in range(1, b ** m)], dtype=np.longdouble)
-    return cos[(kappa @ xi.T) % b].T @ rt
+    """g(a/b^m) = sum over 0 < k < b^m of r_tilde(k) Re wal_k(a/b^m) in long double,
+    term by term.  Re wal_k(a/b^m) = cos(2 pi E / b), E = sum_i kappa_i xi_(i+1) over
+    digit kappa_i of k (least significant first) and digit xi_(i+1) of a (most
+    significant first), split as E_hi + E_lo over the high and low digits of k.  The
+    terms of each run of k that shares r_tilde(k) = 1 / (b^mu sin(pi d / b)), one
+    mu(k) and leading digit d, are summed before they are weighted."""
+    h = m // 2
+    xi, lo_digits, hi_digits = digit_rows(b, m)[:, ::-1], digit_rows(b, h).T, digit_rows(b, m - h).T
+    runs = [(mu, d) for mu in range(1, m + 1) for d in range(1, b)]
+    weight = np.asarray([1 / (np.longdouble(b) ** mu * np.sin(PI * d / b)) for mu, d in runs])
+    cos = np.cos(2 * PI * np.arange(2 * b, dtype=np.longdouble) / b)
+    step = max(1, (1 << 20) // b ** m)  # rows of a per block
+    blocks = []
+    for lo in range(0, b ** m, step):
+        x = xi[lo:lo + step]
+        E = ((x[:, h:] @ hi_digits) % b)[:, :, None] + ((x[:, :h] @ lo_digits) % b)[:, None, :]
+        blocks.append(np.add.reduceat(cos[E].reshape(len(x), -1),
+                                      [d * b ** (mu - 1) for mu, d in runs], axis=1) @ weight)
+    return np.concatenate(blocks)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 7, 31, 47, 53, 64, 97, 100, 127, 243, 251,
@@ -139,9 +155,22 @@ def test_lattice_table_within_its_error_bound(N):
     assert float(err) <= math.sqrt(N) * table_err
 
 
-@pytest.mark.parametrize("b, m", [(2, 8), (3, 5), (5, 4), (7, 3)])
+@pytest.mark.parametrize("b, m", [(2, 8), (3, 5), (5, 4), (7, 3), (3, 8), (5, 6), (7, 5)])
 def test_poly_table_within_its_error_bound(b, m):
     rule = PolyLatticeRule(b=b, m=m, p=smallest_irreducible(b, m), q=(GFPoly.from_code(b, 1),))
     table, table_err, _ = rule.r_kernel()
-    err = np.linalg.norm(table.astype(np.longdouble) - direct_poly_table(b, m))
-    assert float(err) <= math.sqrt(b ** m) * table_err
+    direct = direct_poly_table(b, m)
+    err = np.abs(table.astype(np.longdouble) - direct)
+    assert float(np.linalg.norm(err)) <= math.sqrt(b ** m) * table_err
+    # each entry is the long-double value rounded once
+    assert np.all(err <= 2.0 ** -53 * np.abs(table) + 1e-18)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 20])
+def test_poly_table_exact_at_base_2(m):
+    # g(0) = m / 2 and g(a / 2^m) = (m - mu(a) - 1) / 2 for a >= 1, as exact dyadics
+    table, table_err, _ = PolyLatticeRule(b=2, m=m, p=smallest_irreducible(2, m),
+                                          q=(GFPoly.from_code(2, 1),)).r_kernel()
+    mu = np.frexp(np.arange(1, 2 ** m))[1]  # the bit length of a
+    assert table_err == 0.0
+    assert np.array_equal(table, np.concatenate([[m / 2], (m - mu - 1) / 2]))

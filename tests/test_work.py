@@ -46,6 +46,14 @@ def test_star_disc_bound_before_points(no_budget):
         discrepancy.star_disc_bound(LatticeRule(N=31, z=(1, 12)), product(2))
 
 
+def test_discrepancy_report_refuses_exact_dstar_before_bound(no_budget):
+    # the s = 2 exact D* is refused before star_disc_bound's work starts
+    no_budget.setattr(discrepancy, "star_disc_bound", entered)
+    with pytest.raises(ResourceLimitError, match="exact star discrepancy"):
+        discrepancy.discrepancy_report(LatticeRule(N=31, z=(1, 12)),
+                                       SpaceParams(alpha=1.0, weights=product(2)), None)
+
+
 def test_exact_star_discrepancy_before_grid(no_budget):
     no_budget.setattr(np, "unique", entered)
     pts = np.stack([np.arange(31), (12 * np.arange(31)) % 31], axis=1)
