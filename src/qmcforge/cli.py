@@ -343,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument("--fast", action="store_true", help="FFT scan (prime N)")
     con.add_argument("--random", action="store_true", help="draw a random vector instead")
     con.add_argument("--seed", type=int, default=20240601, help="seed for --random")
-    con.add_argument("--config", help="JSON file supplying any of the flags")
-    con.add_argument("--out", help="rule JSON path (default: stdout)")
     con.set_defaults(func=cmd_construct)
 
     ev = sub.add_parser("evaluate", help="evaluate merit (and bounds) of a stored rule")
@@ -356,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--series-K", type=int, dest="series_K",
                     help="evaluate by truncated series with this radius (lattice) "
                          "or digit cap (polynomial lattice)")
-    ev.add_argument("--config", help="JSON file supplying any of the flags")
-    ev.add_argument("--out", help="report JSON path (default: stdout)")
     ev.set_defaults(func=cmd_evaluate)
 
     ce = sub.add_parser("certify", help="check a stability or construction bound")
@@ -369,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--weights-prime", dest="weights_prime")
     ce.add_argument("--lambda", type=float, dest="lam", default=1.0)
     ce.add_argument("--delta", type=float, default=0.5, help="Jensen exponent")
-    ce.add_argument("--config", help="JSON file supplying any of the flags")
-    ce.add_argument("--out", help="certificate JSON path (default: stdout)")
     ce.set_defaults(func=cmd_certify)
 
     sw = sub.add_parser("sweep", help="construct over a size grid and tabulate")
@@ -381,9 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--alpha", type=float, default=1.0)
     sw.add_argument("--weights", default="product:j^-2")
     sw.add_argument("--certify", choices=["thm1", "thm2"], help="add a passed column")
-    sw.add_argument("--config", help="JSON file supplying any of the flags")
-    sw.add_argument("--out", help="CSV path (default: stdout)")
     sw.set_defaults(func=cmd_sweep)
+    for verb, written in ((con, "rule JSON"), (ev, "report JSON"), (ce, "certificate JSON"),
+                          (sw, "CSV")):  # the flags every verb ends with
+        verb.add_argument("--config", help="JSON file supplying any of the flags")
+        verb.add_argument("--out", help=f"{written} path (default: stdout)")
     return parser
 
 

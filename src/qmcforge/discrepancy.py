@@ -70,19 +70,28 @@ def _point_sum(f: np.ndarray, hits: np.ndarray, table_err: float) -> tuple[float
     return mean - 1.0, float(table_err * spread + 2.0 ** -53 * rounding)
 
 
-def star_disc_bound(rule: LatticeRule | PolyLatticeRule, W: WeightSet) -> tuple[float, dict]:
-    """Subset-sum bound sum_u gamma_u [1 - (1 - 1/n)^|u| + scale R_u] over the n
-    points, each R_u raised by its rounding allowance; returns it and the
-    per-subset R.  R_u, the point sum over rule.r_kernel() in the coordinates
-    of u, sums the nonzero dual vectors supported in u: lattice rules weigh
-    those in the box -N/2 < k_j <= N/2 by prod 1/max(1, |k_j|) (scale 1/2),
-    polynomial lattice rules those with all k_j < b^m by prod r_tilde(k_j) (scale 1)."""
-    n, s = rule.npoints, rule.s
-    # before the points are built; units: 20 n for kernel and points, n |u| + 1000 per u
+def _afford_subset_sums(n: int, s: int) -> None:
+    # units: 20 n for kernel and points, n |u| + 1000 per u
     afford(n * (s * 2 ** (s - 1) + 20) + 1000 * (2 ** s - 1), 78.9,
            f"subset sums over the 2^{s} - 1 subsets of {n} points")
+
+
+def _afford_exact(npts: int) -> None:
+    # units: npts grid rows of npts cells, plus 1600 per row
+    afford(npts * (npts + 1600), 11.5, f"exact star discrepancy of {npts} points")
+
+
+def star_disc_bound(rule: LatticeRule | PolyLatticeRule, W: WeightSet,
+                    x: np.ndarray | None = None) -> tuple[float, dict]:
+    """Subset-sum bound sum_u gamma_u [1 - (1 - 1/n)^|u| + scale R_u] over the n
+    points x (default rule.points()), each R_u raised by its rounding allowance;
+    returns it and the per-subset R.  R_u, the point sum over rule.r_kernel() in
+    the coordinates of u, sums the nonzero dual vectors supported in u: lattice rules
+    weigh those in the box -N/2 < k_j <= N/2 by prod 1/max(1, |k_j|) (scale 1/2),
+    polynomial lattice rules those with all k_j < b^m by prod r_tilde(k_j) (scale 1)."""
+    _afford_subset_sums(rule.npoints, rule.s)  # before the kernel and points are built
     table, table_err, scale = rule.r_kernel()
-    x = rule.points()
+    x = rule.points() if x is None else x
     f, hits = 1.0 + table[x], np.asarray([np.bincount(col).max() for col in x.T])
     total, r_values = 0.0, {}
     for u in subsets_of(rule.s):
@@ -136,8 +145,7 @@ def exact_star_discrepancy(numerators: np.ndarray, denominator: int) -> float:
         vol = grid / denominator
         dev = np.maximum(np.abs(closed / npts - vol), np.abs(strict / npts - vol))
         return float(dev.max())
-    # units: npts grid rows of npts cells, plus 1600 per row
-    afford(npts * (npts + 1600), 11.5, f"exact star discrepancy of {npts} points")
+    _afford_exact(npts)
     gx = np.unique(np.concatenate([pts[:, 0], [0, denominator]]))
     gy = np.unique(np.concatenate([pts[:, 1], [0, denominator]]))
     ix = np.searchsorted(gx, pts[:, 0])
@@ -176,14 +184,18 @@ def weighted_exact_star_discrepancy(numerators: np.ndarray, denominator: int,
 
 def discrepancy_report(rule: LatticeRule | PolyLatticeRule, params: SpaceParams,
                        rho: float | None) -> DiscrepancyReport:
-    """The subset-sum bounds of one rule under params' weights, and its exact
-    weighted D* for s <= 2, taken first so that its work-budget refusal precedes the
-    subset sums; the rho bound only when rho, the rule's figure of merit, is given."""
-    W = params.weights
+    """The subset-sum bounds of one rule under params' weights, and its exact weighted
+    D* for s <= 2, over one build of the points that both work estimates precede;
+    the rho bound only when rho, the rule's figure of merit, is given."""
+    W, n = params.weights, rule.npoints
     bound_rho, vacuous = None, False
     if rho is not None:
         bound_rho, vacuous = star_disc_bound_rho(rule, params.alpha, W, W, rho)
-    exact = weighted_exact_star_discrepancy(rule.points(), rule.npoints, W) if rule.s <= 2 else None
-    bound_joe, r_values = star_disc_bound(rule, W)
+    if rule.s == 2:  # the 1-D exact D* is O(n log n) and needs no estimate
+        _afford_exact(n)
+    _afford_subset_sums(n, rule.s)
+    x = rule.points()
+    exact = weighted_exact_star_discrepancy(x, n, W) if rule.s <= 2 else None
+    bound_joe, r_values = star_disc_bound(rule, W, x)
     return DiscrepancyReport(bound_joe=bound_joe, bound_rho=bound_rho,
                              exact_dstar=exact, r_values=r_values, vacuous=vacuous)

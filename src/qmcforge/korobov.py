@@ -298,14 +298,9 @@ def omega_table(alpha: int, N: int) -> np.ndarray:
     The table is mirrored across a = N/2 so that reflected candidates z and
     N - z produce bitwise identical values.
     """
-    fac = omega_factor(alpha)
     half = np.arange(N // 2 + 1) / N
-    coeffs = _BERNOULLI_EVEN[alpha]
-    vals = np.zeros_like(half)
-    for c in coeffs:
-        vals = vals * half + c
     table = np.empty(N)
-    table[: N // 2 + 1] = fac * vals
+    table[: N // 2 + 1] = omega_factor(alpha) * np.polyval(_BERNOULLI_EVEN[alpha], half)
     table[N // 2 + 1:] = table[1: (N + 1) // 2][::-1]
     return table
 

@@ -101,8 +101,10 @@ class PolyLatticeRule:
         within 14 u of its value; so C_d is within (b + 12) u C_0 and g within m (b + 14)
         u C_0, m + 1 covering second-order terms.  Rounding once to float64 adds 2^-53
         rms(g).  At b = 2 every sine is +-1, so g is exact and e = 0."""
-        b, m, k = self.b, self.m, np.arange(1, self.b)
-        pi, t = 4 * np.arctan(np.longdouble(1)), np.abs(b - 2 * (np.outer(np.arange(b), k) % b))
+        b, m = self.b, self.m
+        k = np.arange(1, b)
+        pi = 4 * np.arctan(np.longdouble(1))
+        t = np.abs(b - 2 * (np.outer(np.arange(b), k) % b))  # cos(2 pi dk/b) = sin(pi (t/b - 1/2))
         C = (np.sin(pi * (2 * t - b) / (2 * b))
              / (b * np.sin(pi * np.minimum(k, b - k) / b))).sum(axis=1)
         g = np.concatenate([[m * C[0]], (np.arange(m - 1, -1, -1)[:, None] * C[0] + C[1:]).ravel()])
@@ -245,9 +247,11 @@ def _points_of(b: int, m: int, p_coeffs: tuple[int, ...], qcodes, ncodes) -> np.
     float64 arithmetic is exact, floor(digit / b) included.
     """
     U = ((_digits(qcodes, b, m) @ _laurent_matrix(b, m, p_coeffs)) % b).astype(np.float64)
-    out, step = np.zeros((U.shape[0], len(ncodes))), _BLOCK_CELLS // m
+    out = np.zeros((U.shape[0], len(ncodes)))
+    step = _BLOCK_CELLS // m
     for lo in range(0, len(ncodes), step):
-        nd, acc = _digits(ncodes[lo:lo + step], b, m).T.astype(np.float64), out[:, lo:lo + step]
+        nd = _digits(ncodes[lo:lo + step], b, m).T.astype(np.float64)
+        acc = out[:, lo:lo + step]
         for i in range(m):  # acc <- b acc + digit - b floor(digit / b), all in place
             digit = U[:, i:i + m] @ nd
             acc *= b

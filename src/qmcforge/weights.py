@@ -134,10 +134,7 @@ class WeightSet:
         """gamma_u for a nonempty subset u of {1, ..., s_max}."""
         fs = self._check_subset(u)
         if self.kind == "explicit":
-            for subset, w in self.table:
-                if subset == fs:
-                    return w
-            return 0.0
+            return next((w for subset, w in self.table if subset == fs), 0.0)
         G, g = _size_and_coordinate_parts(self, self.s_max)
         return G[len(fs) - 1] * math.prod(g[j - 1] for j in fs)
 
@@ -243,13 +240,8 @@ def check_monotone(W: WeightSet, s: int) -> bool:
         return all(G[k - 2] >= G[k - 1] * g[j] for k in range(2, s + 1) for j in range(s)
                    if positives - (g[j] > 0.0) >= k - 1)
     # explicit: removals from unlisted subsets (gamma_u = 0) hold trivially
-    for fs, w in W.table:
-        if len(fs) < 2 or max(fs) > s or w == 0.0:
-            continue
-        for j in fs:
-            if W.weight(fs - {j}) < w:
-                return False
-    return True
+    return all(W.weight(fs - {j}) >= w for fs, w in W.table
+               if len(fs) >= 2 and max(fs) <= s and w != 0.0 for j in fs)
 
 
 def weighted_power_sum(W: WeightSet, s: int, lam: float, factor: float) -> float:

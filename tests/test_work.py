@@ -46,12 +46,14 @@ def test_star_disc_bound_before_points(no_budget):
         discrepancy.star_disc_bound(LatticeRule(N=31, z=(1, 12)), product(2))
 
 
-def test_discrepancy_report_refuses_exact_dstar_before_bound(no_budget):
-    # the s = 2 exact D* is refused before star_disc_bound's work starts
+@pytest.mark.parametrize("z, what", [((1, 12), "exact star discrepancy"), ((1,), "subset sums")])
+def test_discrepancy_report_refuses_before_points(no_budget, z, what):
+    # the s = 2 exact D* is refused first, then the subset sums; both before any points
     no_budget.setattr(discrepancy, "star_disc_bound", entered)
-    with pytest.raises(ResourceLimitError, match="exact star discrepancy"):
-        discrepancy.discrepancy_report(LatticeRule(N=31, z=(1, 12)),
-                                       SpaceParams(alpha=1.0, weights=product(2)), None)
+    no_budget.setattr(LatticeRule, "points", entered)
+    with pytest.raises(ResourceLimitError, match=what):
+        discrepancy.discrepancy_report(LatticeRule(N=31, z=z),
+                                       SpaceParams(alpha=1.0, weights=product(len(z))), None)
 
 
 def test_exact_star_discrepancy_before_grid(no_budget):
