@@ -3,8 +3,9 @@ that hold when a rule built for one (alpha, gamma) is used under another.
 
 Every certificate records lhs (the merit under the target parameters), rhs
 (the bound), their margin, and the dominant components.  Inequalities are
-checked with 1e-9 relative slack; a bound that is not finite (a zero weight
-in a denominator, or a sum past float64) is a vacuous pass, never a failure.
+checked with CERT_REL_SLACK relative slack, JENSEN_REL_SLACK for the Jensen
+certificate; a bound that is not finite (a zero weight in a denominator, or a
+sum past float64) is a vacuous pass, never a failure.
 """
 
 from __future__ import annotations

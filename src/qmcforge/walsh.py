@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import errors
 from .errors import QmcforgeError, UsageError, afford, as_int, finite_power, require
 from .gfpoly import GFPoly
 from .korobov import _BLOCK_CELLS, MeritReport, _kernel_merit, _rho, _series_report
@@ -285,42 +284,47 @@ def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
                           (b - 1) / b * r ** (digit_cap + 1) / (1.0 - r))
 
 
-def _residue_shift(rule: PolyLatticeRule, j: int, e: int) -> np.ndarray:
-    """shift[t] = code of t - v_e, v_e = x^e q_j mod p, for the codes t indexing
-    G_m, built digit by digit (XOR by v_e's code for b = 2).  v_e takes e
-    multiply-by-x steps from q_j: each shifts the m coefficients up one place
-    and subtracts the overflow digit times p_m^(-1) p."""
-    b, m, p = rule.b, rule.m, rule.p.coeffs
-    inv_lead = pow(p[m], -1, b)
-    v = list(rule.q[j].coeffs) + [0] * (m - len(rule.q[j].coeffs))
-    for _ in range(e):
-        c = v[-1] * inv_lead
-        v = [(vi - c * pi) % b for vi, pi in zip([0] + v[:-1], p)]
-    shift = np.zeros(1, dtype=np.int64)
-    for i in range(m):
-        shift = ((((np.arange(b) - v[i]) % b) * b ** i)[:, None] + shift).ravel()
-    return shift
+def _shift_halves(rule: PolyLatticeRule) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) of shapes (s, m, b^(m-k)) and (s, m, b^k), k = m // 2: the code of t - v,
+    v = x^e q_j mod p, is hi[j, e, t // b^k] b^k + lo[j, e, t % b^k], as digitwise
+    subtraction changes the high and low digits of t independently (XOR for b = 2).
+    Row i of X holds the digits of x^(i+1) mod p, so v @ X holds those of x v mod p."""
+    b, m, p = rule.b, rule.m, np.array(rule.p.coeffs)
+    X = np.vstack([np.eye(m, dtype=np.int64)[1:], -pow(int(p[m]), -1, b) * p[:m] % b])
+    v = _digits([qj.code() for qj in rule.q], b, m)  # row j: the digits of v, lowest first
+    halves = [], []
+    for _ in range(m):  # the code of t - w for every t < b^n, w the n high or low digits of v
+        for out, w in zip(halves, (v[:, m // 2:], v[:, :m // 2])):
+            n = w.shape[1]
+            out.append((_digits(np.arange(b ** n), b, n) - w[:, None]) % b @ b ** np.arange(n))
+        v = v @ X % b
+    return tuple(np.stack(half, axis=1) for half in halves)
 
 
-def _cost_extend(D: np.ndarray, shifts, b: int, m: int) -> np.ndarray:
+def _cost_extend(D: np.ndarray, halves, b: int, m: int, scratch: np.ndarray,
+                 out: np.ndarray) -> None:
     """out(t) = min over residues r in G_m of D(t - r q_j) + cost(r), the codes
     t indexing G_m; cost(r) = deg(r) + 1, or m + 1 for r = 0, is the least
     mu(k) over k >= 1 with tr_m(k) = r (k = r, or k = b^m for r = 0).
 
     Residues are taken by leading position e: least(t) holds the minimum
     over deg(r) < e (r = 0 included), and r = c x^e + r' gives the shift
-    t - c v_e, v_e = x^e q_j mod p, applied c = 1..b-1 times through
-    the e-th of the m ``shifts``, _residue_shift(rule, j, e), read in order.
+    t - c v_e, v_e = x^e q_j mod p, applied c = 1..b-1 times.  On the b^(m-k)
+    x b^k view of the costs, each shift gathers rows by hi and columns by lo,
+    the e-th pair of ``halves``, into the four arrays of ``scratch`` (mode "clip":
+    every index is in range, and "raise" would copy the output through a buffer).
     """
-    least, out = D, D + (m + 1)
-    for e, shift in enumerate(shifts):
-        step = best = np.take(least, shift)
-        for _ in range(b - 2):
-            step = np.take(step, shift)
-            best = np.minimum(best, step)
-        out = np.minimum(out, best + (e + 1))
-        least = np.minimum(least, best)
-    return out
+    low, tmp, best, step = scratch
+    least = D  # until the first shift; then low, in place
+    np.add(D, m + 1, out=out)
+    for e, (hi, lo) in enumerate(zip(*halves)):
+        least.take(hi, 0, tmp, "clip").take(lo, 1, best, "clip")
+        for c in range(b - 2):  # the (c + 2)-fold shift, into step
+            (step if c else best).take(hi, 0, tmp, "clip").take(lo, 1, step, "clip")
+            np.minimum(best, step, out=best)
+        least = np.minimum(least, best, out=low)
+        best += e + 1
+        np.minimum(out, best, out=out)
 
 
 def dual_mu_minima(rule: PolyLatticeRule) -> dict[frozenset[int], int]:
@@ -330,32 +334,27 @@ def dual_mu_minima(rule: PolyLatticeRule) -> dict[frozenset[int], int]:
     cheapest k_j (see _cost_extend); so phi_u = D_u(0), where D_u(t) is the
     least total cost of residues (r_j)_{j in u} with sum r_j q_j = t mod p.
     D_{v + {j}} extends D_v by one component; no inverse of q_j is needed,
-    so a reducible p is handled alike.  The subsets are walked depth-first,
-    holding one array of b^m costs per depth, and all s m shifts if they fit, else one.
+    so a reducible p is handled alike.  u extends u less its least coordinate, walked
+    in the counting order of bit masks: one int16 array of b^m costs per size, four of scratch.
     """
     b, m, s = rule.b, rule.m, rule.s
-    held = errors.fits(s * m * rule.npoints, 8)
-    # units: m (b^(m+1) + 2000 b) per subset for the shifted minima and their numpy calls,
-    # m (b^(m+1) + 12500 m) per build of m shifts: once per coordinate if held, else per extension
-    afford(m * ((2 ** s - 1) * (b ** (m + 1) + 2000 * b)
-                + (s if held else 2 ** s - 1) * (b ** (m + 1) + 12500 * m)), 2.0,
-           f"dual minima at s={s}")
-    require(rule.npoints, 8, f"a residue shift at m={m}")
-    shifts = [[_residue_shift(rule, j, e) for e in range(m)] for j in range(s)] if held else None
-    phi = {}
-
-    def walk(D: np.ndarray, v: frozenset[int]) -> None:
-        for j in range(max(v, default=0) + 1, s + 1):
-            Dj = _cost_extend(D, shifts[j - 1] if held else
-                              (_residue_shift(rule, j - 1, e) for e in range(m)), b, m)
-            u = v | {j}
-            phi[u] = int(Dj[0])
-            if not len(u) <= phi[u] <= m + len(u):
-                raise QmcforgeError(f"phi_u = {phi[u]} outside [{len(u)}, {m + len(u)}]")
-            walk(Dj, u)
-
-    # unreachable: above every total cost; costs stay below (m + 1)(s + 2)
-    start = np.full(rule.npoints, (m + 1) * (s + 1), dtype=np.int16)
-    start[0] = 0
-    walk(start, frozenset())
-    return {u: phi[u] for u in subsets_of(s)}
+    # units: m (b^(m+1) + 2000 b) per subset for the shifted minima and their numpy calls
+    afford(m * (2 ** s - 1) * (b ** (m + 1) + 2000 * b), 2.0, f"dual minima at s={s}")
+    # int16 cells: s + 5 cost arrays, and 4 for each intp cell of the s m shift halves
+    require((s + 5) * rule.npoints + 4 * s * m * (b ** (m - m // 2) + b ** (m // 2)), 2,
+            f"dual minima cost arrays at m={m}, s={s}")
+    halves = list(zip(*_shift_halves(rule)))  # [j] = (hi[j], lo[j])
+    # costs[d], sets[d]: D_u and u of the last u of size d, costs[-4:] _cost_extend's scratch;
+    # (m + 1)(s + 1) is unreachable, above every total cost, which stays below (m + 1)(s + 2)
+    costs = np.full((s + 5, b ** (m - m // 2), b ** (m // 2)), (m + 1) * (s + 1), dtype=np.int16)
+    costs[0, 0, 0] = 0
+    sets = [frozenset()] * (s + 1)
+    phi = dict.fromkeys(subsets_of(s))  # phi_u in subsets_of's order
+    for x in range(1, 2 ** s):  # no mask of u's size less one lies between x & (x - 1) and x
+        d, j = x.bit_count(), (x & -x).bit_length()  # |u| and its least coordinate
+        u = sets[d] = sets[d - 1] | {j}
+        _cost_extend(costs[d - 1], halves[j - 1], b, m, costs[-4:], costs[d])
+        phi[u] = int(costs[d, 0, 0])
+        if not d <= phi[u] <= m + d:
+            raise QmcforgeError(f"phi_u = {phi[u]} outside [{d}, {m + d}]")
+    return phi

@@ -195,31 +195,30 @@ def shift_rule(b, m, codes=(1, 187, 611)):
     return poly_modulus(b, m).with_codes(list(codes))
 
 
-@pytest.mark.parametrize("b, m, codes", [(2, 10, (1, 187, 611)), (3, 5, (1, 100, 200))],
-                         ids=["2-10", "3-5"])
-def test_rebuilt_shifts_match_held(monkeypatch, b, m, codes):
-    # under a budget below the s m b^m int64 shifts, each of the 7 subset extensions
-    # rebuilds its coordinate's m shifts where the held walk builds 3 m; phi_u is
-    # the held shifts', for every subset
-    rule, builds, build = shift_rule(b, m, codes), [], walsh._residue_shift
-    monkeypatch.setattr(walsh, "_residue_shift", lambda *a: builds.append(a) or build(*a))
-    held = dual_mu_minima(rule)
-    assert len(builds) == 3 * m
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", 3 * m * b ** m * 8 - 1)
-    assert dual_mu_minima(rule) == held
-    assert len(builds) == 3 * m + 7 * m
+def cost_array_bytes(b, m, s):
+    # what dual_mu_minima requires: s + 5 int16 arrays of b^m costs, and the s m
+    # (b^(m-k) + b^k) intp cells of shift halves, k = m // 2
+    return 2 * (s + 5) * b ** m + 8 * s * m * (b ** (m - m // 2) + b ** (m // 2))
 
 
-def never_built(*args):
-    raise AssertionError("a residue shift was built before the memory budget was checked")
+@pytest.mark.parametrize("s", [1, 3, 6])
+def test_dual_minima_within_cost_array_bytes(s):
+    # b = 2, m = 18: the traced peak is the required bytes and a few KiB of Python
+    # objects; s m int64 index tables of 2^18 cells (108 MiB at s = 3) would not fit
+    rule = shift_rule(2, 18, (1, 187, 611, 1000, 2000, 3000)[:s])
+    assert traced_peak(lambda: dual_mu_minima(rule)) <= cost_array_bytes(2, 18, s) + 64 * 1024
 
 
-def test_residue_shifts_refused_before_shifts(monkeypatch):
-    # b = 2, m = 10: shifts that do not all fit are rebuilt one at a time, so only
-    # a budget below one shift of 2^10 int64 cells refuses, before any is built
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", 1024 * 8 - 1)
-    monkeypatch.setattr(walsh, "_residue_shift", never_built)
-    refused_within(lambda: dual_mu_minima(shift_rule(2, 10)), 1024 * 8)
+def never_entered(*args):
+    raise AssertionError("a cost array was built before the memory budget was checked")
+
+
+def test_cost_arrays_refused_before_arrays(monkeypatch):
+    # b = 2, m = 10, s = 3: a budget one byte under the required bytes
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", cost_array_bytes(2, 10, 3) - 1)
+    monkeypatch.setattr(walsh, "_shift_halves", never_entered)
+    monkeypatch.setattr(walsh, "_cost_extend", never_entered)
+    refused_within(lambda: dual_mu_minima(shift_rule(2, 10)), cost_array_bytes(2, 10, 3))
 
 
 @pytest.mark.parametrize("merit, requested", [

@@ -15,7 +15,7 @@ from qmcforge.cbc import cbc_construct
 from qmcforge.errors import UsageError
 from qmcforge.gfpoly import GFPoly, gf_is_irreducible, smallest_irreducible
 from qmcforge.korobov import p_merit_closed
-from qmcforge.walsh import (PolyLatticeRule, _phi_axis, _residue_shift, dual_mu_minima, mu_of,
+from qmcforge.walsh import (PolyLatticeRule, _phi_axis, _shift_halves, dual_mu_minima, mu_of,
                             p_merit_wal_series, walsh_phi_alpha)
 from qmcforge.weights import SpaceParams, WeightSet, subsets_of
 
@@ -155,16 +155,21 @@ REDUCIBLE = [(2, GFPoly(2, (1, 0, 1, 0, 1))),  # (x^2 + x + 1)^2
 
 
 @pytest.mark.parametrize("modulus", ["irreducible", "x^m + 1"])
-@pytest.mark.parametrize("b, m", [(2, 6), (3, 4), (5, 3), (7, 2)])
+@pytest.mark.parametrize("b, m", [(2, 6), (3, 4), (5, 3), (7, 2), (2, 1), (2, 7), (3, 1),
+                                  (3, 5), (5, 1), (5, 4), (7, 1), (7, 3)])
 def test_residue_shift_matches_oracle(b, m, modulus):
-    # shift[t] is the code of t - (x^e q_j mod p), the product and reduction
-    # taken on the oracle's digit lists, for every t in G_m and every e < m
+    # hi[j, e, t // b^k] b^k + lo[j, e, t % b^k], k = m // 2, is the code of
+    # t - (x^e q_j mod p), the product and reduction taken on the oracle's digit
+    # lists, for every t in G_m and every e < m; at m = 1, lo has one entry
     def padded(digits):
         return digits + [0] * (m - len(digits))
 
     xm1 = GFPoly(b, (1,) + (0,) * (m - 1) + (1,))
     p = smallest_irreducible(b, m) if modulus == "irreducible" else xm1
     rule = random_rule(b, m, p, 2, seed=b * m)
+    hi, lo = _shift_halves(rule)
+    k, codes = m // 2, np.arange(b ** m)
+    assert hi.shape == (2, m, b ** (m - k)) and lo.shape == (2, m, b ** k)
     for j, qj in enumerate(rule.q):
         for e in range(m):
             v = padded(_poly_digits_mod(_poly_digits_mul([0] * e + [1], list(qj.coeffs), b),
@@ -172,7 +177,32 @@ def test_residue_shift_matches_oracle(b, m, modulus):
             expected = [sum((d - vi) % b * b ** i
                             for i, (d, vi) in enumerate(zip(padded(_base_digits(t, b, m)), v)))
                         for t in range(b ** m)]
-            assert _residue_shift(rule, j, e).tolist() == expected
+            composed = hi[j, e, codes // b ** k] * b ** k + lo[j, e, codes % b ** k]
+            assert composed.tolist() == expected
+
+
+# phi_u past the oracle's box, recorded from full b^m residue-shift tables: odd m
+# splits the codes into halves of unequal size, and the last modulus,
+# 2 x^6 + x^5 + 2 x^2 + 1 over Z_3, is reducible and not monic
+PINNED_MINIMA = [
+    (2, 12, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), [1568, 1353, 3077, 1660],
+     {(1,): 13, (2,): 13, (3,): 13, (4,): 13, (1, 2): 11, (1, 3): 11, (1, 4): 10,
+      (2, 3): 9, (2, 4): 11, (3, 4): 10, (1, 2, 3): 9, (1, 2, 4): 9, (1, 3, 4): 10,
+      (2, 3, 4): 10, (1, 2, 3, 4): 9}),
+    (3, 7, (2, 0, 1, 0, 0, 0, 0, 1), [659, 1708, 844],
+     {(1,): 8, (2,): 8, (3,): 8, (1, 2): 7, (1, 3): 6, (2, 3): 7, (1, 2, 3): 7}),
+    (7, 5, (3, 1, 0, 0, 0, 1), [1735, 5680], {(1,): 6, (2,): 6, (1, 2): 6}),
+    (3, 6, (1, 0, 2, 0, 0, 1, 2), [651, 291, 156],
+     {(1,): 7, (2,): 7, (3,): 5, (1, 2): 4, (1, 3): 5, (2, 3): 7, (1, 2, 3): 4}),
+]
+
+
+@pytest.mark.parametrize("b, m, p, codes, expected", PINNED_MINIMA,
+                         ids=["2-12", "3-7", "7-5", "3-6-reducible"])
+def test_dual_mu_minima_pinned(b, m, p, codes, expected):
+    rule = PolyLatticeRule(b=b, m=m, p=GFPoly(b, p),
+                           q=tuple(GFPoly.from_code(b, c) for c in codes))
+    assert {tuple(sorted(u)): phi for u, phi in dual_mu_minima(rule).items()} == expected
 
 
 class TestPointsAgainstOracle:

@@ -130,14 +130,12 @@ def test_poly_scan_at_s1_counts_no_scan(tmp_path):
                      "--out", str(tmp_path / "rule.json")]) == 0
 
 
-def test_rebuilt_shifts_count_a_build_per_extension(monkeypatch):
-    # b = 2, m = 10, s = 3: the held shifts are built once per coordinate; with
-    # none held, each of the 7 subset extensions rebuilds its coordinate's shifts
+@pytest.mark.parametrize("b, m, codes", [(2, 10, [1, 187, 611]), (3, 5, [1, 100, 200])],
+                         ids=["2-10", "3-5"])
+def test_dual_minima_units_per_subset(monkeypatch, b, m, codes):
+    # s = 3: m (b^(m+1) + 2000 b) units for each of the 7 subsets, and nothing per
+    # coordinate, since the shift halves are built once per call
     units = []
     monkeypatch.setattr(walsh, "afford", lambda u, ns_per_unit, what: units.append(u))
-    rule = poly_modulus(2, 10).with_codes([1, 187, 611])
-    walsh.dual_mu_minima(rule)
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", 3 * 10 * 2 ** 10 * 8 - 1)
-    walsh.dual_mu_minima(rule)
-    per_subset, per_build = 10 * (2 ** 11 + 4000), 10 * (2 ** 11 + 125000)
-    assert units == [7 * per_subset + 3 * per_build, 7 * (per_subset + per_build)]
+    walsh.dual_mu_minima(poly_modulus(b, m).with_codes(codes))
+    assert units == [7 * m * (b ** (m + 1) + 2000 * b)]
