@@ -8,10 +8,12 @@ the rule by one coordinate changes each point's sum by t * h(n), where t is
 the new coordinate's (gamma-scaled) kernel factor and h is a state vector, so
 one scan costs one product F @ h, F[c, n] the kernel at point n for candidate
 c.  POD and order-dependent state keeps one contiguous row per subset size.
-The loop (_greedy) is the same for both families; each rule's cbc_scan
-supplies the kernel columns, the candidates and the scan (F in row blocks, or
-for prime N a circular correlation by the FFT).  A lattice rule's columns n and
-N - n are equal, so its F spans only n <= N/2 and its scan folds h onto them.
+The loop (_greedy) is the same for both families, and cbc owns the kernel
+columns, the rows of F (both gathered from the kernel table at rule.points())
+and the row scan's one hold-or-stream decision and work budget; each rule's
+cbc_scan names the table, the candidates and the scan: rows of a width, or for
+prime N a circular correlation by the FFT.  A lattice rule's columns n and
+N - n are equal, so its rows span n <= N/2 only and its scan folds h onto them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import errors
-from .errors import UsageError, finite
+from .errors import UsageError, afford, finite
 from .korobov import _BLOCK_CELLS
 from .weights import SpaceParams, WeightSet
 
@@ -117,13 +119,6 @@ def _select(merits: np.ndarray, candidates: np.ndarray) -> tuple[int, float]:
     return int(candidates[idx]), float(merits[idx])
 
 
-def _check_dimension(s: int, weights: WeightSet) -> None:
-    if s < 1:
-        raise UsageError("dimension must be >= 1")
-    if s > weights.s_max:
-        raise UsageError(f"weights defined up to s_max={weights.s_max}, need {s}")
-
-
 def _powers(g: int, N: int) -> np.ndarray:
     """out[a] = g^a mod N, a < N - 1, by doubling: out[k:2k] = out[:k] g^k mod N."""
     out, k = np.ones(N - 1, dtype=np.int64), 1
@@ -133,37 +128,49 @@ def _powers(g: int, N: int) -> np.ndarray:
     return out
 
 
-def _holds(count: int, npoints: int, s: int) -> bool:
-    """Whether an s-component scan holds its matrix: later steps rescan it and it fits."""
-    return s > 2 and errors.fits(count * npoints, 8)
-
-
-def _row_scan(rows: Callable[[int, int, np.ndarray], np.ndarray], count: int, npoints: int,
-              s: int) -> Callable[[np.ndarray], np.ndarray]:
-    """scan(h) = F @ h for the count x npoints matrix F (npoints = N/2 + 1 for a
-    lattice rule's folded h), where rows(lo, hi, out) writes F[lo:hi] into out and
-    returns it, in blocks of _BLOCK_CELLS cells: F is held when _holds, else each
-    scan remakes the blocks and drops each after its product."""
-    block = max(1, _BLOCK_CELLS // npoints)
+def _row_scan(rule: LatticeRule | PolyLatticeRule, table: np.ndarray, candidates: np.ndarray,
+              width: int, s: int) -> Callable[[np.ndarray], np.ndarray]:
+    """scan(h) = F @ h for F[i, n] = table[x_n], x_n point n < width of the rule whose
+    one component is candidates[i], in blocks of _BLOCK_CELLS cells: F is held when
+    later steps rescan it and it fits, else each scan remakes the blocks and drops
+    each after its product.  The work budget is charged before any row exists."""
+    count = candidates.size
+    holds = s > 2 and count * width * 8 <= errors.MEMORY_BUDGET
+    # units: rule.point_units a cell each time the rows are built (once if held, else
+    # every step), 1 a cell per scan, and a step's column and 4000 cells of numpy calls
+    afford(count * width * (rule.point_units * (1 if holds else s - 1) + s - 1)
+           + (rule.npoints + 4000) * rule.point_units * s, 0.787,
+           f"CBC scan of {count * width} cells over {s} components")
+    block = max(1, _BLOCK_CELLS // width)
     spans = [(lo, min(lo + block, count)) for lo in range(0, count, block)]
-    if _holds(count, npoints, s):
-        F = np.empty((count, npoints))
+
+    def rows(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        # points() is the transpose of one (s, n) array, so x.T is contiguous and no index
+        # is copied; 'clip' moves none (all are in range) and fills out unbuffered
+        x = rule.with_codes(candidates[lo:hi].tolist()).points(0, width)
+        return np.take(table, x.T, mode="clip", out=out)
+    if holds:
+        F = np.empty((count, width))
         for lo, hi in spans:
             rows(lo, hi, F[lo:hi])
         return lambda h: F @ h
-    return lambda h: np.concatenate([rows(lo, hi, np.empty((hi - lo, npoints))) @ h
+    return lambda h: np.concatenate([rows(lo, hi, np.empty((hi - lo, width))) @ h
                                      for lo, hi in spans])
 
 
-def _greedy(s: int, weights: WeightSet, npoints: int, column: Callable[[int], np.ndarray],
+def _greedy(rule: LatticeRule | PolyLatticeRule, s: int, weights: WeightSet, table: np.ndarray,
             scan: Callable[[np.ndarray], np.ndarray], candidates: np.ndarray) -> CbcTrace:
     """The CBC loop shared by both rule families.
 
     Component 1 is candidate 1; each later step keeps the candidate minimizing
-    (sum S + scale * F @ h) / npoints, where ``column(c)`` is the kernel at the
-    points for candidate c and ``scan(h)`` returns F @ h over ``candidates``.
+    (sum S + scale * F @ h) / npoints, ``scan(h)`` giving F @ h over ``candidates``;
+    the column of c is the table at the points of the rule whose one component is c.
     """
+    npoints = rule.npoints
     state = _MeritState(weights, s, npoints)
+
+    def column(c: int) -> np.ndarray:
+        return table[rule.with_codes([c]).points()[:, 0]]
     with np.errstate(over="ignore", invalid="ignore"):  # _select refuses what overflows
         state.update(column(1))
         trace = [(1, finite(float(state.S.mean()), "a CBC merit"))]
@@ -182,5 +189,7 @@ def cbc_construct(rule: LatticeRule | PolyLatticeRule, s: int, params: SpacePara
     (N, or b, m and p; only the modulus is read): component 1 is 1, each later
     one minimizes the closed-form merit over rule.cbc_scan's candidates with
     ties resolved toward the smallest, and ``fast`` asks for the FFT scan."""
-    trace = _greedy(s, params.weights, rule.npoints, *rule.cbc_scan(s, params, fast))
+    if not 1 <= s <= params.weights.s_max:
+        raise UsageError(f"dimension s={s} outside 1..{params.weights.s_max}, the weights' s_max")
+    trace = _greedy(rule, s, params.weights, *rule.cbc_scan(s, params, fast))
     return rule.with_codes([c for c, _ in trace.choices]), trace

@@ -197,7 +197,6 @@ def _modulus_rule(kind: str, N: int | None = None, b: int = 2, m: int | None = N
 
 def cmd_construct(args: argparse.Namespace) -> int:
     from .cbc import CbcTrace, cbc_construct
-    from .korobov import p_merit_closed
     if args.random and args.fast:
         raise UsageError("--fast selects the CBC scan, and --random runs no search")
     if args.kind == "lattice" and args.N is None:
@@ -209,11 +208,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
     modulus = _modulus_rule(args.kind, args.N, args.b, args.m, args.p)
     params = SpaceParams(alpha=float(args.alpha), weights=W)
     if args.random:
+        from .stability import merit  # the one chooser of closed form or series
         rng = random.Random(args.seed)
         codes = [rng.randrange(1, modulus.npoints) for _ in range(s)]
         rule = modulus.with_codes(codes)
-        merit = p_merit_closed(rule, params).p_value
-        trace = CbcTrace(choices=tuple((c, merit) for c in codes), evaluations=0)
+        p = merit(rule, params).p_value
+        trace = CbcTrace(choices=tuple((c, p) for c in codes), evaluations=0)
     else:
         rule, trace = cbc_construct(modulus, s, params, args.fast)
     payload = rule.to_jsonable()
@@ -274,12 +274,11 @@ def _sweep_cell(kind: str, size: int, s: int, alpha: float, W: WeightSet,
     """The table row of the CBC rule for grid value size (N, or m with b = 2),
     and the rule's point count."""
     from .cbc import cbc_construct
-    from .korobov import p_merit_closed
-    from .stability import prop_bound, stability_bound
+    from .stability import merit, prop_bound, stability_bound
     params = SpaceParams(alpha=alpha, weights=W)
     rule, _ = cbc_construct(_modulus_rule(kind, N=size, m=size), s, params)
     bound = prop_bound(rule, alpha, W, 1.0)
-    p = p_merit_closed(rule, params).p_value
+    p = merit(rule, params).p_value
     thm_rhs, passed = math.nan, None
     if certify or not rule.needs_monotone_weights or check_monotone(W, s):
         try:

@@ -70,9 +70,12 @@ def _point_sum(f: np.ndarray, hits: np.ndarray, table_err: float) -> tuple[float
     return mean - 1.0, float(table_err * spread + 2.0 ** -53 * rounding)
 
 
-def _afford_subset_sums(n: int, s: int) -> None:
-    # units: 20 n for kernel and points, n |u| + 1000 per u
-    afford(n * (s * 2 ** (s - 1) + 20) + 1000 * (2 ** s - 1), 78.9,
+def _afford_subset_sums(rule: LatticeRule | PolyLatticeRule) -> None:
+    n, s = rule.npoints, rule.s
+    # units (cbc's): a point's r_kernel and s + 3 cells of points (3 for a polynomial
+    # rule's digits of n, the factors and hits), and 100 (n |u| + 1000) per u
+    afford(n * ((s + 3) * rule.point_units + rule.r_kernel_units)
+           + 100 * (n * s * 2 ** (s - 1) + 1000 * (2 ** s - 1)), 0.787,
            f"subset sums over the 2^{s} - 1 subsets of {n} points")
 
 
@@ -89,7 +92,7 @@ def star_disc_bound(rule: LatticeRule | PolyLatticeRule, W: WeightSet,
     the coordinates of u, sums the nonzero dual vectors supported in u: lattice rules
     weigh those in the box -N/2 < k_j <= N/2 by prod 1/max(1, |k_j|) (scale 1/2),
     polynomial lattice rules those with all k_j < b^m by prod r_tilde(k_j) (scale 1)."""
-    _afford_subset_sums(rule.npoints, rule.s)  # before the kernel and points are built
+    _afford_subset_sums(rule)  # before the kernel and points are built
     table, table_err, scale = rule.r_kernel()
     x = rule.points() if x is None else x
     f, hits = 1.0 + table[x], np.asarray([np.bincount(col).max() for col in x.T])
@@ -193,7 +196,7 @@ def discrepancy_report(rule: LatticeRule | PolyLatticeRule, params: SpaceParams,
         bound_rho, vacuous = star_disc_bound_rho(rule, params.alpha, W, W, rho)
     if rule.s == 2:  # the 1-D exact D* is O(n log n) and needs no estimate
         _afford_exact(n)
-    _afford_subset_sums(n, rule.s)
+    _afford_subset_sums(rule)
     x = rule.points()
     exact = weighted_exact_star_discrepancy(x, n, W) if rule.s <= 2 else None
     bound_joe, r_values = star_disc_bound(rule, W, x)

@@ -30,14 +30,9 @@ def as_int(value, what: str) -> int:
         raise UsageError(f"{what} must be an integer, got {value!r}") from None
 
 
-def fits(cells: int, bytes_per_cell: int) -> bool:
-    """Whether a table of ``cells`` cells at ``bytes_per_cell`` bytes each fits MEMORY_BUDGET."""
-    return cells * bytes_per_cell <= MEMORY_BUDGET
-
-
 def require(cells: int, bytes_per_cell: int, what: str) -> None:
-    """Refuse, before anything is allocated, a table that does not fit."""
-    if not fits(cells, bytes_per_cell):
+    """Refuse, before anything is allocated, a table that does not fit MEMORY_BUDGET."""
+    if cells * bytes_per_cell > MEMORY_BUDGET:
         raise ResourceLimitError(f"{what} needs {cells * bytes_per_cell} bytes, "
                                  f"budget {MEMORY_BUDGET} bytes")
 

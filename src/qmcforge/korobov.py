@@ -38,8 +38,8 @@ _BERNOULLI_EVEN = {
 # tables record as thm1_rhs = NaN at N > 1024, so replacing it moves pinned outputs.
 ZAREMBA_N_LIMIT = 1024
 
-# largest modulus whose products (N - 1)^2 of two residues fit int64, as points,
-# cbc_scan and cbc._powers compute them
+# largest modulus whose products (N - 1)^2 of two residues fit int64, as points
+# and cbc._powers compute them
 N_MAX = math.isqrt(2 ** 63 - 1) + 1
 
 # cells per block of a streamed product space (CBC candidate rows, merit points)
@@ -56,6 +56,8 @@ class LatticeRule:
     N: int
     z: tuple[int, ...]
     needs_monotone_weights = True  # Theorem 1 holds for monotone weights only
+    # work units (0.787 ns, cbc's) a cell of points() and a point of r_kernel()'s FFT
+    point_units, r_kernel_units = 18, 2000
 
     def __post_init__(self):
         object.__setattr__(self, "N", as_int(self.N, "modulus N"))
@@ -80,9 +82,11 @@ class LatticeRule:
 
     def points(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Integer numerators of nodes lo..hi-1 (default all), shape (hi - lo, s);
-        denominator N.  Row n holds (n * z_j) mod N, so the point is row / N exactly."""
+        denominator N.  Row n holds (n * z_j) mod N, so the point is row / N exactly:
+        the transpose of one (s, hi - lo) product, reduced in place."""
         n = np.arange(lo, self.N if hi is None else hi, dtype=np.int64)
-        return (n[:, None] * np.asarray(self.z, dtype=np.int64)[None, :]) % self.N
+        x = np.multiply.outer(np.asarray(self.z, dtype=np.int64), n)
+        return np.remainder(x, self.N, out=x).T
 
     def merit_kernel(self, alpha: float) -> np.ndarray:
         """omega(a/N), a = 0..N-1, the kernel of P's closed form (integer alpha in 1..4)."""
@@ -124,10 +128,10 @@ class LatticeRule:
         return LatticeRule(N=self.N, z=tuple(codes))
 
     def cbc_scan(self, s: int, params: SpaceParams, fast: bool = False) -> tuple:
-        """(column, scan, candidates) of cbc._greedy for z_(l+1) in 1..N-1.
+        """(table, scan, candidates) of cbc._greedy for z_(l+1) in 1..N-1.
 
         Integer alpha in 1..4 only (the Bernoulli closed form).  The direct scan
-        multiplies F[c, n] = omega((c n) mod N) over n <= N/2 only, against h
+        multiplies cbc's rows F[c, n] = omega((c n) mod N) over n <= N/2 only, against h
         folded onto those columns (F's columns n and N - n are equal).  ``fast``
         (prime N only) scans by a length-(N-1) circular correlation in the
         primitive-root ordering, with the FFT, in one complex buffer.  The FFT's
@@ -137,11 +141,10 @@ class LatticeRule:
         direct scan's within the tie class, and later components follow a
         different prefix (N = 2027, s = 6, gamma_j = j^-2 is one case).
         """
-        from .cbc import _check_dimension, _powers, _row_scan  # cbc imports korobov
+        from .cbc import _powers, _row_scan  # cbc imports korobov
         N = self.N
         if fast and not is_prime(N):
             raise UsageError(f"fast CBC needs prime N, got {N}")
-        _check_dimension(s, params.weights)
         if int(params.alpha) != params.alpha:
             raise UsageError("CBC construction needs integer alpha (closed-form merit)")
         if fast:  # at peak (tracemalloc), 72 bytes a point for the table, exps, fft_w, buf and
@@ -153,7 +156,6 @@ class LatticeRule:
         if fast and N > 2:
             exps = _powers(primitive_root(N), N)
             fft_w, buf = np.fft.fft(table[exps]), np.empty(N - 1, dtype=complex)
-            candidates = exps
 
             def scan(h: np.ndarray) -> np.ndarray:
                 # T(g^a) = h(0) w(0) + sum_b h(g^b) w(g^(a+b) mod (N-1)), in one buffer
@@ -161,24 +163,18 @@ class LatticeRule:
                 np.fft.fft(buf, out=buf)
                 np.multiply(np.conj(buf, out=buf), fft_w, out=buf)
                 return h[0] * table[0] + np.fft.ifft(buf, out=buf).real
-        else:
-            # rows c and N - c of omega((c n) mod N) are identical and the tie policy
-            # keeps the smaller c, so candidates c <= N/2 suffice (none at s = 1); the
-            # table is mirrored bitwise, so columns n and N - n are too: h folds onto n <= N/2
-            candidates = np.arange(1, (N // 2 if s > 1 else 0) + 1, dtype=np.int64)
-            half = np.arange(N // 2 + 1, dtype=np.int64)
+            return table, scan, exps
+        # rows c and N - c of omega((c n) mod N) are identical and the tie policy
+        # keeps the smaller c, so candidates c <= N/2 suffice (none at s = 1); the
+        # table is mirrored bitwise, so columns n and N - n are too: h folds onto n <= N/2
+        candidates = np.arange(1, (N // 2 if s > 1 else 0) + 1, dtype=np.int64)
+        product = _row_scan(self, table, candidates, N // 2 + 1, s)
 
-            def rows(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-                # 'clip' moves no reduced index and, unlike 'raise', fills out unbuffered
-                index = candidates[lo:hi, None] * half
-                return np.take(table, np.remainder(index, N, out=index), mode="clip", out=out)
-            product = _row_scan(rows, candidates.size, half.size, s)
-
-            def scan(h: np.ndarray) -> np.ndarray:
-                folded = h[:half.size].copy()
-                folded[1:(N + 1) // 2] += h[N - 1:N // 2:-1]
-                return product(folded)
-        return lambda c: table[(c * np.arange(N, dtype=np.int64)) % N], scan, candidates
+        def folded(h: np.ndarray) -> np.ndarray:
+            half = h[:N // 2 + 1].copy()
+            half[1:(N + 1) // 2] += h[N - 1:N // 2:-1]
+            return product(half)
+        return table, folded, candidates
 
     def stability_constants(self, alpha_prime: float) -> tuple[float, float, float, dict]:
         """(c, F, L) of Theorem 1 and the components it records: c = c_{a'},
@@ -202,6 +198,12 @@ def _rho(params: SpaceParams, minima: dict, term: Callable) -> tuple[float, dict
     of either rule family: rho is the largest term, and np.max passes on a NaN term."""
     per_subset = {u: (term(params.weights.weight(u), phi), phi) for u, phi in minima.items()}
     return finite(float(np.max([t for t, _ in per_subset.values()])), "rho"), per_subset
+
+
+def _subset_bytes(s: int) -> int:
+    """Bytes a subset of a dual search's {u: phi_u} and _rho's per_subset (tracemalloc):
+    frozenset u, 216 + 32 s on average, two dict entries and (term, phi), 232 in all."""
+    return 448 + 32 * s
 
 
 def c_alpha_prime(alpha_prime: float) -> float:
@@ -436,5 +438,6 @@ def dual_product_minima(rule: LatticeRule) -> dict[frozenset[int], int]:
         raise ResourceLimitError(f"dual minima capped at N <= {ZAREMBA_N_LIMIT}")
     # units: N + 1000 per subset, the 1000 its search's fixed cost
     afford((2 ** s - 1) * (N + 1000), 260, f"dual minima over the 2^{s} - 1 subsets")
+    require(2 ** s - 1, _subset_bytes(s), f"dual minima dicts of the 2^{s} - 1 subsets")
     return {u: N // math.gcd(rule.z[min(u) - 1], N) if len(u) == 1
             else _phi_search([rule.z[j - 1] for j in sorted(u)], N) for u in subsets_of(s)}

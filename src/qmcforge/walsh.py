@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import QmcforgeError, UsageError, afford, as_int, finite_power, require
 from .gfpoly import GFPoly
-from .korobov import _BLOCK_CELLS, MeritReport, _kernel_merit, _rho, _series_report
+from .korobov import _BLOCK_CELLS, MeritReport, _kernel_merit, _rho, _series_report, _subset_bytes
 from .weights import SpaceParams, WeightSet, subsets_of, weighted_power_sum
 
 
@@ -36,6 +36,7 @@ class PolyLatticeRule:
     p: GFPoly
     q: tuple[GFPoly, ...]
     needs_monotone_weights = False  # Theorem 2 holds for any weights
+    r_kernel_units = 0  # r_kernel repeats m (b - 1) + 1 values
 
     def __post_init__(self):
         object.__setattr__(self, "m", as_int(self.m, "degree m"))
@@ -68,10 +69,32 @@ class PolyLatticeRule:
 
     def points(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Integer numerators of nodes lo..hi-1 (default all), shape (hi - lo, s);
-        denominator b^m.  Row for n in G_m holds the numerator of nu_m(n q_j / p)
-        in column j."""
-        return _points_of(self.b, self.m, self.p.coeffs, [qj.code() for qj in self.q],
-                          np.arange(lo, self.npoints if hi is None else hi)).T
+        denominator b^m.  Row for n in G_m holds the numerator of nu_m(n q_j / p) in
+        column j, the transpose of one (s, hi - lo) array filled in blocks of
+        _BLOCK_CELLS // m points.  With u_k the Laurent digits of q_j / p, digit i of
+        n q_j / p is sum_c n_c u_(i+c): the Hankel matrix of u_1..u_(2m-1) applied to
+        the digits of n.  Products stay below m (b-1)^2 and numerators below b^m, so
+        float64 arithmetic is exact, floor(digit / b) included."""
+        b, m = self.b, self.m
+        n = np.arange(lo, self.npoints if hi is None else hi)
+        U = _digits([qj.code() for qj in self.q], b, m) @ _laurent_matrix(b, m, self.p.coeffs)
+        U = (U % b).astype(np.float64)
+        out, step = np.zeros((self.s, n.size)), _BLOCK_CELLS // m
+        for first in range(0, n.size, step):
+            nd = _digits(n[first:first + step], b, m).T.astype(np.float64)
+            acc = out[:, first:first + step]
+            for i in range(m):  # acc <- b acc + digit - b floor(digit / b), all in place
+                digit = U[:, i:i + m] @ nd
+                acc *= b
+                acc += digit
+                digit /= b  # np.floor is ~6x faster than np.remainder here
+                acc -= np.multiply(np.floor(digit, out=digit), b, out=digit)
+        return out.astype(np.int64).T
+
+    @property
+    def point_units(self) -> int:
+        """Work units (0.787 ns, cbc's) per cell of points() gathered from a table."""
+        return 12 * self.m
 
     def merit_kernel(self, alpha: float) -> np.ndarray:
         """phi_alpha(a / b^m), a = 0..b^m-1, the kernel of P's closed form (any alpha > 1/2)."""
@@ -125,25 +148,15 @@ class PolyLatticeRule:
                                q=tuple(GFPoly.from_code(self.b, c) for c in codes))
 
     def cbc_scan(self, s: int, params: SpaceParams, fast: bool = False) -> tuple:
-        """(column, scan, candidates) of cbc._greedy for q_(l+1) in G_m \\ {0}, by
-        integer encoding.  A reducible p is accepted (the construction is
-        well-defined), but the CBC guarantee assumes irreducible p."""
-        from .cbc import _check_dimension, _holds, _row_scan  # only a search loads cbc
+        """(table, scan, candidates) of cbc._greedy for q_(l+1) in G_m \\ {0}, by
+        integer encoding, over rows of all b^m points.  A reducible p is accepted
+        (the construction is well-defined), but the CBC guarantee assumes irreducible p."""
+        from .cbc import _row_scan  # only a search loads cbc
         if fast:
             raise UsageError("fast CBC needs a lattice rule; polynomial lattice rules have "
                              "no FFT scan")
-        _check_dimension(s, params.weights)
-        b, m, size = self.b, self.m, self.npoints
-        # units: 12 m per cell of the candidate rows each time they are built (once
-        # if _row_scan holds them, else every step), 1 per cell per scan (s - 1), 5 10^4 m per step
-        builds = 1 if _holds(size - 1, size, s) else s - 1
-        afford(size * size * (12 * m * builds + s - 1) + 50000 * m * s, 0.787,
-               f"CBC scan of {size * size} cells over {s} components")
-        table, n, candidates = self.merit_kernel(params.alpha), np.arange(size), np.arange(1, size)
-
-        def rows(lo: int, hi: int, out=None) -> np.ndarray:  # the kernel at candidates lo..hi-1
-            return np.take(table, _points_of(b, m, self.p.coeffs, candidates[lo:hi], n), out=out)
-        return lambda c: rows(c - 1, c)[0], _row_scan(rows, size - 1, size, s), candidates
+        table, candidates = self.merit_kernel(params.alpha), np.arange(1, self.npoints)
+        return table, _row_scan(self, table, candidates, self.npoints, s), candidates
 
     def stability_constants(self, alpha_prime: float) -> tuple[float, float, float, dict]:
         """(c, F, L) of Theorem 2 and the components it records (none): c = 1,
@@ -236,30 +249,6 @@ def _laurent_matrix(b: int, m: int, p_coeffs: tuple[int, ...]) -> np.ndarray:
     return L
 
 
-def _points_of(b: int, m: int, p_coeffs: tuple[int, ...], qcodes, ncodes) -> np.ndarray:
-    """out[r, i] = numerator over b^m of nu_m(n q_r / p), q_r = qcodes[r] and
-    n = ncodes[i], filled in blocks of _BLOCK_CELLS // m points.
-
-    With u_k the Laurent digits of q_r / p, digit i of n q_r / p is
-    sum_c n_c u_(i+c): the Hankel matrix of u_1..u_(2m-1) applied to the
-    digits of n.  Products stay below m (b-1)^2 and numerators below b^m, so
-    float64 arithmetic is exact, floor(digit / b) included.
-    """
-    U = ((_digits(qcodes, b, m) @ _laurent_matrix(b, m, p_coeffs)) % b).astype(np.float64)
-    out = np.zeros((U.shape[0], len(ncodes)))
-    step = _BLOCK_CELLS // m
-    for lo in range(0, len(ncodes), step):
-        nd = _digits(ncodes[lo:lo + step], b, m).T.astype(np.float64)
-        acc = out[:, lo:lo + step]
-        for i in range(m):  # acc <- b acc + digit - b floor(digit / b), all in place
-            digit = U[:, i:i + m] @ nd
-            acc *= b
-            acc += digit
-            digit /= b  # np.floor is ~6x faster than np.remainder here
-            acc -= np.multiply(np.floor(digit, out=digit), b, out=digit)
-    return out.astype(np.int64)
-
-
 def p_merit_wal_series(rule: PolyLatticeRule, params: SpaceParams,
                        digit_cap: int) -> MeritReport:
     """P(q) truncated to the dual vectors with k_j < b^digit_cap, as a point sum.
@@ -338,11 +327,12 @@ def dual_mu_minima(rule: PolyLatticeRule) -> dict[frozenset[int], int]:
     in the counting order of bit masks: one int16 array of b^m costs per size, four of scratch.
     """
     b, m, s = rule.b, rule.m, rule.s
-    # units: m (b^(m+1) + 2000 b) per subset for the shifted minima and their numpy calls
-    afford(m * (2 ** s - 1) * (b ** (m + 1) + 2000 * b), 2.0, f"dual minima at s={s}")
-    # int16 cells: s + 5 cost arrays, and 4 for each intp cell of the s m shift halves
-    require((s + 5) * rule.npoints + 4 * s * m * (b ** (m - m // 2) + b ** (m // 2)), 2,
-            f"dual minima cost arrays at m={m}, s={s}")
+    # units per subset: m (b^(m+1) + 2000 b) for the shifted minima and their numpy
+    # calls, and 5000 for the loop's own step (the most of it at m = 1)
+    afford((2 ** s - 1) * (m * (b ** (m + 1) + 2000 * b) + 5000), 2.0, f"dual minima at s={s}")
+    # bytes: s + 5 int16 cost arrays, the intp cells of the s m shift halves, the dicts
+    require(2 * (s + 5) * rule.npoints + 8 * s * m * (b ** (m - m // 2) + b ** (m // 2))
+            + (2 ** s - 1) * _subset_bytes(s), 1, f"dual minima at m={m}, s={s}")
     halves = list(zip(*_shift_halves(rule)))  # [j] = (hi[j], lo[j])
     # costs[d], sets[d]: D_u and u of the last u of size d, costs[-4:] _cost_extend's scratch;
     # (m + 1)(s + 1) is unreachable, above every total cost, which stays below (m + 1)(s + 2)

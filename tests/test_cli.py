@@ -113,6 +113,19 @@ class TestConstruct:
                         "--out", str(p)]) == 0
         assert json.loads(p1.read_text())["z"] == json.loads(p2.read_text())["z"]
 
+    def test_random_rule_at_fractional_alpha(self, tmp_path):
+        # a random rule runs no search, so its P is stability.merit's: the truncated
+        # series at alpha = 1.5, where the closed form would refuse
+        from qmcforge.korobov import LatticeRule, p_merit_series
+        from qmcforge.weights import SpaceParams
+        path = tmp_path / "r.json"
+        assert run(["construct", "--N", "127", "--s", "3", "--random", "--alpha", "1.5",
+                    "--out", str(path)]) == 0
+        obj = json.loads(path.read_text())
+        params = SpaceParams(alpha=1.5, weights=parse_weights("product:j^-2", 3))
+        p = p_merit_series(LatticeRule(N=127, z=tuple(obj["z"])), params).p_value
+        assert [entry["merit"] for entry in obj["trace"]] == [p] * 3
+
 
 class TestEvaluate:
     def test_missing_file(self):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import lattice_modulus, poly_modulus
-from qmcforge import errors, walsh
+from qmcforge import errors, korobov, walsh
 from qmcforge.cbc import cbc_construct
 from qmcforge.discrepancy import star_disc_bound
 from qmcforge.errors import ResourceLimitError
@@ -195,10 +195,16 @@ def shift_rule(b, m, codes=(1, 187, 611)):
     return poly_modulus(b, m).with_codes(list(codes))
 
 
+def subset_bytes(s):
+    # what both dual searches require for each of the 2^s - 1 subsets' dict entries
+    return (2 ** s - 1) * (448 + 32 * s)
+
+
 def cost_array_bytes(b, m, s):
-    # what dual_mu_minima requires: s + 5 int16 arrays of b^m costs, and the s m
-    # (b^(m-k) + b^k) intp cells of shift halves, k = m // 2
-    return 2 * (s + 5) * b ** m + 8 * s * m * (b ** (m - m // 2) + b ** (m // 2))
+    # what dual_mu_minima requires: s + 5 int16 arrays of b^m costs, the s m
+    # (b^(m-k) + b^k) intp cells of shift halves, k = m // 2, and the subsets' dicts
+    return (2 * (s + 5) * b ** m + 8 * s * m * (b ** (m - m // 2) + b ** (m // 2))
+            + subset_bytes(s))
 
 
 @pytest.mark.parametrize("s", [1, 3, 6])
@@ -219,6 +225,31 @@ def test_cost_arrays_refused_before_arrays(monkeypatch):
     monkeypatch.setattr(walsh, "_shift_halves", never_entered)
     monkeypatch.setattr(walsh, "_cost_extend", never_entered)
     refused_within(lambda: dual_mu_minima(shift_rule(2, 10)), cost_array_bytes(2, 10, 3))
+
+
+@pytest.mark.parametrize("rule, required", [
+    (shift_rule(2, 1, (1,) * 14), cost_array_bytes(2, 1, 14)),
+    (LatticeRule(N=31, z=(1, 12, 5, 7, 3, 9, 11, 2, 6, 14)), subset_bytes(10)),
+], ids=["poly-s14", "lattice-s10"])
+def test_rho_within_required_bytes(rule, required):
+    # the {u: phi_u} and per_subset dicts of the 2^s - 1 subsets (about 14 MB at
+    # s = 14), which the dual search's required bytes count
+    assert traced_peak(lambda: rule.rho(product_params(rule.s))) <= required
+
+
+@pytest.mark.parametrize("rule, required, walk", [
+    (shift_rule(2, 1, (1,) * 12), cost_array_bytes(2, 1, 12), ("_shift_halves", "_cost_extend")),
+    (LatticeRule(N=31, z=(1, 12, 5, 7, 3, 9, 11, 2, 6, 14, 4, 8)), subset_bytes(12),
+     ("_phi_search",)),
+], ids=["poly", "lattice"])
+def test_subset_dicts_refused_before_walk(monkeypatch, rule, required, walk):
+    # a budget one byte under the required bytes, which at b = 2, m = 1 or N = 31
+    # are nearly all the 4095 subsets' dicts
+    module = walsh if isinstance(rule, PolyLatticeRule) else korobov
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", required - 1)
+    for name in walk:
+        monkeypatch.setattr(module, name, never_entered)
+    refused_within(lambda: rule.rho(product_params(12)), required)
 
 
 @pytest.mark.parametrize("merit, requested", [

@@ -104,24 +104,46 @@ def test_irreducibility_before_trial_division(no_budget):
 
 
 def test_poly_cbc_scan_before_rows(no_budget):
+    # cbc builds the candidate rows and columns from rule.points
     modulus = poly_modulus(2, 4, GFPoly(2, (1, 1, 0, 0, 1)))
-    no_budget.setattr(walsh, "_points_of", entered)
-    no_budget.setattr(cbc, "_row_scan", entered)
+    no_budget.setattr(PolyLatticeRule, "points", entered)
     with pytest.raises(ResourceLimitError):
         cbc.cbc_construct(modulus, 3, SpaceParams(alpha=1.0, weights=product(3)))
 
 
+def test_lattice_direct_scan_refused_before_rows(monkeypatch, capsys):
+    # N = 65536, s = 8 streams (the 2^15 x (2^15 + 1) rows are 8 GiB), so each of the
+    # 7 steps rebuilds 2^30 cells: far over the default budget, refused before any row
+    monkeypatch.setattr(LatticeRule, "points", entered)
+    assert cli.main(["construct", "--N", "65536", "--s", "8"]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
+def scan_units(monkeypatch, modulus, s):
+    """The units cbc charges for a held and for a streamed scan of s components, and
+    whether both give one rule and trace."""
+    units = []
+    monkeypatch.setattr(cbc, "afford", lambda u, ns_per_unit, what: units.append(u))
+    params = SpaceParams(alpha=1.0, weights=product(s))
+    held = cbc.cbc_construct(modulus, s, params)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 1 << 16)
+    return units, cbc.cbc_construct(modulus, s, params) == held
+
+
 def test_streamed_poly_scan_counts_a_build_per_step(monkeypatch):
     # b = 2, m = 8, s = 8: the held rows are built once; with none held, each of
-    # the 7 steps rebuilds them; either way 7 steps scan them
-    units = []
-    monkeypatch.setattr(walsh, "afford", lambda u, ns_per_unit, what: units.append(u))
-    params = SpaceParams(alpha=1.0, weights=product(8))
-    cbc.cbc_construct(poly_modulus(2, 8), 8, params)
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", 1 << 16)
-    cbc.cbc_construct(poly_modulus(2, 8), 8, params)
-    per_step = 50000 * 8 * 8
-    assert units == [2 ** 16 * (96 + 7) + per_step, 2 ** 16 * (96 * 7 + 7) + per_step]
+    # the 7 steps rebuilds them; either way 7 steps scan them; 8 steps form a column
+    units, same = scan_units(monkeypatch, poly_modulus(2, 8), 8)
+    cells, per_step = 255 * 256, (256 + 4000) * 96 * 8
+    assert same and units == [cells * (96 + 7) + per_step, cells * (96 * 7 + 7) + per_step]
+
+
+def test_streamed_lattice_scan_counts_a_build_per_step(monkeypatch):
+    # N = 509, s = 8: 254 candidates over the 255 points n <= N/2, at the lattice
+    # rule's 18 units a cell
+    units, same = scan_units(monkeypatch, LatticeRule(N=509, z=(1,)), 8)
+    cells, per_step = 254 * 255, (509 + 4000) * 18 * 8
+    assert same and units == [cells * (18 + 7) + per_step, cells * (18 * 7 + 7) + per_step]
 
 
 def test_poly_scan_at_s1_counts_no_scan(tmp_path):
@@ -130,12 +152,15 @@ def test_poly_scan_at_s1_counts_no_scan(tmp_path):
                      "--out", str(tmp_path / "rule.json")]) == 0
 
 
-@pytest.mark.parametrize("b, m, codes", [(2, 10, [1, 187, 611]), (3, 5, [1, 100, 200])],
-                         ids=["2-10", "3-5"])
+@pytest.mark.parametrize("b, m, codes", [(2, 10, [1, 187, 611]), (3, 5, [1, 100, 200]),
+                                         (2, 1, [1] * 12), (3, 1, [1, 2] * 6), (5, 2, [1, 7, 13]),
+                                         (7, 2, [1, 8, 20])],
+                         ids=["2-10", "3-5", "2-1", "3-1", "5-2", "7-2"])
 def test_dual_minima_units_per_subset(monkeypatch, b, m, codes):
-    # s = 3: m (b^(m+1) + 2000 b) units for each of the 7 subsets, and nothing per
-    # coordinate, since the shift halves are built once per call
+    # m (b^(m+1) + 2000 b) + 5000 units for each of the 2^s - 1 subsets, and nothing
+    # per coordinate, since the shift halves are built once per call; at m = 1 the
+    # 5000 of the loop's own step are most of it
     units = []
     monkeypatch.setattr(walsh, "afford", lambda u, ns_per_unit, what: units.append(u))
     walsh.dual_mu_minima(poly_modulus(b, m).with_codes(codes))
-    assert units == [7 * m * (b ** (m + 1) + 2000 * b)]
+    assert units == [(2 ** len(codes) - 1) * (m * (b ** (m + 1) + 2000 * b) + 5000)]
